@@ -8,40 +8,27 @@
 //   2. Thread-scaling sweep: SSTA propagation and Monte Carlo on the largest
 //      DAG across --jobs 1/2/4/hw, with a determinism cross-check (parallel
 //      results must be bit-identical to 1-thread results; see DESIGN.md §7).
-//   3. Serial-island sweep: AugLagModel::hess_vec and the reduced-space
-//      adjoint gradient on a k2-scale DAG across the same thread counts —
-//      the two kernels that used to run single-threaded, now parallel via
-//      ScatterPlan with the same exact-equality determinism contract.
-//   4. TimingView sweep: the historical per-Node pointer walk vs the flat CSR
+//   3. TimingView sweep: the historical per-Node pointer walk vs the flat CSR
 //      view path (DESIGN.md §8) for delay evaluation, SSTA, and corner STA at
 //      one thread — a pure memory-layout comparison whose results must be
 //      bit-identical (the view copies the same doubles and keeps every fold
 //      order), so any mismatch hard-fails the benchmark.
-//   5. Granularity advisor: the pre-solve audit's static per-level
-//      serial/parallel decision table and cutoff on the k2-scale DAG, then
-//      SSTA timed with the cutoff off vs applied (bit-identical by contract,
-//      re-verified here).
 //
 // Machine-readable results go to BENCH_scaling.json via bench::JsonArtifact.
-// STATSIZE_SCALING_SECTIONS=sizing,threads,serial_islands,timing_view,granularity
+// STATSIZE_SCALING_SECTIONS=sizing,threads,timing_view
 // (comma-separated) restricts the run to the named sections; unset runs all.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "analyze/graph_audit.h"
 #include "bench_util.h"
-#include "core/full_space.h"
-#include "core/reduced_space.h"
 #include "core/sizer.h"
 #include "netlist/generators.h"
-#include "nlp/auglag.h"
 #include "runtime/runtime.h"
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
@@ -80,7 +67,7 @@ bool reports_equal(const ssta::TimingReport& a, const ssta::TimingReport& b) {
   return a.circuit_delay.mu == b.circuit_delay.mu && a.circuit_delay.var == b.circuit_delay.var;
 }
 
-/// Section filter: STATSIZE_SCALING_SECTIONS=threads,serial_islands runs only
+/// Section filter: STATSIZE_SCALING_SECTIONS=threads,timing_view runs only
 /// those sections (comma-separated; unset/empty = all). Lets the check.sh
 /// scaling smoke gate exercise the bit-identity cross-checks without paying
 /// for the sizing solves.
@@ -228,96 +215,9 @@ int main() {
   }
   }  // section "threads"
 
-  // ---- Serial-island scaling: hess_vec and the adjoint gradient sweep on a
-  // k2-scale circuit (the larger Table 1 benchmarks run ~1700 gates). The
-  // circuit itself is shared with the timing_view and granularity sections.
+  if (section_enabled("timing_view")) {
+  // A k2-scale circuit: the larger Table 1 benchmarks run ~1700 gates.
   const netlist::Circuit k2 = scaling_dag(1692);
-
-  if (section_enabled("serial_islands")) {
-  std::printf("\n--- hess_vec / adjoint scaling (%d-gate DAG) ---\n", k2.num_gates());
-  std::printf("%8s | %12s %8s | %12s %8s | %s\n", "threads", "hessvec ms", "speedup",
-              "adjoint ms", "speedup", "deterministic");
-
-  core::SizingSpec island_spec;
-  island_spec.objective = core::Objective::min_delay(0.0);
-  const std::vector<double> ones(static_cast<std::size_t>(k2.num_nodes()), 1.0);
-  const core::FullSpaceFormulation form = core::build_full_space(k2, island_spec, ones);
-  const nlp::Problem& prob = *form.problem;
-  const std::vector<double> mult(static_cast<std::size_t>(prob.num_constraints()), 0.25);
-  const std::vector<double> x = prob.start();
-  std::vector<double> v(static_cast<std::size_t>(prob.num_vars()));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = std::sin(0.37 * static_cast<double>(i)) + 0.1;
-  }
-
-  runtime::set_threads(1);
-  nlp::AugLagModel model(prob, mult, 10.0);
-  std::vector<double> scratch_grad;
-  model.eval(x, &scratch_grad);  // snapshot the element Hessians at x
-  std::vector<double> hv_ref;
-  model.hess_vec(v, hv_ref);
-  const core::ReducedEvaluator red(k2, island_spec.sigma_model);
-  std::vector<double> grad_ref;
-  const stat::NormalRV t_ref = red.eval_with_grad(ones, 1.0, 0.5, grad_ref);
-
-  double hv_ms1 = 0.0;
-  double adj_ms1 = 0.0;
-  double hv_ms4 = 0.0;
-  double adj_ms4 = 0.0;
-  for (const int t : thread_counts) {
-    runtime::set_threads(t);
-    std::vector<double> hv;
-    model.hess_vec(v, hv);
-    std::vector<double> grad;
-    const stat::NormalRV tr = red.eval_with_grad(ones, 1.0, 0.5, grad);
-    const bool det =
-        hv == hv_ref && grad == grad_ref && tr.mu == t_ref.mu && tr.var == t_ref.var;
-    if (!det) {
-      std::printf("  [FAIL] hess_vec/adjoint at %d threads differ from 1-thread reference\n", t);
-      ++failures;
-    }
-    std::vector<double> hv_scratch;
-    std::vector<double> grad_scratch;
-    const double hv_ms = wall_ms([&] { model.hess_vec(v, hv_scratch); }, 5);
-    const double adj_ms =
-        wall_ms([&] { red.eval_with_grad(ones, 1.0, 0.5, grad_scratch); }, 5);
-    if (t == 1) {
-      hv_ms1 = hv_ms;
-      adj_ms1 = adj_ms;
-    }
-    if (t == 4) {
-      hv_ms4 = hv_ms;
-      adj_ms4 = adj_ms;
-    }
-    std::printf("%8d | %12.3f %7.2fx | %12.3f %7.2fx | %s\n", t, hv_ms, hv_ms1 / hv_ms, adj_ms,
-                adj_ms1 / adj_ms, det ? "yes" : "NO");
-    artifact.add_row()
-        .field("section", "serial_islands")
-        .field("gates", k2.num_gates())
-        .field("threads", t)
-        .field("hess_vec_wall_ms", hv_ms)
-        .field("hess_vec_speedup", hv_ms > 0.0 ? hv_ms1 / hv_ms : 0.0)
-        .field("adjoint_wall_ms", adj_ms)
-        .field("adjoint_speedup", adj_ms > 0.0 ? adj_ms1 / adj_ms : 0.0)
-        .field("deterministic", det ? "yes" : "no");
-  }
-  runtime::set_threads(1);
-
-  // Advisory like the Monte Carlo check above: demand >1.5x at 4 threads
-  // only where the hardware can actually show it.
-  if (hw >= 4) {
-    if (hv_ms4 > 0.0 && hv_ms1 / hv_ms4 < 1.5) {
-      std::printf("  [WARN] hess_vec speedup below 1.5x at 4 threads on this machine\n");
-    }
-    if (adj_ms4 > 0.0 && adj_ms1 / adj_ms4 < 1.5) {
-      std::printf("  [WARN] adjoint speedup below 1.5x at 4 threads on this machine\n");
-    }
-  } else {
-    std::printf("  [note] only %d hardware thread(s): speedup cannot be demonstrated here\n", hw);
-  }
-  }  // section "serial_islands"
-
-  // Shared by the timing_view and granularity sections below.
   const ssta::SigmaModel sm{};
   const ssta::DelayCalculator k2_calc(k2, sm);
   std::vector<double> sp(static_cast<std::size_t>(k2.num_nodes()));
@@ -325,7 +225,6 @@ int main() {
     sp[i] = 1.0 + 0.21 * static_cast<double>(i % 9);  // uneven, deterministic
   }
 
-  if (section_enabled("timing_view")) {
   // ---- TimingView retarget: Node walk vs flat CSR view, single-threaded so
   // the comparison is purely about memory layout. The references below are
   // the pre-view traversals kept alive here as a yardstick; results must be
@@ -433,75 +332,6 @@ int main() {
         .field("identical", s.identical ? "yes" : "no");
   }
   }  // section "timing_view"
-
-  if (section_enabled("granularity")) {
-  // ---- Granularity advisor: the pre-solve audit's static serial-cutoff
-  // decision on the same k2-scale DAG, then SSTA timed with the cutoff off
-  // (every level offered to the pool) versus applied. The cutoff is a pure
-  // wall-clock lever — the determinism contract makes serial and pooled level
-  // execution bit-identical, and that is re-verified here.
-  const int adv_threads = std::max(2, std::min(4, hw));
-  analyze::GranularityCostModel cost;
-  cost.threads = adv_threads;
-  const netlist::TimingViewStats k2_stats = netlist::compute_view_stats(k2.view());
-  const analyze::GranularityAdvice advice =
-      analyze::advise_granularity(k2_stats.level_widths, cost);
-  std::printf("\n--- granularity advisor (%d-gate DAG, cost model at %d threads) ---\n",
-              k2.num_gates(), adv_threads);
-  std::printf("serial cutoff: width < %zu | %d of %zu levels advised serial "
-              "(%.1f%% of gates) | modeled: naive %.0f ns, advised %.0f ns\n",
-              advice.serial_cutoff, advice.serial_levels, advice.levels.size(),
-              100.0 * advice.serial_gate_fraction, advice.est_naive_parallel_ns,
-              advice.est_advised_ns);
-  artifact.add_row()
-      .field("section", "granularity_advisor")
-      .field("gates", k2.num_gates())
-      .field("threads", adv_threads)
-      .field("chunk_dispatch_ns", cost.chunk_dispatch_ns)
-      .field("gate_cost_ns", cost.gate_cost_ns)
-      .field("serial_cutoff", static_cast<int>(advice.serial_cutoff))
-      .field("levels", static_cast<int>(advice.levels.size()))
-      .field("serial_levels", advice.serial_levels)
-      .field("serial_gate_fraction", advice.serial_gate_fraction)
-      .field("est_naive_parallel_ns", advice.est_naive_parallel_ns)
-      .field("est_advised_ns", advice.est_advised_ns);
-  for (const analyze::LevelDecision& d : advice.levels) {
-    artifact.add_row()
-        .field("section", "granularity_levels")
-        .field("level", d.level)
-        .field("width", static_cast<int>(d.width))
-        .field("advised", d.parallel ? "parallel" : "serial")
-        .field("serial_ns", d.serial_ns)
-        .field("parallel_ns", d.parallel_ns);
-  }
-
-  const std::vector<stat::NormalRV> k2_delays = k2_calc.all_delays(sp);
-  runtime::set_threads(adv_threads);
-  const std::size_t saved_cutoff = runtime::level_serial_cutoff();
-  runtime::set_level_serial_cutoff(0);
-  const ssta::TimingReport cutoff_ref = ssta::run_ssta(k2, k2_delays);
-  const double naive_ms = wall_ms([&] { ssta::run_ssta(k2, k2_delays); }, 5);
-  runtime::set_level_serial_cutoff(advice.serial_cutoff);
-  const bool cutoff_det = reports_equal(ssta::run_ssta(k2, k2_delays), cutoff_ref);
-  const double advised_ms = wall_ms([&] { ssta::run_ssta(k2, k2_delays); }, 5);
-  runtime::set_level_serial_cutoff(saved_cutoff);
-  runtime::set_threads(1);
-  if (!cutoff_det) {
-    std::printf("  [FAIL] SSTA with the advised cutoff differs from cutoff-0 results\n");
-    ++failures;
-  }
-  std::printf("ssta at %d threads: cutoff 0 %.3f ms, advised cutoff %.3f ms (%.2fx) | %s\n",
-              adv_threads, naive_ms, advised_ms, naive_ms / advised_ms,
-              cutoff_det ? "deterministic" : "NOT DETERMINISTIC");
-  artifact.add_row()
-      .field("section", "granularity_ssta")
-      .field("gates", k2.num_gates())
-      .field("threads", adv_threads)
-      .field("cutoff0_wall_ms", naive_ms)
-      .field("advised_wall_ms", advised_ms)
-      .field("serial_cutoff", static_cast<int>(advice.serial_cutoff))
-      .field("deterministic", cutoff_det ? "yes" : "no");
-  }  // section "granularity"
 
   artifact.write();
   std::printf("\nE7 SCALING: %s\n", failures == 0 ? "completed (trend recorded above)"

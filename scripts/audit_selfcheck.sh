@@ -2,9 +2,8 @@
 # Self-check for the `statsize audit` subcommand, run as a ctest:
 #   1. every built-in and shipped example circuit must audit without errors
 #      (exit < 3; warnings and notes are tolerated),
-#   2. the audit JSON on a real circuit must carry the analytics sections the
-#      bench and the runtime consume (graph_stats, granularity_advisor with a
-#      serial_cutoff and a per-level decision table, nlp_instance),
+#   2. the audit JSON on a real circuit must carry its analytics sections
+#      (graph_stats with the level-width histogram, nlp_instance),
 #   3. --demo-defects (NaN bound box, zero-width level spam) must produce
 #      errors (exit 3) naming NLP001 and GRF002.
 #
@@ -36,15 +35,14 @@ for f in "$REPO_ROOT"/examples/circuits/*.blif; do
   check_clean "$f"
 done
 
-# Analytics sections present on a k2-scale audit (--threads 8 gives the
-# advisor a multi-worker cost model even on a single-core host).
-json="$("$STATSIZE" audit --circuit k2 --threads 8 --json - 2>/dev/null)"
+# Analytics sections present on a k2-scale audit.
+json="$("$STATSIZE" audit --circuit k2 --json - 2>/dev/null)"
 code=$?
 if [ "$code" -ge 3 ] || [ "$code" -eq 1 ]; then
   echo "FAIL: k2 JSON audit exited $code"
   failures=$((failures + 1))
 fi
-for section in graph_stats granularity_advisor serial_cutoff level_widths nlp_instance; do
+for section in graph_stats level_widths nlp_instance; do
   if ! printf '%s' "$json" | grep -q "\"$section\""; then
     echo "FAIL: k2 audit JSON is missing section '$section'"
     failures=$((failures + 1))

@@ -36,8 +36,8 @@ if [ "$SANITIZE" = "thread" ]; then
   # are exposed even where hardware_concurrency() == 1 would otherwise keep
   # every code path serial. Suites are selected by label (the executable
   # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo,
-  # the nlp + core suites whose hess_vec / adjoint sweeps fan out over
-  # ScatterPlan folds, and the TimingView suite every parallel sweep now
+  # the nlp + core suites whose sizing runs drive the pooled forward sweeps
+  # and Monte Carlo chunks, and the TimingView suite every parallel sweep
   # traverses. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
@@ -48,8 +48,8 @@ if [ "$SANITIZE" = "thread" ]; then
   echo "== ctest under ThreadSanitizer (runtime + parallel engines + serve) =="
   STATSIZE_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -L '^(runtime_test|ssta_test|nlp_test|core_test|timing_view_test|resilience_test|serve_test|incremental_test|chaos_test)$'
-  # The ECO label again on its own: the incremental engine's level worklist
-  # commits scratch arrivals from pool workers, a prime TSan surface.
+  # The ECO label again on its own: edit sequences interleave the serial
+  # incremental worklist with pooled full re-sweeps on the same views.
   echo "== ctest eco label under ThreadSanitizer =="
   STATSIZE_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^eco$'
   echo "thread-sanitizer checks passed"

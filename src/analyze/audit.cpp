@@ -65,8 +65,7 @@ AuditResult audit_circuit(netlist::Circuit& circuit, const AuditOptions& options
   }
   if (!circuit.finalized()) circuit.finalize();
 
-  result.report.merge(
-      audit_graph(circuit.view(), options.graph, &result.stats, &result.advice));
+  result.report.merge(audit_graph(circuit.view(), options.graph, &result.stats));
   result.has_view = true;
 
   if (options.nlp_audit && circuit.num_gates() > 0) {
@@ -105,14 +104,6 @@ void print_audit(std::ostream& out, const AuditResult& result) {
     out << "graph: reconvergence " << s.reconvergence_count << " (ratio " << s.reconvergence_ratio
         << "), max fanout " << s.max_fanout << ", max cone " << s.max_cone_size << " over "
         << s.sampled_outputs << " sampled outputs\n";
-    const GranularityAdvice& a = result.advice;
-    out << "advisor: serial cutoff " << a.serial_cutoff << " (threads " << a.model.threads
-        << ", grain " << a.model.grain << ", dispatch " << a.model.chunk_dispatch_ns
-        << " ns, gate " << a.model.gate_cost_ns << " ns): " << a.serial_levels << "/"
-        << a.levels.size() << " levels serial, " << 100.0 * a.serial_gate_fraction
-        << "% of gates\n";
-    out << "advisor: est sweep " << a.est_naive_parallel_ns / 1e3 << " us naive-parallel vs "
-        << a.est_advised_ns / 1e3 << " us advised\n";
   }
   if (result.has_nlp) {
     out << "nlp: " << result.nlp_vars << " variables, " << result.nlp_constraints
@@ -148,31 +139,6 @@ void write_audit_json(std::ostream& out, const AuditResult& result, std::string_
     w.key("sampled_outputs").value(s.sampled_outputs);
     w.key("level_widths").begin_array();
     for (std::size_t width : s.level_widths) w.value(static_cast<long>(width));
-    w.end_array();
-    w.end_object();
-
-    const GranularityAdvice& a = result.advice;
-    w.key("granularity_advisor").begin_object();
-    w.key("chunk_dispatch_ns").value(a.model.chunk_dispatch_ns);
-    w.key("gate_cost_ns").value(a.model.gate_cost_ns);
-    w.key("grain").value(static_cast<long>(a.model.grain));
-    w.key("threads").value(a.model.threads);
-    w.key("serial_cutoff").value(static_cast<long>(a.serial_cutoff));
-    w.key("serial_levels").value(a.serial_levels);
-    w.key("serial_gates").value(static_cast<long>(a.serial_gates));
-    w.key("serial_gate_fraction").value(a.serial_gate_fraction);
-    w.key("est_naive_parallel_ns").value(a.est_naive_parallel_ns);
-    w.key("est_advised_ns").value(a.est_advised_ns);
-    w.key("levels").begin_array();
-    for (const LevelDecision& d : a.levels) {
-      w.begin_object();
-      w.key("level").value(d.level);
-      w.key("width").value(static_cast<long>(d.width));
-      w.key("parallel").value(d.parallel);
-      w.key("serial_ns").value(d.serial_ns);
-      w.key("parallel_ns").value(d.parallel_ns);
-      w.end_object();
-    }
     w.end_array();
     w.end_object();
   }

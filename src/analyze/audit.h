@@ -2,14 +2,12 @@
 //
 // Where `statsize lint` asks "is this netlist/model well formed" by evaluating
 // it (finite differences, SSTA sweeps), the audit asks "what will the solver
-// and the runtime actually face" without evaluating anything: it compiles the
-// circuit, runs the GRF0xx graph analytics + granularity advisor over the
-// TimingView, builds the full-space NLP instance the sizer would hand to the
-// augmented-Lagrangian solver, and runs the NLP0xx structural rules over it.
-// The combined report gates CI through the same 0/2/3 exit codes as lint; the
-// JSON document additionally carries the graph statistics, the NLP instance
-// shape, and the advisor's per-level serial/parallel decision table so the
-// bench and the runtime can consume the cutoff directly.
+// actually face" without evaluating anything: it compiles the circuit, runs
+// the GRF0xx graph analytics over the TimingView, builds the full-space NLP
+// instance the sizer would hand to the augmented-Lagrangian solver, and runs
+// the NLP0xx structural rules over it. The combined report gates CI through
+// the same 0/2/3 exit codes as lint; the JSON document additionally carries
+// the graph statistics and the NLP instance shape.
 
 #pragma once
 
@@ -43,7 +41,6 @@ struct AuditResult {
   Report report;
   bool has_view = false;  ///< graph analytics ran (circuit was compilable)
   netlist::TimingViewStats stats;
-  GranularityAdvice advice;
   bool has_nlp = false;  ///< NLP instance was built and audited
   int nlp_vars = 0;
   int nlp_constraints = 0;
@@ -51,7 +48,7 @@ struct AuditResult {
 };
 
 /// Audits `circuit`: structural gate first (an un-finalizable circuit gets the
-/// structural findings and stops), then GRF graph analytics + advisor, then
+/// structural findings and stops), then GRF graph analytics, then
 /// the NLP instance rules. Finalizes the circuit if it is structurally clean
 /// and not yet finalized.
 AuditResult audit_circuit(netlist::Circuit& circuit, const AuditOptions& options = {});
@@ -61,12 +58,11 @@ AuditResult audit_circuit(netlist::Circuit& circuit, const AuditOptions& options
 AuditResult audit_file(const std::string& path, const netlist::CellLibrary& library,
                        const AuditOptions& options = {});
 
-/// Human-readable rendering: the report, then the graph/NLP analytics and the
-/// advisor's cutoff table.
+/// Human-readable rendering: the report, then the graph/NLP analytics.
 void print_audit(std::ostream& out, const AuditResult& result);
 
 /// Machine-readable document: {target, summary, diagnostics[], graph_stats,
-/// granularity_advisor{serial_cutoff, levels[]}, nlp_instance}.
+/// nlp_instance}.
 void write_audit_json(std::ostream& out, const AuditResult& result, std::string_view target);
 
 }  // namespace statsize::analyze

@@ -1,11 +1,7 @@
 #include "analyze/graph_audit.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
-
-#include "runtime/runtime.h"
 
 namespace statsize::analyze {
 
@@ -19,46 +15,7 @@ std::string fmt(double v) {
 
 }  // namespace
 
-GranularityAdvice advise_granularity(const std::vector<std::size_t>& level_widths,
-                                     const GranularityCostModel& model) {
-  GranularityAdvice advice;
-  advice.model = model;
-  if (advice.model.threads <= 0) advice.model.threads = runtime::threads();
-  if (advice.model.grain == 0) advice.model.grain = 1;
-  const GranularityCostModel& m = advice.model;
-
-  // The crossover math lives in the runtime (it auto-resolves
-  // level_serial_cutoff() from the same curves), so the static audit and the
-  // live scheduler can never disagree about where the pool pays.
-  const runtime::DispatchCostModel dm = m.dispatch_model();
-  advice.serial_cutoff = runtime::compute_serial_cutoff(dm);
-
-  std::size_t total_gates = 0;
-  for (std::size_t l = 0; l < level_widths.size(); ++l) {
-    LevelDecision d;
-    d.level = static_cast<int>(l);
-    d.width = level_widths[l];
-    d.serial_ns = runtime::modeled_serial_ns(d.width, dm);
-    d.parallel_ns = runtime::modeled_parallel_ns(d.width, dm);
-    d.parallel = d.width >= advice.serial_cutoff;
-    total_gates += d.width;
-    advice.est_naive_parallel_ns += d.parallel_ns;
-    advice.est_advised_ns += d.parallel ? d.parallel_ns : d.serial_ns;
-    if (!d.parallel) {
-      ++advice.serial_levels;
-      advice.serial_gates += d.width;
-    }
-    advice.levels.push_back(d);
-  }
-  if (total_gates > 0) {
-    advice.serial_gate_fraction =
-        static_cast<double>(advice.serial_gates) / static_cast<double>(total_gates);
-  }
-  return advice;
-}
-
-Report audit_level_widths(const std::vector<std::size_t>& level_widths,
-                          const GranularityAdvice& advice, const GraphAuditOptions& options) {
+Report audit_level_widths(const std::vector<std::size_t>& level_widths) {
   Report report;
   for (std::size_t l = 0; l < level_widths.size(); ++l) {
     if (level_widths[l] == 0) {
@@ -68,24 +25,12 @@ Report audit_level_widths(const std::vector<std::size_t>& level_widths,
                  "histogram is corrupted");
     }
   }
-  if (advice.serial_gate_fraction >= options.narrow_fraction_threshold &&
-      !level_widths.empty()) {
-    report.add("GRF003",
-               std::to_string(advice.serial_levels) + " of " +
-                   std::to_string(level_widths.size()) + " levels",
-               fmt(100.0 * advice.serial_gate_fraction) +
-                   "% of gates sit in levels narrower than the serial cutoff (" +
-                   std::to_string(advice.serial_cutoff) +
-                   "); level-parallel sweeps cannot pay for dispatch here",
-               "apply the advisor cutoff (runtime::set_level_serial_cutoff) or batch "
-               "independent analyses instead of parallelizing within one");
-  }
   report.sort();
   return report;
 }
 
 Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& options,
-                   netlist::TimingViewStats* stats_out, GranularityAdvice* advice_out) {
+                   netlist::TimingViewStats* stats_out) {
   Report report;
 
   if (options.invariant_check) {
@@ -97,9 +42,7 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
   }
 
   const netlist::TimingViewStats stats = netlist::compute_view_stats(view, options.max_cone_samples);
-  const GranularityAdvice advice = advise_granularity(stats.level_widths, options.cost);
-
-  report.merge(audit_level_widths(stats.level_widths, advice, options));
+  report.merge(audit_level_widths(stats.level_widths));
 
   // GRF004: fanout skew.
   if (stats.max_fanout >= options.fanout_skew_min && stats.mean_gate_fanout > 0.0 &&
@@ -110,8 +53,8 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
                    fmt(stats.mean_gate_fanout) + " (" +
                    fmt(static_cast<double>(stats.max_fanout) / stats.mean_gate_fanout) +
                    "x skew)",
-               "this net dominates its level's chunk and serializes every scatter fold "
-               "that touches it; consider buffering the net");
+               "the gate driving this net sums its whole load alone, unbalancing its "
+               "level's chunk in the pooled forward sweep; consider buffering the net");
   }
 
   // GRF005: reconvergence.
@@ -138,7 +81,6 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
   }
 
   if (stats_out != nullptr) *stats_out = stats;
-  if (advice_out != nullptr) *advice_out = advice;
   report.sort();
   return report;
 }

@@ -1,20 +1,10 @@
-// TimingView graph analytics (rules GRF001..GRF006) and the parallel-
-// granularity advisor — the structural half of the pre-solve static audit
-// (`statsize audit`).
+// TimingView graph analytics (rules GRF001, GRF002, GRF004..GRF006) — the
+// structural half of the pre-solve static audit (`statsize audit`).
 //
 // The raw numbers come from netlist::compute_view_stats / check_view_-
-// invariants; this module judges them: CSR soundness (GRF001/002), whether
-// level-parallel sweeps can pay for their dispatch on this circuit
-// (GRF003 + the advisor), scatter hot spots (GRF004), correlation blind
-// spots (GRF005), and Amdahl ceilings (GRF006).
-//
-// The advisor is the cost-model lever named in ROADMAP's "make the
-// parallelism actually pay" item: given the level-width histogram and a
-// per-chunk dispatch cost, it statically decides per level whether the pool
-// pays, and derives the single width cutoff LevelSchedule consumes via
-// runtime::set_level_serial_cutoff(). Everything is deterministic: the
-// default cost constants are fixed; calibration (runtime::
-// measure_chunk_dispatch_ns) is opt-in for live tuning.
+// invariants; this module judges them: CSR soundness (GRF001/002), fanout
+// hot spots (GRF004), correlation blind spots (GRF005), and Amdahl ceilings
+// (GRF006). Everything is deterministic: a pure function of the view.
 
 #pragma once
 
@@ -23,63 +13,10 @@
 
 #include "analyze/diagnostic.h"
 #include "netlist/timing_view.h"
-#include "runtime/runtime.h"
 
 namespace statsize::analyze {
 
-/// Cost model for one barriered level dispatch. Units are nanoseconds; the
-/// defaults are the runtime's own DispatchCostModel constants — the same
-/// model the runtime uses to auto-resolve level_serial_cutoff(), so the
-/// static audit and the live scheduler agree by construction. Calibrate with
-/// runtime::measure_chunk_dispatch_ns() when the real machine matters
-/// (BENCH_scaling.json records both).
-struct GranularityCostModel {
-  /// claim/wake cost per offered chunk
-  double chunk_dispatch_ns = runtime::kDefaultChunkDispatchNs;
-  /// per-gate sweep work (Clark max + delay eval)
-  double gate_cost_ns = runtime::kDefaultItemCostNs;
-  /// gates per chunk (the sweeps' kGateGrain)
-  std::size_t grain = runtime::kDefaultDispatchGrain;
-  /// 0 = runtime::threads() at advise time
-  int threads = 0;
-
-  /// The runtime-layer equivalent (shared crossover math lives there).
-  runtime::DispatchCostModel dispatch_model() const {
-    return runtime::DispatchCostModel{chunk_dispatch_ns, gate_cost_ns, grain, threads};
-  }
-};
-
-struct LevelDecision {
-  int level = 0;
-  std::size_t width = 0;
-  bool parallel = false;
-  double serial_ns = 0.0;    ///< modeled inline cost: width * gate_cost
-  double parallel_ns = 0.0;  ///< modeled pooled cost incl. dispatch + barrier
-};
-
-struct GranularityAdvice {
-  GranularityCostModel model;  ///< resolved model (threads filled in)
-  /// Smallest level width at which the pool is predicted to pay; levels
-  /// narrower than this should run inline (LevelSchedule::set_serial_cutoff).
-  std::size_t serial_cutoff = 0;
-  std::vector<LevelDecision> levels;
-  int serial_levels = 0;
-  std::size_t serial_gates = 0;        ///< gates in serial-advised levels
-  double serial_gate_fraction = 0.0;   ///< serial_gates / total gates
-  double est_naive_parallel_ns = 0.0;  ///< every level pooled
-  double est_advised_ns = 0.0;         ///< cutoff applied
-};
-
-/// Pure function of the histogram and the cost model (no measurement, no
-/// global state): the advisor itself.
-GranularityAdvice advise_granularity(const std::vector<std::size_t>& level_widths,
-                                     const GranularityCostModel& model = {});
-
 struct GraphAuditOptions {
-  GranularityCostModel cost;
-  /// GRF003 fires when at least this fraction of gates sits in levels below
-  /// the advisor's serial cutoff.
-  double narrow_fraction_threshold = 0.5;
   /// GRF004 fires when max fanout exceeds both this absolute floor and
   /// skew_factor * mean gate fanout.
   std::size_t fanout_skew_min = 32;
@@ -92,18 +29,16 @@ struct GraphAuditOptions {
   bool invariant_check = true;  ///< GRF001 CSR self-check (O(V + E log-ish))
 };
 
-/// GRF002/GRF003 over a bare level-width histogram. Split out so defect
-/// injection (zero-width level spam) and tests can audit a synthetic
-/// histogram without forging a TimingView.
-Report audit_level_widths(const std::vector<std::size_t>& level_widths,
-                          const GranularityAdvice& advice, const GraphAuditOptions& options = {});
+/// GRF002 over a bare level-width histogram. Split out so defect injection
+/// (zero-width level spam) and tests can audit a synthetic histogram without
+/// forging a TimingView.
+Report audit_level_widths(const std::vector<std::size_t>& level_widths);
 
 /// Full GRF audit over a compiled view: invariant self-check, then the
 /// histogram/skew/reconvergence/depth judgments on compute_view_stats.
-/// `stats_out` / `advice_out` (optional) receive the analytics so callers
-/// (the audit CLI, the bench) can report them without recomputing.
+/// `stats_out` (optional) receives the analytics so callers (the audit CLI)
+/// can report them without recomputing.
 Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& options = {},
-                   netlist::TimingViewStats* stats_out = nullptr,
-                   GranularityAdvice* advice_out = nullptr);
+                   netlist::TimingViewStats* stats_out = nullptr);
 
 }  // namespace statsize::analyze

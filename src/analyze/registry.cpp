@@ -32,9 +32,10 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"DET002", "determinism", Severity::kError, "wall-clock-or-rand",
        "rand()/srand()/time()/clock()/random_device (or hashing a pointer) injects run-to-run "
        "nondeterminism into a hot path"},
-      {"DET003", "determinism", Severity::kError, "non-plan-scatter",
+      {"DET003", "determinism", Severity::kError, "shared-slot-scatter",
        "an indirect-indexed accumulation inside a parallel_for body scatters to shared slots; "
-       "route it through a runtime::ScatterPlan (disjoint slots + ordered fold)"},
+       "write index-keyed slots in the body and fold them in a fixed order on the caller, "
+       "as run_monte_carlo does"},
       {"DET004", "determinism", Severity::kError, "missing-poll-cancel",
        "a solver iteration loop has no runtime::poll_cancel() checkpoint, so deadlines and "
        "cancellation cannot stop it (DESIGN.md §9)"},
@@ -45,12 +46,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"GRF002", "graph", Severity::kError, "zero-width-level",
        "the level partition contains an empty level, which a sound finalize() can never emit "
        "(every level holds at least one gate by construction)"},
-      {"GRF003", "graph", Severity::kNote, "narrow-parallelism",
-       "a dominant share of gates sits in levels below the advisor's serial cutoff, so "
-       "level-parallel sweeps cannot pay for their dispatch on this circuit"},
       {"GRF004", "graph", Severity::kWarning, "fanout-skew",
-       "one net's fanout dwarfs the average, unbalancing level chunks and serializing the "
-       "scatter folds that touch it"},
+       "one net's fanout dwarfs the average, so the gate driving it carries a disproportionate "
+       "share of its level's sweep work"},
       {"GRF005", "graph", Severity::kNote, "high-reconvergence",
        "the reconvergence ratio is high; independence SSTA underestimates correlation here "
        "(consider the canonical correlation-aware engine)"},

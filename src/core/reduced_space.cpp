@@ -1,9 +1,7 @@
 #include "core/reduced_space.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,7 +9,6 @@
 #include "netlist/timing_view.h"
 #include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
-#include "runtime/scatter_plan.h"
 #include "ssta/ssta.h"
 #include "stat/clark.h"
 
@@ -33,65 +30,11 @@ bool same_bits(const NormalRV& a, const NormalRV& b) {
 
 }  // namespace
 
-// Per-level scatter structure for the adjoint sweep. Structural only — it
-// depends on the circuit topology, not on speeds or seeds — so it is built
-// once (lazily, on the first parallel adjoint) and reused by every gradient
-// call for the lifetime of the evaluator.
-//
-// Each gate contributes one fanin item (targets: its fanins in the serial
-// fold's write order — fanins[n-1] .. fanins[1], then fanins[0]) folded into
-// both amu and avar, and one fanout item (targets: its fanouts in order)
-// folded into grad. Slot order inside a level is gate position then
-// within-gate write order, which is exactly the serial sweep's accumulation
-// order — so fold_add produces equal doubles (DESIGN.md §7).
-struct ReducedEvaluator::AdjointPlans {
-  struct Level {
-    runtime::ScatterPlan fanin_plan;
-    runtime::ScatterPlan fanout_plan;
-  };
-  std::vector<Level> levels;
-  std::vector<std::size_t> fanin_slot;   ///< NodeId -> level-local first fanin slot
-  std::vector<std::size_t> fanout_slot;  ///< NodeId -> level-local first fanout slot
-  // Scratch reused across calls, sized to the widest level.
-  std::vector<double> amu_vals;
-  std::vector<double> avar_vals;
-  std::vector<double> grad_vals;
-
-  AdjointPlans(const netlist::TimingView& view, const runtime::LevelSchedule& sched) {
-    const std::size_t n = static_cast<std::size_t>(view.num_nodes());
-    fanin_slot.assign(n, 0);
-    fanout_slot.assign(n, 0);
-    levels.resize(static_cast<std::size_t>(sched.num_levels()));
-    std::size_t max_fanin = 0;
-    std::size_t max_fanout = 0;
-    std::vector<NodeId> rev;
-    for (int l = 0; l < sched.num_levels(); ++l) {
-      Level& lv = levels[static_cast<std::size_t>(l)];
-      for (NodeId id : sched.level(l)) {
-        const netlist::NodeSpan fanins = view.fanins(id);
-        const netlist::NodeSpan fanouts = view.fanouts(id);
-        rev.assign(std::make_reverse_iterator(fanins.end()),
-                   std::make_reverse_iterator(fanins.begin()));
-        fanin_slot[static_cast<std::size_t>(id)] = lv.fanin_plan.add_item(rev.data(), rev.size());
-        fanout_slot[static_cast<std::size_t>(id)] =
-            lv.fanout_plan.add_item(fanouts.begin(), fanouts.size());
-      }
-      lv.fanin_plan.freeze(n);
-      lv.fanout_plan.freeze(n);
-      max_fanin = std::max(max_fanin, lv.fanin_plan.num_slots());
-      max_fanout = std::max(max_fanout, lv.fanout_plan.num_slots());
-    }
-    amu_vals.resize(max_fanin);
-    avar_vals.resize(max_fanin);
-    grad_vals.resize(max_fanout);
-  }
-};
-
 // The persistent forward tape (DESIGN.md §12): everything the adjoint sweep
 // reads, kept across calls so an incremental forward only rewrites the
 // recomputed cone's slices. `steps` slices are preassigned per gate
-// (structure-only, like the scatter plans), so a partial rewrite cannot
-// shift any other gate's slice.
+// (structure-only), so a partial rewrite cannot shift any other gate's
+// slice.
 struct ReducedEvaluator::ForwardCache {
   // Structure-only, built once per evaluator.
   bool structure_built = false;
@@ -390,123 +333,54 @@ NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
   }
 
   // Through the gates, highest level first: a gate's amu/avar are final once
-  // every fanout (always at a strictly higher level) has run. Both execution
-  // modes traverse the *same* reverse level order and share gate_adjoint, so
-  // every per-target accumulation happens in the same order with the same
-  // per-contribution arithmetic — the parallel path merely stages the
-  // contributions in ScatterPlan slots and folds them per level instead of
-  // scattering directly.
+  // every fanout (always at a strictly higher level) has run. Every
+  // per-target accumulation happens in this fixed order, so the gradient is
+  // the same double at any thread count (the sweep is serial; only the
+  // forward sweep above uses the pool).
   const double kappa = sigma_model_.kappa;
   const double offset = sigma_model_.offset;
+  for (int l = view.num_levels(); l-- > 0;) {
+    for (NodeId id : view.level_gates(l)) {
+      const std::size_t i = static_cast<std::size_t>(id);
+      const double a_mu = amu[i];
+      const double a_var = avar[i];
+      if (a_mu == 0.0 && a_var == 0.0) continue;
 
-  // Computes gate `id`'s adjoint contributions: applies the own-speed term to
-  // grad[id] directly (disjoint across gates), writes the fanout grad terms
-  // to fo_g (fanout order) and the fanin amu/avar terms to fin_mu/fin_var in
-  // the serial fold's write order (fanins[n-1] .. fanins[1], then fanins[0]).
-  // Returns false — nothing written — when the gate's adjoint is zero.
-  auto gate_adjoint = [&](NodeId id, double* fo_g, double* fin_mu, double* fin_var) -> bool {
-    const std::size_t i = static_cast<std::size_t>(id);
-    const double a_mu = amu[i];
-    const double a_var = avar[i];
-    if (a_mu == 0.0 && a_var == 0.0) return false;
+      // T = U + t: gate-delay adjoints equal the arrival adjoints.
+      // var_t = (kappa mu_t + offset)^2 chains var sensitivity onto mu_t.
+      const double sigma_t = kappa * f.delay[i].mu + offset;
+      const double adj_mu_t = a_mu + a_var * 2.0 * kappa * sigma_t;
 
-    // T = U + t: gate-delay adjoints equal the arrival adjoints.
-    // var_t = (kappa mu_t + offset)^2 chains var sensitivity onto mu_t.
-    const double sigma_t = kappa * f.delay[i].mu + offset;
-    const double adj_mu_t = a_mu + a_var * 2.0 * kappa * sigma_t;
-
-    // mu_t = t_int + c * load / S: sensitivities to this gate's own S and to
-    // every fanout's S (their pins are part of the load). The per-edge sink
-    // pin capacitances are the view's precomputed fanout_cin array — the same
-    // doubles the load dot product reads.
-    const double drive_c = view.drive_c(id);
-    const double s_own = speed[i];
-    const double load = view.load_capacitance(id, speed.data());
-    grad[i] += adj_mu_t * (-drive_c * load / (s_own * s_own));
-    const netlist::NodeSpan fanouts = view.fanouts(id);
-    const double* fo_cin = view.fanout_cin(id);
-    for (std::size_t k = 0; k < fanouts.size(); ++k) {
-      fo_g[k] = adj_mu_t * drive_c * fo_cin[k] / s_own;
-    }
-
-    // Through this gate's fanin fold, reverse order.
-    double acc_mu = a_mu;
-    double acc_var = a_var;
-    const netlist::NodeSpan fanins = view.fanins(id);
-    const std::size_t nf = fanins.size();
-    for (std::size_t k = nf; k-- > 1;) {
-      const ClarkGrad& g = f.steps[f.step_begin[i] + (k - 1)];
-      fin_mu[nf - 1 - k] = acc_mu * g.dmu[1] + acc_var * g.dvar[1];
-      fin_var[nf - 1 - k] = acc_mu * g.dmu[3] + acc_var * g.dvar[3];
-      const double new_mu = acc_mu * g.dmu[0] + acc_var * g.dvar[0];
-      const double new_var = acc_mu * g.dmu[2] + acc_var * g.dvar[2];
-      acc_mu = new_mu;
-      acc_var = new_var;
-    }
-    fin_mu[nf - 1] = acc_mu;
-    fin_var[nf - 1] = acc_var;
-    return true;
-  };
-
-  const bool parallel =
-      runtime::threads() > 1 && view.num_gates() >= ssta::kParallelGateCutoff;
-  const runtime::LevelSchedule sched(view);
-  if (parallel) {
-    if (!plans_) plans_ = std::make_unique<AdjointPlans>(view, sched);
-    AdjointPlans& plans = *plans_;
-    sched.for_each_gate_reverse(
-        ssta::kGateGrain,
-        [&](NodeId id) {
-          const std::size_t i = static_cast<std::size_t>(id);
-          // Slot offsets are level-local: each level's gates write disjoint
-          // slices of the shared scratch, folded before the next level runs.
-          double* fo_g = plans.grad_vals.data() + plans.fanout_slot[i];
-          double* fin_mu = plans.amu_vals.data() + plans.fanin_slot[i];
-          double* fin_var = plans.avar_vals.data() + plans.fanin_slot[i];
-          if (!gate_adjoint(id, fo_g, fin_mu, fin_var)) {
-            // Zero adjoint: the serial sweep skips this gate entirely; fold
-            // zeros so the folded sums stay equal (x + 0.0 == x).
-            for (std::size_t k = 0; k < view.fanouts(id).size(); ++k) fo_g[k] = 0.0;
-            for (std::size_t k = 0; k < view.fanins(id).size(); ++k) {
-              fin_mu[k] = 0.0;
-              fin_var[k] = 0.0;
-            }
-          }
-        },
-        [&](int l) {
-          const AdjointPlans::Level& lv = plans.levels[static_cast<std::size_t>(l)];
-          lv.fanin_plan.fold_add(plans.amu_vals.data(), amu.data());
-          lv.fanin_plan.fold_add(plans.avar_vals.data(), avar.data());
-          lv.fanout_plan.fold_add(plans.grad_vals.data(), grad.data());
-        });
-  } else {
-    std::size_t max_fanin = 0;
-    std::size_t max_fanout = 0;
-    for (int l = 0; l < sched.num_levels(); ++l) {
-      for (NodeId id : sched.level(l)) {
-        max_fanin = std::max(max_fanin, view.fanins(id).size());
-        max_fanout = std::max(max_fanout, view.fanouts(id).size());
+      // mu_t = t_int + c * load / S: sensitivities to this gate's own S and
+      // to every fanout's S (their pins are part of the load). The per-edge
+      // sink pin capacitances are the view's precomputed fanout_cin array —
+      // the same doubles the load dot product reads.
+      const double drive_c = view.drive_c(id);
+      const double s_own = speed[i];
+      const double load = view.load_capacitance(id, speed.data());
+      grad[i] += adj_mu_t * (-drive_c * load / (s_own * s_own));
+      const netlist::NodeSpan fanouts = view.fanouts(id);
+      const double* fo_cin = view.fanout_cin(id);
+      for (std::size_t k = 0; k < fanouts.size(); ++k) {
+        grad[static_cast<std::size_t>(fanouts[k])] += adj_mu_t * drive_c * fo_cin[k] / s_own;
       }
-    }
-    std::vector<double> fo_g(max_fanout);
-    std::vector<double> fin_mu(max_fanin);
-    std::vector<double> fin_var(max_fanin);
-    for (int l = sched.num_levels(); l-- > 0;) {
-      for (NodeId id : sched.level(l)) {
-        if (!gate_adjoint(id, fo_g.data(), fin_mu.data(), fin_var.data())) continue;
-        const netlist::NodeSpan fanouts = view.fanouts(id);
-        for (std::size_t k = 0; k < fanouts.size(); ++k) {
-          grad[static_cast<std::size_t>(fanouts[k])] += fo_g[k];
-        }
-        const netlist::NodeSpan fanins = view.fanins(id);
-        const std::size_t nf = fanins.size();
-        for (std::size_t j = 0; j < nf; ++j) {
-          // Slot j targets fanins[nf-1-j] (the serial fold's write order).
-          const std::size_t f2 = static_cast<std::size_t>(fanins[nf - 1 - j]);
-          amu[f2] += fin_mu[j];
-          avar[f2] += fin_var[j];
-        }
+
+      // Through this gate's fanin fold, reverse order.
+      double acc_mu = a_mu;
+      double acc_var = a_var;
+      const netlist::NodeSpan fanins = view.fanins(id);
+      for (std::size_t k = fanins.size(); k-- > 1;) {
+        const ClarkGrad& g = f.steps[f.step_begin[i] + (k - 1)];
+        const std::size_t fk = static_cast<std::size_t>(fanins[k]);
+        amu[fk] += acc_mu * g.dmu[1] + acc_var * g.dvar[1];
+        avar[fk] += acc_mu * g.dmu[3] + acc_var * g.dvar[3];
+        const double new_mu = acc_mu * g.dmu[0] + acc_var * g.dvar[0];
+        const double new_var = acc_mu * g.dmu[2] + acc_var * g.dvar[2];
+        acc_mu = new_mu;
+        acc_var = new_var;
       }
+      amu[static_cast<std::size_t>(fanins[0])] += acc_mu;
+      avar[static_cast<std::size_t>(fanins[0])] += acc_var;
     }
   }
   return tmax;

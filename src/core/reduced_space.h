@@ -9,11 +9,10 @@
 // sec. 5.1) and the scalability mode: one gradient costs two circuit sweeps
 // regardless of circuit size, and the optimizer only sees |gates| variables.
 //
-// Both sweeps run level-parallel on the global runtime pool (DESIGN.md §7).
-// The forward sweep's writes are per-gate disjoint; the adjoint sweep's
-// overlapping amu/avar/grad scatters go through per-level ScatterPlans
-// (parallel evaluate into disjoint slots, conflict-free target-major fold),
-// so results are equal at any thread count, including the serial fallback.
+// The full forward sweep runs level-parallel on the global runtime pool
+// (DESIGN.md §7); its writes are per-gate disjoint. The adjoint sweep's
+// amu/avar/grad scatters overlap, so it runs serially in reverse level
+// order. Results are equal at any thread count.
 //
 // ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
 // delays, recorded Clark steps) across gradient calls. When the next call's
@@ -67,9 +66,9 @@ class ReducedEvaluator {
   /// problem (no primary outputs — Tmax undefined; a zero-fanin gate — no
   /// arrival to fold) instead of underflowing the step-slice arithmetic.
   ///
-  /// Not safe for concurrent calls on one instance: the adjoint's scatter
-  /// plans and the forward tape are cached across calls (the sweeps
-  /// themselves fan out across the global pool internally).
+  /// Not safe for concurrent calls on one instance: the forward tape is
+  /// cached across calls (the full forward sweep itself fans out across the
+  /// global pool internally).
   stat::NormalRV eval_with_grad(const std::vector<double>& speed, double seed_mu,
                                 double seed_var, std::vector<double>& grad) const;
 
@@ -96,7 +95,6 @@ class ReducedEvaluator {
   std::size_t last_forward_recomputes() const;
 
  private:
-  struct AdjointPlans;
   struct ForwardCache;
 
   const netlist::TimingView& resolve_view() const;
@@ -113,7 +111,6 @@ class ReducedEvaluator {
   const netlist::Circuit* circuit_ = nullptr;  ///< null when view-constructed
   const netlist::TimingView* view_ = nullptr;  ///< null when circuit-constructed
   ssta::SigmaModel sigma_model_;
-  mutable std::unique_ptr<AdjointPlans> plans_;  ///< lazy; structure-only cache
   mutable std::unique_ptr<ForwardCache> fwd_;    ///< lazy; forward tape
 };
 

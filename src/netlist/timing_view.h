@@ -217,9 +217,8 @@ class TimingView {
 };
 
 /// Structural analytics over a compiled TimingView — the raw numbers the
-/// pre-solve audit (`statsize audit`, rules GRF0xx) and the parallel
-/// granularity advisor judge. Everything here is a pure function of the CSR
-/// arrays: no timing model is evaluated.
+/// pre-solve audit (`statsize audit`, rules GRF0xx) judges. Everything here
+/// is a pure function of the CSR arrays: no timing model is evaluated.
 struct TimingViewStats {
   int num_nodes = 0;
   int num_gates = 0;
@@ -233,8 +232,7 @@ struct TimingViewStats {
   std::size_t max_level_width = 0;
   double mean_level_width = 0.0;
 
-  // Fanout skew: a few very-high-fanout nets serialize scatter folds and
-  // unbalance level chunks.
+  // Fanout skew: a few very-high-fanout nets unbalance level chunks.
   std::size_t max_fanout = 0;
   NodeId max_fanout_node = kInvalidNode;
   double mean_gate_fanout = 0.0;

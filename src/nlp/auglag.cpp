@@ -9,7 +9,7 @@
 #include "nlp/breakdown.h"
 #include "nlp/tron.h"
 #include "runtime/fault.h"
-#include "runtime/runtime.h"
+#include "runtime/cancel.h"
 
 namespace statsize::nlp {
 
@@ -97,41 +97,19 @@ AugLagModel::AugLagModel(const Problem& problem, std::vector<double> multipliers
     for (const ElementRef& e : g.elements) idx.insert(idx.end(), e.vars.begin(), e.vars.end());
     cgrad_val_[static_cast<std::size_t>(j)].resize(idx.size());
   }
-
-  // Scatter plan for hess_vec: items in the exact order the serial loops
-  // write hv (snapshots first, then the Gauss-Newton constraint terms), so
-  // the conflict-free target-major fold reproduces the serial accumulation.
-  snap_slot_.reserve(snapshots_.size());
-  for (const ElementSnapshot& s : snapshots_) {
-    snap_slot_.push_back(hv_plan_.add_item(s.vars, static_cast<std::size_t>(s.fn->arity())));
-  }
-  cons_slot_.reserve(c_.size());
-  for (const auto& idx : cgrad_idx_) {
-    cons_slot_.push_back(hv_plan_.add_item(idx.data(), idx.size()));
-  }
-  hv_plan_.freeze(static_cast<std::size_t>(problem.num_vars()));
-  hv_slots_.resize(hv_plan_.num_slots());
 }
 
 double AugLagModel::eval(const std::vector<double>& x, std::vector<double>* grad) {
   const Problem& p = *problem_;
   const std::size_t m = static_cast<std::size_t>(p.num_constraints());
-  // Both paths below follow the runtime's determinism scheme: constraints
-  // are *evaluated* in parallel into disjoint per-constraint storage, then
-  // *accumulated* serially in constraint order — the identical arithmetic
-  // and order as a plain serial loop, at any thread count.
   if (grad == nullptr) {
     // Value-only probe: cheap pass, snapshot untouched.
     double psi = p.eval_objective(x);
     if (!std::isfinite(psi)) {
       throw EvalBreakdown(describe_group(p, p.objective(), "objective (value probe)"));
     }
-    probe_c_.resize(m);
-    runtime::parallel_for(m, 8, [&](std::size_t jb, std::size_t je) {
-      for (std::size_t j = jb; j < je; ++j) probe_c_[j] = p.constraint(static_cast<int>(j)).eval(x);
-    });
     for (std::size_t j = 0; j < m; ++j) {
-      const double cj = probe_c_[j];
+      const double cj = p.constraint(static_cast<int>(j)).eval(x);
       if (!std::isfinite(cj)) {
         throw EvalBreakdown(describe_group(p, p.constraint(static_cast<int>(j)),
                                            "constraint #" + std::to_string(j) + " (value probe)"));
@@ -165,48 +143,43 @@ double AugLagModel::eval(const std::vector<double>& x, std::vector<double>* grad
     throw EvalBreakdown(describe_group(p, p.objective(), "objective"));
   }
 
-  // Phase 1 — parallel over constraints: each j owns c_[j], cgrad_val_[j]
-  // and its snapshot slice [snap_offset_[j], ...), so there are no shared
-  // writes. Element Hessians of constraint j enter H_Psi with weight
-  // y_j = rho c_j - lambda_j.
-  runtime::parallel_for(m, 4, [&](std::size_t jb, std::size_t je) {
-    double lcl[kMaxElementArity];
-    double leg[kMaxElementArity];
-    for (std::size_t j = jb; j < je; ++j) {
-      const FunctionGroup& g = p.constraint(static_cast<int>(j));
-      auto& vals = cgrad_val_[j];
-      std::size_t vi = 0;
-      double cj = g.constant;
-      for (const LinearTerm& t : g.linear) {
-        cj += t.coef * x[static_cast<std::size_t>(t.var)];
-        vals[vi++] = t.coef;
-      }
-      std::size_t sj = snap_offset_[j];
-      for (const ElementRef& e : g.elements) {
-        const int n = e.fn->arity();
-        for (int i = 0; i < n; ++i) lcl[i] = x[static_cast<std::size_t>(e.vars[i])];
-        cj += e.weight * e.fn->eval(lcl, leg, snapshots_[sj].hess);
-        for (int i = 0; i < n; ++i) vals[vi++] = e.weight * leg[i];
-        ++sj;
-      }
-      c_[j] = cj;
-      const double y = rho_ * cj - multipliers_[j];
-      sj = snap_offset_[j];
-      for (const ElementRef& e : g.elements) {
-        snapshots_[sj].weight = y * e.weight;
-        ++sj;
-      }
+  // Phase 1 — per constraint: j owns c_[j], cgrad_val_[j] and its snapshot
+  // slice [snap_offset_[j], ...). Element Hessians of constraint j enter
+  // H_Psi with weight y_j = rho c_j - lambda_j.
+  for (std::size_t j = 0; j < m; ++j) {
+    const FunctionGroup& g = p.constraint(static_cast<int>(j));
+    auto& vals = cgrad_val_[j];
+    std::size_t vi = 0;
+    double cj = g.constant;
+    for (const LinearTerm& t : g.linear) {
+      cj += t.coef * x[static_cast<std::size_t>(t.var)];
+      vals[vi++] = t.coef;
     }
-  });
+    std::size_t sj = snap_offset_[j];
+    for (const ElementRef& e : g.elements) {
+      const int n = e.fn->arity();
+      for (int i = 0; i < n; ++i) local[i] = x[static_cast<std::size_t>(e.vars[i])];
+      cj += e.weight * e.fn->eval(local, eg, snapshots_[sj].hess);
+      for (int i = 0; i < n; ++i) vals[vi++] = e.weight * eg[i];
+      ++sj;
+    }
+    c_[j] = cj;
+    const double y = rho_ * cj - multipliers_[j];
+    sj = snap_offset_[j];
+    for (const ElementRef& e : g.elements) {
+      snapshots_[sj].weight = y * e.weight;
+      ++sj;
+    }
+  }
 
   if (fault::hit(fault::kAuglagConstraint) && m > 0) {
     c_[m / 2] = std::numeric_limits<double>::quiet_NaN();
   }
 
   // Phase 2 — ordered accumulation: grad Psi += y_j * grad c_j and the psi
-  // fold run in ascending j, matching the serial code bit-for-bit. The
-  // serial scan doubles as the constraint tripwire: a non-finite c_j is
-  // reported in ascending-j order regardless of which thread evaluated it.
+  // fold run in ascending j. The scan doubles as the constraint tripwire: a
+  // non-finite c_j (including the injected one above) is reported in
+  // ascending-j order.
   double psi = f;
   for (std::size_t j = 0; j < m; ++j) {
     const double cj = c_[j];
@@ -235,10 +208,6 @@ double AugLagModel::eval(const std::vector<double>& x, std::vector<double>* grad
 
 namespace {
 
-/// Below this many work items (element snapshots + constraints) the two-phase
-/// scatter costs more than the serial loop it replaces.
-constexpr std::size_t kParallelHessVecItems = 512;
-
 /// out = weight * (H vl) with H the packed symmetric element Hessian.
 inline void packed_symmetric_matvec(const double* hess, int n, double weight, const double* vl,
                                     double* out) {
@@ -257,55 +226,7 @@ inline void packed_symmetric_matvec(const double* hess, int n, double weight, co
 
 void AugLagModel::hess_vec(const std::vector<double>& v, std::vector<double>& hv) const {
   hv.assign(v.size(), 0.0);
-  const std::size_t ns = snapshots_.size();
   const std::size_t m = c_.size();
-
-  // Granularity gate: the static floor (two-phase scatter bookkeeping) and
-  // the runtime's cost-model cutoff (dispatch vs item work, auto-resolved
-  // per thread count) must both clear before the pool can pay. Both paths
-  // are bit-identical, so the gate only moves wall-clock time.
-  const std::size_t parallel_floor =
-      std::max(kParallelHessVecItems, runtime::level_serial_cutoff());
-  if (runtime::threads() > 1 && ns + m >= parallel_floor) {
-    // Phase 1 — parallel over items: each snapshot / constraint computes its
-    // per-target contributions into its own plan-slot slice (disjoint
-    // writes). The per-item arithmetic is identical to the serial loops
-    // below; zero-weight items fill zeros where the serial code skips, which
-    // leaves every accumulated double equal (x + 0.0 == x).
-    runtime::parallel_for(ns + m, 64, [&](std::size_t b, std::size_t e) {
-      double vl[kMaxElementArity];
-      for (std::size_t w = b; w < e; ++w) {
-        if (w < ns) {
-          const ElementSnapshot& s = snapshots_[w];
-          const int n = s.fn->arity();
-          double* out = hv_slots_.data() + snap_slot_[w];
-          if (s.weight == 0.0) {
-            for (int i = 0; i < n; ++i) out[i] = 0.0;
-            continue;
-          }
-          for (int i = 0; i < n; ++i) vl[i] = v[static_cast<std::size_t>(s.vars[i])];
-          packed_symmetric_matvec(s.hess, n, s.weight, vl, out);
-        } else {
-          const std::size_t j = w - ns;
-          const auto& idx = cgrad_idx_[j];
-          const auto& val = cgrad_val_[j];
-          double dot = 0.0;
-          for (std::size_t k = 0; k < idx.size(); ++k) {
-            dot += val[k] * v[static_cast<std::size_t>(idx[k])];
-          }
-          const double scale = rho_ * dot;
-          double* out = hv_slots_.data() + cons_slot_[j];
-          for (std::size_t k = 0; k < idx.size(); ++k) out[k] = scale * val[k];
-        }
-      }
-    });
-    // Phase 2 — conflict-free fold: every variable gathers its slots in
-    // ascending slot order (= the serial loops' write order), parallel over
-    // variables. Equal doubles at any thread count.
-    hv_plan_.fold_add(hv_slots_.data(), hv.data());
-    return;
-  }
-
   double vl[kMaxElementArity];
   double out[kMaxElementArity];
   for (const ElementSnapshot& s : snapshots_) {

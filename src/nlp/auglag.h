@@ -24,7 +24,6 @@
 
 #include "nlp/model.h"
 #include "nlp/problem.h"
-#include "runtime/scatter_plan.h"
 
 namespace statsize::nlp {
 
@@ -112,18 +111,13 @@ class AugLagModel final : public SmoothModel {
 
   int num_vars() const override { return problem_->num_vars(); }
 
-  /// Psi and (optionally) its gradient. Constraint groups are evaluated in
-  /// parallel on the global runtime pool and accumulated in constraint
-  /// order, so the result is bit-identical to a serial evaluation at any
-  /// thread count (see DESIGN.md §7).
+  /// Psi and (optionally) its gradient. Constraint groups are evaluated
+  /// into per-constraint storage first and accumulated in constraint order
+  /// afterwards (see DESIGN.md §7).
   double eval(const std::vector<double>& x, std::vector<double>* grad) override;
 
-  /// Hessian-vector product from the element snapshots. Large problems run
-  /// parallel via a structural ScatterPlan (per-element/per-constraint
-  /// contributions into disjoint slots, then a conflict-free target-major
-  /// fold in serial item order — see DESIGN.md §7); small problems keep the
-  /// direct serial scatter. Both paths produce equal doubles at any thread
-  /// count.
+  /// Hessian-vector product from the element snapshots: a serial scatter
+  /// over the snapshots, then the Gauss-Newton constraint terms.
   void hess_vec(const std::vector<double>& v, std::vector<double>& hv) const override;
 
   void set_rho(double rho) { rho_ = rho; }
@@ -146,24 +140,13 @@ class AugLagModel final : public SmoothModel {
   double rho_;
 
   // Snapshot state for hess_vec (refreshed on every gradient evaluation).
-  // Constraint j owns the snapshot slice starting at snap_offset_[j], which
-  // is what lets the gradient evaluation fan constraints out across threads
-  // with no shared writes.
+  // Constraint j owns the snapshot slice starting at snap_offset_[j].
   std::vector<double> c_;                       ///< constraint values
   std::vector<ElementSnapshot> snapshots_;      ///< all elements with weights
   std::vector<std::size_t> snap_offset_;        ///< constraint j's first snapshot
   std::vector<double> hess_storage_;            ///< packed Hessians, contiguous
   std::vector<std::vector<int>> cgrad_idx_;     ///< sparse grad c_j indices
   std::vector<std::vector<double>> cgrad_val_;  ///< sparse grad c_j values
-  std::vector<double> probe_c_;                 ///< scratch for value-only eval
-
-  // hess_vec parallel-scatter structure (static per Problem): one plan item
-  // per element snapshot (targets = its vars) followed by one per constraint
-  // (targets = sparse grad c_j indices), in the serial loop's order.
-  runtime::ScatterPlan hv_plan_;
-  std::vector<std::size_t> snap_slot_;          ///< snapshot i's first plan slot
-  std::vector<std::size_t> cons_slot_;          ///< constraint j's first plan slot
-  mutable std::vector<double> hv_slots_;        ///< phase-1 contribution scratch
 };
 
 }  // namespace statsize::nlp

@@ -4,42 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "runtime/runtime.h"
-
 namespace statsize::nlp {
-
-namespace {
-
-// Parallel evaluation kicks in above these sizes. The scheme everywhere is
-// "parallel evaluate, ordered combine": element/constraint values are
-// computed concurrently into index-keyed slots, then folded on one thread in
-// exactly the order the serial loop uses — so results are bit-identical to
-// the serial path at every thread count.
-constexpr std::size_t kParallelElements = 384;
-constexpr std::size_t kElementGrain = 64;
-constexpr std::size_t kParallelConstraints = 64;
-constexpr std::size_t kConstraintGrain = 8;
-
-}  // namespace
 
 double FunctionGroup::eval(const std::vector<double>& x) const {
   double v = constant;
   for (const LinearTerm& t : linear) v += t.coef * x[static_cast<std::size_t>(t.var)];
-  const std::size_t ne = elements.size();
-  if (runtime::threads() > 1 && ne >= kParallelElements) {
-    std::vector<double> vals(ne);
-    runtime::parallel_for(ne, kElementGrain, [&](std::size_t b, std::size_t e) {
-      double local[kMaxElementArity];
-      for (std::size_t k = b; k < e; ++k) {
-        const ElementRef& el = elements[k];
-        const int n = el.fn->arity();
-        for (int i = 0; i < n; ++i) local[i] = x[static_cast<std::size_t>(el.vars[i])];
-        vals[k] = el.weight * el.fn->eval(local, nullptr, nullptr);
-      }
-    });
-    for (const double val : vals) v += val;
-    return v;
-  }
   double local[kMaxElementArity];
   for (const ElementRef& e : elements) {
     const int n = e.fn->arity();
@@ -52,35 +21,6 @@ double FunctionGroup::eval(const std::vector<double>& x) const {
 void FunctionGroup::accumulate_grad(const std::vector<double>& x, double scale,
                                     std::vector<double>& grad) const {
   for (const LinearTerm& t : linear) grad[static_cast<std::size_t>(t.var)] += scale * t.coef;
-  const std::size_t ne = elements.size();
-  if (runtime::threads() > 1 && ne >= kParallelElements) {
-    // Phase 1 (parallel): per-element local gradients into disjoint slices
-    // of a flat buffer. Phase 2 (serial): scatter-add in element order —
-    // the same order and arithmetic as the serial loop below.
-    std::vector<std::size_t> offset(ne + 1, 0);
-    for (std::size_t k = 0; k < ne; ++k) {
-      offset[k + 1] = offset[k] + static_cast<std::size_t>(elements[k].fn->arity());
-    }
-    std::vector<double> eg_flat(offset[ne]);
-    runtime::parallel_for(ne, kElementGrain, [&](std::size_t b, std::size_t e) {
-      double local[kMaxElementArity];
-      for (std::size_t k = b; k < e; ++k) {
-        const ElementRef& el = elements[k];
-        const int n = el.fn->arity();
-        for (int i = 0; i < n; ++i) local[i] = x[static_cast<std::size_t>(el.vars[i])];
-        el.fn->eval(local, eg_flat.data() + offset[k], nullptr);
-      }
-    });
-    for (std::size_t k = 0; k < ne; ++k) {
-      const ElementRef& el = elements[k];
-      const int n = el.fn->arity();
-      const double* g = eg_flat.data() + offset[k];
-      for (int i = 0; i < n; ++i) {
-        grad[static_cast<std::size_t>(el.vars[i])] += scale * el.weight * g[i];
-      }
-    }
-    return;
-  }
   double local[kMaxElementArity];
   double g[kMaxElementArity];
   for (const ElementRef& e : elements) {
@@ -165,24 +105,10 @@ void Problem::validate() const {
 
 void Problem::eval_constraints(const std::vector<double>& x, std::vector<double>& c) const {
   c.resize(constraints_.size());
-  if (runtime::threads() > 1 && constraints_.size() >= kParallelConstraints) {
-    runtime::parallel_for(constraints_.size(), kConstraintGrain,
-                          [&](std::size_t b, std::size_t e) {
-                            for (std::size_t j = b; j < e; ++j) c[j] = constraints_[j].eval(x);
-                          });
-    return;
-  }
   for (std::size_t j = 0; j < constraints_.size(); ++j) c[j] = constraints_[j].eval(x);
 }
 
 double Problem::max_constraint_violation(const std::vector<double>& x) const {
-  if (runtime::threads() > 1 && constraints_.size() >= kParallelConstraints) {
-    std::vector<double> c;
-    eval_constraints(x, c);
-    double worst = 0.0;
-    for (const double cj : c) worst = std::max(worst, std::abs(cj));
-    return worst;
-  }
   double worst = 0.0;
   for (const FunctionGroup& g : constraints_) worst = std::max(worst, std::abs(g.eval(x)));
   return worst;

@@ -11,7 +11,6 @@ LevelSchedule::LevelSchedule(const netlist::Circuit& circuit) {
         "partition is compiled into the TimingView by Circuit::finalize()");
   }
   view_ = &circuit.view();
-  serial_cutoff_ = level_serial_cutoff();
 }
 
 }  // namespace statsize::runtime

@@ -31,16 +31,7 @@ class LevelSchedule {
 
   /// Binds directly to an already-compiled view (which must outlive the
   /// schedule) — the form the retargeted sweeps use.
-  explicit LevelSchedule(const netlist::TimingView& view)
-      : view_(&view), serial_cutoff_(level_serial_cutoff()) {}
-
-  /// Levels narrower than `width` run inline on the calling thread instead
-  /// of being offered to the pool (the granularity advisor's cost-model
-  /// cutoff; see analyze/graph_audit.h). Results are bit-identical either
-  /// way — this only trades dispatch overhead against parallelism. The
-  /// constructor seeds it from runtime::level_serial_cutoff().
-  void set_serial_cutoff(std::size_t width) { serial_cutoff_ = width; }
-  std::size_t serial_cutoff() const { return serial_cutoff_; }
+  explicit LevelSchedule(const netlist::TimingView& view) : view_(&view) {}
 
   int num_levels() const { return view_->num_levels(); }
 
@@ -52,49 +43,21 @@ class LevelSchedule {
 
   /// Runs fn(id) for every gate, level by level with a barrier between
   /// levels and the gates of each level fanned out across the global pool
-  /// (`grain` gates per chunk). fn must only write to slots keyed by id.
+  /// (`grain` gates per chunk; a level of at most `grain` gates runs inline
+  /// through runtime::parallel_for's serial path). fn must only write to
+  /// slots keyed by id.
   template <class Fn>
   void for_each_gate(std::size_t grain, Fn&& fn) const {
     for (int l = 0; l < num_levels(); ++l) {
       const netlist::NodeSpan lvl = level(l);
-      parallel_for(lvl.size(), effective_grain(grain, lvl.size()), [&](std::size_t b, std::size_t e) {
+      parallel_for(lvl.size(), grain, [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) fn(lvl[i]);
       });
     }
-  }
-
-  /// Reverse sweep for adjoint propagation: levels run highest-first, so a
-  /// gate executes only after every fanout (always at a strictly higher
-  /// level) has finished. Within a level, fn(id) fans out across the pool;
-  /// after each level's barrier, after_level(l) runs on the calling thread —
-  /// the hook where cross-gate contributions are folded in a fixed order
-  /// (e.g. via ScatterPlan::fold_add) before the next level reads them.
-  template <class Fn, class AfterLevelFn>
-  void for_each_gate_reverse(std::size_t grain, Fn&& fn, AfterLevelFn&& after_level) const {
-    for (int l = num_levels(); l-- > 0;) {
-      const netlist::NodeSpan lvl = level(l);
-      parallel_for(lvl.size(), effective_grain(grain, lvl.size()), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) fn(lvl[i]);
-      });
-      after_level(l);
-    }
-  }
-
-  template <class Fn>
-  void for_each_gate_reverse(std::size_t grain, Fn&& fn) const {
-    for_each_gate_reverse(grain, fn, [](int) {});
   }
 
  private:
-  /// Widening the grain to cover the whole level makes runtime::parallel_for
-  /// take its inline path (with the same poll_cancel checkpoint), so a
-  /// narrow level never pays pool dispatch.
-  std::size_t effective_grain(std::size_t grain, std::size_t width) const {
-    return width < serial_cutoff_ ? width : grain;
-  }
-
   const netlist::TimingView* view_;
-  std::size_t serial_cutoff_ = 0;
 };
 
 }  // namespace statsize::runtime

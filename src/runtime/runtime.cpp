@@ -1,9 +1,6 @@
 #include "runtime/runtime.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -62,10 +59,6 @@ int threads() {
   return threads_locked();
 }
 
-namespace {
-void invalidate_auto_cutoff_locked();  // defined with the cutoff state below
-}  // namespace
-
 void set_threads(int n) {
   const std::lock_guard<std::mutex> lock(g_mutex);
   if (n < 1) n = 1;
@@ -73,10 +66,6 @@ void set_threads(int n) {
   if (n == g_threads) return;
   g_threads = n;
   g_pool.reset();
-  // The auto serial cutoff is a function of the thread count; drop it so the
-  // next query recomputes. Env/explicit installs are preserved (serve's
-  // per-job "set_threads then set_level_serial_cutoff" sequence must stick).
-  invalidate_auto_cutoff_locked();
 }
 
 int hardware_threads() {
@@ -88,139 +77,6 @@ ThreadPool& global_pool() {
   const std::lock_guard<std::mutex> lock(g_mutex);
   if (!g_pool) g_pool = std::make_unique<ThreadPool>(threads_locked());
   return *g_pool;
-}
-
-double modeled_parallel_ns(std::size_t width, const DispatchCostModel& m) {
-  if (width == 0) return 0.0;
-  const std::size_t grain = m.grain == 0 ? 1 : m.grain;
-  const double chunks = static_cast<double>((width + grain - 1) / grain);
-  const double busy = std::min<double>(static_cast<double>(m.threads), chunks);
-  const double work_ns = static_cast<double>(width) * m.item_cost_ns;
-  return (chunks * m.chunk_dispatch_ns + work_ns) / std::max(1.0, busy) + m.chunk_dispatch_ns;
-}
-
-double modeled_serial_ns(std::size_t width, const DispatchCostModel& m) {
-  return static_cast<double>(width) * m.item_cost_ns;
-}
-
-std::size_t compute_serial_cutoff(const DispatchCostModel& model) {
-  DispatchCostModel m = model;
-  if (m.threads <= 0) m.threads = threads();
-  if (m.grain == 0) m.grain = 1;
-  // Both cost curves are monotone in width up to ceil() ripples, so a
-  // forward scan finds the exact crossover; the cap only matters for
-  // degenerate models (dispatch so expensive the pool never pays) and for
-  // 1-thread settings, where everything runs inline anyway.
-  if (m.threads > 1) {
-    for (std::size_t w = 1; w <= kSerialCutoffCap; ++w) {
-      if (modeled_parallel_ns(w, m) < modeled_serial_ns(w, m)) return w;
-    }
-  }
-  return kSerialCutoffCap;
-}
-
-namespace {
-
-constexpr std::size_t kCutoffUnresolved = static_cast<std::size_t>(-1);
-
-std::atomic<std::size_t> g_serial_cutoff{kCutoffUnresolved};
-std::atomic<SerialCutoffSource> g_cutoff_source{SerialCutoffSource::kAuto};
-
-/// Resolves the cutoff under g_mutex: env wins when present and well formed,
-/// otherwise the auto crossover at the current thread count.
-std::size_t resolve_serial_cutoff_locked() {
-  if (const char* env = std::getenv("STATSIZE_SERIAL_CUTOFF")) {
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && errno != ERANGE && v >= 0) {
-      g_cutoff_source.store(SerialCutoffSource::kEnv, std::memory_order_relaxed);
-      return static_cast<std::size_t>(v);
-    }
-    std::fprintf(stderr,
-                 "warning: STATSIZE_SERIAL_CUTOFF='%s': expected a non-negative integer; "
-                 "using the auto cost-model cutoff\n",
-                 env);
-  }
-  g_cutoff_source.store(SerialCutoffSource::kAuto, std::memory_order_relaxed);
-  DispatchCostModel m;
-  m.threads = threads_locked();
-  return compute_serial_cutoff(m);
-}
-
-void invalidate_auto_cutoff_locked() {
-  if (g_cutoff_source.load(std::memory_order_relaxed) == SerialCutoffSource::kAuto) {
-    g_serial_cutoff.store(kCutoffUnresolved, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-std::size_t level_serial_cutoff() {
-  // Hot path: one relaxed load (ScatterPlan folds consult this per call).
-  const std::size_t v = g_serial_cutoff.load(std::memory_order_relaxed);
-  if (v != kCutoffUnresolved) return v;
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  std::size_t resolved = g_serial_cutoff.load(std::memory_order_relaxed);
-  if (resolved == kCutoffUnresolved) {
-    resolved = resolve_serial_cutoff_locked();
-    g_serial_cutoff.store(resolved, std::memory_order_relaxed);
-  }
-  return resolved;
-}
-
-void set_level_serial_cutoff(std::size_t width) {
-  g_cutoff_source.store(SerialCutoffSource::kExplicit, std::memory_order_relaxed);
-  g_serial_cutoff.store(width, std::memory_order_relaxed);
-}
-
-SerialCutoffSource level_serial_cutoff_source() {
-  level_serial_cutoff();  // force resolution
-  return g_cutoff_source.load(std::memory_order_relaxed);
-}
-
-void reset_level_serial_cutoff() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  g_cutoff_source.store(SerialCutoffSource::kAuto, std::memory_order_relaxed);
-  g_serial_cutoff.store(kCutoffUnresolved, std::memory_order_relaxed);
-}
-
-double measure_chunk_dispatch_ns(int samples, bool* measured_on_temporary_pool) {
-  if (samples < 1) samples = 1;
-  // A 1-thread setting would make runtime::parallel_for run the serial
-  // fallback — a trivial loop whose ~ns/chunk cost is NOT what the advisor
-  // needs (it models the pool). Measure a temporary 2-thread pool instead so
-  // the reported figure is always a real dispatch cost.
-  std::unique_ptr<ThreadPool> scratch;
-  ThreadPool* pool = nullptr;
-  if (threads() > 1) {
-    pool = &global_pool();
-  } else {
-    scratch = std::make_unique<ThreadPool>(2);
-    pool = scratch.get();
-  }
-  if (measured_on_temporary_pool != nullptr) *measured_on_temporary_pool = scratch != nullptr;
-  // Chunks of one trivial index each: the measured cost is almost purely the
-  // claim/wake machinery. A relaxed-atomic sink keeps the body from being
-  // optimized away without serializing the workers against each other.
-  constexpr std::size_t kChunks = 512;
-  std::atomic<std::size_t> sink{0};
-  const auto run = [&] {
-    pool->parallel_for(kChunks, 1, [&](std::size_t b, std::size_t e) {
-      sink.fetch_add(e - b, std::memory_order_relaxed);
-    });
-  };
-  run();  // warm the pool (first region wakes freshly spawned workers)
-  double best_ns = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / static_cast<double>(kChunks);
-    if (s == 0 || ns < best_ns) best_ns = ns;
-  }
-  return best_ns;
 }
 
 void parallel_for(std::size_t n, std::size_t grain, RangeFn body) {

@@ -1,24 +1,27 @@
-// Process-global execution runtime: one shared ThreadPool plus deterministic
-// parallel-iteration helpers. Everything hot in statsize (SSTA propagation,
-// Monte Carlo sharding, NLP constraint evaluation) funnels through this
-// header so a single knob controls parallelism everywhere:
+// Process-global execution runtime: one shared ThreadPool plus the
+// deterministic parallel_for every pooled loop in statsize goes through. A
+// single knob sets the thread count everywhere:
 //
 //   * runtime::set_threads(n)      — programmatic (CLI --jobs)
 //   * STATSIZE_JOBS=<n>            — environment default
 //   * std::thread::hardware_concurrency() otherwise
 //
-// Determinism contract: every helper here either (a) writes results to
-// disjoint index-keyed slots (parallel_for), or (b) computes fixed-size block
-// partials and combines them in ascending block order on the calling thread
-// (parallel_sum_blocks / parallel_max_blocks). Block boundaries depend only
-// on the problem size, never on the thread count, so numerical results are
-// bit-identical for --jobs 1, --jobs N, and the serial fallback.
+// Where the pool is used (DESIGN.md §7): the forward level sweeps
+// (run_ssta, run_sta and ReducedEvaluator's full forward sweep, through
+// LevelSchedule::for_each_gate on views of at least ssta::kParallelGateCutoff
+// gates) and Monte Carlo trial chunks. Everything else — the adjoint sweep,
+// hess_vec, the augmented-Lagrangian and Problem evaluations, the incremental
+// worklist — is a serial loop; DESIGN.md §7 records what that measured.
+//
+// Determinism contract: a parallel_for body writes only index-keyed slots,
+// and any cross-item fold runs afterwards on the calling thread in a fixed
+// order, so numerical results are bit-identical for --jobs 1, --jobs N, and
+// the serial fallback.
 
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "runtime/cancel.h"
 #include "runtime/thread_pool.h"
@@ -54,128 +57,9 @@ int hardware_threads();
 /// The shared pool at the current thread-count setting (lazily constructed).
 ThreadPool& global_pool();
 
-/// Cost model for one pooled dispatch of `width` work items chunked by
-/// `grain`. The default constants are deterministic order-of-magnitude
-/// figures for the persistent executor on commodity hardware; the
-/// granularity advisor (analyze/graph_audit.h) and the runtime's own
-/// auto-resolved serial cutoff share them, so the static audit and the live
-/// scheduler can never disagree about where the pool pays.
-inline constexpr double kDefaultChunkDispatchNs = 600.0;
-inline constexpr double kDefaultItemCostNs = 120.0;
-inline constexpr std::size_t kDefaultDispatchGrain = 32;
-
-struct DispatchCostModel {
-  double chunk_dispatch_ns = kDefaultChunkDispatchNs;  ///< claim/wake cost per offered chunk
-  double item_cost_ns = kDefaultItemCostNs;  ///< per-item sweep work (Clark max + delay eval)
-  std::size_t grain = kDefaultDispatchGrain;  ///< items per chunk (the sweeps' kGateGrain)
-  int threads = 0;                            ///< 0 = runtime::threads() at compute time
-};
-
-/// Cap returned by compute_serial_cutoff when the pool can never pay
-/// (threads <= 1 or a degenerate cost model).
-inline constexpr std::size_t kSerialCutoffCap = 1u << 20;
-
-/// Modeled wall time of pooling one dispatch of `width` items: per-chunk
-/// dispatch parallelizes across the claimers, the work divides across the
-/// busy threads, and one extra dispatch quantum stands in for the end
-/// barrier. Serial cost is width * item_cost (the inline path pays no
-/// dispatch at all).
-double modeled_parallel_ns(std::size_t width, const DispatchCostModel& m);
-double modeled_serial_ns(std::size_t width, const DispatchCostModel& m);
-
-/// The crossover width: the smallest width at which the modeled pooled cost
-/// beats the modeled inline cost (kSerialCutoffCap when it never does).
-/// Widths below the returned cutoff should run inline.
-std::size_t compute_serial_cutoff(const DispatchCostModel& m = {});
-
-/// Where the current level_serial_cutoff() value came from.
-enum class SerialCutoffSource {
-  kAuto,      ///< derived from DispatchCostModel defaults at the current thread count
-  kEnv,       ///< STATSIZE_SERIAL_CUTOFF
-  kExplicit,  ///< set_level_serial_cutoff (CLI --serial-cutoff, audit --calibrate, serve)
-};
-
-/// Level-width cutoff below which LevelSchedule (and the ScatterPlan folds)
-/// run a dispatch inline on the calling thread instead of paying the pool —
-/// the cost-model lever the granularity advisor (analyze/graph_audit.h,
-/// `statsize audit`) computes. Resolution order on first use:
-/// STATSIZE_SERIAL_CUTOFF if set (malformed values warn and fall through),
-/// otherwise auto: compute_serial_cutoff() with the default cost model at
-/// the current thread count — so sub-cutoff levels never pay dispatch even
-/// when nobody ran `statsize audit --calibrate`. Safe to tune freely: the
-/// determinism contract makes serial and pooled execution bit-identical, so
-/// the cutoff only moves wall-clock time.
-///
-/// set_threads() invalidates an auto-derived cutoff (the crossover depends
-/// on the thread count) but preserves env/explicit installs; an explicit
-/// set_level_serial_cutoff sticks until the next explicit set.
-std::size_t level_serial_cutoff();
-void set_level_serial_cutoff(std::size_t width);
-SerialCutoffSource level_serial_cutoff_source();
-
-/// Drops any explicit install and re-resolves on the next query (env first,
-/// then auto) — the inverse of set_level_serial_cutoff, for tests and tools
-/// that change the environment mid-process.
-void reset_level_serial_cutoff();
-
-/// Measures the pool's per-chunk dispatch overhead in nanoseconds: the cost
-/// of offering trivial chunks to the pool versus running them inline,
-/// amortized per chunk. Always measures a real pool: at a 1-thread setting
-/// (where runtime::parallel_for would silently run the serial fallback) it
-/// spins up a temporary 2-thread pool so the advisor is never fed the
-/// near-zero cost of a plain loop; `measured_on_temporary_pool` (optional)
-/// reports when that happened. Feeds the granularity advisor's cost model
-/// when calibration is requested (`statsize audit --calibrate`); callers
-/// wanting reproducible output use the advisor's default constants instead.
-double measure_chunk_dispatch_ns(int samples = 5, bool* measured_on_temporary_pool = nullptr);
-
 /// parallel_for over [0, n) on the global pool; runs inline when the setting
 /// is 1 thread or the range fits one grain. body(b, e) must only write to
 /// slots keyed by the index — the scheduler decides nothing about values.
 void parallel_for(std::size_t n, std::size_t grain, RangeFn body);
-
-/// Deterministic blocked sum: partials[b] = block_sum(block begin, end) are
-/// computed in parallel, then folded left-to-right in block order. The block
-/// partition depends only on (n, block), so the result is bit-identical at
-/// any thread count (but differs, in general, from a single left fold —
-/// callers pick one partition and stick to it).
-template <class BlockSumFn>
-double parallel_sum_blocks(std::size_t n, std::size_t block, BlockSumFn&& block_sum) {
-  if (n == 0) return 0.0;
-  if (block == 0) block = 1;
-  const std::size_t num_blocks = (n + block - 1) / block;
-  std::vector<double> partials(num_blocks);
-  parallel_for(num_blocks, 1, [&](std::size_t bb, std::size_t be) {
-    for (std::size_t b = bb; b < be; ++b) {
-      const std::size_t lo = b * block;
-      const std::size_t hi = lo + block < n ? lo + block : n;
-      partials[b] = block_sum(lo, hi);
-    }
-  });
-  double acc = 0.0;
-  for (const double p : partials) acc += p;
-  return acc;
-}
-
-/// Deterministic blocked max (max is exactly associative for non-NaN
-/// doubles, so this equals the serial left fold bit-for-bit).
-template <class BlockMaxFn>
-double parallel_max_blocks(std::size_t n, std::size_t block, double identity,
-                           BlockMaxFn&& block_max) {
-  if (n == 0) return identity;
-  if (block == 0) block = 1;
-  const std::size_t num_blocks = (n + block - 1) / block;
-  std::vector<double> partials(num_blocks, identity);
-  parallel_for(num_blocks, 1, [&](std::size_t bb, std::size_t be) {
-    for (std::size_t b = bb; b < be; ++b) {
-      const std::size_t lo = b * block;
-      const std::size_t hi = lo + block < n ? lo + block : n;
-      partials[b] = block_max(lo, hi);
-    }
-  });
-  double acc = identity;
-  for (const double p : partials) acc = acc > p ? acc : p;
-  return acc;
-}
 
 }  // namespace statsize::runtime

@@ -1,7 +1,7 @@
 // Keyed cache of finalized circuits — the artifact `statsize serve` amortizes
 // across requests. An upload parses + finalizes once (BLIF/Verilog text →
-// Circuit + compiled TimingView + granularity advice); every subsequent job
-// against the same content hash reuses the entry with a shared-lock lookup.
+// Circuit + compiled TimingView); every subsequent job against the same
+// content hash reuses the entry with a shared-lock lookup.
 //
 // A PATCH /v1/circuits/<key> creates a *derived* entry (DESIGN.md §12): it
 // shares the base entry's Circuit (and its parse work) but owns an edited
@@ -52,13 +52,7 @@ struct CachedCircuit {
   int num_inputs = 0;
   int num_outputs = 0;
   int depth = 0;
-  std::size_t num_levels = 0;
-
-  /// Level-width cutoff advised by analyze::advise_granularity at upload;
-  /// the scheduler installs it (runtime::set_level_serial_cutoff) before
-  /// running jobs on this circuit so small cached circuits stop paying pool
-  /// dispatch per request.
-  std::size_t serial_cutoff = 0;
+  int num_levels = 0;
 
   // ---- Derived (PATCH-created) entries only ----
   /// The entry this one was patched from; keeps it (and its warm-start memo)

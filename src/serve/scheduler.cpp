@@ -509,9 +509,6 @@ void JobScheduler::run_job(Job& job) {
   }
 
   if (job.params.jobs > 0) runtime::set_threads(job.params.jobs);
-  if (options_.apply_serial_cutoff) {
-    runtime::set_level_serial_cutoff(job.circuit->serial_cutoff);
-  }
 
   // Derived (PATCH-created) entries carry an edited TimingView; jobs compute
   // against it through the same view-overload engines the CLI path compiles,

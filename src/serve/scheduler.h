@@ -11,11 +11,10 @@
 // compute level. DESIGN.md §11 expands on this trade.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
-// server answers 429) or rejects; the executor pops in FIFO order, installs
-// the circuit's advised serial cutoff, runs the job under its cancel
-// token/deadline, and publishes a result JSON blob. cancel() flips a queued
-// job straight to kCancelled or trips a running job's CancellationToken so
-// the cooperative polls unwind it.
+// server answers 429) or rejects; the executor pops in FIFO order, runs the
+// job under its cancel token/deadline, and publishes a result JSON blob.
+// cancel() flips a queued job straight to kCancelled or trips a running
+// job's CancellationToken so the cooperative polls unwind it.
 
 #pragma once
 
@@ -118,9 +117,6 @@ struct Job {
 
 struct SchedulerOptions {
   std::size_t queue_depth = 64;  ///< queued (not running) jobs before 429
-  /// Install each circuit's upload-time granularity advice
-  /// (runtime::set_level_serial_cutoff) before running its jobs.
-  bool apply_serial_cutoff = true;
 };
 
 class JobScheduler {

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "analyze/graph_audit.h"
 #include "netlist/blif.h"
 #include "runtime/fault.h"
 #include "netlist/timing_view.h"
@@ -360,14 +359,11 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
       std::istringstream in(text->as_string());
       netlist::Circuit circuit =
           format == "blif" ? netlist::read_blif(in) : netlist::read_verilog(in);
-      const netlist::TimingViewStats stats =
-          netlist::compute_view_stats(circuit.view());
-      fresh->serial_cutoff = analyze::advise_granularity(stats.level_widths).serial_cutoff;
       fresh->num_gates = circuit.num_gates();
       fresh->num_inputs = circuit.num_inputs();
       fresh->num_outputs = static_cast<int>(circuit.outputs().size());
       fresh->depth = circuit.depth();
-      fresh->num_levels = stats.level_widths.size();
+      fresh->num_levels = circuit.view().num_levels();
       fresh->circuit = std::make_shared<netlist::Circuit>(std::move(circuit));
     } catch (const std::exception& e) {
       return HttpResponse::json(
@@ -401,8 +397,7 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
   w.key("inputs").value(entry->num_inputs);
   w.key("outputs").value(entry->num_outputs);
   w.key("depth").value(entry->depth);
-  w.key("levels").value(static_cast<long>(entry->num_levels));
-  w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
+  w.key("levels").value(entry->num_levels);
   w.key("evicted").value(static_cast<long>(evicted));
   w.end_object();
   return HttpResponse::json(cached ? 200 : 201, os.str());
@@ -534,7 +529,6 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
     fresh->num_outputs = base->num_outputs;
     fresh->depth = base->depth;
     fresh->num_levels = base->num_levels;
-    fresh->serial_cutoff = base->serial_cutoff;
     fresh->base = base;
     fresh->patched_view = std::move(view);
     fresh->num_edits = base->num_edits + edits.size();
@@ -560,7 +554,6 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
   w.key("edits_applied").value(static_cast<long>(edits.size()));
   w.key("num_edits").value(static_cast<long>(entry->num_edits));
   w.key("gates").value(entry->num_gates);
-  w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
   w.end_object();
   return HttpResponse::json(cached ? 200 : 201, os.str());
 }
@@ -578,7 +571,6 @@ HttpResponse Server::handle_list_circuits() {
     w.key("format").value(entry->format);
     w.key("gates").value(entry->num_gates);
     w.key("depth").value(entry->depth);
-    w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
     w.end_object();
   }
   w.end_array();

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/runtime.h"
 #include "stat/clark.h"
 
 namespace statsize::ssta {
@@ -156,54 +155,27 @@ void IncrementalEngine::enqueue(NodeId gate) {
 }
 
 void IncrementalEngine::propagate() {
-  // Parallel policy mirrors run_ssta's: pool dispatch only when the view is
-  // big enough to ever profit, and per bucket only when the bucket is at
-  // least the level serial cutoff wide (narrow buckets take parallel_for's
-  // inline path by widening the grain, as LevelSchedule does). Either way
-  // the compute phase writes disjoint per-position scratch slots and the
-  // commit phase below runs serially in bucket order — values cannot depend
-  // on the thread count or the cutoff.
-  const bool pool_eligible =
-      runtime::threads() > 1 && view_.num_gates() >= kParallelGateCutoff;
-  const std::size_t cutoff = runtime::level_serial_cutoff();
-
+  // One pass per level bucket: refold each queued gate, commit a changed
+  // arrival and enqueue its fanouts. A bucket's gates read only strictly
+  // lower levels, and fanouts always sit at strictly higher levels, so
+  // committing in place never changes what another gate of the same bucket
+  // reads, and enqueue never touches the bucket being drained.
   last_arrival_recomputes_ = 0;
   const int num_levels = view_.num_levels();
   for (int l = 0; l < num_levels; ++l) {
     std::vector<NodeId>& bucket = bucket_[static_cast<std::size_t>(l)];
-    if (bucket.empty()) continue;
-    const std::size_t width = bucket.size();
-    last_arrival_recomputes_ += width;
-
-    scratch_arrival_.resize(width);
-    scratch_changed_.assign(width, 0);
-    auto eval = [&](std::size_t i) {
-      const NodeId g = bucket[i];
+    last_arrival_recomputes_ += bucket.size();
+    for (const NodeId g : bucket) {
+      const std::size_t i = static_cast<std::size_t>(g);
+      queued_mask_[i] = 0;
       const netlist::NodeSpan fanins = view_.fanins(g);
       NormalRV u = arrival_[static_cast<std::size_t>(fanins[0])];
       for (std::size_t k = 1; k < fanins.size(); ++k) {
         u = stat::clark_max(u, arrival_[static_cast<std::size_t>(fanins[k])]);
       }
-      const NormalRV a = stat::add(u, delay_[static_cast<std::size_t>(g)]);
-      scratch_arrival_[i] = a;
-      scratch_changed_[i] = same_bits(a, arrival_[static_cast<std::size_t>(g)]) ? 0 : 1;
-    };
-    if (pool_eligible) {
-      const std::size_t grain = width < cutoff ? width : kGateGrain;
-      runtime::parallel_for(width, grain, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) eval(i);
-      });
-    } else {
-      for (std::size_t i = 0; i < width; ++i) eval(i);
-    }
-
-    // Serial commit + frontier push. Fanouts always sit at strictly higher
-    // levels, so enqueue never touches the bucket being drained.
-    for (std::size_t i = 0; i < width; ++i) {
-      const NodeId g = bucket[i];
-      queued_mask_[static_cast<std::size_t>(g)] = 0;
-      if (!scratch_changed_[i]) continue;
-      arrival_[static_cast<std::size_t>(g)] = scratch_arrival_[i];
+      const NormalRV a = stat::add(u, delay_[i]);
+      if (same_bits(a, arrival_[i])) continue;
+      arrival_[i] = a;
       for (NodeId fo : view_.fanouts(g)) enqueue(fo);
     }
     bucket.clear();

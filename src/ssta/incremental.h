@@ -21,12 +21,12 @@
 //
 // Determinism: each gate's fold is a self-contained serial computation that
 // reads strictly-lower-level arrivals and writes its own slot, so the order
-// gates *within* one level bucket are evaluated in — serial, or chunked
-// across the pool at any --jobs / serial cutoff — cannot change any value.
+// gates *within* one level bucket are evaluated in cannot change any value.
 // The only cross-gate folds (fanin fold, output fold) run in fixed edge /
 // mark_output order, exactly as run_ssta's. Hence every answer is
-// bit-identical to a full run_ssta recompute on the edited view, which is
-// what tests and bench/eco_incremental hard-check.
+// bit-identical to a full run_ssta recompute on the edited view, at any
+// --jobs, which is what tests and bench/eco_incremental hard-check. The
+// worklist itself is serial: a dirty cone is the small case it exists for.
 
 #pragma once
 
@@ -125,8 +125,6 @@ class IncrementalEngine {
   std::vector<unsigned char> delay_dirty_mask_;
   std::vector<std::vector<netlist::NodeId>> bucket_;  ///< per gate level
   std::vector<unsigned char> queued_mask_;
-  std::vector<stat::NormalRV> scratch_arrival_;  ///< per bucket position
-  std::vector<unsigned char> scratch_changed_;
 
   std::size_t last_delay_recomputes_ = 0;
   std::size_t last_arrival_recomputes_ = 0;

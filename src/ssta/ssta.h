@@ -28,11 +28,12 @@ struct TimingReport {
   stat::NormalRV circuit_delay;
 };
 
-/// Parallel dispatch thresholds shared by the sweeps here and by the
-/// IncrementalEngine's per-level-bucket parallel decision (incremental.h):
-/// below kParallelGateCutoff gates the levelized fan-out costs more than it
-/// saves. Results are identical either way — each gate's fanin fold is a
-/// fixed serial computation; parallelism only changes which thread runs it.
+/// Parallel dispatch thresholds shared by the forward level sweeps (run_ssta,
+/// run_sta and ReducedEvaluator's full forward sweep): below
+/// kParallelGateCutoff gates the levelized fan-out costs more than it saves,
+/// and a level of at most kGateGrain gates runs inline. Results are
+/// identical either way — each gate's fanin fold is a fixed serial
+/// computation; parallelism only changes which thread runs it.
 inline constexpr int kParallelGateCutoff = 192;
 inline constexpr std::size_t kGateGrain = 32;
 

@@ -1,7 +1,6 @@
 // Tests for the pre-solve static audit (src/analyze/{nlp_audit, graph_audit,
 // audit}): one positive and one clean-instance case per NLP0xx/GRF0xx rule,
-// the granularity advisor's cost-model decisions, the Report::merge
-// deduplication contract, and the audit driver end to end.
+// the Report::merge deduplication contract, and the audit driver end to end.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyze/audit.h"
@@ -25,8 +25,6 @@
 namespace {
 
 using namespace statsize;
-using analyze::GranularityAdvice;
-using analyze::GranularityCostModel;
 using analyze::GraphAuditOptions;
 using analyze::Report;
 using analyze::Severity;
@@ -216,54 +214,6 @@ TEST(NlpAudit, Nlp008FiresOnBrokenAugLagState) {
 }
 
 // ---------------------------------------------------------------------------
-// Granularity advisor
-// ---------------------------------------------------------------------------
-
-TEST(GranularityAdvisor, SingleThreadNeverParallelizes) {
-  GranularityCostModel model;
-  model.threads = 1;
-  const GranularityAdvice a = analyze::advise_granularity({1, 100, 10000}, model);
-  for (const auto& d : a.levels) EXPECT_FALSE(d.parallel);
-  EXPECT_EQ(a.serial_levels, 3);
-  EXPECT_DOUBLE_EQ(a.serial_gate_fraction, 1.0);
-}
-
-TEST(GranularityAdvisor, CutoffSeparatesSerialFromParallel) {
-  GranularityCostModel model;
-  model.threads = 8;
-  const GranularityAdvice a = analyze::advise_granularity({1, 8, 64, 512, 4096}, model);
-  ASSERT_GT(a.serial_cutoff, 1u);
-  ASSERT_LT(a.serial_cutoff, 4096u);
-  for (const auto& d : a.levels) {
-    EXPECT_EQ(d.parallel, d.width >= a.serial_cutoff) << "level " << d.level;
-    if (d.parallel) {
-      // At and beyond the cutoff the pool must be modeled as cheaper.
-      EXPECT_LT(d.parallel_ns, d.serial_ns) << "level " << d.level;
-    }
-  }
-  // The advised schedule can never be modeled slower than naive pooling.
-  EXPECT_LE(a.est_advised_ns, a.est_naive_parallel_ns);
-}
-
-TEST(GranularityAdvisor, ExpensiveDispatchRaisesCutoff) {
-  GranularityCostModel cheap;
-  cheap.threads = 8;
-  cheap.chunk_dispatch_ns = 200.0;
-  GranularityCostModel pricey = cheap;
-  pricey.chunk_dispatch_ns = 20000.0;
-  EXPECT_LT(analyze::advise_granularity({64}, cheap).serial_cutoff,
-            analyze::advise_granularity({64}, pricey).serial_cutoff);
-}
-
-TEST(GranularityAdvisor, ZeroGrainIsSanitized) {
-  GranularityCostModel model;
-  model.threads = 4;
-  model.grain = 0;
-  const GranularityAdvice a = analyze::advise_granularity({100}, model);
-  EXPECT_EQ(a.model.grain, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // GRF0xx — graph rules
 // ---------------------------------------------------------------------------
 
@@ -296,26 +246,18 @@ TEST(GraphAudit, ViewInvariantsHoldOnGeneratedCircuits) {
 
 TEST(GraphAudit, Grf002FiresOnZeroWidthLevels) {
   const std::vector<std::size_t> widths = {4, 0, 9, 0};
-  const GranularityAdvice advice = analyze::advise_granularity(widths);
-  const Report r = analyze::audit_level_widths(widths, advice);
+  const Report r = analyze::audit_level_widths(widths);
   EXPECT_EQ(count_rule(r, "GRF002"), 2);
   EXPECT_EQ(r.exit_code(), 3);
 }
 
-TEST(GraphAudit, Grf003FiresWhenSerialGatesDominate) {
-  GraphAuditOptions options;
-  options.cost.threads = 8;
-  const std::vector<std::size_t> narrow = {2, 3, 2, 4};  // all below any sane cutoff
-  const Report r =
-      analyze::audit_level_widths(narrow, analyze::advise_granularity(narrow, options.cost),
-                                  options);
-  EXPECT_TRUE(has_rule(r, "GRF003"));
-
-  const std::vector<std::size_t> wide = {2, 100000};  // bulk of gates pool-worthy
-  const Report clean =
-      analyze::audit_level_widths(wide, analyze::advise_granularity(wide, options.cost),
-                                  options);
-  EXPECT_FALSE(has_rule(clean, "GRF003"));
+TEST(GraphAudit, Grf002SilentOnPositiveWidths) {
+  // Any histogram a sound finalize() can emit — including a single-gate
+  // level and a very wide one — is not a GRF002 finding.
+  const std::vector<std::size_t> widths = {1, 250, 3, 1};
+  const Report r = analyze::audit_level_widths(widths);
+  EXPECT_EQ(count_rule(r, "GRF002"), 0);
+  EXPECT_FALSE(r.has_errors());
 }
 
 TEST(GraphAudit, Grf004FiresOnFanoutSkew) {
@@ -413,14 +355,35 @@ TEST(AuditDriver, TreeAuditCarriesAnalyticsAndIsErrorFree) {
   EXPECT_FALSE(result.report.has_errors());
   EXPECT_GT(result.nlp_vars, 0);
   EXPECT_GT(result.nlp_constraints, 0);
-  EXPECT_EQ(result.advice.levels.size(), result.stats.level_widths.size());
+  EXPECT_EQ(static_cast<int>(result.stats.level_widths.size()), c.depth());
 
   std::ostringstream json;
   analyze::write_audit_json(json, result, "tree");
-  EXPECT_NE(json.str().find("\"granularity_advisor\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"serial_cutoff\""), std::string::npos);
   EXPECT_NE(json.str().find("\"graph_stats\""), std::string::npos);
   EXPECT_NE(json.str().find("\"nlp_instance\""), std::string::npos);
+}
+
+TEST(AuditDriver, ReportsLevelWidthsWithoutGranularityAdvice) {
+  // The audit describes the level histogram; it no longer turns it into a
+  // serial cutoff, since the runtime's only granularity rule is
+  // parallel_for's own one-grain inline path.
+  Circuit c = netlist::make_mcnc_like("apex2");
+  const analyze::AuditResult result = analyze::audit_circuit(c);
+  ASSERT_TRUE(result.has_view);
+  std::size_t gates = 0;
+  for (std::size_t width : result.stats.level_widths) gates += width;
+  EXPECT_EQ(static_cast<int>(gates), c.num_gates());
+
+  std::ostringstream json;
+  analyze::write_audit_json(json, result, "apex2");
+  EXPECT_NE(json.str().find("\"level_widths\""), std::string::npos);
+  EXPECT_EQ(json.str().find("granularity"), std::string::npos);
+  EXPECT_EQ(json.str().find("cutoff"), std::string::npos);
+
+  std::ostringstream text;
+  analyze::print_audit(text, result);
+  EXPECT_EQ(text.str().find("cutoff"), std::string::npos);
+  EXPECT_EQ(count_rule(result.report, "GRF003"), 0);
 }
 
 TEST(AuditDriver, StructurallyBrokenCircuitStopsAtTheStructuralGate) {
@@ -450,6 +413,23 @@ TEST(AuditRegistry, NewRuleFamiliesAreCataloged) {
   for (const char* id : {"NLP001", "NLP008", "GRF001", "GRF006", "DET001", "DET004"}) {
     EXPECT_NE(analyze::find_rule(id), nullptr) << id;
   }
+}
+
+TEST(AuditRegistry, ParallelismRulesNameTheRemainingPattern) {
+  // GRF003 judged the deleted serial-cutoff advice and is gone; the hints
+  // that remain point at the pattern the code still uses (index-keyed slots
+  // folded in a fixed order on the caller), not at a scatter plan.
+  EXPECT_EQ(analyze::find_rule("GRF003"), nullptr);
+
+  const analyze::RuleInfo* det003 = analyze::find_rule("DET003");
+  ASSERT_NE(det003, nullptr);
+  EXPECT_NE(det003->detail.find("index-keyed slots"), std::string_view::npos);
+  EXPECT_NE(det003->detail.find("fixed order"), std::string_view::npos);
+  EXPECT_EQ(det003->detail.find("Plan"), std::string_view::npos);
+
+  const analyze::RuleInfo* grf004 = analyze::find_rule("GRF004");
+  ASSERT_NE(grf004, nullptr);
+  EXPECT_EQ(grf004->detail.find("scatter"), std::string_view::npos);
 }
 
 }  // namespace

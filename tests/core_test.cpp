@@ -357,6 +357,39 @@ TEST(ReducedEvaluatorTest, GradSeedsAreLinear) {
   }
 }
 
+TEST(ReducedEvaluatorTest, GradientIsBitwiseStableAcrossCallsAndEvaluators) {
+  // An evaluator reused across points keeps a forward tape and adjoint
+  // scratch between calls; none of it may leak into a later answer. The
+  // gradient at x after a detour through another point equals the first one
+  // and a fresh evaluator's, bit for bit. apex1 (982 gates) is above the
+  // parallel gate cutoff, so the forward sweep takes the pooled path.
+  const Circuit c = netlist::make_mcnc_like("apex1");
+  const ReducedEvaluator reused(c, {0.25, 0.02});
+  std::vector<double> x(static_cast<std::size_t>(c.num_nodes()));
+  std::vector<double> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 1.0 + 0.13 * static_cast<double>(i % 11);
+    y[i] = 2.5 - 0.07 * static_cast<double>(i % 13);
+  }
+
+  std::vector<double> g_first;
+  std::vector<double> g_detour;
+  std::vector<double> g_again;
+  std::vector<double> g_fresh;
+  const NormalRV t_first = reused.eval_with_grad(x, 1.0, 0.5, g_first);
+  reused.eval_with_grad(y, 0.0, 1.0, g_detour);
+  const NormalRV t_again = reused.eval_with_grad(x, 1.0, 0.5, g_again);
+  const NormalRV t_fresh = ReducedEvaluator(c, {0.25, 0.02}).eval_with_grad(x, 1.0, 0.5, g_fresh);
+
+  EXPECT_EQ(t_again.mu, t_first.mu);
+  EXPECT_EQ(t_again.var, t_first.var);
+  EXPECT_EQ(t_fresh.mu, t_first.mu);
+  EXPECT_EQ(t_fresh.var, t_first.var);
+  EXPECT_EQ(g_again, g_first);
+  EXPECT_EQ(g_fresh, g_first);
+  EXPECT_NE(g_detour, g_first);
+}
+
 TEST(ReducedEvaluatorTest, SpeedingUpReducesDelayMetric) {
   // d(mu)/dS summed over all gates must be negative at S=1 (sizing helps).
   const Circuit c = netlist::make_mcnc_like("apex2");

@@ -2,9 +2,10 @@
 // (ECO) repropagation worklist: chunks of one level bucket push partial
 // arrival sums into their fanout targets through an indirect index. Two
 // bucket gates sharing a fanout race on the same slot, and the fold order
-// depends on the chunk schedule — the correct engine (ssta/incremental.cpp)
-// instead writes direct-indexed scratch slots in the parallel phase and
-// commits/enqueues serially.
+// depends on the chunk schedule. A parallel body may only write index-keyed
+// slots that the caller then folds in a fixed order (as run_monte_carlo
+// does); ssta/incremental.cpp avoids the question by draining each bucket
+// serially.
 // Expected finding: DET003.
 
 #include <cstddef>

@@ -5,9 +5,9 @@
 // contract on the Circuit side, the IncrementalEngine's bit-identity pin
 // against full run_ssta recompute, the ReducedEvaluator's persistent forward
 // tape, and the Sizer warm-start path. The property suite drives random mixed
-// edit sequences across --jobs {1,4} x serial cutoff {0, advised} and demands
-// EXPECT_EQ (bitwise) agreement of arrivals, Tmax, slacks, and gradients with
-// a from-scratch recompute at every step.
+// edit sequences at --jobs 1 and 4 and demands EXPECT_EQ (bitwise) agreement
+// of arrivals, Tmax, slacks, and gradients with a from-scratch recompute at
+// every step.
 
 #include "ssta/incremental.h"
 
@@ -280,21 +280,81 @@ TEST(IncrementalEngine, FullRecomputeIsIdempotentOnCaches) {
   }
 }
 
+TEST(IncrementalEngine, WholeLevelBatchMatchesFullRecompute) {
+  // One batch that dirties every gate of the widest level. Its bucket runs as
+  // one compute-commit-enqueue loop; committing a gate's arrival before the
+  // next gate of the same level is computed must not change a bit, because
+  // gates of one level never read each other.
+  const Circuit c = small_dag(300, 37);
+  IncrementalEngine engine(c.view(), unit_speed(c.view()));
+  const TimingView& view = engine.view();
+  int widest = 0;
+  for (int l = 1; l < view.num_levels(); ++l) {
+    if (view.level_gates(l).size() > view.level_gates(widest).size()) widest = l;
+  }
+  const netlist::NodeSpan level = view.level_gates(widest);
+  ASSERT_GT(level.size(), 1u);
+  std::vector<TimingEdit> batch;
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    batch.push_back(TimingEdit::set_speed(level[i], 1.3 + 0.1 * static_cast<double>(i % 7)));
+  }
+  engine.apply_edits(batch);
+  EXPECT_GE(engine.last_arrival_recomputes(), level.size());
+  expect_engine_matches_full(engine);
+}
+
+TEST(IncrementalEngine, SameEditsGiveSameBitsAndWorkAtAnyThreadCount) {
+  // The engine primes its caches with a pooled full analysis and then runs a
+  // serial worklist: arrivals, Tmax and the per-call work counters of an
+  // edit sequence must not depend on --jobs.
+  const Circuit c = small_dag(300, 41);
+  const std::vector<NodeId>& gates = c.view().gates_in_topo_order();
+  const std::vector<std::vector<TimingEdit>> batches = {
+      {TimingEdit::set_speed(gates[3], 1.8)},
+      {TimingEdit::set_speed(gates[gates.size() / 2], 0.7),
+       TimingEdit::set_speed(gates[10], 2.2)},
+      {TimingEdit::set_speed(gates.back(), 1.4)}};
+
+  struct Run {
+    std::vector<stat::NormalRV> arrivals;
+    stat::NormalRV tmax;
+    std::vector<std::size_t> work;
+  };
+  auto run = [&](int jobs) {
+    runtime::set_threads(jobs);
+    IncrementalEngine engine(c.view(), unit_speed(c.view()));
+    Run r;
+    for (const std::vector<TimingEdit>& batch : batches) {
+      engine.apply_edits(batch);
+      r.work.push_back(engine.last_delay_recomputes());
+      r.work.push_back(engine.last_arrival_recomputes());
+    }
+    r.arrivals = engine.arrivals();
+    r.tmax = engine.tmax();
+    return r;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  runtime::set_threads(0);  // back to auto
+
+  EXPECT_EQ(one.work, four.work);
+  expect_rv_eq(one.tmax, four.tmax);
+  ASSERT_EQ(one.arrivals.size(), four.arrivals.size());
+  for (std::size_t i = 0; i < one.arrivals.size(); ++i) {
+    expect_rv_eq(one.arrivals[i], four.arrivals[i]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property suite: random mixed edit sequences, bit-identity of everything the
-// stack serves (arrivals, Tmax, slacks, gradients) vs full recompute, across
-// --jobs {1,4} x serial cutoff {0, advised}.
+// stack serves (arrivals, Tmax, slacks, gradients) vs full recompute, at
+// --jobs 1 and 4.
 
-void run_edit_sequence_property(int jobs, bool advised_cutoff) {
+void run_edit_sequence_property(int jobs) {
   runtime::set_threads(jobs);
-  if (advised_cutoff) {
-    runtime::reset_level_serial_cutoff();  // re-resolves to the advised auto value
-  } else {
-    runtime::set_level_serial_cutoff(0);  // every level pays the pool
-  }
 
   // ~300 gates: comfortably above the parallel gate cutoff so the pooled
-  // kernels actually run at jobs > 1.
+  // forward sweeps actually run at jobs > 1.
   const Circuit c = small_dag(300, 77);
   const ssta::SigmaModel sigma{};
   IncrementalEngine engine(c.view(), unit_speed(c.view()), sigma);
@@ -302,8 +362,7 @@ void run_edit_sequence_property(int jobs, bool advised_cutoff) {
   const std::vector<NodeId>& gates = engine.view().gates_in_topo_order();
   const double deadline = engine.tmax().mu * 1.05;
 
-  std::mt19937 rng(20260807u + static_cast<unsigned>(jobs) * 2u +
-                   (advised_cutoff ? 1u : 0u));
+  std::mt19937 rng(20260807u + static_cast<unsigned>(jobs) * 2u);
   std::uniform_int_distribution<std::size_t> pick_gate(0, gates.size() - 1);
   std::uniform_real_distribution<double> speed_dist(0.6, 2.4);
   std::uniform_real_distribution<double> scale_dist(0.9, 1.1);
@@ -372,14 +431,11 @@ class EditSequenceProperty : public ::testing::Test {
  protected:
   void TearDown() override {
     runtime::set_threads(0);  // back to auto
-    runtime::reset_level_serial_cutoff();
   }
 };
 
-TEST_F(EditSequenceProperty, Jobs1CutoffZero) { run_edit_sequence_property(1, false); }
-TEST_F(EditSequenceProperty, Jobs1CutoffAdvised) { run_edit_sequence_property(1, true); }
-TEST_F(EditSequenceProperty, Jobs4CutoffZero) { run_edit_sequence_property(4, false); }
-TEST_F(EditSequenceProperty, Jobs4CutoffAdvised) { run_edit_sequence_property(4, true); }
+TEST_F(EditSequenceProperty, Jobs1) { run_edit_sequence_property(1); }
+TEST_F(EditSequenceProperty, Jobs4) { run_edit_sequence_property(4); }
 
 // ---------------------------------------------------------------------------
 // ReducedEvaluator cache behaviour.

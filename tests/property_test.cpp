@@ -407,7 +407,7 @@ class TimingViewEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(TimingViewEquivalence, AllSweepsMatchTheNodeWalkAtEveryJobCount) {
   JobsGuard guard;
   // 220 gates > the 192-gate parallel cutoff, so --jobs 4 runs the
-  // level-parallel SSTA/adjoint paths, not the serial fallback.
+  // level-parallel forward sweeps, not the serial fallback.
   const Circuit c = random_circuit(GetParam(), 220);
   const ssta::SigmaModel sm{0.25, 0.02};
   const ssta::DelayCalculator calc(c, sm);

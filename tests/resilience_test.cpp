@@ -9,6 +9,7 @@
 #include "core/sizer.h"
 #include "netlist/generators.h"
 #include "nlp/auglag.h"
+#include "nlp/breakdown.h"
 #include "nlp/problem.h"
 #include "runtime/cancel.h"
 #include "runtime/fault.h"
@@ -345,6 +346,50 @@ TEST(AugLagResilience, InjectedNaNObjectiveDegradesWithNamedSite) {
   EXPECT_NE(r.breakdown_site.find("objective"), std::string::npos);
   ASSERT_EQ(r.x.size(), 1u);
   EXPECT_EQ(r.x[0], 3.0);  // clamped start point, honestly labelled
+}
+
+TEST(AugLagResilience, ConstraintPhaseFaultNamesItsConstraintAndLeavesModelReusable) {
+  // AugLagModel::eval evaluates every constraint first and folds them in
+  // ascending order afterwards; the constraint fault point sits between the
+  // two phases and poisons c[m/2]. The fold must name exactly that
+  // constraint, and the next evaluation must match a fresh model's bits.
+  DisarmGuard cleanup;
+  nlp::Problem p;
+  p.add_variable(-10.0, 10.0, 3.0, "x");
+  p.add_variable(-10.0, 10.0, -2.0, "y");
+  const nlp::ElementFunction* sq = p.own(std::make_unique<nlp::SquareElement>());
+  nlp::FunctionGroup obj;
+  obj.elements.push_back({sq, {0}, 1.0});
+  obj.elements.push_back({sq, {1}, 2.0});
+  p.set_objective(obj);
+  for (int j = 0; j < 3; ++j) {
+    nlp::FunctionGroup c;
+    c.constant = -1.0 - static_cast<double>(j);
+    c.linear.push_back({j % 2, 1.0});
+    c.elements.push_back({sq, {(j + 1) % 2}, 0.5});
+    p.add_equality(std::move(c));
+  }
+  const std::vector<double> x{0.7, -1.3};
+  const std::vector<double> multipliers{0.5, -0.25, 1.0};
+
+  nlp::AugLagModel model(p, multipliers, 10.0);
+  std::vector<double> grad;
+  fault::arm("auglag.eval.constraint:1");
+  try {
+    model.eval(x, &grad);
+    ADD_FAILURE() << "injected constraint fault did not surface";
+  } catch (const nlp::EvalBreakdown& e) {
+    EXPECT_EQ(e.site().rfind("constraint #1", 0), 0u) << e.site();
+  }
+  fault::disarm();
+
+  const double psi = model.eval(x, &grad);
+  nlp::AugLagModel fresh(p, multipliers, 10.0);
+  std::vector<double> fresh_grad;
+  EXPECT_EQ(psi, fresh.eval(x, &fresh_grad));
+  EXPECT_EQ(grad, fresh_grad);
+  EXPECT_EQ(model.constraint_values(), fresh.constraint_values());
+  for (double cj : model.constraint_values()) EXPECT_TRUE(std::isfinite(cj));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@
 // SSTA, Monte Carlo and NLP evaluation produce bit-identical results at any
 // thread count (serial path, --jobs 1, --jobs N).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +27,6 @@
 #include "nlp/problem.h"
 #include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
-#include "runtime/scatter_plan.h"
 #include "runtime/thread_pool.h"
 #include "ssta/delay_model.h"
 #include "ssta/monte_carlo.h"
@@ -43,14 +45,6 @@ class ThreadGuard {
 
  private:
   int saved_;
-};
-
-/// Returns the serial-cutoff state to env/auto resolution on scope exit so
-/// tests that install explicit cutoffs do not leak them into each other.
-class CutoffGuard {
- public:
-  CutoffGuard() = default;
-  ~CutoffGuard() { runtime::reset_level_serial_cutoff(); }
 };
 
 netlist::Circuit medium_dag(int gates = 400) {
@@ -230,96 +224,50 @@ TEST(Runtime, JobsEnvFallbackIsAlwaysPositive) {
   EXPECT_LE(resolved, runtime::kMaxJobs);
 }
 
-// ---------------------------------------------------------------------------
-// Serial-cutoff resolution (the granularity advisor's live counterpart)
-// ---------------------------------------------------------------------------
-
-TEST(Runtime, SerialCutoffAutoFollowsThreadCount) {
+TEST(Runtime, SingleThreadSettingRunsEveryRangeInline) {
+  // At --jobs 1 a parallel_for of any length is one body call over the whole
+  // range on the calling thread: the serial reference every determinism test
+  // compares against.
   ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  ::unsetenv("STATSIZE_SERIAL_CUTOFF");
-  runtime::reset_level_serial_cutoff();
+  runtime::set_threads(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  runtime::parallel_for(10000, 1, [&](std::size_t b, std::size_t e) {
+    ++calls;
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 10000u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(calls, 1);
+}
 
+TEST(Runtime, ParallelForRunsInlineWhenRangeFitsOneGrain) {
+  // The only granularity rule the runtime has: a range of at most `grain`
+  // items is one body call on the calling thread at any thread count, and a
+  // longer one is cut into grain-sized chunks that cover it exactly.
+  ThreadGuard guard;
   runtime::set_threads(4);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-  runtime::DispatchCostModel m4;
-  m4.threads = 4;
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::compute_serial_cutoff(m4));
-
-  // The crossover is a function of the thread count: set_threads must drop
-  // the cached auto value and the next query recompute at the new count.
-  runtime::set_threads(2);
-  runtime::DispatchCostModel m2;
-  m2.threads = 2;
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::compute_serial_cutoff(m2));
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-
-  // At one thread the pool can never pay: the cutoff saturates at the cap.
-  runtime::set_threads(1);
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::kSerialCutoffCap);
-}
-
-TEST(Runtime, SerialCutoffExplicitInstallSurvivesSetThreads) {
-  ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  runtime::set_level_serial_cutoff(7);
-  EXPECT_EQ(runtime::level_serial_cutoff(), 7u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kExplicit);
-  // serve sets threads then the cutoff per job; a later set_threads must not
-  // silently revert the explicit install to the auto model.
-  runtime::set_threads(3);
-  EXPECT_EQ(runtime::level_serial_cutoff(), 7u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kExplicit);
-}
-
-TEST(Runtime, SerialCutoffEnvOverrideWinsOverAuto) {
-  ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  ::setenv("STATSIZE_SERIAL_CUTOFF", "123", 1);
-  runtime::reset_level_serial_cutoff();
-  EXPECT_EQ(runtime::level_serial_cutoff(), 123u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kEnv);
-  runtime::set_threads(4);  // env installs survive thread-count changes
-  EXPECT_EQ(runtime::level_serial_cutoff(), 123u);
-  ::unsetenv("STATSIZE_SERIAL_CUTOFF");
-  runtime::reset_level_serial_cutoff();
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-}
-
-TEST(Runtime, MeasureChunkDispatchMeasuresARealPoolAtOneThread) {
-  ThreadGuard guard;
-  // At a 1-thread setting runtime::parallel_for short-circuits to a plain
-  // loop; the measurement must not silently report that near-zero cost as
-  // the pool's dispatch overhead. It spins up a temporary 2-thread pool and
-  // says so via the out-parameter.
-  runtime::set_threads(1);
-  bool on_temporary = false;
-  const double ns1 = runtime::measure_chunk_dispatch_ns(2, &on_temporary);
-  EXPECT_TRUE(on_temporary);
-  EXPECT_GT(ns1, 0.0);
-
-  runtime::set_threads(2);
-  const double ns2 = runtime::measure_chunk_dispatch_ns(2, &on_temporary);
-  EXPECT_FALSE(on_temporary);
-  EXPECT_GT(ns2, 0.0);
-}
-
-TEST(Runtime, BlockedReductionsAreThreadCountInvariant) {
-  ThreadGuard guard;
-  std::vector<double> data(10000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = 1e-3 * static_cast<double>((i * 2654435761U) % 1000) - 0.3;
-  }
-  auto block_sum = [&](std::size_t b, std::size_t e) {
-    double acc = 0.0;
-    for (std::size_t i = b; i < e; ++i) acc += data[i];
-    return acc;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  bool off_caller = false;
+  auto record = [&](std::size_t b, std::size_t e) {
+    const std::lock_guard<std::mutex> lock(mu);
+    calls.emplace_back(b, e);
+    if (std::this_thread::get_id() != caller) off_caller = true;
   };
-  runtime::set_threads(1);
-  const double s1 = runtime::parallel_sum_blocks(data.size(), 128, block_sum);
-  runtime::set_threads(4);
-  const double s4 = runtime::parallel_sum_blocks(data.size(), 128, block_sum);
-  EXPECT_EQ(s1, s4);  // bitwise: same blocks, same combine order
+
+  runtime::parallel_for(32, 32, record);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, std::size_t{32}));
+  EXPECT_FALSE(off_caller);
+
+  calls.clear();
+  runtime::parallel_for(33, 32, record);
+  std::sort(calls.begin(), calls.end());
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, std::size_t{32}));
+  EXPECT_EQ(calls[1], std::make_pair(std::size_t{32}, std::size_t{33}));
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +311,30 @@ TEST(LevelSchedule, ForEachGateVisitsEveryGateOnce) {
     const int expect = c.node(id).kind == netlist::NodeKind::kGate ? 1 : 0;
     EXPECT_EQ(hits[static_cast<std::size_t>(id)].load(), expect);
   }
+}
+
+TEST(LevelSchedule, ForEachGateRunsEveryFaninBeforeItsGate) {
+  // The barrier between levels is the whole synchronization story of the
+  // pooled forward sweeps: with one gate per chunk at 4 threads, every gate
+  // must observe each of its gate fanins as already visited.
+  ThreadGuard guard;
+  runtime::set_threads(4);
+  const netlist::Circuit c = medium_dag();
+  std::vector<std::atomic<int>> done(static_cast<std::size_t>(c.num_nodes()));
+  std::atomic<int> early{0};
+  runtime::LevelSchedule(c).for_each_gate(1, [&](netlist::NodeId id) {
+    for (netlist::NodeId f : c.node(id).fanins) {
+      if (c.node(f).kind == netlist::NodeKind::kGate &&
+          done[static_cast<std::size_t>(f)].load(std::memory_order_acquire) != 1) {
+        early.fetch_add(1);
+      }
+    }
+    done[static_cast<std::size_t>(id)].store(1, std::memory_order_release);
+  });
+  EXPECT_EQ(early.load(), 0);
+  int visited = 0;
+  for (const std::atomic<int>& d : done) visited += d.load();
+  EXPECT_EQ(visited, c.num_gates());
 }
 
 // ---------------------------------------------------------------------------
@@ -506,14 +478,12 @@ TEST(Determinism, ReducedSpaceGradientBitwiseEqualAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
-  // The full acceptance matrix: --jobs {1,2,4} x serial-cutoff {0, advised}
-  // for every parallel kernel. Cutoff 0 offers every level/fold to the pool;
-  // the advised (auto) cutoff runs narrow levels inline — both must be
-  // bit-identical to the 1-thread reference, or the cutoff would not be the
-  // pure wall-clock lever the advisor promises.
+TEST(Determinism, KernelsBitwiseEqualAcrossThreadCounts) {
+  // The full acceptance matrix: --jobs {1,2,4} for every kernel a sizing run
+  // uses — the pooled ones (SSTA level sweep, Monte Carlo, criticality) and
+  // the serial ones that run beside them (hess_vec, the adjoint) — all
+  // bit-identical to the 1-thread reference.
   ThreadGuard guard;
-  CutoffGuard cutoff_guard;
   const netlist::Circuit c = medium_dag(300);
   const ssta::DelayCalculator calc(c, {0.25, 0.0});
   const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.1);
@@ -536,7 +506,6 @@ TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
   const core::ReducedEvaluator red(c, {0.25, 0.0});
 
   runtime::set_threads(1);
-  runtime::set_level_serial_cutoff(0);
   nlp::AugLagModel model(p, mult, 10.0);
   std::vector<double> grad_scratch;
   model.eval(x, &grad_scratch);  // snapshot the element Hessians at x
@@ -549,101 +518,38 @@ TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
   const stat::NormalRV t_ref = red.eval_with_grad(ones, 1.0, 0.5, adj_ref);
 
   for (const int threads : {1, 2, 4}) {
-    for (const bool advised : {false, true}) {
-      runtime::set_threads(threads);
-      if (advised) {
-        runtime::reset_level_serial_cutoff();  // auto: the cost-model crossover
-      } else {
-        runtime::set_level_serial_cutoff(0);  // pool everything
-      }
-      const std::string where = std::to_string(threads) + " threads, cutoff " +
-                                (advised ? "advised" : "0");
-
-      const ssta::TimingReport rep = ssta::run_ssta(c, delays);
-      ASSERT_EQ(rep.arrival.size(), ssta_ref.arrival.size());
-      for (std::size_t i = 0; i < rep.arrival.size(); ++i) {
-        EXPECT_EQ(rep.arrival[i].mu, ssta_ref.arrival[i].mu) << where << ", node " << i;
-        EXPECT_EQ(rep.arrival[i].var, ssta_ref.arrival[i].var) << where << ", node " << i;
-      }
-      EXPECT_EQ(rep.circuit_delay.mu, ssta_ref.circuit_delay.mu) << where;
-      EXPECT_EQ(rep.circuit_delay.var, ssta_ref.circuit_delay.var) << where;
-
-      const ssta::MonteCarloResult mc = ssta::run_monte_carlo(c, delays, mco);
-      EXPECT_EQ(mc.mean, mc_ref.mean) << where;
-      EXPECT_EQ(mc.stddev, mc_ref.stddev) << where;
-      EXPECT_EQ(mc.samples, mc_ref.samples) << where;
-      EXPECT_EQ(ssta::monte_carlo_criticality(c, delays, mco), crit_ref) << where;
-
-      std::vector<double> hv;
-      model.hess_vec(v, hv);
-      EXPECT_EQ(hv, hv_ref) << where;
-
-      std::vector<double> adj;
-      const stat::NormalRV t = red.eval_with_grad(ones, 1.0, 0.5, adj);
-      EXPECT_EQ(t.mu, t_ref.mu) << where;
-      EXPECT_EQ(t.var, t_ref.var) << where;
-      EXPECT_EQ(adj, adj_ref) << where;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ScatterPlan
-// ---------------------------------------------------------------------------
-
-TEST(ScatterPlan, FoldAddEqualsSerialScatterInItemOrder) {
-  // Overlapping targets, duplicates inside one item, and an untouched target.
-  // The fold must produce exactly the doubles the serial scatter produces,
-  // because per-target slot order is the serial write order.
-  runtime::ScatterPlan plan;
-  const std::vector<std::vector<int>> items = {
-      {3, 1, 3, 0}, {1, 2}, {0, 0, 4}, {2, 3, 1}, {}};
-  std::vector<std::size_t> first;
-  for (const auto& it : items) first.push_back(plan.add_item(it.data(), it.size()));
-  plan.freeze(6);
-  EXPECT_TRUE(plan.frozen());
-  EXPECT_EQ(plan.num_slots(), 12u);
-  EXPECT_EQ(plan.num_targets(), 6u);
-
-  std::vector<double> vals(plan.num_slots());
-  for (std::size_t s = 0; s < vals.size(); ++s) vals[s] = 0.1 + 1.7 * static_cast<double>(s);
-
-  std::vector<double> want(6, 0.25);  // fold adds on top of existing content
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    for (std::size_t j = 0; j < items[k].size(); ++j) {
-      want[static_cast<std::size_t>(items[k][j])] += vals[first[k] + j];
-    }
-  }
-
-  for (int threads : {1, 4}) {
-    ThreadGuard guard;
     runtime::set_threads(threads);
-    std::vector<double> out(6, 0.25);
-    plan.fold_add(vals.data(), out.data(), /*grain=*/2);
-    EXPECT_EQ(out, want);
+    const std::string where = std::to_string(threads) + " threads";
+
+    const ssta::TimingReport rep = ssta::run_ssta(c, delays);
+    ASSERT_EQ(rep.arrival.size(), ssta_ref.arrival.size());
+    for (std::size_t i = 0; i < rep.arrival.size(); ++i) {
+      EXPECT_EQ(rep.arrival[i].mu, ssta_ref.arrival[i].mu) << where << ", node " << i;
+      EXPECT_EQ(rep.arrival[i].var, ssta_ref.arrival[i].var) << where << ", node " << i;
+    }
+    EXPECT_EQ(rep.circuit_delay.mu, ssta_ref.circuit_delay.mu) << where;
+    EXPECT_EQ(rep.circuit_delay.var, ssta_ref.circuit_delay.var) << where;
+
+    const ssta::MonteCarloResult mc = ssta::run_monte_carlo(c, delays, mco);
+    EXPECT_EQ(mc.mean, mc_ref.mean) << where;
+    EXPECT_EQ(mc.stddev, mc_ref.stddev) << where;
+    EXPECT_EQ(mc.samples, mc_ref.samples) << where;
+    EXPECT_EQ(ssta::monte_carlo_criticality(c, delays, mco), crit_ref) << where;
+
+    std::vector<double> hv;
+    model.hess_vec(v, hv);
+    EXPECT_EQ(hv, hv_ref) << where;
+
+    std::vector<double> adj;
+    const stat::NormalRV t = red.eval_with_grad(ones, 1.0, 0.5, adj);
+    EXPECT_EQ(t.mu, t_ref.mu) << where;
+    EXPECT_EQ(t.var, t_ref.var) << where;
+    EXPECT_EQ(adj, adj_ref) << where;
   }
-  EXPECT_EQ(want[5], 0.25);  // target 5 has no slots — untouched
-}
-
-TEST(ScatterPlan, RejectsMisuse) {
-  runtime::ScatterPlan plan;
-  const int targets[2] = {0, 1};
-  plan.add_item(targets, 2);
-  std::vector<double> vals(2, 0.0);
-  std::vector<double> out(2, 0.0);
-  EXPECT_THROW(plan.fold_add(vals.data(), out.data()), std::logic_error);
-  plan.freeze(2);
-  EXPECT_THROW(plan.add_item(targets, 2), std::logic_error);
-  EXPECT_THROW(plan.freeze(2), std::logic_error);
-
-  runtime::ScatterPlan bad;
-  const int oob[1] = {7};
-  bad.add_item(oob, 1);
-  EXPECT_THROW(bad.freeze(4), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
-// Hessian-vector products (the former serial islands)
+// Hessian-vector products
 // ---------------------------------------------------------------------------
 
 TEST(Determinism, AugLagHessVecBitwiseEqualAcrossThreadCounts) {
@@ -718,6 +624,77 @@ TEST(AugLagHessVec, MatchesFiniteDifferenceOfGradientAtAnyThreadCount) {
       EXPECT_NEAR(hv[i], fd, 5e-3 * (1.0 + std::abs(hv[i])))
           << "component " << i << " at " << threads << " threads";
     }
+  }
+}
+
+/// The full-space min-delay instance of medium_dag at its start point, with
+/// an AugLagModel whose element snapshots are taken at that point.
+struct HessVecFixture {
+  netlist::Circuit circuit = medium_dag(300);
+  core::FullSpaceFormulation form;
+  std::unique_ptr<nlp::AugLagModel> model;
+
+  HessVecFixture() {
+    core::SizingSpec spec;
+    spec.objective = core::Objective::min_delay(0.0);
+    const std::vector<double> start(static_cast<std::size_t>(circuit.num_nodes()), 1.3);
+    form = core::build_full_space(circuit, spec, start);
+    const nlp::Problem& p = *form.problem;
+    model = std::make_unique<nlp::AugLagModel>(
+        p, std::vector<double>(static_cast<std::size_t>(p.num_constraints()), 0.2), 10.0);
+    std::vector<double> grad;
+    model->eval(p.start(), &grad);
+  }
+
+  std::vector<double> direction(double phase) const {
+    std::vector<double> v(static_cast<std::size_t>(form.problem->num_vars()));
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = std::sin(phase * static_cast<double>(i + 1)) + 0.05;
+    }
+    return v;
+  }
+};
+
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
+TEST(AugLagHessVec, IsSymmetricInItsTwoDirections) {
+  // hess_vec scatters each packed element Hessian (upper triangle) into both
+  // triangles, plus the Gauss-Newton terms rho * grad c grad c^T: the
+  // product it defines must satisfy u^T H v == v^T H u.
+  const HessVecFixture f;
+  const std::vector<double> u = f.direction(0.31);
+  const std::vector<double> v = f.direction(0.77);
+  std::vector<double> hu;
+  std::vector<double> hv;
+  f.model->hess_vec(u, hu);
+  f.model->hess_vec(v, hv);
+  const double uhv = dot(u, hv);
+  const double vhu = dot(v, hu);
+  EXPECT_NEAR(uhv, vhu, 1e-10 * (1.0 + std::abs(uhv) + std::abs(vhu)));
+}
+
+TEST(AugLagHessVec, IsLinearInTheDirection) {
+  // H(a u + b v) == a H u + b H v: the product reads only the snapshot taken
+  // by the last gradient evaluation, never state left by an earlier product.
+  const HessVecFixture f;
+  const std::vector<double> u = f.direction(0.13);
+  const std::vector<double> v = f.direction(0.59);
+  std::vector<double> w(u.size());
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 2.0 * u[i] - 0.5 * v[i];
+  std::vector<double> hu;
+  std::vector<double> hv;
+  std::vector<double> hw;
+  f.model->hess_vec(u, hu);
+  f.model->hess_vec(v, hv);
+  f.model->hess_vec(w, hw);
+  ASSERT_EQ(hw.size(), w.size());
+  for (std::size_t i = 0; i < hw.size(); ++i) {
+    const double combo = 2.0 * hu[i] - 0.5 * hv[i];
+    EXPECT_NEAR(hw[i], combo, 1e-9 * (1.0 + std::abs(combo))) << "component " << i;
   }
 }
 

@@ -111,6 +111,22 @@ TEST_F(ServeTest, UploadReportsMetadataAndDeduplicates) {
   EXPECT_EQ(server_->metrics().cache_misses.value(), 1);
 }
 
+TEST_F(ServeTest, UploadShapeFieldsEqualTheCircuitsOwn) {
+  StartServer();
+  const std::string text = apex1_blif();
+  serve::ApiResult up = client_->request(
+      "POST", "/v1/circuits",
+      "{\"format\": \"blif\", \"text\": \"" + util::JsonWriter::escape(text) + "\"}");
+  ASSERT_EQ(up.status, 201) << up.body;
+  const util::JsonValue doc = up.json();
+
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  EXPECT_EQ(doc.int_or("gates", -1), circuit.num_gates());
+  EXPECT_EQ(doc.int_or("depth", -1), circuit.depth());
+  EXPECT_EQ(doc.int_or("levels", -1), circuit.view().num_levels());
+}
+
 TEST_F(ServeTest, ServedSstaIsBitIdenticalToInProcess) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif", "c17");
@@ -462,6 +478,65 @@ TEST_F(ServeTest, PatchValidatesAndCreatesDerivedEntry) {
       "{\"edits\": [{\"node\": " + std::to_string(g1) + ", \"t_int\": 2.5}]}");
   ASSERT_EQ(other.status, 201) << other.body;
   EXPECT_NE(other.json().string_or("key", ""), derived);
+}
+
+TEST_F(ServeTest, ListAndPatchResponsesReportTheCircuitsShape) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const auto [g0, g1] = c17_gates();
+  (void)g1;
+  std::istringstream in(kC17);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+
+  serve::ApiResult patched = client_->request(
+      "PATCH", "/v1/circuits/" + key,
+      "{\"edits\": [{\"node\": " + std::to_string(g0) + ", \"t_int\": 2.5}]}");
+  ASSERT_EQ(patched.status, 201) << patched.body;
+  EXPECT_EQ(patched.json().int_or("gates", -1), circuit.num_gates());
+  EXPECT_EQ(patched.body.find("cutoff"), std::string::npos);
+
+  serve::ApiResult list = client_->request("GET", "/v1/circuits");
+  ASSERT_EQ(list.status, 200) << list.body;
+  EXPECT_EQ(list.body.find("cutoff"), std::string::npos);
+  const util::JsonValue doc = list.json();
+  const util::JsonValue* circuits = doc.find("circuits");
+  ASSERT_NE(circuits, nullptr);
+  ASSERT_FALSE(circuits->items().empty());
+  bool saw_base = false;
+  for (const util::JsonValue& entry : circuits->items()) {
+    // A derived entry shares its base's structure, so every row is c17's.
+    EXPECT_EQ(entry.int_or("gates", -1), circuit.num_gates());
+    EXPECT_EQ(entry.int_or("depth", -1), circuit.depth());
+    if (entry.string_or("key", "") == key) saw_base = true;
+  }
+  EXPECT_TRUE(saw_base);
+}
+
+TEST_F(ServeTest, ServedSstaOnAPooledCircuitIsBitIdenticalAtAnyJobs) {
+  // apex1 (982 gates) is above the parallel gate cutoff, so a job's "jobs"
+  // value decides whether the forward level sweep runs on the pool. The
+  // answer must be the in-process one either way.
+  StartServer();
+  const std::string text = apex1_blif();
+  const std::string key = client_->upload(text, "blif", "apex1");
+
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const ssta::DelayCalculator calc(circuit, {});
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const ssta::TimingReport reference = ssta::run_ssta(calc, speed);
+
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs = " + std::to_string(jobs));
+    const std::string id =
+        client_->submit(job_body(key, "ssta", "\"jobs\": " + std::to_string(jobs)));
+    const util::JsonValue doc = client_->wait(id);
+    ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+    const util::JsonValue* result = doc.find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->number_or("mu", -1.0), reference.circuit_delay.mu);
+    EXPECT_EQ(result->number_or("sigma", -1.0), reference.circuit_delay.sigma());
+  }
 }
 
 TEST_F(ServeTest, AnalysisOnPatchedCircuitIsBitIdenticalToInProcessEdit) {

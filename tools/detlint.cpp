@@ -21,8 +21,9 @@
 //           started_at), so DET002 is waived there when the line (or the one
 //           above) names `serve::now`. Everywhere else the rule still fires.
 //   DET003  indirect-indexed `+=`/`-=` inside a parallel_for lambda — a
-//           scatter to shared slots races unless it goes through a
-//           runtime::ScatterPlan (disjoint slots + ordered fold).
+//           scatter to shared slots races; the body must write index-keyed
+//           slots that the caller folds in a fixed order afterwards (as
+//           run_monte_carlo does).
 //   DET004  an unbounded loop (`while (true)` / `for (;;)`) in solver code
 //           (paths containing /nlp/ or /core/) with no runtime::poll_cancel()
 //           in its body — deadlines and Ctrl-C cannot preempt it.
@@ -109,7 +110,7 @@ bool contains_word(const std::string& code, const std::string& needle) {
 
 /// An `lhs[...subscript...] += ...` accumulation whose subscript itself
 /// indexes or calls something — the shape of a scatter through an indirection
-/// table, which races across parallel_for chunks unless plan-mediated.
+/// table, which races across parallel_for chunks.
 bool has_indirect_accumulation(const std::string& code) {
   for (const char* op : {"+=", "-="}) {
     for (std::size_t pos = code.find(op); pos != std::string::npos;
@@ -216,8 +217,9 @@ void scan_file(const std::string& path, Report& report) {
     if (!pf_regions.empty() && has_indirect_accumulation(code) && !suppressed(idx, "DET003")) {
       report.add("DET003", locus(idx),
                  "indirect-indexed accumulation inside a parallel_for body",
-                 "scatter through a runtime::ScatterPlan (disjoint slots, ordered fold) "
-                 "instead of writing shared slots directly");
+                 "write index-keyed slots in the body and fold them in a fixed order on "
+                 "the caller, as run_monte_carlo does, instead of writing shared slots "
+                 "directly");
     }
     if (!loop_regions.empty() && code.find("poll_cancel") != std::string::npos) {
       for (BraceRegion& r : loop_regions) r.found_poll = true;

@@ -16,8 +16,8 @@
 // `statsize lint` is a separate subcommand: it runs the static-analysis
 // subsystem (circuit structure, cell library, sigma model, NLP model audits)
 // over one or more circuits and reports diagnostics instead of sizing.
-// `statsize audit` is its evaluation-free sibling: NLP instance rules,
-// TimingView graph analytics and the parallel-granularity advisor. Both use
+// `statsize audit` is its evaluation-free sibling: NLP instance rules and
+// TimingView graph analytics. Both use
 // exit codes 0 = clean/notes, 2 = warnings, 3 = errors, 1 = tool failure.
 
 #include <algorithm>
@@ -250,8 +250,7 @@ analyze::AuditResult demo_audit_defects(const analyze::AuditOptions& options) {
   result.report.merge(analyze::audit_nlp_problem(p, "demo instance", options.nlp));
 
   const std::vector<std::size_t> widths = {4, 0, 9, 0, 0, 2};  // GRF002 x3
-  result.advice = analyze::advise_granularity(widths, options.graph.cost);
-  result.report.merge(analyze::audit_level_widths(widths, result.advice, options.graph));
+  result.report.merge(analyze::audit_level_widths(widths));
 
   result.report.sort();
   return result;
@@ -260,30 +259,19 @@ analyze::AuditResult demo_audit_defects(const analyze::AuditOptions& options) {
 int run_audit(int argc, char** argv) {
   util::ArgParser args(
       "statsize audit — pre-solve static audit: NLP instance rules (NLP0xx), TimingView "
-      "graph analytics + parallel-granularity advisor (GRF0xx), no evaluation anywhere");
+      "graph analytics (GRF0xx), no evaluation anywhere");
   args.add_string("circuit", "tree|apex1|apex2|k2 or a BLIF/Verilog file path", "tree");
   args.add_string("json", "write the JSON audit document to this file ('-' for stdout)");
   args.add_double("kappa", "gate sigma model: sigma = kappa * mu + offset", 0.25);
   args.add_double("sigma-offset", "additive term of the gate sigma model", 0.0);
   args.add_double("max-speed", "upper sizing limit of the audited NLP instance", 3.0);
-  args.add_double("dispatch-ns", "advisor cost model: per-chunk dispatch cost",
-                  runtime::kDefaultChunkDispatchNs);
-  args.add_double("gate-ns", "advisor cost model: per-gate sweep cost",
-                  runtime::kDefaultItemCostNs);
-  args.add_int("grain", "advisor cost model: gates per chunk",
-               static_cast<int>(runtime::kDefaultDispatchGrain));
-  args.add_int("threads", "advisor cost model: worker threads (0 = runtime pool)", 0);
-  args.add_flag("calibrate", "measure the per-chunk dispatch cost on this machine "
-                             "instead of the fixed default (non-deterministic output)");
   args.add_flag("no-nlp", "graph analytics only; skip building the NLP instance");
   args.add_flag("list-rules", "print the rule catalog and exit");
   args.add_flag("demo-defects", "audit deliberately broken instances (inverted bound, "
                                 "zero-width level spam) to prove the gate fires");
-  args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
 
   try {
     if (!args.parse(argc, argv)) return 0;
-    if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
 
     if (args.get_flag("list-rules")) {
       for (const analyze::RuleInfo& rule : analyze::rule_catalog()) {
@@ -302,13 +290,6 @@ int run_audit(int argc, char** argv) {
     options.sigma_model = {args.get_double("kappa"), args.get_double("sigma-offset")};
     options.max_speed = args.get_double("max-speed");
     options.nlp_audit = !args.get_flag("no-nlp");
-    options.graph.cost.chunk_dispatch_ns = args.get_double("dispatch-ns");
-    options.graph.cost.gate_cost_ns = args.get_double("gate-ns");
-    options.graph.cost.grain = static_cast<std::size_t>(args.get_int("grain"));
-    options.graph.cost.threads = args.get_int("threads");
-    if (args.get_flag("calibrate")) {
-      options.graph.cost.chunk_dispatch_ns = runtime::measure_chunk_dispatch_ns();
-    }
 
     const std::string name = args.get_string("circuit");
     std::string target = name;

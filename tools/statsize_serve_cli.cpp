@@ -75,7 +75,6 @@ int run_serve(int argc, char** argv) {
   args.add_int("io-threads", "concurrent keep-alive connections served", 8);
   args.add_int("cache-capacity", "circuits kept in the LRU cache", 16);
   args.add_int("queue-depth", "queued jobs before submissions get 429", 64);
-  args.add_flag("no-serial-cutoff", "skip installing each circuit's granularity advice");
   args.add_string("stats-out", "write final /v1/stats JSON here on shutdown ('-' = stdout)");
   args.add_string("journal", "durable job journal directory (crash recovery; see DESIGN.md §13)");
   args.add_string("journal-fsync", "journal durability: none | always", "none");
@@ -88,7 +87,6 @@ int run_serve(int argc, char** argv) {
   options.io_threads = args.get_int("io-threads");
   options.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity"));
   options.scheduler.queue_depth = static_cast<std::size_t>(args.get_int("queue-depth"));
-  options.scheduler.apply_serial_cutoff = !args.get_flag("no-serial-cutoff");
   if (args.has("journal")) options.journal_dir = args.get_string("journal");
   options.journal_fsync = serve::parse_fsync_policy(args.get_string("journal-fsync"));
 
