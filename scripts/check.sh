@@ -38,7 +38,9 @@ if [ "$SANITIZE" = "thread" ]; then
   # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo,
   # the nlp + core suites whose sizing runs drive the pooled forward sweeps
   # and Monte Carlo chunks, and the TimingView suite every parallel sweep
-  # traverses. The resilience suite rides along: cancellation polls and fault
+  # traverses. The sizer suite joins them: its reduced-space solves run the
+  # pooled forward sweep on k2-size circuits once per line-search trial, with
+  # the serial adjoint reading the same tape. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
   # tests cross socket threads, the scheduler's executor, and the circuit
@@ -47,7 +49,7 @@ if [ "$SANITIZE" = "thread" ]; then
   # the socket/executor thread boundary.
   echo "== ctest under ThreadSanitizer (runtime + parallel engines + serve) =="
   STATSIZE_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -L '^(runtime_test|ssta_test|nlp_test|core_test|timing_view_test|resilience_test|serve_test|incremental_test|chaos_test)$'
+    -L '^(runtime_test|ssta_test|nlp_test|core_test|sizer_test|timing_view_test|resilience_test|serve_test|incremental_test|chaos_test)$'
   # The ECO label again on its own: edit sequences interleave the serial
   # incremental worklist with pooled full re-sweeps on the same views.
   echo "== ctest eco label under ThreadSanitizer =="

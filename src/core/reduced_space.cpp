@@ -61,6 +61,10 @@ struct ReducedEvaluator::ForwardCache {
   std::vector<unsigned char> queued_mask;
 
   std::size_t last_recomputes = 0;
+
+  // Adjoint scratch (arrival mu/var adjoints), reused across adjoint calls.
+  std::vector<double> amu;
+  std::vector<double> avar;
 };
 
 ReducedEvaluator::ReducedEvaluator(const netlist::Circuit& circuit, ssta::SigmaModel sigma_model)
@@ -120,9 +124,18 @@ std::size_t ReducedEvaluator::last_forward_recomputes() const {
   return fwd_ ? fwd_->last_recomputes : 0;
 }
 
-NormalRV ReducedEvaluator::forward_sweep(const netlist::TimingView& view,
-                                         const std::vector<double>& speed) const {
-  const std::size_t n = static_cast<std::size_t>(view.num_nodes());
+NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const {
+  const std::size_t n =
+      static_cast<std::size_t>(circuit_ != nullptr ? circuit_->num_nodes() : view_->num_nodes());
+  if (speed.size() != n) throw std::invalid_argument("speed must be indexed by NodeId");
+  // Guard before view(): an output-less circuit cannot survive finalize(), so
+  // this diagnostic must fire pre-finalize (core_test pins it).
+  if ((circuit_ != nullptr ? circuit_->outputs() : view_->outputs()).empty()) {
+    throw std::invalid_argument(
+        "ReducedEvaluator::taped_forward: circuit has no primary outputs, so the "
+        "circuit delay (and its gradient) is undefined");
+  }
+  const netlist::TimingView& view = resolve_view();
   if (!fwd_) fwd_ = std::make_unique<ForwardCache>();
   ForwardCache& f = *fwd_;
   const std::vector<NodeId>& outs = view.outputs();
@@ -139,7 +152,7 @@ NormalRV ReducedEvaluator::forward_sweep(const netlist::TimingView& view,
         // step-slice arithmetic below — fail loudly instead.
         const std::string name =
             circuit_ != nullptr ? circuit_->node(id).name : "gate#" + std::to_string(id);
-        throw std::invalid_argument("ReducedEvaluator::eval_with_grad: gate '" + name +
+        throw std::invalid_argument("ReducedEvaluator::taped_forward: gate '" + name +
                                     "' has no fanins; its arrival fold is undefined");
       }
       f.step_begin[static_cast<std::size_t>(id)] = gate_steps;
@@ -184,6 +197,10 @@ NormalRV ReducedEvaluator::forward_sweep(const netlist::TimingView& view,
   const bool incremental =
       f.valid && f.speed.size() == n &&
       (cur_epoch == f.view_epoch || (!f.noted.empty() && cur_epoch == f.noted_epoch));
+  // A cancel poll in the pooled sweep can unwind mid-rewrite; until the
+  // sweep completes, the tape is neither a base for the cone path nor
+  // something adjoint() may read.
+  f.valid = false;
 
   if (!incremental) {
     f.arrival.assign(n, NormalRV{});
@@ -281,37 +298,27 @@ NormalRV ReducedEvaluator::forward_sweep(const netlist::TimingView& view,
   return tmax;
 }
 
-template <class SeedFn>
-NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
-                                               const SeedFn& seed_fn,
-                                               std::vector<double>& grad) const {
-  const std::size_t n =
-      static_cast<std::size_t>(circuit_ != nullptr ? circuit_->num_nodes() : view_->num_nodes());
-  if (speed.size() != n) throw std::invalid_argument("speed must be indexed by NodeId");
-  // Guard before view(): an output-less circuit cannot survive finalize(), so
-  // this diagnostic must fire pre-finalize (core_test pins it).
-  const std::vector<NodeId>& outs = circuit_ != nullptr ? circuit_->outputs() : view_->outputs();
-  if (outs.empty()) {
-    throw std::invalid_argument(
-        "ReducedEvaluator::eval_with_grad: circuit has no primary outputs, so the "
-        "circuit delay (and its gradient) is undefined");
-  }
+void ReducedEvaluator::adjoint(const std::vector<double>& speed, double seed_mu,
+                               double seed_var, std::vector<double>& grad) const {
   const netlist::TimingView& view = resolve_view();
-
-  // ---- Forward sweep (full or dirty-cone incremental), recording the tape.
-  const NormalRV tmax = forward_sweep(view, speed);
+  const bool taped_here = fwd_ && fwd_->valid && fwd_->view_epoch == view.epoch() &&
+                          speed.size() == fwd_->speed.size() &&
+                          std::memcmp(speed.data(), fwd_->speed.data(),
+                                      speed.size() * sizeof(double)) == 0;
+  if (!taped_here) {
+    throw std::logic_error(
+        "ReducedEvaluator::adjoint: no forward tape at this speed vector (call "
+        "taped_forward(speed) first; edits and invalidate() drop the tape)");
+  }
   ForwardCache& f = *fwd_;
+  const std::size_t n = static_cast<std::size_t>(view.num_nodes());
+  const std::vector<NodeId>& outs = view.outputs();
 
-  // The adjoint seed may depend on the forward result (eval_metric derives
-  // its var seed from Tmax's own sigma — no separate probe sweep needed).
-  const std::pair<double, double> seed = seed_fn(tmax);
-  const double seed_mu = seed.first;
-  const double seed_var = seed.second;
-
-  // ---- Adjoint sweep.
   grad.assign(n, 0.0);
-  std::vector<double> amu(n, 0.0);   // adjoint of arrival mu
-  std::vector<double> avar(n, 0.0);  // adjoint of arrival var
+  f.amu.assign(n, 0.0);   // adjoint of arrival mu
+  f.avar.assign(n, 0.0);  // adjoint of arrival var
+  std::vector<double>& amu = f.amu;
+  std::vector<double>& avar = f.avar;
 
   // Through the primary-output fold (reverse order). The accumulator adjoint
   // flows backward through operand-A slots; operand-B feeds each output.
@@ -336,7 +343,7 @@ NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
   // every fanout (always at a strictly higher level) has run. Every
   // per-target accumulation happens in this fixed order, so the gradient is
   // the same double at any thread count (the sweep is serial; only the
-  // forward sweep above uses the pool).
+  // forward sweep uses the pool).
   const double kappa = sigma_model_.kappa;
   const double offset = sigma_model_.offset;
   for (int l = view.num_levels(); l-- > 0;) {
@@ -383,13 +390,13 @@ NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
       avar[static_cast<std::size_t>(fanins[0])] += acc_var;
     }
   }
-  return tmax;
 }
 
 NormalRV ReducedEvaluator::eval_with_grad(const std::vector<double>& speed, double seed_mu,
                                           double seed_var, std::vector<double>& grad) const {
-  return eval_with_grad_impl(
-      speed, [&](const NormalRV&) { return std::pair<double, double>(seed_mu, seed_var); }, grad);
+  const NormalRV tmax = taped_forward(speed);
+  adjoint(speed, seed_mu, seed_var, grad);
+  return tmax;
 }
 
 double ReducedEvaluator::eval_metric(const std::vector<double>& speed, double sigma_weight,
@@ -399,19 +406,13 @@ double ReducedEvaluator::eval_metric(const std::vector<double>& speed, double si
     return t.mu + sigma_weight * t.sigma();
   }
   // d(mu + k sigma) = d mu + k/(2 sigma) d var; the seed comes from the
-  // forward sweep's own Tmax (clark_max and clark_max_grad share their
-  // moment arithmetic, so this equals what a separate probe would produce).
-  const NormalRV t = eval_with_grad_impl(
-      speed,
-      [&](const NormalRV& tmax) {
-        const double sigma = tmax.sigma();
-        const double seed_var = (sigma_weight != 0.0 && sigma > 1e-12)
-                                    ? sigma_weight / (2.0 * sigma)
-                                    : 0.0;
-        return std::pair<double, double>(1.0, seed_var);
-      },
-      *grad);
-  return t.mu + sigma_weight * t.sigma();
+  // taped sweep's own Tmax, which equals eval(speed) bit for bit.
+  const NormalRV t = taped_forward(speed);
+  const double sigma = t.sigma();
+  const double seed_var =
+      (sigma_weight != 0.0 && sigma > 1e-12) ? sigma_weight / (2.0 * sigma) : 0.0;
+  adjoint(speed, 1.0, seed_var, *grad);
+  return t.mu + sigma_weight * sigma;
 }
 
 }  // namespace statsize::core

@@ -6,8 +6,11 @@
 //
 // This is not the paper's formulation (which keeps all timing quantities as
 // NLP variables — see full_space.h); it is the ablation partner (DESIGN.md
-// sec. 5.1) and the scalability mode: one gradient costs two circuit sweeps
-// regardless of circuit size, and the optimizer only sees |gates| variables.
+// sec. 5.1) and the scalability mode: the optimizer only sees |gates|
+// variables. The evaluation is split in two: taped_forward() is one forward
+// sweep that records the tape and returns Tmax (a value-only line-search
+// trial needs nothing more), and adjoint() is one reverse sweep over that
+// tape, run only where the optimizer accepts the point.
 //
 // The full forward sweep runs level-parallel on the global runtime pool
 // (DESIGN.md §7); its writes are per-gate disjoint. The adjoint sweep's
@@ -15,7 +18,7 @@
 // order. Results are equal at any thread count.
 //
 // ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
-// delays, recorded Clark steps) across gradient calls. When the next call's
+// delays, recorded Clark steps) across calls. When the next call's
 // speed vector differs from the cached one on a few gates only — or the
 // view's delay-model constants were edited and note_edits() named the nodes
 // — the forward sweep repropagates just the affected cone, worklist-style,
@@ -55,12 +58,11 @@ class ReducedEvaluator {
   /// Stateless (does not consult or update the gradient tape).
   stat::NormalRV eval(const std::vector<double>& speed) const;
 
-  /// Forward + adjoint: returns Tmax and fills `grad` (indexed by NodeId;
-  /// non-gate entries 0) with the gradient of
-  ///     seed_mu * mu_Tmax + seed_var * var_Tmax
-  /// with respect to every speed factor. Linear combinations cover all
-  /// objectives: e.g. d(mu + k sigma)/dS uses seed_mu = 1,
-  /// seed_var = k / (2 sigma).
+  /// Forward sweep recording the tape adjoint() reads; returns Tmax, equal
+  /// bit for bit to eval(speed) (clark_max_grad and clark_max share their
+  /// moment arithmetic, and the fold order is the same). A sizing line
+  /// search calls this once per trial point and derives f and the adjoint
+  /// seeds from the returned Tmax.
   ///
   /// Degenerate circuits are rejected with std::invalid_argument naming the
   /// problem (no primary outputs — Tmax undefined; a zero-fanin gate — no
@@ -69,28 +71,43 @@ class ReducedEvaluator {
   /// Not safe for concurrent calls on one instance: the forward tape is
   /// cached across calls (the full forward sweep itself fans out across the
   /// global pool internally).
+  stat::NormalRV taped_forward(const std::vector<double>& speed) const;
+
+  /// Reverse sweep over the tape of the last taped_forward, which must have
+  /// run at this same `speed`: fills `grad` (indexed by NodeId; non-gate
+  /// entries 0) with the gradient of
+  ///     seed_mu * mu_Tmax + seed_var * var_Tmax
+  /// with respect to every speed factor. Linear combinations cover all
+  /// objectives: e.g. d(mu + k sigma)/dS uses seed_mu = 1,
+  /// seed_var = k / (2 sigma). Throws std::logic_error when there is no
+  /// tape at `speed` (never taped, other point, invalidate(), view edits).
+  void adjoint(const std::vector<double>& speed, double seed_mu, double seed_var,
+               std::vector<double>& grad) const;
+
+  /// taped_forward(speed) then adjoint(speed, seed_mu, seed_var, grad);
+  /// returns Tmax.
   stat::NormalRV eval_with_grad(const std::vector<double>& speed, double seed_mu,
                                 double seed_var, std::vector<double>& grad) const;
 
-  /// Gradient of mu + k * sigma directly (the common case). The adjoint seed
-  /// is derived from the forward sweep's own Tmax — one forward + one
-  /// adjoint sweep total, no separate sigma probe.
+  /// mu + k * sigma, and its gradient when `grad` is non-null: one taped
+  /// forward sweep, whose own Tmax seeds the adjoint (no separate sigma
+  /// probe).
   double eval_metric(const std::vector<double>& speed, double sigma_weight,
                      std::vector<double>* grad) const;
 
   /// Marks view nodes whose delay-model constants were edited (via
   /// TimingView::update_node_params on this evaluator's view) since the last
-  /// gradient call. Call *after* the edits: the evaluator records the view's
+  /// taped sweep. Call *after* the edits: the evaluator records the view's
   /// current epoch, and the next forward sweep repropagates only the cone of
   /// the noted nodes (plus any speed-diff dirt). Edits made without a note
   /// are still safe — the epoch mismatch forces a full resweep.
   void note_edits(const std::vector<netlist::NodeId>& nodes);
 
-  /// Drops the forward tape; the next gradient call runs a full sweep.
+  /// Drops the forward tape; the next taped_forward runs a full sweep.
   void invalidate();
 
-  /// Gates whose arrival fold actually ran in the last gradient call's
-  /// forward sweep (== num_gates for a full sweep) — the observable
+  /// Gates whose arrival fold actually ran in the last taped_forward
+  /// sweep (== num_gates for a full sweep) — the observable
   /// "gradient re-eval scales with cone size" contract.
   std::size_t last_forward_recomputes() const;
 
@@ -98,15 +115,6 @@ class ReducedEvaluator {
   struct ForwardCache;
 
   const netlist::TimingView& resolve_view() const;
-
-  /// Full-or-incremental forward sweep recording the Clark-step tape into
-  /// the cache; returns Tmax.
-  stat::NormalRV forward_sweep(const netlist::TimingView& view,
-                               const std::vector<double>& speed) const;
-
-  template <class SeedFn>
-  stat::NormalRV eval_with_grad_impl(const std::vector<double>& speed, const SeedFn& seed_fn,
-                                     std::vector<double>& grad) const;
 
   const netlist::Circuit* circuit_ = nullptr;  ///< null when view-constructed
   const netlist::TimingView* view_ = nullptr;  ///< null when circuit-constructed

@@ -203,6 +203,8 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
   };
 
   SizingResult result;
+  int value_evals = 0;
+  int gradient_evals = 0;
   {
     const runtime::Deadline deadline = options.time_limit_seconds > 0.0
                                            ? runtime::Deadline::after_seconds(options.time_limit_seconds)
@@ -236,6 +238,8 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
         r = degraded(start, "numerical-breakdown", e.site());
       }
       ++attempts_run;
+      value_evals += r.value_evals;
+      gradient_evals += r.gradient_evals;
       if (attempt == 0) {
         result = std::move(r);
       } else {
@@ -259,6 +263,8 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
     }
     result.retries_used = attempts_run - 1;
   }
+  result.value_evals = value_evals;
+  result.gradient_evals = gradient_evals;
   // The final SSTA scoring runs outside the cancel scope: an expired deadline
   // must not poison the returned timing numbers.
   finish(result);
@@ -311,6 +317,8 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   result.objective_value = sol.objective;
   result.iterations = sol.inner_iterations;
   result.outer_iterations = sol.outer_iterations;
+  result.value_evals = warm.value_evals;
+  result.gradient_evals = warm.gradient_evals;
   result.from_checkpoint = sol.from_checkpoint;
   result.checkpoint_outer = sol.checkpoint_outer;
   result.breakdown_site = sol.breakdown_site;
@@ -369,20 +377,27 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   const double obj_k =
       spec_.objective.kind == ObjectiveKind::kDelay ? spec_.objective.sigma_weight : 0.0;
 
-  // F(S) = objective + augmented-Lagrangian constraint terms; one adjoint
-  // sweep delivers the gradient of any linear combination of (mu, var).
-  auto eval_al = [&](const std::vector<double>& xs, std::vector<double>& grad) {
+  // F(S) = objective + augmented-Lagrangian constraint terms. value() runs
+  // one taped forward sweep and derives f and the adjoint seeds from its
+  // Tmax; gradient() runs one adjoint over that tape with those seeds, and
+  // L-BFGS asks for it only at the start point and at accepted steps.
+  double seed_mu = 0.0;
+  double seed_var = 0.0;
+  int value_evals = 0;
+  int gradient_evals = 0;
+  auto value = [&](const std::vector<double>& xs) {
+    ++value_evals;
     for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = xs[i];
-    const stat::NormalRV probe = eval.eval(speed);
-    const double sigma = probe.sigma();
+    const stat::NormalRV t = eval.taped_forward(speed);
+    const double sigma = t.sigma();
     const double inv2s = sigma > 1e-12 ? 0.5 / sigma : 0.0;
 
     double f = 0.0;
-    double seed_mu = 0.0;
-    double seed_var = 0.0;
+    seed_mu = 0.0;
+    seed_var = 0.0;
     switch (spec_.objective.kind) {
       case ObjectiveKind::kDelay:
-        f = probe.mu + obj_k * sigma;
+        f = t.mu + obj_k * sigma;
         seed_mu = 1.0;
         seed_var = obj_k * inv2s;
         break;
@@ -401,7 +416,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
     }
     if (has_constraint) {
       const DelayConstraint& dc = *spec_.delay_constraint;
-      const double h = probe.mu + dc.sigma_weight * sigma - dc.bound;
+      const double h = t.mu + dc.sigma_weight * sigma - dc.bound;
       double dpen_dh;
       if (dc.equality) {
         f += lambda * h + 0.5 * rho * h * h;
@@ -414,9 +429,19 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
       seed_mu += dpen_dh;
       seed_var += dpen_dh * dc.sigma_weight * inv2s;
     }
-
+    // Tripwires at the evaluation boundary (DESIGN.md §9): name the gate, not
+    // "NaN somewhere".
+    if (fault::hit(fault::kReducedEval)) f = std::numeric_limits<double>::quiet_NaN();
+    if (!std::isfinite(f)) {
+      throw nlp::EvalBreakdown("reduced-space objective (mu=" + std::to_string(t.mu) +
+                               ", sigma=" + std::to_string(sigma) + ")");
+    }
+    return f;
+  };
+  auto gradient = [&](std::vector<double>& grad) {
+    ++gradient_evals;
     if (seed_mu != 0.0 || seed_var != 0.0) {
-      eval.eval_with_grad(speed, seed_mu, seed_var, full_grad);
+      eval.adjoint(speed, seed_mu, seed_var, full_grad);
     } else {
       full_grad.assign(speed.size(), 0.0);
     }
@@ -428,15 +453,6 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
       } else if (spec_.objective.kind == ObjectiveKind::kWeighted) {
         grad[i] += spec_.objective.weights[static_cast<std::size_t>(gates[i])];
       }
-    }
-    // Tripwires at the evaluation boundary (DESIGN.md §9): name the gate, not
-    // "NaN somewhere".
-    if (fault::hit(fault::kReducedEval)) f = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isfinite(f)) {
-      throw nlp::EvalBreakdown("reduced-space objective (mu=" + std::to_string(probe.mu) +
-                               ", sigma=" + std::to_string(sigma) + ")");
-    }
-    for (std::size_t i = 0; i < ng; ++i) {
       if (!std::isfinite(grad[i])) {
         throw nlp::EvalBreakdown("reduced-space gradient (gate " +
                                  (circuit_ != nullptr ? circuit_->node(gates[i]).name
@@ -444,8 +460,8 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
                                  ")");
       }
     }
-    return f;
   };
+  const nlp::LbfgsObjective objective{value, gradient};
 
   SizingResult result;
   nlp::LbfgsOptions lb;
@@ -466,7 +482,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
 
   try {
     if (!has_constraint) {
-      const nlp::LbfgsResult r = minimize_projected_lbfgs(eval_al, x, lo, hi, lb);
+      const nlp::LbfgsResult r = minimize_projected_lbfgs(objective, x, lo, hi, lb);
       result.converged = r.converged;
       result.iterations = r.iterations;
       result.status = std::string("reduced/") + (r.converged ? "converged" : "max-iterations");
@@ -486,7 +502,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
         nlp::LbfgsOptions lb_outer = lb;
         lb_outer.tol = warm_in != nullptr ? lb.tol
                                           : std::max(lb.tol, 1e-2 / std::pow(4.0, outer));
-        const nlp::LbfgsResult r = minimize_projected_lbfgs(eval_al, x, lo, hi, lb_outer);
+        const nlp::LbfgsResult r = minimize_projected_lbfgs(objective, x, lo, hi, lb_outer);
         total_it += r.iterations;
         ++outers_run;
         for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = x[i];
@@ -547,9 +563,10 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   result.warm.speed = result.speed;
   result.warm.lambda = lambda;
   result.warm.rho = rho;
-  std::vector<double> g;
+  result.value_evals = value_evals;
+  result.gradient_evals = gradient_evals;
   try {
-    result.objective_value = eval_al(x, g);
+    result.objective_value = value(x);
   } catch (...) {  // deadline already expired / still-armed tripwire
     result.objective_value = 0.0;
   }

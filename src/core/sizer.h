@@ -87,6 +87,11 @@ struct SizingResult {
   double constraint_violation = 0.0;
   int iterations = 0;               ///< total inner iterations
   int outer_iterations = 0;         ///< multiplier/penalty outer iterations
+  /// Reduced-space L-BFGS work, summed over outer iterations and retries (a
+  /// full-space run counts its reduced pre-solve): objective values (one
+  /// taped forward sweep each) and gradients (one adjoint sweep each).
+  int value_evals = 0;
+  int gradient_evals = 0;
   double wall_seconds = 0.0;
 
   /// State to seed a follow-up resize of a perturbed instance from.

@@ -24,7 +24,7 @@ double pg_norm(const std::vector<double>& x, const std::vector<double>& g,
 
 }  // namespace
 
-LbfgsResult minimize_projected_lbfgs(const GradFn& fn, std::vector<double>& x,
+LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<double>& x,
                                      const std::vector<double>& lower,
                                      const std::vector<double>& upper,
                                      const LbfgsOptions& options) {
@@ -44,7 +44,10 @@ LbfgsResult minimize_projected_lbfgs(const GradFn& fn, std::vector<double>& x,
   std::vector<double> alpha_buf;
 
   LbfgsResult result;
-  double f = fn(x, g);
+  double f = fn.value(x);
+  ++result.value_evals;
+  fn.gradient(g);
+  ++result.gradient_evals;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     runtime::poll_cancel();
@@ -106,8 +109,11 @@ LbfgsResult minimize_projected_lbfgs(const GradFn& fn, std::vector<double>& x,
           gt_dx += g[i] * (x_new[i] - x[i]);
         }
         if (gt_dx >= 0.0) continue;  // non-descent at this length: shrink further
-        const double f_new = fn(x_new, g_new);
+        const double f_new = fn.value(x_new);
+        ++result.value_evals;
         if (f_new <= f + 1e-4 * gt_dx + 1e-12 * (1.0 + std::abs(f))) {
+          fn.gradient(g_new);
+          ++result.gradient_evals;
           Pair p;
           p.s.resize(n);
           p.y.resize(n);

@@ -4,6 +4,11 @@
 // speed factors S in [1, limit] and the objective/constraint values come from
 // a forward SSTA sweep with adjoint gradients (no cheap Hessian available —
 // hence quasi-Newton instead of the Newton-CG machinery in tron.h).
+//
+// The objective is split: the Armijo backtracking needs only f at each trial
+// point, so a rejected trial costs one value() call (one forward sweep in
+// the sizer), and gradient() runs once at the start point and once per
+// accepted step.
 
 #pragma once
 
@@ -12,8 +17,15 @@
 
 namespace statsize::nlp {
 
-/// Objective callback: returns f(x) and fills grad (same size as x).
-using GradFn = std::function<double(const std::vector<double>&, std::vector<double>&)>;
+/// Split objective. value(x) returns f(x); gradient(g) fills g (resized to
+/// x.size()) with the gradient at the point of the most recent value() call.
+/// The solver calls gradient() only right after value() at the start point
+/// and at each accepted iterate, so value() may keep whatever state
+/// gradient() needs.
+struct LbfgsObjective {
+  std::function<double(const std::vector<double>&)> value;
+  std::function<void(std::vector<double>&)> gradient;
+};
 
 struct LbfgsOptions {
   double tol = 1e-6;  ///< projected-gradient infinity norm
@@ -28,9 +40,11 @@ struct LbfgsResult {
   double projected_gradient = 0.0;
   int iterations = 0;
   bool converged = false;
+  int value_evals = 0;     ///< value() calls: start point + every line-search trial
+  int gradient_evals = 0;  ///< gradient() calls: start point + every accepted step
 };
 
-LbfgsResult minimize_projected_lbfgs(const GradFn& fn, std::vector<double>& x,
+LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<double>& x,
                                      const std::vector<double>& lower,
                                      const std::vector<double>& upper,
                                      const LbfgsOptions& options = {});

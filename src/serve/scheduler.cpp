@@ -132,7 +132,7 @@ std::string admit_record(const Job& job) {
   w.key("kind").value("admit");
   w.key("id").value(job.id);
   w.key("type").value(job_type_name(job.type));
-  w.key("circuit").value(job.circuit ? job.circuit->key : "");
+  w.key("circuit").value(job.circuit_key);
   w.key("idempotency_key").value(job.idempotency_key);
   w.key("params");
   write_job_params(w, job.params);
@@ -166,6 +166,12 @@ std::string end_record(const std::string& id, JobState state, const std::string&
 
 }  // namespace
 
+void Job::set_circuit(std::shared_ptr<const CachedCircuit> entry) {
+  circuit_key = entry ? entry->key : "";
+  circuit_name = entry ? entry->name : "";
+  circuit = std::move(entry);
+}
+
 std::string Job::describe() const {
   JobState st = state.load(std::memory_order_acquire);
   std::string result;
@@ -186,9 +192,8 @@ std::string Job::describe() const {
   out += "  \"id\": \"" + util::JsonWriter::escape(id) + "\",\n";
   out += "  \"type\": \"" + std::string(job_type_name(type)) + "\",\n";
   out += "  \"state\": \"" + std::string(job_state_name(st)) + "\",\n";
-  out += "  \"circuit\": \"" + util::JsonWriter::escape(circuit ? circuit->key : "") + "\",\n";
-  out += "  \"circuit_name\": \"" +
-         util::JsonWriter::escape(circuit ? circuit->name : "") + "\",\n";
+  out += "  \"circuit\": \"" + util::JsonWriter::escape(circuit_key) + "\",\n";
+  out += "  \"circuit_name\": \"" + util::JsonWriter::escape(circuit_name) + "\",\n";
   if (!idempotency_key.empty()) {
     out += "  \"idempotency_key\": \"" + util::JsonWriter::escape(idempotency_key) + "\",\n";
   }
@@ -241,6 +246,7 @@ void JobScheduler::stop() {
       JobState expected = JobState::kQueued;
       if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
                                              std::memory_order_acq_rel)) {
+        job->circuit.reset();
         {
           std::lock_guard<std::mutex> jlock(job->mu);
           job->error = "server shutting down";
@@ -305,7 +311,7 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
     job->id = idbuf;
     job->type = type;
     job->params = std::move(params);
-    job->circuit = std::move(circuit);
+    job->set_circuit(std::move(circuit));
     job->idempotency_key = idempotency_key;
     job->submitted_ms = now_ms();
     // Durable admission: the admit record must hit the journal before the
@@ -354,7 +360,7 @@ JobScheduler::BatchOutcome JobScheduler::submit_batch(std::vector<JobRequest> re
       job->id = idbuf;
       job->type = req.type;
       job->params = std::move(req.params);
-      job->circuit = std::move(req.circuit);
+      job->set_circuit(std::move(req.circuit));
       job->submitted_ms = submitted;
       if (journal_ != nullptr) {
         try {
@@ -391,7 +397,10 @@ void JobScheduler::restore(std::vector<RestoredJob> recovered) {
     job->id = r.id;
     job->type = r.type;
     job->params = std::move(r.params);
-    job->circuit = std::move(r.circuit);
+    job->circuit_key = std::move(r.circuit_key);
+    job->circuit_name = r.circuit ? r.circuit->name : "";
+    // Only a re-queued job runs again; a terminal one keeps just the key.
+    if (r.state == JobState::kQueued) job->circuit = std::move(r.circuit);
     job->idempotency_key = r.idempotency_key;
     job->state.store(r.state, std::memory_order_release);
     {
@@ -437,6 +446,9 @@ bool JobScheduler::cancel(const std::string& id) {
   JobState expected = JobState::kQueued;
   if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
                                          std::memory_order_acq_rel)) {
+    // Winning the queued -> cancelled exchange makes this thread the last
+    // reader of job->circuit: the executor skips a job it cannot claim.
+    job->circuit.reset();
     {
       std::lock_guard<std::mutex> lock(job->mu);
       job->error = "cancelled before start";
@@ -495,6 +507,7 @@ void JobScheduler::run_job(Job& job) {
     // Simulated executor crash: the job dies mid-flight with NO terminal
     // journal record — exactly what a restart after SIGKILL would find. The
     // in-process outcome mirrors what recovery replay would surface.
+    job.circuit.reset();
     {
       std::lock_guard<std::mutex> lock(job.mu);
       job.error = "interrupted: executor crashed (injected serve.executor.crash)";
@@ -661,6 +674,8 @@ void JobScheduler::run_job(Job& job) {
         w.key("constraint_violation").value(r.constraint_violation);
         w.key("iterations").value(r.iterations);
         w.key("outer_iterations").value(r.outer_iterations);
+        w.key("value_evals").value(r.value_evals);
+        w.key("gradient_evals").value(r.gradient_evals);
         w.key("retries_used").value(r.retries_used);
         w.key("from_checkpoint").value(r.from_checkpoint);
         w.key("checkpoint_outer").value(r.checkpoint_outer);
@@ -682,6 +697,7 @@ void JobScheduler::run_job(Job& job) {
     error = e.what();
   }
 
+  job.circuit.reset();  // a finished job must not pin an evicted entry
   const double t_end = now_ms();
   // Terminal record BEFORE the state flip: once a poller can observe "done",
   // the journal must already know — a crash between flip and append would

@@ -96,7 +96,12 @@ struct Job {
   std::string id;  ///< "job-NNNNNN"
   JobType type = JobType::kSsta;
   JobParams params;
+  /// The entry the job runs against. Set at admission and read only by the
+  /// executor; every terminal path resets it, so a finished job does not
+  /// keep an evicted cache entry (say a PATCH-derived view copy) alive.
   std::shared_ptr<const CachedCircuit> circuit;
+  std::string circuit_key;   ///< circuit->key, kept for the job document
+  std::string circuit_name;  ///< circuit->name, kept for the job document
   std::string idempotency_key;  ///< empty = none; immutable after admission
 
   std::atomic<JobState> state{JobState::kQueued};
@@ -113,6 +118,9 @@ struct Job {
   /// Serializes the full job document (state, params echo, timings, and the
   /// result object when done) as one JSON object.
   std::string describe() const;
+
+  /// Admission: holds `entry` and records its key and name.
+  void set_circuit(std::shared_ptr<const CachedCircuit> entry);
 };
 
 struct SchedulerOptions {
@@ -188,6 +196,7 @@ class JobScheduler {
     JobType type = JobType::kSsta;
     JobParams params;
     std::shared_ptr<const CachedCircuit> circuit;  ///< may be null for terminal states
+    std::string circuit_key;                       ///< from the admit record
     std::string idempotency_key;
     JobState state = JobState::kQueued;  ///< kQueued re-enqueues; others install as-is
     std::string result_json;             ///< kDone payload

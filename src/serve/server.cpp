@@ -691,7 +691,7 @@ HttpResponse Server::handle_submit(const HttpRequest& request) {
   // ORIGINAL admission's, which is what the retried request actually got.
   w.key("state").value(job_state_name(job->state.load(std::memory_order_acquire)));
   w.key("type").value(job_type_name(job->type));
-  w.key("circuit").value(job->circuit ? job->circuit->key : "");
+  w.key("circuit").value(job->circuit_key);
   w.key("deduplicated").value(outcome.deduplicated);
   w.end_object();
   // 200 (not 202) for a dedup hit: nothing new was accepted for processing.
@@ -790,7 +790,6 @@ void Server::recover_from_journal() {
   replaying_ = true;
   struct Recovered {
     JobScheduler::RestoredJob job;
-    std::string circuit_key;
     bool started = false;
     bool ended = false;
   };
@@ -820,7 +819,7 @@ void Server::recover_from_journal() {
           r.job.params = job_params_from_json(*params);
         }
         r.job.idempotency_key = rec.doc.string_or("idempotency_key", "");
-        r.circuit_key = rec.doc.string_or("circuit", "");
+        r.job.circuit_key = rec.doc.string_or("circuit", "");
         by_id[r.job.id] = pending.size();
         pending.push_back(std::move(r));
       } else if (rec.kind == "start") {
@@ -850,7 +849,7 @@ void Server::recover_from_journal() {
   std::vector<JobScheduler::RestoredJob> restored;
   restored.reserve(pending.size());
   for (Recovered& r : pending) {
-    r.job.circuit = cache_.find(r.circuit_key);
+    r.job.circuit = cache_.find(r.job.circuit_key);
     if (r.ended) {
       // Terminal before the crash: reinstall verbatim so GET /v1/jobs/<id>
       // keeps answering with the exact pre-crash result.
@@ -867,7 +866,7 @@ void Server::recover_from_journal() {
       // Queued at crash but its circuit did not survive replay (torn tail or
       // eviction): a named failure, never a crash or a silent drop.
       r.job.state = JobState::kFailed;
-      r.job.error = "recovery failed: circuit " + r.circuit_key +
+      r.job.error = "recovery failed: circuit " + r.job.circuit_key +
                     " is not in the recovered cache (journal truncated or entry "
                     "evicted); re-upload it and re-submit";
       metrics_.jobs_recovered.inc();

@@ -390,6 +390,51 @@ TEST(ReducedEvaluatorTest, GradientIsBitwiseStableAcrossCallsAndEvaluators) {
   EXPECT_NE(g_detour, g_first);
 }
 
+TEST(ReducedEvaluatorTest, TapedForwardThenAdjointEqualsEvalWithGrad) {
+  // The sizer's split evaluation: many taped_forward trials, then one
+  // adjoint at the accepted point. The adjoint reads the last tape, so after
+  // a detour through other trial points it must still give exactly what one
+  // combined call on a fresh evaluator gives.
+  const Circuit c = netlist::make_mcnc_like("apex2");
+  std::vector<double> x(static_cast<std::size_t>(c.num_nodes()));
+  std::vector<double> trial(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 1.0 + 0.09 * static_cast<double>(i % 17);
+    trial[i] = 3.0 - 0.05 * static_cast<double>(i % 19);
+  }
+  std::vector<double> want;
+  const NormalRV t_want = ReducedEvaluator(c, {0.25, 0.02}).eval_with_grad(x, 1.0, 0.3, want);
+
+  const ReducedEvaluator split(c, {0.25, 0.02});
+  split.taped_forward(trial);
+  const NormalRV t = split.taped_forward(x);
+  std::vector<double> grad;
+  split.adjoint(x, 1.0, 0.3, grad);
+  EXPECT_EQ(t.mu, t_want.mu);
+  EXPECT_EQ(t.var, t_want.var);
+  EXPECT_EQ(grad, want);
+
+  // A second adjoint over the same tape with other seeds needs no new sweep.
+  std::vector<double> g_var;
+  std::vector<double> want_var;
+  split.adjoint(x, 0.0, 1.0, g_var);
+  ReducedEvaluator(c, {0.25, 0.02}).eval_with_grad(x, 0.0, 1.0, want_var);
+  EXPECT_EQ(g_var, want_var);
+}
+
+TEST(ReducedEvaluatorTest, AdjointRefusesAMissingOrStaleTape) {
+  const Circuit c = netlist::make_tree_circuit();
+  const ReducedEvaluator eval(c, {0.25, 0.0});
+  std::vector<double> x(static_cast<std::size_t>(c.num_nodes()), 1.5);
+  std::vector<double> y(x.size(), 2.0);
+  std::vector<double> grad;
+  EXPECT_THROW(eval.adjoint(x, 1.0, 0.0, grad), std::logic_error);  // never taped
+  eval.taped_forward(y);
+  EXPECT_THROW(eval.adjoint(x, 1.0, 0.0, grad), std::logic_error);  // tape is at y
+  eval.taped_forward(x);
+  EXPECT_NO_THROW(eval.adjoint(x, 1.0, 0.0, grad));
+}
+
 TEST(ReducedEvaluatorTest, SpeedingUpReducesDelayMetric) {
   // d(mu)/dS summed over all gates must be negative at S=1 (sizing helps).
   const Circuit c = netlist::make_mcnc_like("apex2");

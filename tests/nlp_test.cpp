@@ -576,22 +576,33 @@ TEST(AugLag, AcceptableStatusCountsAsOk) {
 // Projected L-BFGS.
 // ---------------------------------------------------------------------------
 
+/// Adapts a combined f-and-gradient function to the split objective: value()
+/// evaluates both and keeps the gradient for the gradient() call that may
+/// follow.
+template <class Fn>
+LbfgsObjective split(Fn fn) {
+  auto g_last = std::make_shared<std::vector<double>>();
+  return {[fn, g_last](const std::vector<double>& x) { return fn(x, *g_last); },
+          [g_last](std::vector<double>& g) { g = *g_last; }};
+}
+
+double rosenbrock(const std::vector<double>& x, std::vector<double>& g) {
+  const double a = x[1] - x[0] * x[0];
+  const double b = 1.0 - x[0];
+  g.resize(2);
+  g[0] = -400.0 * a * x[0] - 2.0 * b;
+  g[1] = 200.0 * a;
+  return 100.0 * a * a + b * b;
+}
+
 TEST(ProjectedLbfgs, SolvesRosenbrock) {
-  auto fn = [](const std::vector<double>& x, std::vector<double>& g) {
-    const double a = x[1] - x[0] * x[0];
-    const double b = 1.0 - x[0];
-    g.resize(2);
-    g[0] = -400.0 * a * x[0] - 2.0 * b;
-    g[1] = 200.0 * a;
-    return 100.0 * a * a + b * b;
-  };
   std::vector<double> x = {-1.2, 1.0};
   const std::vector<double> lo(2, -10.0);
   const std::vector<double> hi(2, 10.0);
   LbfgsOptions opt;
   opt.tol = 1e-7;
   opt.max_iterations = 2000;
-  const LbfgsResult r = minimize_projected_lbfgs(fn, x, lo, hi, opt);
+  const LbfgsResult r = minimize_projected_lbfgs(split(rosenbrock), x, lo, hi, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(x[0], 1.0, 1e-4);
   EXPECT_NEAR(x[1], 1.0, 1e-4);
@@ -605,7 +616,7 @@ TEST(ProjectedLbfgs, RespectsBounds) {
     return (x[0] - 3.0) * (x[0] - 3.0) + (x[1] + 2.0) * (x[1] + 2.0);
   };
   std::vector<double> x = {0.5, 0.5};
-  const LbfgsResult r = minimize_projected_lbfgs(fn, x, {0.0, 0.0}, {1.0, 1.0}, {});
+  const LbfgsResult r = minimize_projected_lbfgs(split(fn), x, {0.0, 0.0}, {1.0, 1.0}, {});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(x[0], 1.0, 1e-7);
   EXPECT_NEAR(x[1], 0.0, 1e-7);
@@ -631,9 +642,69 @@ TEST(ProjectedLbfgs, HighDimensionalQuadratic) {
   LbfgsOptions opt;
   opt.tol = 1e-6;
   opt.max_iterations = 1000;
-  const LbfgsResult r = minimize_projected_lbfgs(fn, x, lo, hi, opt);
+  const LbfgsResult r = minimize_projected_lbfgs(split(fn), x, lo, hi, opt);
   EXPECT_TRUE(r.converged);
   for (int i = 0; i < n; i += 37) EXPECT_NEAR(x[static_cast<std::size_t>(i)], 1.0, 1e-5);
+}
+
+TEST(ProjectedLbfgs, GradientOnlyAtStartAndAcceptedIterates) {
+  // A value-only trial must never be followed by a gradient request unless
+  // the line search accepts it. The mock logs every value() point and which
+  // of them gradient() was asked at: the first must be the start, each later
+  // one must be the point the next line search starts from (every trial
+  // after it is a step away from it), and the last must be the returned x.
+  struct Log {
+    std::vector<std::vector<double>> points;
+    std::vector<bool> with_gradient;
+  };
+  auto log = std::make_shared<Log>();
+  LbfgsObjective fn;
+  fn.value = [log](const std::vector<double>& x) {
+    log->points.push_back(x);
+    log->with_gradient.push_back(false);
+    std::vector<double> g;
+    return rosenbrock(x, g);
+  };
+  fn.gradient = [log](std::vector<double>& g) {
+    ASSERT_FALSE(log->points.empty()) << "gradient() before any value()";
+    ASSERT_FALSE(log->with_gradient.back()) << "gradient() twice for one value()";
+    log->with_gradient.back() = true;
+    rosenbrock(log->points.back(), g);
+  };
+
+  const std::vector<double> start = {-1.2, 1.0};
+  std::vector<double> x = start;
+  LbfgsOptions opt;
+  opt.tol = 1e-7;
+  opt.max_iterations = 2000;
+  const LbfgsResult r = minimize_projected_lbfgs(fn, x, std::vector<double>(2, -10.0),
+                                                 std::vector<double>(2, 10.0), opt);
+  ASSERT_TRUE(r.converged);
+
+  ASSERT_TRUE(log->with_gradient.front());
+  EXPECT_EQ(log->points.front(), start);
+  EXPECT_EQ(r.value_evals, static_cast<int>(log->points.size()));
+  // Converged: every iteration but the last accepted one step.
+  EXPECT_EQ(r.gradient_evals, r.iterations);
+  EXPECT_GT(r.value_evals, r.gradient_evals) << "Rosenbrock should need backtracks";
+
+  // Replay: between two gradient points, every value() trial is a rejected
+  // one, so its f fails the descent test the accepted point passes; the
+  // accepted point's f never rises above its predecessor's.
+  std::vector<double> scratch;
+  double f_accepted = rosenbrock(start, scratch);
+  std::vector<double> last_accepted = start;
+  int gradients = 0;
+  for (std::size_t k = 0; k < log->points.size(); ++k) {
+    if (!log->with_gradient[k]) continue;
+    ++gradients;
+    const double f_k = rosenbrock(log->points[k], scratch);
+    EXPECT_LE(f_k, f_accepted + 1e-12 * (1.0 + std::abs(f_accepted))) << "gradient at point " << k;
+    f_accepted = f_k;
+    last_accepted = log->points[k];
+  }
+  EXPECT_EQ(gradients, r.gradient_evals);
+  EXPECT_EQ(last_accepted, x);
 }
 
 // Randomized equality-constrained quadratics: min ||x - a||^2 s.t. b^T x = 1.

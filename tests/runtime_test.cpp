@@ -478,6 +478,40 @@ TEST(Determinism, ReducedSpaceGradientBitwiseEqualAcrossThreadCounts) {
   }
 }
 
+TEST(Determinism, TapedForwardTmaxEqualsEvalAcrossThreadCounts) {
+  // The reduced-space sizer derives f and the adjoint seeds from the taped
+  // sweep's Tmax instead of a separate eval() probe. That is only sound if
+  // the two are the same doubles — cold tape (pooled full sweep on k2),
+  // re-taped at another point (incremental cone path), at any thread count.
+  ThreadGuard guard;
+  for (const char* name : {"k2", "apex2"}) {
+    const netlist::Circuit c = netlist::make_mcnc_like(name);
+    std::vector<double> x(static_cast<std::size_t>(c.num_nodes()));
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.0 + 0.17 * static_cast<double>(i % 13);
+    // y moves one deep gate only, so re-taping at y takes the cone path.
+    std::vector<double> y = x;
+    y[static_cast<std::size_t>(c.view().gates_in_topo_order().back())] = 2.9;
+    runtime::set_threads(1);
+    const core::ReducedEvaluator ref(c, {0.25, 0.02});
+    const stat::NormalRV want_x = ref.eval(x);
+    const stat::NormalRV want_y = ref.eval(y);
+    for (int threads : {1, 2, 4}) {
+      runtime::set_threads(threads);
+      const core::ReducedEvaluator eval(c, {0.25, 0.02});
+      const stat::NormalRV cold = eval.taped_forward(x);
+      const stat::NormalRV moved = eval.taped_forward(y);
+      const stat::NormalRV back = eval.taped_forward(x);
+      EXPECT_LT(eval.last_forward_recomputes(), static_cast<std::size_t>(c.num_gates()));
+      for (const auto& [got, want] : {std::pair{cold, want_x}, std::pair{moved, want_y},
+                                      std::pair{back, want_x}}) {
+        EXPECT_EQ(got.mu, want.mu) << name << " threads=" << threads;
+        EXPECT_EQ(got.var, want.var) << name << " threads=" << threads;
+      }
+      EXPECT_EQ(eval.eval(x).mu, want_x.mu);
+    }
+  }
+}
+
 TEST(Determinism, KernelsBitwiseEqualAcrossThreadCounts) {
   // The full acceptance matrix: --jobs {1,2,4} for every kernel a sizing run
   // uses — the pooled ones (SSTA level sweep, Monte Carlo, criticality) and

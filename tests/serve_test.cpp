@@ -480,6 +480,41 @@ TEST_F(ServeTest, PatchValidatesAndCreatesDerivedEntry) {
   EXPECT_NE(other.json().string_or("key", ""), derived);
 }
 
+TEST_F(ServeTest, FinishedJobReleasesItsEvictedCircuit) {
+  // A PATCH-derived entry owns a TimingView copy. Once its job is done and
+  // the cache evicts it, nothing may keep it alive — the job document keeps
+  // only the key.
+  serve::ServerOptions options;
+  options.cache_capacity = 2;
+  StartServer(options);
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const auto [g0, g1] = c17_gates();
+  auto patch = [&](netlist::NodeId node, double t_int) {
+    serve::ApiResult r = client_->request(
+        "PATCH", "/v1/circuits/" + key,
+        "{\"edits\": [{\"node\": " + std::to_string(node) +
+            ", \"t_int\": " + std::to_string(t_int) + "}]}");
+    EXPECT_EQ(r.status, 201) << r.body;
+    return r.json().string_or("key", "");
+  };
+  const std::string derived = patch(g0, 2.5);
+  std::weak_ptr<const serve::CachedCircuit> entry = server_->cache().find(derived);
+  ASSERT_FALSE(entry.expired());
+
+  const std::string id = client_->submit(job_body(derived, "ssta"));
+  ASSERT_EQ(client_->wait(id).string_or("state", ""), "done");
+
+  // Two more derived entries push `derived` out of the two-slot cache (each
+  // PATCH touches the base first, so the base stays).
+  patch(g1, 2.5);
+  patch(g1, 3.5);
+  EXPECT_TRUE(entry.expired()) << "a finished job still pins its evicted circuit";
+
+  const util::JsonValue doc = client_->wait(id);
+  EXPECT_EQ(doc.string_or("circuit", ""), derived);
+  EXPECT_EQ(doc.string_or("circuit_name", ""), "c17");
+}
+
 TEST_F(ServeTest, ListAndPatchResponsesReportTheCircuitsShape) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif", "c17");

@@ -5,6 +5,7 @@
 #include "core/sizer.h"
 
 #include "netlist/generators.h"
+#include "runtime/runtime.h"
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
 
@@ -308,6 +309,55 @@ TEST(SizerValidation, RejectsUnfinalizedAndBadSpecs) {
   SizingSpec sigma_unconstrained;
   sigma_unconstrained.objective = Objective::min_sigma();
   EXPECT_THROW(Sizer(c, sigma_unconstrained), std::invalid_argument);
+}
+
+TEST(SizerReducedSpace, Apex2MinMuPlus3SigmaIsPinned) {
+  // The reduced-space solve every served size job runs, pinned to its
+  // iteration count and result doubles: which trials get an adjoint is a
+  // cost decision and must not move a single iterate.
+  const Circuit c = netlist::make_mcnc_like("apex2");
+  SizingSpec spec;
+  spec.objective = Objective::min_delay(3.0);
+  const SizingResult r = Sizer(c, spec).run(opts(Method::kReducedSpace));
+  ASSERT_TRUE(r.converged) << r.status;
+  EXPECT_EQ(r.iterations, 233);
+  EXPECT_EQ(r.circuit_delay.mu, 53.53354626749283);
+  EXPECT_EQ(r.circuit_delay.sigma(), 0.9604921146121401);
+  EXPECT_EQ(r.sum_speed, 210.9600845862904);
+  EXPECT_EQ(r.objective_value, 56.41502261132925);
+  // Converged inner solve: one gradient at the start, one per accepted step.
+  EXPECT_EQ(r.gradient_evals, r.iterations);
+  EXPECT_GT(r.value_evals, r.gradient_evals);
+}
+
+TEST(SizerReducedSpace, EvaluationCountsAreThreadCountInvariant) {
+  // k2 is above the pooled forward-sweep cutoff. Counts are deterministic
+  // work measures, so they match across --jobs like the result bits; the
+  // solve is capped to keep the test short.
+  const Circuit c = netlist::make_mcnc_like("k2");
+  SizingSpec spec;
+  spec.objective = Objective::min_area();
+  spec.delay_constraint = DelayConstraint::at_most(140.3, 3.0);
+  SizerOptions o = opts(Method::kReducedSpace);
+  o.max_outer_iterations = 3;
+  o.max_inner_iterations = 40;
+
+  const int saved = runtime::threads();
+  runtime::set_threads(1);
+  const SizingResult r1 = Sizer(c, spec).run(o);
+  runtime::set_threads(4);
+  const SizingResult r4 = Sizer(c, spec).run(o);
+  runtime::set_threads(saved);
+
+  EXPECT_EQ(r4.value_evals, r1.value_evals);
+  EXPECT_EQ(r4.gradient_evals, r1.gradient_evals);
+  EXPECT_EQ(r4.iterations, r1.iterations);
+  EXPECT_EQ(r4.speed, r1.speed);
+  // One gradient per inner solve's start point plus at most one per
+  // iteration; every other evaluation is a value-only trial.
+  EXPECT_GT(r1.gradient_evals, 0);
+  EXPECT_LE(r1.gradient_evals, r1.iterations + r1.outer_iterations);
+  EXPECT_GT(r1.value_evals, r1.gradient_evals);
 }
 
 TEST(SizerYield, MuPlus3SigmaSizingMeetsDeadlineInMonteCarlo) {

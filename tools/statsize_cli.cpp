@@ -436,6 +436,7 @@ int main(int argc, char** argv) {
     const core::SizingResult r = core::Sizer(circuit, spec).run(opt);
     std::printf("\nstatus: %s (%.2f s, %d iterations)\n", r.status.c_str(), r.wall_seconds,
                 r.iterations);
+    std::printf("evaluations: %d values, %d gradients\n", r.value_evals, r.gradient_evals);
     if (r.retries_used > 0 || r.from_checkpoint || !r.breakdown_site.empty()) {
       std::printf("resilience: retries=%d%s%s%s\n", r.retries_used,
                   r.from_checkpoint ? ", returned best-iterate checkpoint" : "",
