@@ -38,9 +38,10 @@ if [ "$SANITIZE" = "thread" ]; then
   # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo,
   # the nlp + core suites whose sizing runs drive the pooled forward sweeps
   # and Monte Carlo chunks, and the TimingView suite every parallel sweep
-  # traverses. The sizer suite joins them: its reduced-space solves run the
-  # pooled forward sweep on k2-size circuits once per line-search trial, with
-  # the serial adjoint reading the same tape. The resilience suite rides along: cancellation polls and fault
+  # traverses. The sizer suite joins them: its solves run run_ssta's pooled
+  # level sweep on k2-size circuits (constraint probes, scores, result
+  # reports) between calls to the reduced-space tape and adjoint, which run
+  # serially on the calling thread. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
   # tests cross socket threads, the scheduler's executor, and the circuit

@@ -8,6 +8,8 @@
 #include "core/full_space.h"
 #include "nlp/derivative_check.h"
 #include "ssta/delay_model.h"
+#include "ssta/propagate.h"
+#include "ssta/ssta.h"
 #include "stat/clark.h"
 
 namespace statsize::analyze {
@@ -93,6 +95,19 @@ Report audit_clark_degeneracy(const netlist::Circuit& circuit, const ssta::Sigma
                "ill-conditioned; raise the sigma model's kappa/offset or review the merge");
   };
 
+  // The SSTA fold with check_pair on every merge; a merge's result is
+  // constant only when both operands were.
+  auto checked_fold = [&](const std::vector<NodeId>& nodes, auto&& locus, const char* where) {
+    bool acc_const = is_const[static_cast<std::size_t>(nodes[0])] != 0;
+    return ssta::fold_max(
+        nodes, arrival, [&](const NormalRV& acc, const NormalRV& b, std::size_t k) {
+          const bool b_const = is_const[static_cast<std::size_t>(nodes[k])] != 0;
+          check_pair(acc, b, !acc_const || !b_const, locus(nodes[k]), where + std::to_string(k));
+          acc_const = acc_const && b_const;
+          return stat::clark_max(acc, b);
+        });
+  };
+
   for (NodeId id : circuit.topo_order()) {
     const netlist::Node& n = circuit.node(id);
     const std::size_t i = static_cast<std::size_t>(id);
@@ -101,29 +116,14 @@ Report audit_clark_degeneracy(const netlist::Circuit& circuit, const ssta::Sigma
       is_const[i] = 1;
       continue;
     }
-    NormalRV u = arrival[static_cast<std::size_t>(n.fanins[0])];
-    bool u_const = is_const[static_cast<std::size_t>(n.fanins[0])] != 0;
-    for (std::size_t k = 1; k < n.fanins.size(); ++k) {
-      const std::size_t f = static_cast<std::size_t>(n.fanins[k]);
-      check_pair(u, arrival[f], !u_const || !is_const[f], "gate '" + n.name + "'",
-                 "fanin merge " + std::to_string(k));
-      u = stat::clark_max(u, arrival[f]);
-      u_const = u_const && is_const[f];
-    }
-    arrival[i] = stat::add(u, delays[i]);
+    arrival[i] = stat::add(
+        checked_fold(n.fanins, [&](NodeId) { return "gate '" + n.name + "'"; },
+                     "fanin merge "),
+        delays[i]);
   }
-
-  const std::vector<NodeId>& outs = circuit.outputs();
-  NormalRV total = arrival[static_cast<std::size_t>(outs[0])];
-  bool total_const = is_const[static_cast<std::size_t>(outs[0])] != 0;
-  for (std::size_t k = 1; k < outs.size(); ++k) {
-    const std::size_t o = static_cast<std::size_t>(outs[k]);
-    check_pair(total, arrival[o], !total_const || !is_const[o],
-               "output '" + circuit.node(outs[k]).name + "'",
-               "primary-output merge " + std::to_string(k));
-    total = stat::clark_max(total, arrival[o]);
-    total_const = total_const && is_const[o];
-  }
+  checked_fold(
+      circuit.outputs(), [&](NodeId o) { return "output '" + circuit.node(o).name + "'"; },
+      "primary-output merge ");
   return report;
 }
 
@@ -233,29 +233,13 @@ Report audit_model(const netlist::Circuit& circuit, const ModelAuditOptions& opt
   report.merge(
       audit_clark_degeneracy(circuit, options.sigma_model, unit, options.theta_threshold));
 
+  // Cheap bound for the constraint: SSTA at S = 1 (the slowest sizing).
+  const NormalRV total =
+      ssta::run_ssta(ssta::DelayCalculator(circuit, options.sigma_model), unit).circuit_delay;
+
   // Audit spec: mu + 3 sigma objective plus a just-tight delay constraint so
   // the formulation materializes every element family (Product, Square,
   // Clark, Sqrt) and the inequality slack.
-  const ssta::DelayCalculator calc(circuit, options.sigma_model);
-  NormalRV total{0.0, 0.0};
-  {
-    // Cheap bound for the constraint: SSTA at S = 1 (the slowest sizing).
-    const std::vector<NormalRV> delays = calc.all_delays(unit);
-    std::vector<NormalRV> arrival(static_cast<std::size_t>(circuit.num_nodes()));
-    for (NodeId id : circuit.topo_order()) {
-      const netlist::Node& n = circuit.node(id);
-      if (n.kind == NodeKind::kPrimaryInput) continue;
-      NormalRV u = arrival[static_cast<std::size_t>(n.fanins[0])];
-      for (std::size_t k = 1; k < n.fanins.size(); ++k) {
-        u = stat::clark_max(u, arrival[static_cast<std::size_t>(n.fanins[k])]);
-      }
-      arrival[static_cast<std::size_t>(id)] = stat::add(u, delays[static_cast<std::size_t>(id)]);
-    }
-    total = arrival[static_cast<std::size_t>(circuit.outputs()[0])];
-    for (std::size_t k = 1; k < circuit.outputs().size(); ++k) {
-      total = stat::clark_max(total, arrival[static_cast<std::size_t>(circuit.outputs()[k])]);
-    }
-  }
   core::SizingSpec audit_spec_ = base;
   audit_spec_.objective = core::Objective::min_delay(3.0);
   audit_spec_.delay_constraint =

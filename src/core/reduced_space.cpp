@@ -7,28 +7,15 @@
 #include <utility>
 
 #include "netlist/timing_view.h"
-#include "runtime/level_schedule.h"
-#include "runtime/runtime.h"
+#include "ssta/propagate.h"
 #include "ssta/ssta.h"
 #include "stat/clark.h"
 
 namespace statsize::core {
 
 using netlist::NodeId;
-using netlist::NodeKind;
 using stat::ClarkGrad;
 using stat::NormalRV;
-
-namespace {
-
-/// Bitwise moment comparison — the incremental sweep's propagation-
-/// termination predicate (see IncrementalEngine; same rationale).
-bool same_bits(const NormalRV& a, const NormalRV& b) {
-  return std::memcmp(&a.mu, &b.mu, sizeof(double)) == 0 &&
-         std::memcmp(&a.var, &b.var, sizeof(double)) == 0;
-}
-
-}  // namespace
 
 // The persistent forward tape (DESIGN.md §12): everything the adjoint sweep
 // reads, kept across calls so an incremental forward only rewrites the
@@ -54,11 +41,7 @@ struct ReducedEvaluator::ForwardCache {
   std::vector<unsigned char> noted_mask;
   std::uint64_t noted_epoch = 0;
 
-  // Worklist scratch (persistent to avoid per-call allocation).
-  std::vector<NodeId> dirty;
-  std::vector<unsigned char> dirty_mask;
-  std::vector<std::vector<NodeId>> bucket;  ///< per gate level
-  std::vector<unsigned char> queued_mask;
+  ssta::ConeWorklist cone;  ///< persistent to avoid per-call allocation
 
   std::size_t last_recomputes = 0;
 
@@ -161,134 +144,75 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
     f.out_step_begin = gate_steps;
     f.steps.resize(gate_steps + outs.size() - 1);
     if (f.noted_mask.size() != n) f.noted_mask.assign(n, 0);
-    f.dirty_mask.assign(n, 0);
-    f.queued_mask.assign(n, 0);
-    f.bucket.assign(static_cast<std::size_t>(view.num_levels()), {});
+    f.cone = ssta::ConeWorklist(view);
     f.structure_built = true;
   }
 
   const ssta::DelayCalculator calc(view, sigma_model_);
 
-  // Records gate `id`'s fold into the tape. Fold convention everywhere:
-  // operand A = running accumulator, operand B = the new fanin/output
-  // arrival. A gate writes only arrival/delay[i] and its own step slice and
-  // reads strictly-lower-level arrivals, so the full sweep can run
-  // level-parallel with bit-identical results; the incremental path below
-  // reuses the identical per-gate arithmetic serially.
-  auto eval_gate = [&](NodeId id) {
-    const netlist::NodeSpan fanins = view.fanins(id);
-    const std::size_t i = static_cast<std::size_t>(id);
-    NormalRV u = f.arrival[static_cast<std::size_t>(fanins[0])];
-    for (std::size_t k = 1; k < fanins.size(); ++k) {
-      ClarkGrad g;
-      u = stat::clark_max_grad(u, f.arrival[static_cast<std::size_t>(fanins[k])], g);
-      f.steps[f.step_begin[i] + (k - 1)] = g;
-    }
-    f.delay[i] = calc.delay(id, speed);
-    f.arrival[i] = stat::add(u, f.delay[i]);
-  };
-
   // Incremental is sound only when the tape is valid AND every view edit
   // since the tape was written is accounted for: either the epoch is
   // unchanged (speed-diff dirt only) or note_edits was called after the last
   // edit (noted_epoch caught up). An un-noted edit leaves noted_epoch
-  // behind and forces the full resweep.
+  // behind and forces a cold tape.
   const std::uint64_t cur_epoch = view.epoch();
   const bool incremental =
       f.valid && f.speed.size() == n &&
       (cur_epoch == f.view_epoch || (!f.noted.empty() && cur_epoch == f.noted_epoch));
-  // A cancel poll in the pooled sweep can unwind mid-rewrite; until the
-  // sweep completes, the tape is neither a base for the cone path nor
-  // something adjoint() may read.
+  // Until the sweep completes, the tape is neither a base for the cone path
+  // nor something adjoint() may read.
   f.valid = false;
 
   if (!incremental) {
+    // Cold tape: every delay computed and every gate seeded unconditionally
+    // — a gate whose delay equals the zeroed slot bit for bit must still
+    // fold its fanins and record its steps.
     f.arrival.assign(n, NormalRV{});
     f.delay.assign(n, NormalRV{});
-    const bool parallel =
-        runtime::threads() > 1 && view.num_gates() >= ssta::kParallelGateCutoff;
-    if (parallel) {
-      runtime::LevelSchedule(view).for_each_gate(ssta::kGateGrain, eval_gate);
-    } else {
-      for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
+    for (NodeId g : view.gates_in_topo_order()) {
+      f.delay[static_cast<std::size_t>(g)] = calc.delay(g, speed);
+      f.cone.seed(view, g);
     }
-    f.last_recomputes = static_cast<std::size_t>(view.num_gates());
   } else {
     // Delay-dirty set: speed-diff gates and noted nodes, each widened by its
     // gate fanins (a driver's load carries the edited gate's c_in * S term).
-    f.dirty.clear();
-    auto mark = [&](NodeId g) {
-      if (!view.is_gate(g)) return;
-      unsigned char& m = f.dirty_mask[static_cast<std::size_t>(g)];
-      if (!m) {
-        m = 1;
-        f.dirty.push_back(g);
-      }
-    };
     for (NodeId g : view.gates_in_topo_order()) {
       const std::size_t i = static_cast<std::size_t>(g);
-      if (std::memcmp(&speed[i], &f.speed[i], sizeof(double)) != 0) {
-        mark(g);
-        for (NodeId fi : view.fanins(g)) mark(fi);
-      }
+      if (std::memcmp(&speed[i], &f.speed[i], sizeof(double)) != 0) f.cone.mark_edit(view, g);
     }
-    for (NodeId u : f.noted) {
-      mark(u);
-      for (NodeId fi : view.fanins(u)) mark(fi);
-    }
-    // Recompute dirty delays; a bitwise-changed delay seeds the worklist.
-    for (NodeId g : f.dirty) {
-      const std::size_t i = static_cast<std::size_t>(g);
-      f.dirty_mask[i] = 0;
+    for (NodeId u : f.noted) f.cone.mark_edit(view, u);
+    f.cone.recompute_dirty(view, [&](NodeId g) {
       const NormalRV d = calc.delay(g, speed);
-      if (!same_bits(d, f.delay[i])) {
-        f.delay[i] = d;
-        if (!f.queued_mask[i]) {
-          f.queued_mask[i] = 1;
-          f.bucket[static_cast<std::size_t>(view.level(g) - 1)].push_back(g);
-        }
-      }
-    }
-    f.dirty.clear();
-
-    // Level-ordered cone repropagation (serial: the cone is the small case
-    // this path exists for; a gate not refolded keeps its bitwise-identical
-    // tape slice). A changed arrival enqueues the gate's fanouts — always at
-    // strictly higher levels, so the bucket being drained never grows.
-    std::size_t recomputes = 0;
-    const int num_levels = view.num_levels();
-    for (int l = 0; l < num_levels; ++l) {
-      std::vector<NodeId>& bucket = f.bucket[static_cast<std::size_t>(l)];
-      if (bucket.empty()) continue;
-      for (std::size_t bi = 0; bi < bucket.size(); ++bi) {
-        const NodeId g = bucket[bi];
-        const std::size_t i = static_cast<std::size_t>(g);
-        f.queued_mask[i] = 0;
-        const NormalRV before = f.arrival[i];
-        eval_gate(g);
-        ++recomputes;
-        if (same_bits(before, f.arrival[i])) continue;
-        for (NodeId fo : view.fanouts(g)) {
-          const std::size_t o = static_cast<std::size_t>(fo);
-          if (!f.queued_mask[o]) {
-            f.queued_mask[o] = 1;
-            f.bucket[static_cast<std::size_t>(view.level(fo) - 1)].push_back(fo);
-          }
-        }
-      }
-      bucket.clear();
-    }
-    f.last_recomputes = recomputes;
+      NormalRV& slot = f.delay[static_cast<std::size_t>(g)];
+      if (ssta::same_bits(d, slot)) return false;
+      slot = d;
+      return true;
+    });
   }
+
+  // Refold the seeded cone level by level, recording each gate's steps into
+  // its own slice (operand A = the running accumulator). A gate not refolded
+  // has bitwise-identical fanin arrivals, hence an identical slice already.
+  f.last_recomputes = f.cone.drain(view, [&](NodeId g) {
+    const std::size_t i = static_cast<std::size_t>(g);
+    ClarkGrad* steps = f.steps.data() + f.step_begin[i];
+    const NormalRV u = ssta::fold_max(
+        view.fanins(g), f.arrival, [&](const NormalRV& a, const NormalRV& b, std::size_t k) {
+          return stat::clark_max_grad(a, b, steps[k - 1]);
+        });
+    const NormalRV a = stat::add(u, f.delay[i]);
+    if (ssta::same_bits(a, f.arrival[i])) return false;
+    f.arrival[i] = a;
+    return true;
+  });
 
   // The primary-output fold is always re-recorded (it is O(outputs) and its
   // operand-A accumulator depends on every output's arrival).
-  NormalRV tmax = f.arrival[static_cast<std::size_t>(outs[0])];
-  for (std::size_t k = 1; k < outs.size(); ++k) {
-    ClarkGrad g;
-    tmax = stat::clark_max_grad(tmax, f.arrival[static_cast<std::size_t>(outs[k])], g);
-    f.steps[f.out_step_begin + (k - 1)] = g;
-  }
+  ClarkGrad* out_steps = f.steps.data() + f.out_step_begin;
+  const NormalRV tmax = ssta::fold_max(
+      outs, f.arrival, [&](const NormalRV& a, const NormalRV& b, std::size_t k) {
+        return stat::clark_max_grad(a, b, out_steps[k - 1]);
+      });
 
   f.speed = speed;
   f.view_epoch = cur_epoch;
@@ -320,30 +244,29 @@ void ReducedEvaluator::adjoint(const std::vector<double>& speed, double seed_mu,
   std::vector<double>& amu = f.amu;
   std::vector<double>& avar = f.avar;
 
-  // Through the primary-output fold (reverse order). The accumulator adjoint
-  // flows backward through operand-A slots; operand-B feeds each output.
-  {
-    double acc_mu = seed_mu;
-    double acc_var = seed_var;
-    for (std::size_t k = outs.size(); k-- > 1;) {
-      const ClarkGrad& g = f.steps[f.out_step_begin + (k - 1)];
-      const std::size_t o = static_cast<std::size_t>(outs[k]);
-      amu[o] += acc_mu * g.dmu[1] + acc_var * g.dvar[1];
-      avar[o] += acc_mu * g.dmu[3] + acc_var * g.dvar[3];
+  // Back through one recorded fold_max, last step first. The accumulator
+  // adjoint flows backward through operand-A slots; operand B feeds each
+  // node.
+  auto unfold = [&](const auto& nodes, const ClarkGrad* steps, double acc_mu, double acc_var) {
+    for (std::size_t k = nodes.size(); k-- > 1;) {
+      const ClarkGrad& g = steps[k - 1];
+      const std::size_t b = static_cast<std::size_t>(nodes[k]);
+      amu[b] += acc_mu * g.dmu[1] + acc_var * g.dvar[1];
+      avar[b] += acc_mu * g.dmu[3] + acc_var * g.dvar[3];
       const double new_mu = acc_mu * g.dmu[0] + acc_var * g.dvar[0];
       const double new_var = acc_mu * g.dmu[2] + acc_var * g.dvar[2];
       acc_mu = new_mu;
       acc_var = new_var;
     }
-    amu[static_cast<std::size_t>(outs[0])] += acc_mu;
-    avar[static_cast<std::size_t>(outs[0])] += acc_var;
-  }
+    amu[static_cast<std::size_t>(nodes[0])] += acc_mu;
+    avar[static_cast<std::size_t>(nodes[0])] += acc_var;
+  };
+  unfold(outs, f.steps.data() + f.out_step_begin, seed_mu, seed_var);
 
   // Through the gates, highest level first: a gate's amu/avar are final once
   // every fanout (always at a strictly higher level) has run. Every
   // per-target accumulation happens in this fixed order, so the gradient is
-  // the same double at any thread count (the sweep is serial; only the
-  // forward sweep uses the pool).
+  // the same double at any thread count.
   const double kappa = sigma_model_.kappa;
   const double offset = sigma_model_.offset;
   for (int l = view.num_levels(); l-- > 0;) {
@@ -372,22 +295,7 @@ void ReducedEvaluator::adjoint(const std::vector<double>& speed, double seed_mu,
         grad[static_cast<std::size_t>(fanouts[k])] += adj_mu_t * drive_c * fo_cin[k] / s_own;
       }
 
-      // Through this gate's fanin fold, reverse order.
-      double acc_mu = a_mu;
-      double acc_var = a_var;
-      const netlist::NodeSpan fanins = view.fanins(id);
-      for (std::size_t k = fanins.size(); k-- > 1;) {
-        const ClarkGrad& g = f.steps[f.step_begin[i] + (k - 1)];
-        const std::size_t fk = static_cast<std::size_t>(fanins[k]);
-        amu[fk] += acc_mu * g.dmu[1] + acc_var * g.dvar[1];
-        avar[fk] += acc_mu * g.dmu[3] + acc_var * g.dvar[3];
-        const double new_mu = acc_mu * g.dmu[0] + acc_var * g.dvar[0];
-        const double new_var = acc_mu * g.dmu[2] + acc_var * g.dvar[2];
-        acc_mu = new_mu;
-        acc_var = new_var;
-      }
-      amu[static_cast<std::size_t>(fanins[0])] += acc_mu;
-      avar[static_cast<std::size_t>(fanins[0])] += acc_var;
+      unfold(view.fanins(id), f.steps.data() + f.step_begin[i], a_mu, a_var);
     }
   }
 }

@@ -12,20 +12,18 @@
 // trial needs nothing more), and adjoint() is one reverse sweep over that
 // tape, run only where the optimizer accepts the point.
 //
-// The full forward sweep runs level-parallel on the global runtime pool
-// (DESIGN.md §7); its writes are per-gate disjoint. The adjoint sweep's
-// amu/avar/grad scatters overlap, so it runs serially in reverse level
-// order. Results are equal at any thread count.
+// Both sweeps are serial (DESIGN.md §7), so results are equal at any thread
+// count.
 //
 // ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
-// delays, recorded Clark steps) across calls. When the next call's
-// speed vector differs from the cached one on a few gates only — or the
-// view's delay-model constants were edited and note_edits() named the nodes
-// — the forward sweep repropagates just the affected cone, worklist-style,
-// and the adjoint runs over the patched tape. A gate not recomputed has
-// bitwise-identical fanin arrivals, hence bitwise-identical cached steps, so
-// the incremental gradient is bit-identical to a cold evaluation (pinned by
-// tests and bench/eco_incremental).
+// delays, recorded Clark steps) across calls. The forward sweep runs on
+// ssta::ConeWorklist: only the gates whose speed (or, via note_edits(), whose
+// delay-model constants) changed are delay-dirty, and only the cone they
+// reach is refolded; the adjoint runs over the patched tape. A gate not
+// refolded has bitwise-identical fanin arrivals, hence bitwise-identical
+// cached steps, so the incremental gradient is bit-identical to a cold
+// evaluation (pinned by tests and bench/eco_incremental). A cold tape is the
+// same worklist with every gate seeded.
 
 #pragma once
 
@@ -69,8 +67,7 @@ class ReducedEvaluator {
   /// arrival to fold) instead of underflowing the step-slice arithmetic.
   ///
   /// Not safe for concurrent calls on one instance: the forward tape is
-  /// cached across calls (the full forward sweep itself fans out across the
-  /// global pool internally).
+  /// cached across calls.
   stat::NormalRV taped_forward(const std::vector<double>& speed) const;
 
   /// Reverse sweep over the tape of the last taped_forward, which must have
@@ -100,14 +97,14 @@ class ReducedEvaluator {
   /// taped sweep. Call *after* the edits: the evaluator records the view's
   /// current epoch, and the next forward sweep repropagates only the cone of
   /// the noted nodes (plus any speed-diff dirt). Edits made without a note
-  /// are still safe — the epoch mismatch forces a full resweep.
+  /// are still safe — the epoch mismatch forces a cold tape.
   void note_edits(const std::vector<netlist::NodeId>& nodes);
 
-  /// Drops the forward tape; the next taped_forward runs a full sweep.
+  /// Drops the forward tape; the next taped_forward builds a cold one.
   void invalidate();
 
   /// Gates whose arrival fold actually ran in the last taped_forward
-  /// sweep (== num_gates for a full sweep) — the observable
+  /// sweep (== num_gates for a cold tape) — the observable
   /// "gradient re-eval scales with cone size" contract.
   std::size_t last_forward_recomputes() const;
 

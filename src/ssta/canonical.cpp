@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "netlist/timing_view.h"
+#include "ssta/propagate.h"
 #include "stat/clark.h"
 
 namespace statsize::ssta {
@@ -130,30 +131,21 @@ CanonicalTimingReport run_canonical_ssta(const netlist::Circuit& circuit,
   CanonicalTimingReport report;
   report.arrival.resize(static_cast<std::size_t>(view.num_nodes()));
   int next_source = view.num_nodes();  // residual ids beyond gate ids
+  const auto max = [&](const CanonicalForm& a, const CanonicalForm& b) {
+    return CanonicalForm::max(a, b, next_source);
+  };
 
   for (NodeId id : view.topo_order()) {
     if (view.kind(id) == NodeKind::kPrimaryInput) {
       report.arrival[static_cast<std::size_t>(id)] = CanonicalForm::constant(0.0);
       continue;
     }
-    const netlist::NodeSpan fanins = view.fanins(id);
-    CanonicalForm u = report.arrival[static_cast<std::size_t>(fanins[0])];
-    for (std::size_t k = 1; k < fanins.size(); ++k) {
-      u = CanonicalForm::max(u, report.arrival[static_cast<std::size_t>(fanins[k])],
-                             next_source);
-    }
     const NormalRV& d = gate_delays[static_cast<std::size_t>(id)];
-    report.arrival[static_cast<std::size_t>(id)] = CanonicalForm::add(
-        u, CanonicalForm::variable(d.mu, static_cast<int>(id), d.sigma()));
+    report.arrival[static_cast<std::size_t>(id)] =
+        CanonicalForm::add(fold_max(view.fanins(id), report.arrival, max),
+                           CanonicalForm::variable(d.mu, static_cast<int>(id), d.sigma()));
   }
-
-  const std::vector<NodeId>& outs = view.outputs();
-  CanonicalForm total = report.arrival[static_cast<std::size_t>(outs[0])];
-  for (std::size_t k = 1; k < outs.size(); ++k) {
-    total = CanonicalForm::max(total, report.arrival[static_cast<std::size_t>(outs[k])],
-                               next_source);
-  }
-  report.circuit_delay = std::move(total);
+  report.circuit_delay = fold_max(view.outputs(), report.arrival, max);
   return report;
 }
 

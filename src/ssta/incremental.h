@@ -10,23 +10,22 @@
 //      gate fanins (a speed or c_in change shifts every driver's load through
 //      the edited gate's pin cap; eq. 14).
 //   2. Dirty delays are recomputed; gates whose delay actually changed
-//      (bitwise) seed a level-bucketed worklist.
-//   3. Levels are processed in ascending order: each queued gate refolds its
-//      fanin arrivals (the same left Clark-max fold as run_ssta) and, iff the
-//      resulting arrival differs bitwise from the cached one, enqueues its
-//      fanouts. A bitwise-unchanged arrival terminates propagation — every
-//      downstream read would see identical inputs, so downstream results are
-//      already correct to the last bit.
+//      (bitwise) seed the level-bucketed ConeWorklist (ssta/propagate.h).
+//   3. Levels are drained in ascending order: each queued gate refolds its
+//      fanin arrivals (run_ssta's fold_max) and, iff the resulting arrival
+//      differs bitwise from the cached one, enqueues its fanouts. A
+//      bitwise-unchanged arrival terminates propagation — every downstream
+//      read would see identical inputs, so downstream results are already
+//      correct to the last bit.
 //   4. The primary-output fold recomputes Tmax.
 //
 // Determinism: each gate's fold is a self-contained serial computation that
 // reads strictly-lower-level arrivals and writes its own slot, so the order
 // gates *within* one level bucket are evaluated in cannot change any value.
-// The only cross-gate folds (fanin fold, output fold) run in fixed edge /
-// mark_output order, exactly as run_ssta's. Hence every answer is
-// bit-identical to a full run_ssta recompute on the edited view, at any
-// --jobs, which is what tests and bench/eco_incremental hard-check. The
-// worklist itself is serial: a dirty cone is the small case it exists for.
+// The folds are run_ssta's own, in fixed edge / mark_output order. Hence
+// every answer is bit-identical to a full run_ssta recompute on the edited
+// view, at any --jobs, which is what tests and bench/eco_incremental
+// hard-check.
 
 #pragma once
 
@@ -36,6 +35,7 @@
 #include "netlist/circuit.h"
 #include "netlist/timing_view.h"
 #include "ssta/delay_model.h"
+#include "ssta/propagate.h"
 #include "ssta/ssta.h"
 #include "stat/normal.h"
 
@@ -107,10 +107,6 @@ class IncrementalEngine {
   std::size_t last_arrival_recomputes() const { return last_arrival_recomputes_; }
 
  private:
-  void enqueue(netlist::NodeId gate);
-  void propagate();
-  void refold_outputs();
-
   netlist::TimingView view_;  ///< owned, mutable copy
   SigmaModel sigma_model_;
   std::vector<double> speed_;
@@ -120,11 +116,7 @@ class IncrementalEngine {
   std::vector<stat::NormalRV> arrival_;  ///< per node
   stat::NormalRV tmax_;
 
-  // Worklist state (persistent to avoid per-call allocation).
-  std::vector<netlist::NodeId> delay_dirty_;
-  std::vector<unsigned char> delay_dirty_mask_;
-  std::vector<std::vector<netlist::NodeId>> bucket_;  ///< per gate level
-  std::vector<unsigned char> queued_mask_;
+  ConeWorklist cone_;  ///< persistent to avoid per-call allocation
 
   std::size_t last_delay_recomputes_ = 0;
   std::size_t last_arrival_recomputes_ = 0;

@@ -7,10 +7,12 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netlist/timing_view.h"
 #include "runtime/runtime.h"
+#include "ssta/propagate.h"
 
 namespace statsize::ssta {
 
@@ -104,6 +106,18 @@ struct TrialScratch {
 
 thread_local TrialScratch t_scratch;
 
+/// The maximum arrival over `nodes` and the first node holding it.
+template <class Nodes>
+std::pair<double, NodeId> max_and_argmax(const Nodes& nodes, const std::vector<double>& arrival) {
+  NodeId arg = nodes[0];
+  const double max = fold_max(nodes, arrival, [&](double acc, double b, std::size_t k) {
+    if (!(b > acc)) return acc;
+    arg = nodes[k];
+    return b;
+  });
+  return {max, arg};
+}
+
 /// One trial: sample delays, propagate over the flat CSR view, return
 /// (delay, critical PO). Walks gates only — PI arrivals are the constant
 /// 0.0 the scratch buffer already holds — in gates_in_topo_order(), which is
@@ -113,22 +127,11 @@ template <class SampleFn>
 double propagate_once(const netlist::TimingView& view, SampleFn&& sample_delay,
                       std::vector<double>& arrival, NodeId* critical_output) {
   for (NodeId id : view.gates_in_topo_order()) {
-    const netlist::NodeSpan fanins = view.fanins(id);
-    double u = arrival[static_cast<std::size_t>(fanins[0])];
-    for (std::size_t i = 1; i < fanins.size(); ++i) {
-      u = std::max(u, arrival[static_cast<std::size_t>(fanins[i])]);
-    }
-    arrival[static_cast<std::size_t>(id)] = u + sample_delay(id);
+    arrival[static_cast<std::size_t>(id)] =
+        fold_max(view.fanins(id), arrival, [](double a, double b) { return std::max(a, b); }) +
+        sample_delay(id);
   }
-  const std::vector<NodeId>& outs = view.outputs();
-  double total = -1.0;
-  NodeId crit = outs.front();
-  for (NodeId o : outs) {
-    if (arrival[static_cast<std::size_t>(o)] > total) {
-      total = arrival[static_cast<std::size_t>(o)];
-      crit = o;
-    }
-  }
+  const auto [total, crit] = max_and_argmax(view.outputs(), arrival);
   if (critical_output != nullptr) *critical_output = crit;
   return total;
 }
@@ -241,18 +244,9 @@ std::vector<double> monte_carlo_criticality(const netlist::Circuit& circuit,
       run_chunk(view, params, options, c,
                 [&](int, double, NodeId crit, const std::vector<double>& arrival) {
                   // Walk back along argmax fanins from the critical output.
-                  NodeId cur = crit;
-                  while (view.is_gate(cur)) {
+                  for (NodeId cur = crit; view.is_gate(cur);) {
                     ++local[static_cast<std::size_t>(cur)];
-                    const netlist::NodeSpan fanins = view.fanins(cur);
-                    NodeId best = fanins[0];
-                    for (std::size_t i = 1; i < fanins.size(); ++i) {
-                      if (arrival[static_cast<std::size_t>(fanins[i])] >
-                          arrival[static_cast<std::size_t>(best)]) {
-                        best = fanins[i];
-                      }
-                    }
-                    cur = best;
+                    cur = max_and_argmax(view.fanins(cur), arrival).second;
                   }
                 });
     }

@@ -6,6 +6,7 @@
 #include "netlist/timing_view.h"
 #include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
+#include "ssta/propagate.h"
 #include "stat/clark.h"
 
 namespace statsize::ssta {
@@ -16,8 +17,22 @@ using stat::NormalRV;
 
 namespace {
 
-bool use_parallel(const netlist::TimingView& view) {
-  return runtime::threads() > 1 && view.num_gates() >= kParallelGateCutoff;
+/// Below kParallelGateCutoff gates the levelized fan-out costs more than it
+/// saves, and a level of at most kGateGrain gates runs inline. Results are
+/// identical either way — each gate's fanin fold is a fixed serial
+/// computation; parallelism only changes which thread runs it.
+constexpr int kParallelGateCutoff = 192;
+constexpr std::size_t kGateGrain = 32;
+
+/// The forward sweep: eval_gate(id) on every gate, fanins first — as a
+/// pooled level sweep on large views, else a serial topological walk.
+template <class EvalGate>
+void sweep_gates(const netlist::TimingView& view, EvalGate&& eval_gate) {
+  if (runtime::threads() > 1 && view.num_gates() >= kParallelGateCutoff) {
+    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
+  } else {
+    for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
+  }
 }
 
 }  // namespace
@@ -46,31 +61,16 @@ TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalR
     }
   }
 
-  // U = statistical max over fanin arrivals (left fold of the pairwise
-  // Clark max, exactly as eq. 18b), then T = U + t (eq. 4). Each gate reads
-  // only strictly-lower-level arrivals and writes its own slot, so gates of
-  // one level run concurrently with bit-identical results.
-  auto eval_gate = [&](NodeId id) {
-    const netlist::NodeSpan fanins = view.fanins(id);
-    NormalRV u = report.arrival[static_cast<std::size_t>(fanins[0])];
-    for (std::size_t i = 1; i < fanins.size(); ++i) {
-      u = stat::clark_max(u, report.arrival[static_cast<std::size_t>(fanins[i])]);
-    }
+  // U = statistical max over fanin arrivals (eq. 18b), then T = U + t
+  // (eq. 4). Each gate reads only strictly-lower-level arrivals and writes
+  // its own slot, so gates of one level run concurrently with bit-identical
+  // results.
+  sweep_gates(view, [&](NodeId id) {
     report.arrival[static_cast<std::size_t>(id)] =
-        stat::add(u, gate_delays[static_cast<std::size_t>(id)]);
-  };
-  if (use_parallel(view)) {
-    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
-  } else {
-    for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
-  }
-
-  const std::vector<NodeId>& outs = view.outputs();
-  NormalRV total = report.arrival[static_cast<std::size_t>(outs[0])];
-  for (std::size_t i = 1; i < outs.size(); ++i) {
-    total = stat::clark_max(total, report.arrival[static_cast<std::size_t>(outs[i])]);
-  }
-  report.circuit_delay = total;
+        stat::add(fold_max(view.fanins(id), report.arrival, stat::clark_max),
+                  gate_delays[static_cast<std::size_t>(id)]);
+  });
+  report.circuit_delay = fold_max(view.outputs(), report.arrival, stat::clark_max);
   return report;
 }
 
@@ -105,25 +105,13 @@ StaReport run_sta(const netlist::TimingView& view, const std::vector<NormalRV>& 
   const double k = corner == Corner::kBest ? -3.0 : corner == Corner::kWorst ? 3.0 : 0.0;
   StaReport report;
   report.arrival.resize(static_cast<std::size_t>(view.num_nodes()), 0.0);
-  auto eval_gate = [&](NodeId id) {
-    const netlist::NodeSpan fanins = view.fanins(id);
-    double u = report.arrival[static_cast<std::size_t>(fanins[0])];
-    for (std::size_t i = 1; i < fanins.size(); ++i) {
-      u = std::max(u, report.arrival[static_cast<std::size_t>(fanins[i])]);
-    }
+  const auto max = [](double a, double b) { return std::max(a, b); };
+  sweep_gates(view, [&](NodeId id) {
     report.arrival[static_cast<std::size_t>(id)] =
-        u + gate_delays[static_cast<std::size_t>(id)].quantile_offset(k);
-  };
-  if (use_parallel(view)) {
-    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
-  } else {
-    for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
-  }
-  double total = 0.0;
-  for (NodeId o : view.outputs()) {
-    total = std::max(total, report.arrival[static_cast<std::size_t>(o)]);
-  }
-  report.circuit_delay = total;
+        fold_max(view.fanins(id), report.arrival, max) +
+        gate_delays[static_cast<std::size_t>(id)].quantile_offset(k);
+  });
+  report.circuit_delay = fold_max(view.outputs(), report.arrival, max);
   return report;
 }
 

@@ -28,18 +28,12 @@ struct TimingReport {
   stat::NormalRV circuit_delay;
 };
 
-/// Parallel dispatch thresholds shared by the forward level sweeps (run_ssta,
-/// run_sta and ReducedEvaluator's full forward sweep): below
-/// kParallelGateCutoff gates the levelized fan-out costs more than it saves,
-/// and a level of at most kGateGrain gates runs inline. Results are
-/// identical either way — each gate's fanin fold is a fixed serial
-/// computation; parallelism only changes which thread runs it.
-inline constexpr int kParallelGateCutoff = 192;
-inline constexpr std::size_t kGateGrain = 32;
-
 /// Propagates arrival times through `circuit` given per-node gate delays
 /// (from DelayCalculator::all_delays or custom). `input_arrival` applies to
 /// every primary input; per-input schedules can be passed via the overload.
+/// Views of at least 192 gates are swept level by level on the global
+/// runtime pool when it has more than one thread; each gate's fold is a
+/// fixed serial computation, so results are identical at any thread count.
 TimingReport run_ssta(const netlist::Circuit& circuit,
                       const std::vector<stat::NormalRV>& gate_delays,
                       stat::NormalRV input_arrival = {});

@@ -144,10 +144,4 @@ NormalRV clark_min(const NormalRV& a, const NormalRV& b) {
   return {-neg.mu, neg.var};
 }
 
-NormalRV clark_max_fold(const NormalRV* rvs, int count) {
-  NormalRV acc = rvs[0];
-  for (int i = 1; i < count; ++i) acc = clark_max(acc, rvs[i]);
-  return acc;
-}
-
 }  // namespace statsize::stat

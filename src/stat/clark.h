@@ -62,10 +62,6 @@ NormalRV clark_max_grad(const NormalRV& a, const NormalRV& b, ClarkGrad& grad);
 /// the closed-form expressions; used for NLP constraint Hessians).
 NormalRV clark_max_full(const NormalRV& a, const NormalRV& b, ClarkGrad& grad, ClarkHess& hess);
 
-/// Left fold of the pairwise max over a non-empty set, exactly as the paper
-/// treats gates with more than two inputs (sec. 5, eq. 18b).
-NormalRV clark_max_fold(const NormalRV* rvs, int count);
-
 /// Clark's formulas for *correlated* jointly normal operands with
 /// Cov(A, B) = cov — the generalization the paper's future-work section asks
 /// for ("dealing with correlations between stochastic variables in the

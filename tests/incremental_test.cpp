@@ -458,7 +458,8 @@ TEST(ReducedEvaluatorCache, ConeReEvalTouchesFewerGatesThanFullSweep) {
             static_cast<std::size_t>(c.view().num_gates()));
   EXPECT_GT(eval.last_forward_recomputes(), 0u);
 
-  // invalidate() drops the tape: next call is a full sweep again.
+  // invalidate() drops the tape: the next call builds a cold one, refolding
+  // every gate.
   eval.invalidate();
   eval.eval_with_grad(speed, 1.0, 0.0, grad);
   EXPECT_EQ(eval.last_forward_recomputes(),
@@ -475,7 +476,7 @@ TEST(ReducedEvaluatorCache, UnnotedViewEditStillYieldsColdBits) {
   eval.eval_with_grad(speed, 1.0, 0.0, g_warm);
 
   // Edit behind the evaluator's back (no note_edits): the epoch mismatch must
-  // force a safe full resweep, not a silently stale gradient.
+  // force a cold tape, not a silently stale gradient.
   const NodeId g = view.gates_in_topo_order()[3];
   NodeParams p = view.node_params(g);
   p.t_int *= 1.3;
@@ -487,6 +488,54 @@ TEST(ReducedEvaluatorCache, UnnotedViewEditStillYieldsColdBits) {
   EXPECT_EQ(t_warm.mu, t_cold.mu);
   EXPECT_EQ(t_warm.var, t_cold.var);
   for (std::size_t i = 0; i < g_warm.size(); ++i) EXPECT_EQ(g_warm[i], g_cold[i]);
+}
+
+TEST(ReducedEvaluatorCache, ZeroDelayGateIsFoldedOnColdTapeAndConstruction) {
+  // z has t_int = c = 0, so its delay is exactly {0,0}: bit-equal to a fresh
+  // slot, and its fanins are primary inputs that no refold reaches. The cold
+  // tape and the engine's construction must fold it anyway.
+  const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
+  Circuit c(lib);
+  const NodeId a = c.add_input("a");
+  const NodeId b = c.add_input("b");
+  const NodeId z = c.add_gate(lib.find("NAND2"), {a, b}, "z");
+  const NodeId y = c.add_gate(lib.find("INV"), {z}, "y");
+  const NodeId w = c.add_gate(lib.find("NAND2"), {z, b}, "w");
+  c.mark_output(y);
+  c.mark_output(w);
+  c.finalize();
+  TimingView view = c.view();
+  NodeParams p = view.node_params(z);
+  p.t_int = 0.0;
+  p.c = 0.0;
+  view.update_node_params(z, p);
+
+  const ssta::SigmaModel sigma{};
+  std::vector<double> speed = unit_speed(view);
+  const ssta::DelayCalculator calc(view, sigma);
+  ASSERT_EQ(calc.delay(z, speed).mu, 0.0);
+  ASSERT_EQ(calc.delay(z, speed).var, 0.0);
+
+  core::ReducedEvaluator eval(view, sigma);
+  expect_rv_eq(eval.taped_forward(speed), ssta::run_ssta(calc, speed).circuit_delay);
+  EXPECT_EQ(eval.last_forward_recomputes(), static_cast<std::size_t>(view.num_gates()));
+
+  // A non-zero input arrival makes z's own arrival non-zero.
+  const stat::NormalRV input{1.0, 0.04};
+  IncrementalEngine engine(view, speed, sigma, input);
+  const ssta::TimingReport want = ssta::run_ssta(view, calc.all_delays(speed), input);
+  for (std::size_t i = 0; i < want.arrival.size(); ++i) {
+    expect_rv_eq(engine.arrivals()[i], want.arrival[i]);
+  }
+  expect_rv_eq(engine.tmax(), want.circuit_delay);
+
+  speed[static_cast<std::size_t>(y)] = 2.0;
+  engine.apply_edits({TimingEdit::set_speed(y, 2.0)});
+  const ssta::TimingReport moved = ssta::run_ssta(view, calc.all_delays(speed), input);
+  for (std::size_t i = 0; i < moved.arrival.size(); ++i) {
+    expect_rv_eq(engine.arrivals()[i], moved.arrival[i]);
+  }
+  expect_rv_eq(engine.tmax(), moved.circuit_delay);
 }
 
 // ---------------------------------------------------------------------------

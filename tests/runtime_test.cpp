@@ -481,29 +481,37 @@ TEST(Determinism, ReducedSpaceGradientBitwiseEqualAcrossThreadCounts) {
 TEST(Determinism, TapedForwardTmaxEqualsEvalAcrossThreadCounts) {
   // The reduced-space sizer derives f and the adjoint seeds from the taped
   // sweep's Tmax instead of a separate eval() probe. That is only sound if
-  // the two are the same doubles — cold tape (pooled full sweep on k2),
-  // re-taped at another point (incremental cone path), at any thread count.
+  // the two are the same doubles — cold tape (every gate seeded), re-taped
+  // at another point (a small cone), and re-taped where every gate's speed
+  // moved at once (the sizing line search's traffic), at any thread count.
   ThreadGuard guard;
   for (const char* name : {"k2", "apex2"}) {
     const netlist::Circuit c = netlist::make_mcnc_like(name);
     std::vector<double> x(static_cast<std::size_t>(c.num_nodes()));
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.0 + 0.17 * static_cast<double>(i % 13);
-    // y moves one deep gate only, so re-taping at y takes the cone path.
+    // y moves one deep gate only, so re-taping at y takes a small cone.
     std::vector<double> y = x;
     y[static_cast<std::size_t>(c.view().gates_in_topo_order().back())] = 2.9;
+    // z moves every gate, as a line-search trial does.
+    std::vector<double> z = x;
+    for (double& s : z) s = 0.5 * s + 0.4;
     runtime::set_threads(1);
     const core::ReducedEvaluator ref(c, {0.25, 0.02});
     const stat::NormalRV want_x = ref.eval(x);
     const stat::NormalRV want_y = ref.eval(y);
+    const stat::NormalRV want_z = ref.eval(z);
     for (int threads : {1, 2, 4}) {
       runtime::set_threads(threads);
       const core::ReducedEvaluator eval(c, {0.25, 0.02});
       const stat::NormalRV cold = eval.taped_forward(x);
+      EXPECT_EQ(eval.last_forward_recomputes(), static_cast<std::size_t>(c.num_gates()));
       const stat::NormalRV moved = eval.taped_forward(y);
       const stat::NormalRV back = eval.taped_forward(x);
       EXPECT_LT(eval.last_forward_recomputes(), static_cast<std::size_t>(c.num_gates()));
+      const stat::NormalRV all_moved = eval.taped_forward(z);
+      EXPECT_GT(eval.last_forward_recomputes(), 0u);
       for (const auto& [got, want] : {std::pair{cold, want_x}, std::pair{moved, want_y},
-                                      std::pair{back, want_x}}) {
+                                      std::pair{back, want_x}, std::pair{all_moved, want_z}}) {
         EXPECT_EQ(got.mu, want.mu) << name << " threads=" << threads;
         EXPECT_EQ(got.var, want.var) << name << " threads=" << threads;
       }

@@ -4,6 +4,7 @@
 #include "ssta/ssta.h"
 
 #include "netlist/generators.h"
+#include "netlist/timing_view.h"
 #include "ssta/monte_carlo.h"
 
 #include <cmath>
@@ -100,6 +101,54 @@ TEST(Ssta, ZeroSigmaReducesToDeterministicSta) {
   const StaReport sta = run_sta(c, delays, Corner::kTypical);
   EXPECT_NEAR(ssta.circuit_delay.mu, sta.circuit_delay, 1e-9);
   EXPECT_NEAR(ssta.circuit_delay.var, 0.0, 1e-12);
+}
+
+/// Every gate delay exactly N(mu, 0). With mu < 0 all arrivals fall below
+/// the primary inputs' 0, so an output fold that starts from a sentinel
+/// instead of the first output reports the sentinel.
+std::vector<NormalRV> constant_delays(const Circuit& c, double mu) {
+  std::vector<NormalRV> delays(static_cast<std::size_t>(c.num_nodes()));
+  for (NodeId id : c.view().gates_in_topo_order()) {
+    delays[static_cast<std::size_t>(id)] = {mu, 0.0};
+  }
+  return delays;
+}
+
+MonteCarloOptions untruncated(int samples) {
+  MonteCarloOptions opt;
+  opt.num_samples = samples;
+  opt.truncate_negative_delays = false;
+  return opt;
+}
+
+/// Two INV chains from one input, the 3-gate chain's output marked first:
+/// with negative delays the 1-gate chain's output (-5) is the critical one.
+Circuit long_chain_first(std::vector<NodeId>& long_chain, NodeId& short_gate) {
+  const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
+  const int inv = lib.find("INV");
+  Circuit c(lib);
+  const NodeId a = c.add_input("a");
+  NodeId prev = a;
+  for (int i = 0; i < 3; ++i) long_chain.push_back(prev = c.add_gate(inv, {prev}));
+  short_gate = c.add_gate(inv, {a});
+  c.mark_output(long_chain.back());
+  c.mark_output(short_gate);
+  c.finalize();
+  return c;
+}
+
+TEST(Ssta, CornerStaFoldsOutputsLikeRunSsta) {
+  const Circuit chain = make_chain(4);
+  const std::vector<NormalRV> delays = constant_delays(chain, -5.0);
+  EXPECT_EQ(run_ssta(chain, delays).circuit_delay.mu, -20.0);
+  EXPECT_EQ(run_sta(chain, delays, Corner::kTypical).circuit_delay, -20.0);
+
+  std::vector<NodeId> long_chain;
+  NodeId short_gate = netlist::kInvalidNode;
+  const Circuit two = long_chain_first(long_chain, short_gate);
+  const std::vector<NormalRV> two_delays = constant_delays(two, -5.0);
+  EXPECT_EQ(run_ssta(two, two_delays).circuit_delay.mu, -5.0);
+  EXPECT_EQ(run_sta(two, two_delays, Corner::kTypical).circuit_delay, -5.0);
 }
 
 TEST(Ssta, CornersBracketTypical) {
@@ -283,6 +332,24 @@ TEST(MonteCarlo, SeedReproducibility) {
   const MonteCarloResult a = run_monte_carlo(c, delays, opt);
   const MonteCarloResult b = run_monte_carlo(c, delays, opt);
   EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(MonteCarlo, NegativeArrivalsFoldFromTheFirstOutput) {
+  const Circuit c = make_chain(4);
+  const MonteCarloResult mc = run_monte_carlo(c, constant_delays(c, -5.0), untruncated(64));
+  EXPECT_EQ(mc.mean, -20.0);
+  EXPECT_EQ(mc.min, -20.0);
+  EXPECT_EQ(mc.max, -20.0);
+}
+
+TEST(MonteCarlo, CriticalityWalkStartsAtTheCriticalOutput) {
+  std::vector<NodeId> long_chain;
+  NodeId short_gate = netlist::kInvalidNode;
+  const Circuit c = long_chain_first(long_chain, short_gate);
+  const std::vector<double> crit =
+      monte_carlo_criticality(c, constant_delays(c, -5.0), untruncated(64));
+  EXPECT_EQ(crit[static_cast<std::size_t>(short_gate)], 1.0);
+  for (NodeId g : long_chain) EXPECT_EQ(crit[static_cast<std::size_t>(g)], 0.0);
 }
 
 TEST(MonteCarlo, CriticalityConcentratesOnOutputGate) {

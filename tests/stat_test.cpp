@@ -6,6 +6,7 @@
 //  * dominant operand (|muA - muB| >> theta): C == the larger operand.
 // Statistical anchor: Monte Carlo estimates over an operand grid.
 
+#include "ssta/propagate.h"
 #include "stat/clark.h"
 #include "stat/normal.h"
 
@@ -172,20 +173,36 @@ TEST(ClarkMax, OneDeterministicOperand) {
   EXPECT_NEAR(c.var, 0.5 - 1.0 / (2.0 * kPi), 1e-12);
 }
 
+// fold_max (ssta/propagate.h) is the one fold every propagation engine uses:
+// a left fold with operand A = accumulator, in node-list order.
 TEST(ClarkMax, FoldMatchesManualChain) {
   const std::vector<NormalRV> rvs = {{1.0, 0.2}, {1.5, 0.3}, {0.5, 0.1}, {1.4, 0.4}};
+  const std::vector<int> nodes = {0, 1, 2, 3};
   const NormalRV manual =
       clark_max(clark_max(clark_max(rvs[0], rvs[1]), rvs[2]), rvs[3]);
-  const NormalRV folded = clark_max_fold(rvs.data(), 4);
-  EXPECT_DOUBLE_EQ(folded.mu, manual.mu);
-  EXPECT_DOUBLE_EQ(folded.var, manual.var);
+  const NormalRV folded = ssta::fold_max(nodes, rvs, clark_max);
+  EXPECT_EQ(folded.mu, manual.mu);
+  EXPECT_EQ(folded.var, manual.var);
+  // The node list, not the value order, sets the fold order.
+  const std::vector<int> reversed = {3, 2, 1, 0};
+  const NormalRV manual_rev =
+      clark_max(clark_max(clark_max(rvs[3], rvs[2]), rvs[1]), rvs[0]);
+  const NormalRV folded_rev = ssta::fold_max(reversed, rvs, clark_max);
+  EXPECT_EQ(folded_rev.mu, manual_rev.mu);
+  EXPECT_EQ(folded_rev.var, manual_rev.var);
 }
 
 TEST(ClarkMax, FoldSingleElementIsIdentity) {
-  const NormalRV a{2.0, 0.7};
-  const NormalRV c = clark_max_fold(&a, 1);
-  EXPECT_DOUBLE_EQ(c.mu, a.mu);
-  EXPECT_DOUBLE_EQ(c.var, a.var);
+  const std::vector<NormalRV> rvs = {{2.0, 0.7}};
+  const std::vector<int> nodes = {0};
+  int calls = 0;
+  const NormalRV c = ssta::fold_max(nodes, rvs, [&](const NormalRV& x, const NormalRV& y) {
+    ++calls;
+    return clark_max(x, y);
+  });
+  EXPECT_EQ(c.mu, rvs[0].mu);
+  EXPECT_EQ(c.var, rvs[0].var);
+  EXPECT_EQ(calls, 0);
 }
 
 // ---------------------------------------------------------------------------
