@@ -44,8 +44,9 @@ if [ "$SANITIZE" = "thread" ]; then
   # serially on the calling thread. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
-  # tests cross socket threads, the scheduler's executor, and the circuit
-  # cache's shared-lock readers in one process. The chaos suite rides the same
+  # tests cross socket threads, the scheduler's executors (several jobs at
+  # once, sharing the pool), and the circuit cache's shared-lock readers in
+  # one process. The chaos suite rides the same
   # run: journal appends, fault hit-counting, and recovery replay all cross
   # the socket/executor thread boundary.
   echo "== ctest under ThreadSanitizer (runtime + parallel engines + serve) =="

@@ -1,15 +1,17 @@
 #include "runtime/cancel.h"
 
 #include <limits>
+#include <utility>
 
 namespace statsize::runtime {
 
 namespace {
 
-/// Head of the active scope chain. Written by the (single) thread installing
-/// scopes, read by every pool worker at chunk boundaries; release/acquire
-/// ordering publishes the chain nodes themselves.
-std::atomic<const detail::CancelState*> g_active{nullptr};
+/// Head of this thread's scope chain. A pool worker holds the head of the
+/// region it drains; the region's publication (the pool epoch bump) orders
+/// the owner's chain nodes before the worker reads them, and the owner keeps
+/// them alive by blocking until the region ends.
+thread_local const detail::CancelState* t_active = nullptr;
 
 /// Walks the chain; returns the reason of the first tripped scope.
 bool chain_tripped(const detail::CancelState* head, CancelReason* reason) {
@@ -33,24 +35,30 @@ double Deadline::remaining_seconds() const {
   return std::chrono::duration<double>(at_ - std::chrono::steady_clock::now()).count();
 }
 
+const detail::CancelState* detail::active_chain() { return t_active; }
+
+const detail::CancelState* detail::install_chain(const CancelState* head) {
+  return std::exchange(t_active, head);
+}
+
 CancelScope::CancelScope(const CancellationToken* token, Deadline deadline) {
   state_.token = token;
   state_.deadline = deadline;
-  state_.prev = g_active.load(std::memory_order_relaxed);
-  g_active.store(&state_, std::memory_order_release);
+  state_.prev = t_active;
+  t_active = &state_;
 }
 
-CancelScope::~CancelScope() { g_active.store(state_.prev, std::memory_order_release); }
+CancelScope::~CancelScope() { t_active = state_.prev; }
 
 bool cancel_requested() {
-  const detail::CancelState* head = g_active.load(std::memory_order_acquire);
+  const detail::CancelState* head = t_active;
   if (head == nullptr) return false;  // the common, overhead-free case
   CancelReason reason;
   return chain_tripped(head, &reason);
 }
 
 void poll_cancel() {
-  const detail::CancelState* head = g_active.load(std::memory_order_acquire);
+  const detail::CancelState* head = t_active;
   if (head == nullptr) return;
   CancelReason reason;
   if (!chain_tripped(head, &reason)) return;

@@ -14,12 +14,16 @@
 //  * Determinism is never poisoned: a poll either does nothing or throws.
 //    Partial results of a cancelled sweep are discarded by the unwinding —
 //    no cancelled run ever contributes values to a returned iterate. With no
-//    scope installed the poll is a single relaxed atomic load of a null
-//    pointer, so uncancelled runs are bit-identical to pre-resilience runs.
+//    scope installed the poll is one load of a null thread-local pointer and
+//    a branch, so uncancelled runs are bit-identical to pre-resilience runs.
 //  * Scopes nest: an inner scope chains to the outer one, and a poll checks
 //    the whole chain, so an outer deadline still fires inside a nested
-//    sub-solve. Install/uninstall only while no parallel work is in flight
-//    (scopes are per-process, like the pool itself).
+//    sub-solve.
+//  * Scopes are per thread. Each thread has its own chain, so two jobs on
+//    two threads never see each other's token or deadline. A pool region
+//    carries its owner's chain head: the workers that drain it install that
+//    head for the region and clear it afterwards, so pool chunks poll the
+//    deadline and token of the job that owns them, and no other job's.
 
 #pragma once
 
@@ -98,12 +102,20 @@ struct CancelState {
   Deadline deadline;
   const CancelState* prev = nullptr;
 };
+
+/// The calling thread's chain head (null when no scope is installed). The
+/// pool reads it when it publishes a region.
+const CancelState* active_chain();
+
+/// Makes `head` the calling thread's chain and returns the previous head.
+/// The pool's workers install the owner's head while they drain a region.
+const CancelState* install_chain(const CancelState* head);
 }  // namespace detail
 
-/// RAII installation of (token, deadline) as the process-wide active cancel
-/// scope. Nested construction chains to the previously active scope; the
-/// destructor restores it. Construct/destruct only when no parallel work is
-/// in flight.
+/// RAII installation of (token, deadline) as the calling thread's active
+/// cancel scope. Nested construction chains to the previously active scope;
+/// the destructor restores it. A scope must be destroyed on the thread that
+/// built it, in reverse order of construction.
 class CancelScope {
  public:
   CancelScope(const CancellationToken* token, Deadline deadline);
@@ -117,8 +129,8 @@ class CancelScope {
   detail::CancelState state_;
 };
 
-/// True when any scope in the active chain is cancelled or past its
-/// deadline. With no scope installed this is one relaxed atomic load.
+/// True when any scope in the calling thread's chain is cancelled or past its
+/// deadline. With no scope installed this is one thread-local load.
 bool cancel_requested();
 
 /// Throws OperationCancelled when cancel_requested() — the cooperative

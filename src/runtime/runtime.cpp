@@ -1,5 +1,7 @@
 #include "runtime/runtime.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -7,14 +9,20 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace statsize::runtime {
 
 namespace {
 
+// g_mutex serializes resolution, set_threads and pool construction. Reads
+// of an already-resolved setting or an already-built pool are lock-free.
 std::mutex g_mutex;
 std::unique_ptr<ThreadPool> g_pool;
-int g_threads = 0;  // 0 = not yet resolved
+std::atomic<ThreadPool*> g_pool_ptr{nullptr};  // g_pool.get() once built
+std::atomic<int> g_threads{0};                 // 0 = not yet resolved
+
+thread_local int t_budget = 0;  // 0 = no cap
 
 int default_threads() {
   if (const char* env = std::getenv("STATSIZE_JOBS")) {
@@ -27,8 +35,10 @@ int default_threads() {
 }
 
 int threads_locked() {
-  if (g_threads == 0) g_threads = default_threads();
-  return g_threads;
+  if (g_threads.load(std::memory_order_relaxed) == 0) {
+    g_threads.store(default_threads(), std::memory_order_release);
+  }
+  return g_threads.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -55,6 +65,7 @@ int resolve_jobs_value(const char* value, int fallback, std::string* warning) {
 }
 
 int threads() {
+  if (const int n = g_threads.load(std::memory_order_acquire); n != 0) return n;
   const std::lock_guard<std::mutex> lock(g_mutex);
   return threads_locked();
 }
@@ -63,8 +74,9 @@ void set_threads(int n) {
   const std::lock_guard<std::mutex> lock(g_mutex);
   if (n < 1) n = 1;
   if (n > kMaxJobs) n = kMaxJobs;
-  if (n == g_threads) return;
-  g_threads = n;
+  if (n == g_threads.load(std::memory_order_relaxed)) return;
+  g_threads.store(n, std::memory_order_release);
+  g_pool_ptr.store(nullptr, std::memory_order_release);
   g_pool.reset();
 }
 
@@ -74,19 +86,33 @@ int hardware_threads() {
 }
 
 ThreadPool& global_pool() {
+  if (ThreadPool* pool = g_pool_ptr.load(std::memory_order_acquire)) return *pool;
   const std::lock_guard<std::mutex> lock(g_mutex);
-  if (!g_pool) g_pool = std::make_unique<ThreadPool>(threads_locked());
+  if (!g_pool) {
+    g_pool = std::make_unique<ThreadPool>(threads_locked());
+    g_pool_ptr.store(g_pool.get(), std::memory_order_release);
+  }
   return *g_pool;
+}
+
+ThreadBudget::ThreadBudget(int n) : saved_(std::exchange(t_budget, n < 0 ? 0 : n)) {}
+
+ThreadBudget::~ThreadBudget() { t_budget = saved_; }
+
+int thread_budget() {
+  const int n = threads();
+  return t_budget == 0 ? n : std::min(t_budget, n);
 }
 
 void parallel_for(std::size_t n, std::size_t grain, RangeFn body) {
   if (n == 0) return;
-  if (threads() == 1 || n <= (grain == 0 ? 1 : grain)) {
+  const int budget = thread_budget();
+  if (budget == 1 || n <= (grain == 0 ? 1 : grain)) {
     poll_cancel();  // serial fallback honors the same chunk-boundary contract
     body(0, n);
     return;
   }
-  global_pool().parallel_for(n, grain, body);
+  global_pool().parallel_for(n, grain, body, budget);
 }
 
 }  // namespace statsize::runtime

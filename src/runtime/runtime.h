@@ -6,6 +6,10 @@
 //   * STATSIZE_JOBS=<n>            — environment default
 //   * std::thread::hardware_concurrency() otherwise
 //
+// A thread may cap its own share with a ThreadBudget (a serve job's `jobs`
+// value): its parallel_for calls then use at most that many threads, caller
+// included. The cap is thread-local and never changes the pool.
+//
 // Where the pool is used (DESIGN.md §7): the forward level sweeps of
 // run_ssta and run_sta (LevelSchedule::for_each_gate on views of at least
 // 192 gates) and Monte Carlo trial chunks. Everything else — the reduced-
@@ -43,7 +47,7 @@ int resolve_jobs_value(const char* value, int fallback, std::string* warning = n
 
 /// Current global thread-count setting (>= 1). First use reads STATSIZE_JOBS
 /// (validated via resolve_jobs_value; malformed values warn on stderr),
-/// falling back to hardware concurrency.
+/// falling back to hardware concurrency. Later calls are one atomic load.
 int threads();
 
 /// Overrides the global thread count (clamped to [1, kMaxJobs]) and drops the old
@@ -57,9 +61,29 @@ int hardware_threads();
 /// The shared pool at the current thread-count setting (lazily constructed).
 ThreadPool& global_pool();
 
-/// parallel_for over [0, n) on the global pool; runs inline when the setting
-/// is 1 thread or the range fits one grain. body(b, e) must only write to
-/// slots keyed by the index — the scheduler decides nothing about values.
+/// RAII cap on the threads the calling thread's parallel_for calls use, the
+/// caller included: n >= 1 caps, 0 leaves the process setting. Restores the
+/// previous cap on destruction.
+class ThreadBudget {
+ public:
+  explicit ThreadBudget(int n);
+  ~ThreadBudget();
+
+  ThreadBudget(const ThreadBudget&) = delete;
+  ThreadBudget& operator=(const ThreadBudget&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Threads the calling thread's parallel_for calls may use: threads(),
+/// lowered by an installed ThreadBudget (>= 1).
+int thread_budget();
+
+/// parallel_for over [0, n) on the global pool; runs inline when the calling
+/// thread's budget is 1 thread or the range fits one grain. body(b, e) must
+/// only write to slots keyed by the index — the scheduler decides nothing
+/// about values.
 void parallel_for(std::size_t n, std::size_t grain, RangeFn body);
 
 }  // namespace statsize::runtime

@@ -25,13 +25,21 @@ thread_local ThreadPool* t_active_pool = nullptr;
 /// sleep/wake round trip.
 constexpr int kSpinIterations = 256;
 
+/// The checkpoint every chunk claim passes, on a worker or on the caller:
+/// cooperative cancellation, then the pool.chunk fault site. Unarmed, both
+/// checks are one load each.
+void chunk_checkpoint() {
+  poll_cancel();
+  if (fault::hit(fault::kPoolChunk)) throw std::runtime_error("injected fault: pool.chunk");
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int workers = std::max(1, num_threads) - 1;
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
+    workers_.emplace_back([this, i] { worker_main(static_cast<std::size_t>(i)); });
   }
 }
 
@@ -45,42 +53,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::wake_sleepers() {
-  // Dekker handshake, publisher side: the work signal (epoch_, task_pending_
-  // or stop_) was stored seq_cst before this seq_cst load. A worker raises
-  // sleepers_ (seq_cst) before re-checking those signals under sleep_mutex_,
-  // so either it sees the new signal and never sleeps, or this load sees its
+  // Dekker handshake, publisher side: the work signal (epoch_ or stop_) was
+  // stored seq_cst before this seq_cst load. A worker raises sleepers_
+  // (seq_cst) before re-checking those signals under sleep_mutex_, so
+  // either it sees the new signal and never sleeps, or this load sees its
   // raised count and the notify below — serialized against the worker's
   // predicate check by sleep_mutex_ — lands. No lost wakeup either way.
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     const std::lock_guard<std::mutex> lock(sleep_mutex_);
     sleep_cv_.notify_all();
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {  // single-threaded pool: run inline
-    task();
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(task_mutex_);
-    tasks_.push_back(std::move(task));
-  }
-  task_pending_.fetch_add(1, std::memory_order_seq_cst);
-  wake_sleepers();
-}
-
-bool ThreadPool::run_one_task() {
-  std::function<void()> task;
-  {
-    const std::lock_guard<std::mutex> lock(task_mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop_front();
-    task_pending_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  task();
-  return true;
 }
 
 void ThreadPool::drain_region() {
@@ -91,14 +73,10 @@ void ThreadPool::drain_region() {
     const std::size_t begin = chunk * region_.grain;
     const std::size_t end = std::min(begin + region_.grain, region_.n);
     try {
-      // Cooperative cancellation checkpoint: a deadline/cancel stops the
-      // loop within one chunk's overshoot, reusing the exception machinery
-      // below (first thrower cancels the remaining claims). Unarmed, both
-      // checks are one relaxed atomic load each.
-      poll_cancel();
-      if (fault::hit(fault::kPoolChunk)) {
-        throw std::runtime_error("injected fault: pool.chunk");
-      }
+      // A deadline/cancel stops the loop within one chunk's overshoot,
+      // reusing the exception machinery below (first thrower cancels the
+      // remaining claims).
+      chunk_checkpoint();
       (*region_.body)(begin, end);
     } catch (...) {
       {
@@ -116,7 +94,7 @@ void ThreadPool::drain_region() {
   }
 }
 
-void ThreadPool::worker_main() {
+void ThreadPool::worker_main(std::size_t index) {
   t_active_pool = this;
   std::uint64_t seen = 0;
   for (;;) {
@@ -124,7 +102,13 @@ void ThreadPool::worker_main() {
     const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
     if (e != seen) {
       seen = e;
-      drain_region();
+      if (index < region_.claimers) {
+        // The owner's cancel chain, for this region only: its chunks poll
+        // the owning job's token and deadline.
+        detail::install_chain(region_.cancel);
+        drain_region();
+        detail::install_chain(nullptr);
+      }
       // End-of-region barrier: the last arriver wakes the owner. Always
       // lock+notify — the owner may have just started its blocking wait,
       // and locking owner_mutex_ orders this notify after its predicate
@@ -135,14 +119,12 @@ void ThreadPool::worker_main() {
       }
       continue;
     }
-    if (task_pending_.load(std::memory_order_acquire) > 0 && run_one_task()) continue;
     if (stop_.load(std::memory_order_acquire)) return;
 
     // Idle: spin briefly (catches back-to-back regions), then block.
     bool signaled = false;
     for (int spin = 0; spin < kSpinIterations; ++spin) {
       if (epoch_.load(std::memory_order_relaxed) != seen ||
-          task_pending_.load(std::memory_order_relaxed) > 0 ||
           stop_.load(std::memory_order_relaxed)) {
         signaled = true;
         break;
@@ -156,7 +138,6 @@ void ThreadPool::worker_main() {
       std::unique_lock<std::mutex> lock(sleep_mutex_);
       sleep_cv_.wait(lock, [&] {
         return epoch_.load(std::memory_order_seq_cst) != seen ||
-               task_pending_.load(std::memory_order_acquire) > 0 ||
                stop_.load(std::memory_order_acquire);
       });
     }
@@ -164,7 +145,7 @@ void ThreadPool::worker_main() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n, std::size_t grain, RangeFn body) {
+void ThreadPool::parallel_for(std::size_t n, std::size_t grain, RangeFn body, int budget) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (workers_.empty() || n <= grain || t_active_pool == this) {
@@ -172,14 +153,27 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, RangeFn body) {
     body(0, n);
     return;
   }
-  const std::lock_guard<std::mutex> owner(for_mutex_);
+  const std::unique_lock<std::mutex> owner(for_mutex_, std::try_to_lock);
+  if (!owner.owns_lock()) {
+    // Another thread's region holds the pool. Waiting would queue this job
+    // behind that one (say a short sweep behind a long Monte Carlo run), so
+    // the caller drains its own chunks instead, through the same checkpoint.
+    for (std::size_t begin = 0; begin < n; begin += grain) {
+      chunk_checkpoint();
+      body(begin, std::min(begin + grain, n));
+    }
+    return;
+  }
   // Fill the descriptor. Safe without atomics: the previous region's end
   // barrier proved every worker is out of drain_region, and the epoch bump
   // below releases these writes to the team.
   region_.n = n;
   region_.grain = grain;
   region_.total_chunks = (n + grain - 1) / grain;
+  region_.claimers = budget < 1 ? workers_.size()
+                                : std::min(workers_.size(), static_cast<std::size_t>(budget) - 1);
   region_.body = &body;
+  region_.cancel = detail::active_chain();
   region_.next.store(0, std::memory_order_relaxed);
   error_ = nullptr;
 
@@ -210,6 +204,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, RangeFn body) {
   }
   arrived_.store(0, std::memory_order_relaxed);
   region_.body = nullptr;
+  region_.cancel = nullptr;
 
   if (error_) {
     const std::exception_ptr err = std::exchange(error_, nullptr);

@@ -17,16 +17,25 @@
 //     worker, or from the calling thread while it executes its own chunks)
 //     runs inline — value-identical because chunk outputs are index-keyed —
 //     so nesting can starve parallelism but never deadlock.
+//   * Many callers. The pool hosts one region at a time. A caller that finds
+//     it busy (another thread owns the region) does not wait: it runs its
+//     own chunks on itself, passing the same per-chunk checkpoint, so two
+//     jobs on two threads share the pool without blocking each other.
+//   * Per-region context. The region carries its owner's cancel chain
+//     (cancel.h) and a team budget: workers install the owner's chain while
+//     they drain, and only the first `budget - 1` workers claim chunks.
 //   * Exceptions. The first exception thrown by any chunk is captured, the
 //     chunk cursor is exhausted so further claims stop, and the exception is
 //     rethrown on the calling thread after the end-of-region barrier.
 //
 // Region protocol (full-team epoch barrier):
-//   1. The owner serializes on for_mutex_, fills the single reusable region
-//      descriptor, and bumps epoch_ (seq_cst release of the descriptor).
+//   1. The owner takes for_mutex_ (try_lock; see "Many callers"), fills the
+//      single reusable region descriptor, and bumps epoch_ (seq_cst release
+//      of the descriptor).
 //   2. Every worker observes the epoch change (spinning briefly, then
-//      sleeping on sleep_cv_), drains chunks off the cursor, and arrives at
-//      the end barrier (arrived_). The owner drains chunks too.
+//      sleeping on sleep_cv_), drains chunks off the cursor if its index is
+//      inside the region's budget, and arrives at the end barrier (arrived_)
+//      either way. The owner drains chunks too.
 //   3. The owner waits until arrived_ == workers, then resets the barrier.
 //      Because the whole team checks in every epoch, no stale worker can
 //      ever touch a reused descriptor — which is what makes the single
@@ -42,13 +51,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "runtime/cancel.h"
 
 namespace statsize::runtime {
 
@@ -84,16 +93,13 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Fire-and-forget task on the shared queue. Every submit wakes all
-  /// sleepers (a burst of N tasks reliably engages N workers; spinning
-  /// workers pick tasks up without any wake at all). Tasks must not throw.
-  void submit(std::function<void()> task);
-
   /// Runs body(b, e) over subranges that exactly tile [0, n), blocking until
   /// all of it is done. Chunks are `grain` indices (last one ragged). Chunk
   /// claiming is dynamic but the work done per index is fixed, so any writes
-  /// keyed by index land identically at every thread count.
-  void parallel_for(std::size_t n, std::size_t grain, RangeFn body);
+  /// keyed by index land identically at every thread count. At most `budget`
+  /// threads, the caller included, claim chunks (0 = the whole pool). When
+  /// another thread owns the pool's region, every chunk runs on the caller.
+  void parallel_for(std::size_t n, std::size_t grain, RangeFn body, int budget = 0);
 
  private:
   /// The single reusable parallel_for descriptor. Plain fields are published
@@ -103,19 +109,20 @@ class ThreadPool {
     std::size_t n = 0;
     std::size_t grain = 1;
     std::size_t total_chunks = 0;
+    std::size_t claimers = 0;  ///< workers with index < claimers claim chunks
     const RangeFn* body = nullptr;
+    const detail::CancelState* cancel = nullptr;  ///< the owner's chain head
     alignas(64) std::atomic<std::size_t> next{0};  // chunk cursor, own line
   };
 
-  void worker_main();
+  void worker_main(std::size_t index);
   void drain_region();
-  bool run_one_task();
   void wake_sleepers();
 
   std::vector<std::thread> workers_;
 
   // Region state (owner-written between barriers, worker-read during one).
-  std::mutex for_mutex_;  // serializes external parallel_for callers
+  std::mutex for_mutex_;  // held by the region's owner; busy callers run inline
   Region region_;
   std::mutex error_mutex_;
   std::exception_ptr error_;  // first failure of the current region
@@ -128,14 +135,8 @@ class ThreadPool {
   std::mutex owner_mutex_;
   std::condition_variable owner_cv_;
 
-  // Fire-and-forget task queue (shared; submit bursts are rare and cold
-  // compared to parallel_for regions, so one mutex is fine).
-  std::mutex task_mutex_;
-  std::deque<std::function<void()>> tasks_;
-  alignas(64) std::atomic<std::size_t> task_pending_{0};
-
   // Sleep machinery: workers raise sleepers_ before blocking; publishers
-  // (epoch bump, submit, stop) read it to decide whether a wake is needed.
+  // (epoch bump, stop) read it to decide whether a wake is needed.
   alignas(64) std::atomic<std::size_t> sleepers_{0};
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;

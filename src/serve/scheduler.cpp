@@ -1,5 +1,6 @@
 #include "serve/scheduler.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -230,18 +231,20 @@ void JobScheduler::start() {
   if (started_) return;
   started_ = true;
   stopping_ = false;
-  executor_ = std::thread([this] { executor_loop(); });
+  const int n = runtime::threads();
+  executors_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) executors_.emplace_back([this] { executor_loop(); });
 }
 
 void JobScheduler::stop() {
-  std::thread to_join;
+  std::vector<std::thread> to_join;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     started_ = false;
     stopping_ = true;
-    // Flip every still-queued job to cancelled and trip the running one; the
-    // executor drains cooperatively.
+    // Flip every still-queued job to cancelled and trip the running ones; the
+    // executors drain cooperatively.
     for (auto& job : queue_) {
       JobState expected = JobState::kQueued;
       if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
@@ -257,6 +260,7 @@ void JobScheduler::stop() {
         journal_append_soft(end_record(job->id, JobState::kCancelled, "",
                                        "server shutting down"));
         if (metrics_) metrics_->jobs_cancelled.inc();
+        retire_locked(*job);
       }
     }
     queue_.clear();
@@ -266,10 +270,11 @@ void JobScheduler::stop() {
         job->cancel.request_cancel();
       }
     }
-    to_join = std::move(executor_);
+    to_join = std::move(executors_);
+    executors_.clear();
   }
   cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
+  for (std::thread& t : to_join) t.join();
 }
 
 JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
@@ -386,7 +391,7 @@ JobScheduler::BatchOutcome JobScheduler::submit_batch(std::vector<JobRequest> re
     }
     outcome.jobs = std::move(jobs);
   }
-  cv_.notify_one();
+  cv_.notify_all();
   return outcome;
 }
 
@@ -420,8 +425,21 @@ void JobScheduler::restore(std::vector<RestoredJob> recovered) {
       queue_.push_back(job);
     }
     jobs_[job->id] = job;
+    if (r.state != JobState::kQueued) retire_locked(*job);
   }
   if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+}
+
+void JobScheduler::retire_locked(const Job& job) {
+  finished_.push_back(job.id);
+  if (finished_.size() <= kFinishedJobsKept) return;
+  const auto it = jobs_.find(finished_.front());
+  finished_.pop_front();
+  if (it == jobs_.end()) return;
+  // The key may already name a newer attempt (an interrupted job's retry).
+  const auto key = idem_.find(it->second->idempotency_key);
+  if (key != idem_.end() && key->second == it->first) idem_.erase(key);
+  jobs_.erase(it);
 }
 
 void JobScheduler::journal_append_soft(const std::string& payload) {
@@ -456,6 +474,8 @@ bool JobScheduler::cancel(const std::string& id) {
     }
     journal_append_soft(end_record(job->id, JobState::kCancelled, "", "cancelled before start"));
     if (metrics_) metrics_->jobs_cancelled.inc();
+    const std::lock_guard<std::mutex> lock(mu_);
+    retire_locked(*job);
     return true;
   }
   if (expected == JobState::kRunning) {
@@ -470,33 +490,45 @@ std::size_t JobScheduler::queue_size() const {
   return queue_.size();
 }
 
+std::size_t JobScheduler::executors() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return executors_.size();
+}
+
 void JobScheduler::executor_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
+    double t_start = 0.0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      job = queue_.front();
-      queue_.pop_front();
+      // Interactive jobs (ssta, sta) take microseconds; the oldest one goes
+      // before any queued monte_carlo or size job. FIFO within a class.
+      auto next = std::find_if(queue_.begin(), queue_.end(), [](const auto& j) {
+        return j->type == JobType::kSsta || j->type == JobType::kSta;
+      });
+      if (next == queue_.end()) next = queue_.begin();
+      job = std::move(*next);
+      queue_.erase(next);
       if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+      // Claim: a DELETE may have flipped it to cancelled while queued.
+      JobState expected = JobState::kQueued;
+      if (!job->state.compare_exchange_strong(expected, JobState::kRunning,
+                                              std::memory_order_acq_rel)) {
+        continue;
+      }
+      // Stamped under the scheduler lock, so start stamps follow pop order
+      // across executors.
+      t_start = now_ms();
+      std::lock_guard<std::mutex> jlock(job->mu);
+      job->started_ms = t_start;
     }
-    // Claim: a DELETE may have flipped it to cancelled while queued.
-    JobState expected = JobState::kQueued;
-    if (!job->state.compare_exchange_strong(expected, JobState::kRunning,
-                                            std::memory_order_acq_rel)) {
-      continue;
-    }
-    run_job(*job);
+    run_job(*job, t_start);
   }
 }
 
-void JobScheduler::run_job(Job& job) {
-  const double t_start = now_ms();
-  {
-    std::lock_guard<std::mutex> lock(job.mu);
-    job.started_ms = t_start;
-  }
+void JobScheduler::run_job(Job& job, double t_start) {
   if (metrics_) {
     metrics_->jobs_running.inc();
     metrics_->queue_wait_ms.record(t_start - job.submitted_ms);
@@ -513,6 +545,10 @@ void JobScheduler::run_job(Job& job) {
       job.error = "interrupted: executor crashed (injected serve.executor.crash)";
       job.finished_ms = now_ms();
     }
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      retire_locked(job);
+    }
     job.state.store(JobState::kInterrupted, std::memory_order_release);
     if (metrics_) {
       metrics_->jobs_running.dec();
@@ -521,7 +557,9 @@ void JobScheduler::run_job(Job& job) {
     return;
   }
 
-  if (job.params.jobs > 0) runtime::set_threads(job.params.jobs);
+  // The job's thread budget: caps this executor's parallel_for calls and
+  // leaves the pool, and every later job, alone.
+  const runtime::ThreadBudget budget(job.params.jobs);
 
   // Derived (PATCH-created) entries carry an edited TimingView; jobs compute
   // against it through the same view-overload engines the CLI path compiles,
@@ -709,6 +747,12 @@ void JobScheduler::run_job(Job& job) {
     job.result_json = std::move(result);
     job.error = std::move(error);
     job.finished_ms = t_end;
+  }
+  {
+    // Into the history before the flip: a poller that sees the job finished
+    // also sees it counted against kFinishedJobsKept.
+    const std::lock_guard<std::mutex> lock(mu_);
+    retire_locked(job);
   }
   job.state.store(final_state, std::memory_order_release);
   if (metrics_) {

@@ -1,18 +1,20 @@
-// JobScheduler — bounded admission queue + the single job executor behind
+// JobScheduler — bounded admission queue + the job executors behind
 // `statsize serve`.
 //
-// Why ONE executor thread: runtime::CancelScope is a process-global chain
-// (install/uninstall must happen with no unrelated parallel work in flight),
-// and the compute engines already parallelize *inside* a job through the
-// global runtime::ThreadPool. Running jobs one at a time keeps the per-job
-// CancelScope/SizerOptions deadline sound, keeps results bit-identical to
-// the CLI (same pool, same determinism contract), and still loads every
-// core — the concurrency the daemon offers is at admission/IO level, not
-// compute level. DESIGN.md §11 expands on this trade.
+// Why one executor per thread of the process setting (runtime::threads(),
+// the daemon's --jobs / STATSIZE_JOBS): a cheap ssta query must not wait
+// behind a long size or Monte Carlo job. Execution state is per thread — a
+// job's CancelScope chain and its ThreadBudget live on its executor, and a
+// pool region carries its owner's chain to the workers that drain it — so
+// jobs on different executors never see each other's deadline or token.
+// They share the one runtime::ThreadPool: the job that finds it free fans
+// out, the others run their regions on their own executor. Every path gives
+// the CLI's bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
-// server answers 429) or rejects; the executor pops in FIFO order, runs the
-// job under its cancel token/deadline, and publishes a result JSON blob.
+// server answers 429) or rejects; an idle executor pops the oldest queued
+// ssta/sta job, else the oldest job, runs it under its cancel
+// token/deadline and thread budget, and publishes a result JSON blob.
 // cancel() flips a queued job straight to kCancelled or trips a running
 // job's CancellationToken so the cooperative polls unwind it.
 
@@ -60,7 +62,8 @@ struct JobParams {
   double deadline_ms = 0.0;  ///< 0 = unlimited. Analysis: hard cancel; size:
                              ///< SizerOptions::time_limit_seconds (honest
                              ///< kTimeLimit checkpoint comes back as kDone).
-  int jobs = 0;              ///< runtime::set_threads for this job; 0 = leave
+  int jobs = 0;              ///< the job's thread budget (clamped to the
+                             ///< pool size); 0 = the daemon's setting
 
   // Delay model.
   double sigma_kappa = 0.25;
@@ -123,6 +126,13 @@ struct Job {
   void set_circuit(std::shared_ptr<const CachedCircuit> entry);
 };
 
+/// Finished jobs kept pollable. Once this many newer jobs have finished, a
+/// job's id answers 404 and its Idempotency-Key admits a fresh job. This
+/// bounds the daemon's memory by its recent history, not by its uptime: at
+/// several thousand jobs a minute, keeping every finished job grows the
+/// process by megabytes a minute.
+inline constexpr std::size_t kFinishedJobsKept = 4096;
+
 struct SchedulerOptions {
   std::size_t queue_depth = 64;  ///< queued (not running) jobs before 429
 };
@@ -141,9 +151,10 @@ class JobScheduler {
   /// admission order (recovery re-admits in original order for free).
   void set_journal(Journal* journal) { journal_ = journal; }
 
+  /// Starts runtime::threads() executors.
   void start();
-  /// Cancels queued and running jobs, wakes the executor, joins it. Safe to
-  /// call twice.
+  /// Cancels queued and running jobs, wakes the executors, joins them. Safe
+  /// to call twice.
   void stop();
 
   /// How one submission resolved. Exactly one of job / overflow /
@@ -160,7 +171,8 @@ class JobScheduler {
   };
 
   /// Admission. A non-empty idempotency_key first consults the dedup index
-  /// (live jobs and journal-recovered ones alike); an existing non-interrupted
+  /// (live jobs and journal-recovered ones alike, while they are inside the
+  /// kFinishedJobsKept window); an existing non-interrupted
   /// job is returned as-is with deduplicated=true. An `interrupted` match
   /// does not dedup — the new admission replaces the mapping (retry
   /// semantics, see JobState).
@@ -203,7 +215,8 @@ class JobScheduler {
     std::string error;                   ///< failed/cancelled/interrupted reason
   };
 
-  /// Reinstalls recovered jobs: terminal jobs become pollable again, kQueued
+  /// Reinstalls recovered jobs: terminal jobs become pollable again (the
+  /// last kFinishedJobsKept of them, in journal order), kQueued
   /// jobs re-enter the queue in call order under their original ids, the
   /// idempotency index is rebuilt, and id allocation resumes past the highest
   /// recovered id. Writes NO journal records — the admit records already live
@@ -219,9 +232,16 @@ class JobScheduler {
 
   std::size_t queue_size() const;
 
+  /// Executor threads running (0 before start() and after stop()).
+  std::size_t executors() const;
+
  private:
   void executor_loop();
-  void run_job(Job& job);
+  /// Runs a claimed job; `t_start` is its start stamp.
+  void run_job(Job& job, double t_start);
+  /// Records that `job` reached a terminal state and forgets the oldest
+  /// finished job beyond kFinishedJobsKept. Caller holds mu_.
+  void retire_locked(const Job& job);
   /// Best-effort journal append for non-admission records (start/end):
   /// failures are counted, not raised — availability over a lost transition
   /// record (recovery then reports the job one state earlier, which the
@@ -237,10 +257,11 @@ class JobScheduler {
   std::deque<std::shared_ptr<Job>> queue_;
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::map<std::string, std::string> idem_;  ///< Idempotency-Key -> job id
+  std::deque<std::string> finished_;          ///< finished job ids, oldest first
   int next_id_ = 1;
   bool stopping_ = false;
   bool started_ = false;
-  std::thread executor_;
+  std::vector<std::thread> executors_;
 };
 
 }  // namespace statsize::serve

@@ -23,9 +23,10 @@
 //
 // Threading: one accept thread (SO_RCVTIMEO-paced so stop() is prompt) feeds
 // a bounded fd queue; `io_threads` workers each own one connection at a time
-// for its keep-alive lifetime. Compute stays on the JobScheduler's single
-// executor (see scheduler.h for why), so socket concurrency never races the
-// process-global CancelScope chain.
+// for its keep-alive lifetime. Compute runs on the JobScheduler's executors,
+// one per thread of the process setting (see scheduler.h for why); each job's
+// cancel scope and thread budget live on its executor thread, so neither
+// socket threads nor other jobs ever see them.
 
 #pragma once
 

@@ -28,7 +28,7 @@ constexpr std::size_t kGateGrain = 32;
 /// pooled level sweep on large views, else a serial topological walk.
 template <class EvalGate>
 void sweep_gates(const netlist::TimingView& view, EvalGate&& eval_gate) {
-  if (runtime::threads() > 1 && view.num_gates() >= kParallelGateCutoff) {
+  if (runtime::thread_budget() > 1 && view.num_gates() >= kParallelGateCutoff) {
     runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
   } else {
     for (NodeId id : view.gates_in_topo_order()) eval_gate(id);

@@ -1,5 +1,6 @@
 // Tests for the parallel execution runtime (src/runtime/): thread-pool
-// lifecycle, exception propagation, nested submission, the levelized
+// lifecycle, exception propagation, nested regions, regions from several
+// threads at once, per-thread budgets and cancel scopes, the levelized
 // scheduler's finalization contract, and — the load-bearing property — that
 // SSTA, Monte Carlo and NLP evaluation produce bit-identical results at any
 // thread count (serial path, --jobs 1, --jobs N).
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -65,15 +67,16 @@ TEST(ThreadPool, StartStopRepeatedly) {
     for (int round = 0; round < 3; ++round) {
       runtime::ThreadPool pool(threads);
       EXPECT_EQ(pool.num_threads(), threads);
-      std::atomic<int> ran{0};
-      for (int i = 0; i < 16; ++i) {
-        pool.submit([&ran] { ran.fetch_add(1); });
+      // Each pool hosts a few regions between construction and the
+      // destructor's join, with idle gaps that let workers park.
+      std::atomic<int> covered{0};
+      for (int region = 0; region < 4; ++region) {
+        pool.parallel_for(64, 8, [&](std::size_t b, std::size_t e) {
+          covered.fetch_add(static_cast<int>(e - b));
+        });
+        if (region == 1) std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      // parallel_for is a full barrier over its own work; drain the async
-      // submissions by destroying the pool below (joins workers) — but the
-      // tasks must have been queued without deadlock either way.
-      pool.parallel_for(64, 8, [](std::size_t, std::size_t) {});
-      (void)ran;
+      EXPECT_EQ(covered.load(), 4 * 64);
     }
   }
 }
@@ -117,51 +120,43 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 8 * 64);
 }
 
-TEST(ThreadPool, SubmitBurstWakesEveryWorker) {
-  // Wake-reliability stress at 2x hardware oversubscription: every burst of
-  // submits must be fully drained even when all workers were asleep when the
-  // burst arrived (the old single-notify_one wake could strand N-1 tasks
-  // behind one worker). Rounds with an idle gap in between push the workers
-  // through the spin window into the blocking wait before the next burst.
-  const int threads = 2 * runtime::hardware_threads() + 2;
-  runtime::ThreadPool pool(threads);
-  for (int round = 0; round < 10; ++round) {
-    const int burst = 2 * threads;
-    std::atomic<int> done{0};
-    for (int i = 0; i < burst; ++i) {
-      pool.submit([&done, &pool] {
-        // Nested parallel_for from a pool worker: must run inline, not
-        // deadlock on the region machinery.
-        pool.parallel_for(64, 8, [](std::size_t, std::size_t) {});
-        // seq_cst: the observing spin-load below must happen-before the next
-        // round's re-construction of `done` at the same stack slot.
-        done.fetch_add(1);
-      });
-    }
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (done.load() < burst && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    ASSERT_EQ(done.load(), burst) << "lost wakeup: burst not drained in round " << round;
-  }
-}
-
-TEST(ThreadPool, SubmitInterleavedWithParallelForDrainsBoth) {
+TEST(ThreadPool, BusyPoolRunsTheCallersChunksInline) {
+  // Thread A owns the pool's one region and holds it until thread B's
+  // parallel_for on the same pool has finished. B must not wait for A: it
+  // runs every one of its chunks on itself and covers its range exactly.
   runtime::ThreadPool pool(4);
-  std::atomic<int> tasks_run{0};
-  std::atomic<long> iters{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.submit([&tasks_run] { tasks_run.fetch_add(1, std::memory_order_relaxed); });
-    pool.parallel_for(128, 8, [&](std::size_t b, std::size_t e) {
-      iters.fetch_add(static_cast<long>(e - b), std::memory_order_relaxed);
+  std::atomic<bool> a_inside{false};
+  std::atomic<bool> b_done{false};
+  bool b_finished_first = false;
+  std::thread a([&] {
+    pool.parallel_for(4, 1, [&](std::size_t b, std::size_t) {
+      if (b != 0) return;
+      a_inside.store(true);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!b_done.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      b_finished_first = b_done.load();
     });
-  }
-  EXPECT_EQ(iters.load(), 50L * 128L);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (tasks_run.load() < 50 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(tasks_run.load(), 50);
+  });
+  while (!a_inside.load()) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(1000, 0);
+  bool off_caller = false;
+  int calls = 0;
+  pool.parallel_for(hits.size(), 7, [&](std::size_t b, std::size_t e) {
+    ++calls;
+    if (std::this_thread::get_id() != caller) off_caller = true;
+    for (std::size_t i = b; i < e; ++i) ++hits[i];
+  });
+  b_done.store(true);
+  a.join();
+
+  EXPECT_TRUE(b_finished_first) << "the second caller waited for the region owner";
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(calls, (1000 + 6) / 7);  // chunk by chunk, as a participant would
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
 }
 
 TEST(Runtime, SetThreadsClampsAndSticks) {
@@ -268,6 +263,120 @@ TEST(Runtime, ParallelForRunsInlineWhenRangeFitsOneGrain) {
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, std::size_t{32}));
   EXPECT_EQ(calls[1], std::make_pair(std::size_t{32}, std::size_t{33}));
+}
+
+TEST(Runtime, ThreadBudgetCapsTheCallersParticipantsAndRestores) {
+  // A budget caps how many threads a region uses (caller included) without
+  // touching the process setting or the pool; its destructor restores the
+  // previous cap. Budgets above the pool size clamp to it.
+  ThreadGuard guard;
+  runtime::set_threads(4);
+  const runtime::ThreadPool* pool = &runtime::global_pool();
+  EXPECT_EQ(runtime::thread_budget(), 4);
+  {
+    const runtime::ThreadBudget budget(2);
+    EXPECT_EQ(runtime::thread_budget(), 2);
+    std::mutex mu;
+    std::set<std::thread::id> participants;
+    std::vector<int> hits(4096, 0);
+    for (int round = 0; round < 20; ++round) {
+      runtime::parallel_for(hits.size(), 1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) ++hits[i];
+        const std::lock_guard<std::mutex> lock(mu);
+        participants.insert(std::this_thread::get_id());
+      });
+    }
+    EXPECT_LE(participants.size(), 2u);
+    for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 20) << "index " << i;
+    {
+      const runtime::ThreadBudget inner(1);
+      EXPECT_EQ(runtime::thread_budget(), 1);
+      int calls = 0;
+      runtime::parallel_for(10000, 1, [&](std::size_t, std::size_t) { ++calls; });
+      EXPECT_EQ(calls, 1);
+    }
+    EXPECT_EQ(runtime::thread_budget(), 2);
+  }
+  {
+    const runtime::ThreadBudget budget(64);
+    EXPECT_EQ(runtime::thread_budget(), 4);
+  }
+  EXPECT_EQ(runtime::thread_budget(), 4);
+  EXPECT_EQ(runtime::threads(), 4);
+  EXPECT_EQ(&runtime::global_pool(), pool);
+}
+
+TEST(Runtime, PoolChunksPollTheOwnersCancelChainOnly) {
+  // Every chunk of a region, on whichever thread runs it, sees the owner's
+  // chain head; a later region with no scope sees none, so a worker never
+  // keeps a previous owner's chain.
+  ThreadGuard guard;
+  runtime::set_threads(4);
+  runtime::CancellationToken token;
+  std::mutex mu;
+  std::vector<const void*> heads;
+  auto record = [&](std::size_t, std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    heads.push_back(runtime::detail::active_chain());
+  };
+  const void* owner_head = nullptr;
+  {
+    const runtime::CancelScope scope(&token, runtime::Deadline::never());
+    owner_head = runtime::detail::active_chain();
+    ASSERT_NE(owner_head, nullptr);
+    for (int round = 0; round < 20; ++round) runtime::parallel_for(256, 1, record);
+  }
+  for (const void* h : heads) ASSERT_EQ(h, owner_head);
+  heads.clear();
+  for (int round = 0; round < 20; ++round) runtime::parallel_for(256, 1, record);
+  for (const void* h : heads) ASSERT_EQ(h, nullptr);
+}
+
+TEST(Runtime, CancelScopesArePerThread) {
+  // Thread A runs regions under an already-expired deadline and must be
+  // cancelled every time. Thread B, concurrently and with no scope, must
+  // complete every region bit-identical to a serial run — whichever of the
+  // two owns the pool at any moment.
+  ThreadGuard guard;
+  runtime::set_threads(4);
+  constexpr std::size_t kN = 2000;
+  auto value = [](std::size_t i) { return std::sin(0.001 * static_cast<double>(i)) * 3.0 + 1.0; };
+  std::vector<double> serial(kN);
+  for (std::size_t i = 0; i < kN; ++i) serial[i] = value(i);
+
+  constexpr int kRounds = 200;
+  std::atomic<int> a_cancelled{0};
+  std::atomic<int> b_identical{0};
+  std::thread a([&] {
+    const runtime::CancelScope scope(runtime::Deadline::after_seconds(-1.0));
+    std::vector<double> out(kN, 0.0);
+    for (int round = 0; round < kRounds; ++round) {
+      try {
+        runtime::parallel_for(kN, 16, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) out[i] = value(i);
+        });
+      } catch (const runtime::OperationCancelled& e) {
+        if (e.reason() == runtime::CancelReason::kDeadline) a_cancelled.fetch_add(1);
+      }
+    }
+  });
+  std::thread b([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<double> out(kN, 0.0);
+      try {
+        runtime::parallel_for(kN, 16, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) out[i] = value(i);
+        });
+      } catch (const runtime::OperationCancelled&) {
+        continue;  // another thread's deadline reached this region
+      }
+      if (out == serial) b_identical.fetch_add(1);
+    }
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(a_cancelled.load(), kRounds);
+  EXPECT_EQ(b_identical.load(), kRounds);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Live-loopback tests of the statsize serve daemon: upload/submit/poll over
 // real sockets, bit-identity against in-process SSTA, queue overflow -> 429,
 // deadline'd jobs (checkpoint for sizing, cancel for analysis), DELETE on a
-// running job, LRU eviction under concurrent readers, stats, and the SIGINT
-// interrupt token. The suite runs in the ThreadSanitizer configuration of
+// running job, jobs side by side on several executors (isolation, priority,
+// per-job thread budgets), LRU eviction under concurrent readers, stats, and
+// the SIGINT interrupt token. The suite runs in the ThreadSanitizer configuration of
 // scripts/check.sh, so the scheduler/cache/IO synchronization is part of the
 // repo's concurrency surface.
 
@@ -10,6 +11,7 @@
 
 #include <csignal>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,11 +21,13 @@
 #include "netlist/blif.h"
 #include "netlist/generators.h"
 #include "netlist/timing_view.h"
+#include "runtime/runtime.h"
 #include "runtime/signal.h"
 #include "serve/circuit_cache.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "ssta/delay_model.h"
+#include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
 #include "util/json.h"
 
@@ -82,6 +86,28 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_) server_->stop();
+  }
+
+  /// Polls until job `id` is running (gives up after ~5 s).
+  void WaitUntilRunning(const std::string& id) {
+    for (int i = 0; i < 500; ++i) {
+      if (client_->job(id).json().string_or("state", "") == "running") return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+
+  /// Starts one long Monte Carlo job per executor, each running before the
+  /// next is submitted, so every executor is busy and later jobs stay
+  /// queued. apex1 keeps the runs long at a modest sample count (each job
+  /// holds its samples in memory). Returns the job ids.
+  std::vector<std::string> OccupyEveryExecutor() {
+    const std::string key = client_->upload(apex1_blif(), "blif", "apex1");
+    std::vector<std::string> ids;
+    for (std::size_t i = 0; i < server_->scheduler().executors(); ++i) {
+      ids.push_back(client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000")));
+      WaitUntilRunning(ids.back());
+    }
+    return ids;
   }
 
   std::unique_ptr<serve::Server> server_;
@@ -239,13 +265,8 @@ TEST_F(ServeTest, QueueOverflowAnswers429) {
   options.scheduler.queue_depth = 1;
   StartServer(options);
   const std::string key = client_->upload(kC17, "blif");
-  // Occupy the executor with a long Monte Carlo run...
-  const std::string running =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 200000000"));
-  for (int i = 0; i < 500; ++i) {
-    if (client_->job(running).json().string_or("state", "") == "running") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Occupy every executor with a long Monte Carlo run...
+  const std::vector<std::string> running = OccupyEveryExecutor();
   // ...fill the one queue slot...
   const std::string queued = client_->submit(job_body(key, "ssta"));
   // ...and the next submission must bounce with 429 + Retry-After.
@@ -253,8 +274,10 @@ TEST_F(ServeTest, QueueOverflowAnswers429) {
   EXPECT_EQ(overflow.status, 429) << overflow.body;
   EXPECT_GE(server_->metrics().jobs_rejected.value(), 1);
 
-  EXPECT_EQ(client_->cancel(running).status, 200);
-  EXPECT_EQ(client_->wait(running, 0.02, 60.0).string_or("state", ""), "cancelled");
+  for (const std::string& id : running) {
+    EXPECT_EQ(client_->cancel(id).status, 200);
+    EXPECT_EQ(client_->wait(id, 0.02, 60.0).string_or("state", ""), "cancelled");
+  }
   EXPECT_EQ(client_->wait(queued, 0.02, 60.0).string_or("state", ""), "done");
 }
 
@@ -309,19 +332,18 @@ TEST_F(ServeTest, StatsEndpointReportsCountersAndLatencies) {
 TEST_F(ServeTest, StopCancelsQueuedAndRunningJobs) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif");
-  const std::string running =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 200000000"));
+  // Every executor busy first: a queued ssta job would otherwise start ahead
+  // of a queued Monte Carlo one.
+  const std::vector<std::string> running = OccupyEveryExecutor();
   const std::string queued = client_->submit(job_body(key, "ssta"));
-  for (int i = 0; i < 500; ++i) {
-    if (client_->job(running).json().string_or("state", "") == "running") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
   server_->stop();
-  const auto r = server_->scheduler().get(running);
+  for (const std::string& id : running) {
+    const auto r = server_->scheduler().get(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->state.load(), serve::JobState::kCancelled);
+  }
   const auto q = server_->scheduler().get(queued);
-  ASSERT_NE(r, nullptr);
   ASSERT_NE(q, nullptr);
-  EXPECT_EQ(r->state.load(), serve::JobState::kCancelled);
   EXPECT_EQ(q->state.load(), serve::JobState::kCancelled);
 }
 
@@ -379,13 +401,8 @@ TEST_F(ServeTest, BatchSubmitIsAllOrNothingOnQueueOverflow) {
   options.scheduler.queue_depth = 2;
   StartServer(options);
   const std::string key = client_->upload(kC17, "blif");
-  // Occupy the executor so queued jobs stay queued.
-  const std::string running =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 200000000"));
-  for (int i = 0; i < 500; ++i) {
-    if (client_->job(running).json().string_or("state", "") == "running") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Occupy every executor so queued jobs stay queued.
+  const std::vector<std::string> running = OccupyEveryExecutor();
   // Three jobs cannot fit the two queue slots: the whole batch bounces and
   // none of it is queued.
   const std::string batch3 = "[" + job_body(key, "ssta") + ", " + job_body(key, "ssta") +
@@ -403,7 +420,7 @@ TEST_F(ServeTest, BatchSubmitIsAllOrNothingOnQueueOverflow) {
   ASSERT_NE(accepted, nullptr);
   ASSERT_EQ(accepted->items().size(), 2u);
 
-  EXPECT_EQ(client_->cancel(running).status, 200);
+  for (const std::string& id : running) EXPECT_EQ(client_->cancel(id).status, 200);
   for (const util::JsonValue& j : accepted->items()) {
     EXPECT_EQ(client_->wait(j.string_or("id", ""), 0.02, 60.0).string_or("state", ""),
               "done");
@@ -574,6 +591,180 @@ TEST_F(ServeTest, ServedSstaOnAPooledCircuitIsBitIdenticalAtAnyJobs) {
   }
 }
 
+TEST_F(ServeTest, JobsValueIsAPerJobBudgetThatLeavesTheDaemonSetting) {
+  // "jobs" caps one job's threads. It must not rebuild the pool or change
+  // the process setting that every later job runs at.
+  StartServer();
+  const int setting = runtime::threads();
+  const runtime::ThreadPool* pool = &runtime::global_pool();
+  const std::string text = apex1_blif();
+  const std::string key = client_->upload(text, "blif", "apex1");
+
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const ssta::TimingReport reference = ssta::run_ssta(ssta::DelayCalculator(circuit, {}), speed);
+
+  for (const std::string& extra : {std::string("\"jobs\": 1"), std::string()}) {
+    SCOPED_TRACE(extra.empty() ? "no jobs value" : extra);
+    const util::JsonValue doc = client_->wait(client_->submit(job_body(key, "ssta", extra)));
+    ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+    EXPECT_EQ(doc.find("result")->number_or("mu", -1.0), reference.circuit_delay.mu);
+    EXPECT_EQ(runtime::threads(), setting);
+    EXPECT_EQ(&runtime::global_pool(), pool);
+  }
+}
+
+TEST_F(ServeTest, PooledSstaFinishesWhileAMonteCarloJobHoldsThePool) {
+  // A long Monte Carlo job owns the pool's region. An apex1 ssta job (above
+  // the pooled-sweep cutoff) on another executor finds the pool busy, runs
+  // its level sweeps on its own executor, and finishes first, with the
+  // in-process bits.
+  StartServer();
+  if (server_->scheduler().executors() < 2) GTEST_SKIP() << "one executor: jobs run in turn";
+  const std::string text = apex1_blif();
+  const std::string key = client_->upload(text, "blif", "apex1");
+  const std::string mc =
+      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000"));
+  WaitUntilRunning(mc);
+
+  const util::JsonValue doc = client_->wait(client_->submit(job_body(key, "ssta")), 0.01, 60.0);
+  EXPECT_EQ(client_->job(mc).json().string_or("state", ""), "running");
+  ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const ssta::TimingReport reference = ssta::run_ssta(ssta::DelayCalculator(circuit, {}), speed);
+  EXPECT_EQ(doc.find("result")->number_or("mu", -1.0), reference.circuit_delay.mu);
+  EXPECT_EQ(doc.find("result")->number_or("sigma", -1.0), reference.circuit_delay.sigma());
+
+  EXPECT_EQ(client_->cancel(mc).status, 200);
+  EXPECT_EQ(client_->wait(mc, 0.02, 60.0).string_or("state", ""), "cancelled");
+}
+
+TEST_F(ServeTest, QueuedInteractiveJobStartsBeforeAnEarlierQueuedMonteCarloJob) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+  const std::vector<std::string> running = OccupyEveryExecutor();
+  const std::string mc = client_->submit(job_body(key, "monte_carlo", "\"samples\": 100"));
+  const std::string ssta = client_->submit(job_body(key, "ssta"));
+  // Free one executor: it must take the later ssta job first.
+  EXPECT_EQ(client_->cancel(running.front()).status, 200);
+  EXPECT_EQ(client_->wait(ssta, 0.01, 60.0).string_or("state", ""), "done");
+  EXPECT_EQ(client_->wait(mc, 0.01, 60.0).string_or("state", ""), "done");
+  for (const std::string& id : running) client_->cancel(id);
+
+  const auto started = [&](const std::string& id) {
+    const std::shared_ptr<serve::Job> job = server_->scheduler().get(id);
+    const std::lock_guard<std::mutex> lock(job->mu);
+    return job->started_ms;
+  };
+  EXPECT_LT(started(ssta), started(mc));
+}
+
+TEST_F(ServeTest, MixedConcurrentJobsAreBitIdenticalToInProcessRuns) {
+  // Several clients keep every executor busy with all four job types at
+  // once; each answer must be the in-process one to the bit.
+  StartServer();
+  const std::string text = apex1_blif();
+  const std::string apex1 = client_->upload(text, "blif", "apex1");
+  const std::string c17 = client_->upload(kC17, "blif", "c17");
+
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const ssta::DelayCalculator calc(circuit, {});
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const stat::NormalRV ssta_ref = ssta::run_ssta(calc, speed).circuit_delay;
+  const double sta_ref =
+      ssta::run_sta(circuit.view(), calc.all_delays(speed), ssta::Corner::kWorst).circuit_delay;
+  ssta::MonteCarloOptions mc;
+  mc.num_samples = 3000;
+  mc.seed = 11;
+  const ssta::MonteCarloResult mc_ref =
+      ssta::run_monte_carlo(circuit.view(), calc.all_delays(speed), mc);
+  std::istringstream c17_in(kC17);
+  const netlist::Circuit c17_circuit = netlist::read_blif(c17_in);
+  core::SizingSpec spec;
+  spec.objective = core::Objective::min_delay(3.0);
+  spec.max_speed = 3.0;
+  core::SizerOptions opt;
+  opt.method = core::Method::kReducedSpace;
+  const core::SizingResult size_ref = core::Sizer(c17_circuit, spec).run(opt);
+
+  const std::string bodies[] = {
+      job_body(apex1, "ssta"),
+      job_body(apex1, "sta"),
+      job_body(apex1, "monte_carlo", "\"samples\": 3000, \"seed\": 11"),
+      job_body(c17, "size", "\"method\": \"reduced\""),
+  };
+  constexpr int kClients = 4;
+  constexpr int kRounds = 2;
+  std::mutex mu;
+  std::vector<std::string> failures;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      serve::Client client("127.0.0.1", server_->port());
+      for (int k = 0; k < kRounds * 4; ++k) {
+        const int type = (c + k) % 4;
+        const util::JsonValue doc = client.wait(client.submit(bodies[type]), 0.005, 120.0);
+        const util::JsonValue* r = doc.find("result");
+        bool ok = doc.string_or("state", "") == "done" && r != nullptr;
+        if (ok && type == 0) {
+          ok = r->number_or("mu", -1.0) == ssta_ref.mu &&
+               r->number_or("sigma", -1.0) == ssta_ref.sigma();
+        } else if (ok && type == 1) {
+          ok = r->number_or("circuit_delay", -1.0) == sta_ref;
+        } else if (ok && type == 2) {
+          ok = r->number_or("mean", -1.0) == mc_ref.mean &&
+               r->number_or("stddev", -1.0) == mc_ref.stddev &&
+               r->number_or("q99", -1.0) == mc_ref.quantile(0.99);
+        } else if (ok && type == 3) {
+          ok = r->number_or("mu", -1.0) == size_ref.circuit_delay.mu &&
+               r->number_or("sum_speed", -1.0) == size_ref.sum_speed;
+        }
+        if (!ok) {
+          const std::lock_guard<std::mutex> lock(mu);
+          failures.push_back(bodies[type] + " -> " + doc.string_or("state", "?") + " " +
+                             doc.string_or("error", ""));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(failures.empty()) << failures.size() << " jobs differ; first: " << failures[0];
+  EXPECT_EQ(server_->metrics().jobs_completed.value(), kClients * kRounds * 4);
+}
+
+TEST_F(ServeTest, DeletingOneRunningJobLeavesAConcurrentOneDone) {
+  // Two jobs run side by side; cancelling one trips only its own token.
+  StartServer();
+  if (server_->scheduler().executors() < 2) GTEST_SKIP() << "one executor: jobs run in turn";
+  const std::string text = apex1_blif();
+  const std::string key = client_->upload(text, "blif", "apex1");
+  const std::string doomed =
+      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000"));
+  WaitUntilRunning(doomed);
+  const std::string survivor =
+      client_->submit(job_body(key, "monte_carlo", "\"samples\": 20000, \"seed\": 5"));
+  WaitUntilRunning(survivor);
+  EXPECT_EQ(client_->cancel(doomed).status, 200);
+  EXPECT_EQ(client_->wait(doomed, 0.01, 60.0).string_or("state", ""), "cancelled");
+
+  const util::JsonValue doc = client_->wait(survivor, 0.01, 120.0);
+  ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  ssta::MonteCarloOptions mc;
+  mc.num_samples = 20000;
+  mc.seed = 5;
+  const ssta::MonteCarloResult reference = ssta::run_monte_carlo(
+      circuit.view(), ssta::DelayCalculator(circuit, {}).all_delays(speed), mc);
+  EXPECT_EQ(doc.find("result")->number_or("mean", -1.0), reference.mean);
+  EXPECT_EQ(doc.find("result")->number_or("stddev", -1.0), reference.stddev);
+}
+
 TEST_F(ServeTest, AnalysisOnPatchedCircuitIsBitIdenticalToInProcessEdit) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif");
@@ -725,6 +916,51 @@ std::shared_ptr<const serve::CachedCircuit> make_entry(const std::string& key) {
   auto entry = std::make_shared<serve::CachedCircuit>();
   entry->key = key;
   return entry;
+}
+
+TEST(JobSchedulerTest, KeepsTheLastFinishedJobsPollable) {
+  // Once kFinishedJobsKept newer jobs have finished, the oldest finished job
+  // is forgotten: its id is unknown and its Idempotency-Key admits afresh.
+  auto entry = std::make_shared<serve::CachedCircuit>();
+  entry->key = "c-c17";
+  std::istringstream in(kC17);
+  entry->circuit = std::make_shared<const netlist::Circuit>(netlist::read_blif(in));
+  serve::JobScheduler scheduler;
+  scheduler.start();
+  auto run_all = [](const std::vector<std::shared_ptr<serve::Job>>& jobs) {
+    for (const auto& job : jobs) {
+      while (job->state.load() == serve::JobState::kQueued ||
+             job->state.load() == serve::JobState::kRunning) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  const serve::JobScheduler::SubmitOutcome first =
+      scheduler.submit(serve::JobType::kSta, entry, {}, "first-key");
+  ASSERT_NE(first.job, nullptr);
+  run_all({first.job});
+  std::vector<std::shared_ptr<serve::Job>> later;
+  for (std::size_t done = 0; done < serve::kFinishedJobsKept;) {
+    std::vector<serve::JobScheduler::JobRequest> batch(
+        std::min<std::size_t>(32, serve::kFinishedJobsKept - done));
+    for (auto& r : batch) {
+      r.type = serve::JobType::kSta;
+      r.circuit = entry;
+    }
+    const serve::JobScheduler::BatchOutcome out = scheduler.submit_batch(std::move(batch));
+    ASSERT_FALSE(out.jobs.empty());
+    run_all(out.jobs);
+    done += out.jobs.size();
+    if (later.empty()) later = out.jobs;
+  }
+  EXPECT_EQ(scheduler.get(first.job->id), nullptr);
+  EXPECT_NE(scheduler.get(later.front()->id), nullptr);
+  const serve::JobScheduler::SubmitOutcome again =
+      scheduler.submit(serve::JobType::kSta, entry, {}, "first-key");
+  ASSERT_NE(again.job, nullptr);
+  EXPECT_FALSE(again.deduplicated);
+  EXPECT_NE(again.job->id, first.job->id);
+  scheduler.stop();
 }
 
 TEST(CircuitCacheTest, EvictsLeastRecentlyUsedAndKeepsHandlesAlive) {

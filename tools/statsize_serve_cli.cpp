@@ -78,7 +78,8 @@ int run_serve(int argc, char** argv) {
   args.add_string("stats-out", "write final /v1/stats JSON here on shutdown ('-' = stdout)");
   args.add_string("journal", "durable job journal directory (crash recovery; see DESIGN.md §13)");
   args.add_string("journal-fsync", "journal durability: none | always", "none");
-  args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
+  args.add_int("jobs", "worker threads, and jobs run at once (0 = STATSIZE_JOBS or hardware)",
+               0);
   if (!args.parse(argc, argv)) return 0;
   if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
 
