@@ -40,17 +40,14 @@ inline MetricRange metric_range(const netlist::Circuit& c, const core::SizingSpe
   return r;
 }
 
-/// Method selection: STATSIZE_METHOD=full|reduced|auto (default auto: the
-/// paper's full-space formulation up to `full_space_limit` gates, the
-/// reduced-space adjoint mode beyond — full-space on thousand-gate circuits
-/// reproduces the paper's hours-scale LANCELOT times, see Table 1 CPU column).
-inline core::Method select_method(const netlist::Circuit& c, int full_space_limit = 300) {
+/// Method selection: STATSIZE_METHOD=full|reduced|auto (default auto:
+/// core::auto_method).
+inline core::Method select_method(const netlist::Circuit& c) {
   const char* env = std::getenv("STATSIZE_METHOD");
   const std::string mode = env != nullptr ? env : "auto";
   if (mode == "full") return core::Method::kFullSpace;
   if (mode == "reduced") return core::Method::kReducedSpace;
-  return c.num_gates() <= full_space_limit ? core::Method::kFullSpace
-                                           : core::Method::kReducedSpace;
+  return core::auto_method(c);
 }
 
 inline const char* method_name(core::Method m) {

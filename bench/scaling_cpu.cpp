@@ -117,7 +117,7 @@ int main() {
 
     std::string fs_time = "(skipped)";
     std::string fs_mu = "";
-    if (gates <= 300 || force_full) {
+    if (core::auto_method(c) == core::Method::kFullSpace || force_full) {
       core::SizerOptions fo;
       fo.method = core::Method::kFullSpace;
       const core::SizingResult rf = core::Sizer(c, spec).run(fo);

@@ -22,6 +22,19 @@ else
   BUILD_DIR="${1:-$REPO_ROOT/build-check}"
 fi
 
+# One engine input (DESIGN.md §8): every timing and sizing engine takes a
+# netlist::TimingView, and a Circuit converts to its view. No engine header
+# may take or hold a Circuit; only the JSON report, which reads Node and
+# CellLibrary data, does. Comment lines are exempt. Needs no build.
+echo "== one engine input (no Circuit in ssta/core/runtime headers) =="
+if grep -nwE 'Circuit' "$REPO_ROOT"/src/ssta/*.h "$REPO_ROOT"/src/core/*.h \
+    "$REPO_ROOT"/src/runtime/*.h | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -v '/src/ssta/report\.h:'; then
+  echo "engine-input gate FAILED: the lines above take or hold a netlist::Circuit"
+  exit 1
+fi
+echo "engine-input gate passed"
+
 echo "== configure ($SANITIZE) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DSTATSIZE_SANITIZE="$SANITIZE" \

@@ -10,7 +10,6 @@
 namespace statsize::core {
 
 using netlist::NodeId;
-using netlist::NodeKind;
 
 SizeGrid SizeGrid::geometric(double max_speed, int steps) {
   if (steps < 2 || max_speed <= 1.0) throw std::invalid_argument("need >=2 steps, max > 1");
@@ -47,20 +46,16 @@ int grid_index(const SizeGrid& grid, double s) {
 
 }  // namespace
 
-DiscreteResult legalize_sizing(const netlist::Circuit& circuit, const SizingSpec& spec,
+DiscreteResult legalize_sizing(const netlist::TimingView& view, const SizingSpec& spec,
                                const std::vector<double>& continuous_speed,
                                const SizeGrid& grid, double target, double sigma_weight) {
   if (grid.sizes.empty()) throw std::invalid_argument("empty size grid");
   const bool constrained = target < std::numeric_limits<double>::infinity();
-  const ReducedEvaluator eval(circuit, spec.sigma_model);
-
-  std::vector<NodeId> gates;
-  for (NodeId id : circuit.topo_order()) {
-    if (circuit.node(id).kind == NodeKind::kGate) gates.push_back(id);
-  }
+  const ReducedEvaluator eval(view, spec.sigma_model);
+  const std::vector<NodeId>& gates = view.gates_in_topo_order();
 
   DiscreteResult result;
-  result.speed.assign(static_cast<std::size_t>(circuit.num_nodes()), grid.sizes.front());
+  result.speed.assign(static_cast<std::size_t>(view.num_nodes()), grid.sizes.front());
   for (NodeId g : gates) {
     const std::size_t i = static_cast<std::size_t>(g);
     result.speed[i] = grid.snap(continuous_speed[i], /*round_up=*/constrained);

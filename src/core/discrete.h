@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/spec.h"
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 
 namespace statsize::core {
 
@@ -45,7 +45,7 @@ struct DiscreteResult {
 
 /// Legalizes a continuous sizing onto `grid` under the constraint
 /// mu + sigma_weight * sigma <= target (pass infinity for unconstrained).
-DiscreteResult legalize_sizing(const netlist::Circuit& circuit, const SizingSpec& spec,
+DiscreteResult legalize_sizing(const netlist::TimingView& view, const SizingSpec& spec,
                                const std::vector<double>& continuous_speed,
                                const SizeGrid& grid, double target, double sigma_weight);
 

@@ -33,11 +33,11 @@ struct Operand {
 
 class Builder {
  public:
-  Builder(const netlist::Circuit& circuit, const SizingSpec& spec,
+  Builder(const netlist::TimingView& view, const SizingSpec& spec,
           const std::vector<double>& start_speed)
-      : circuit_(circuit), view_(circuit.view()), spec_(spec), start_speed_(start_speed) {
+      : view_(view), spec_(spec), start_speed_(start_speed) {
     out_.problem = std::make_unique<Problem>();
-    out_.speed_var.assign(static_cast<std::size_t>(circuit.num_nodes()), -1);
+    out_.speed_var.assign(static_cast<std::size_t>(view.num_nodes()), -1);
   }
 
   FullSpaceFormulation build();
@@ -49,7 +49,6 @@ class Builder {
   Operand nary_fanin_fold(NodeId gate);
   Operand operand_of(NodeId id) const;
 
-  const netlist::Circuit& circuit_;  ///< names only; structure comes from view_
   const netlist::TimingView& view_;
   const SizingSpec& spec_;
   const std::vector<double>& start_speed_;
@@ -147,7 +146,7 @@ Operand Builder::fold_max(const Operand& a, const Operand& b, const std::string&
 }
 
 Operand Builder::nary_fanin_fold(NodeId gate) {
-  const std::string& gate_name = circuit_.node(gate).name;
+  const std::string& gate_name = view_.name(gate);
   // Split operands into a constant prefix (primary-input arrivals, folded at
   // build time) and the variable ones.
   bool has_const = false;
@@ -213,8 +212,8 @@ Operand Builder::nary_fanin_fold(NodeId gate) {
 }
 
 FullSpaceFormulation Builder::build() {
-  const netlist::Circuit& c = circuit_;
-  if (static_cast<int>(start_speed_.size()) != c.num_nodes()) {
+  const std::size_t n = static_cast<std::size_t>(view_.num_nodes());
+  if (start_speed_.size() != n) {
     throw std::invalid_argument("start_speed must be indexed by NodeId");
   }
 
@@ -224,23 +223,23 @@ FullSpaceFormulation Builder::build() {
   clark_var_ = p().own(std::make_unique<ClarkElement>(ClarkElement::Output::kVar));
 
   // ---- Start values: forward propagation at start_speed.
-  const ssta::DelayCalculator calc(c, spec_.sigma_model);
+  const ssta::DelayCalculator calc(view_, spec_.sigma_model);
   delay_start_ = calc.all_delays(start_speed_);
-  arrival_start_.assign(static_cast<std::size_t>(c.num_nodes()), NormalRV{});
+  arrival_start_.assign(n, NormalRV{});
 
   // ---- Pass 1: create all per-gate variables (fanout speed factors appear
   // in fanin delay constraints, so every S must exist up front).
-  mu_t_var_.assign(static_cast<std::size_t>(c.num_nodes()), -1);
-  var_t_var_.assign(static_cast<std::size_t>(c.num_nodes()), -1);
-  mu_arr_var_.assign(static_cast<std::size_t>(c.num_nodes()), -1);
-  var_arr_var_.assign(static_cast<std::size_t>(c.num_nodes()), -1);
+  mu_t_var_.assign(n, -1);
+  var_t_var_.assign(n, -1);
+  mu_arr_var_.assign(n, -1);
+  var_arr_var_.assign(n, -1);
 
-  arr_var_floor_.assign(static_cast<std::size_t>(c.num_nodes()), 0.0);
+  arr_var_floor_.assign(n, 0.0);
   const double kappa0 = spec_.sigma_model.kappa;
   const double offset0 = spec_.sigma_model.offset;
   for (NodeId id : view_.gates_in_topo_order()) {
     const std::size_t i = static_cast<std::size_t>(id);
-    const std::string& name = c.node(id).name;
+    const std::string& name = view_.name(id);
     const double t_int = view_.t_int(id);
     // Physically valid bounds: the load is positive, so mu_t >= t_int; hence
     // var_t >= (kappa t_int + offset)^2, and the arrival variance is at least
@@ -267,7 +266,7 @@ FullSpaceFormulation Builder::build() {
   const double offset = spec_.sigma_model.offset;
   for (NodeId id : view_.gates_in_topo_order()) {
     const std::size_t i = static_cast<std::size_t>(id);
-    const std::string& name = c.node(id).name;
+    const std::string& name = view_.name(id);
 
     // (a) delay: mu_t S - t_int S - c * C_load - sum c * C_in,fo * S_fo = 0.
     {
@@ -409,17 +408,17 @@ std::vector<double> FullSpaceFormulation::speeds_from(const std::vector<double>&
   return speeds;
 }
 
-FullSpaceFormulation build_full_space(const netlist::Circuit& circuit, const SizingSpec& spec,
+FullSpaceFormulation build_full_space(const netlist::TimingView& view, const SizingSpec& spec,
                                       const std::vector<double>& start_speed) {
-  Builder b(circuit, spec, start_speed);
+  Builder b(view, spec, start_speed);
   return b.build();
 }
 
-FullSpaceFormulation build_full_space(const netlist::Circuit& circuit, const SizingSpec& spec,
+FullSpaceFormulation build_full_space(const netlist::TimingView& view, const SizingSpec& spec,
                                       double start_speed) {
-  const std::vector<double> s(static_cast<std::size_t>(circuit.num_nodes()),
+  const std::vector<double> s(static_cast<std::size_t>(view.num_nodes()),
                               std::clamp(start_speed, 1.0, spec.max_speed));
-  return build_full_space(circuit, spec, s);
+  return build_full_space(view, spec, s);
 }
 
 }  // namespace statsize::core

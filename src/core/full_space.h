@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "core/spec.h"
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "nlp/problem.h"
 
 namespace statsize::core {
@@ -49,11 +49,11 @@ struct FullSpaceFormulation {
   std::vector<double> speeds_from(const std::vector<double>& x) const;
 };
 
-FullSpaceFormulation build_full_space(const netlist::Circuit& circuit, const SizingSpec& spec,
+FullSpaceFormulation build_full_space(const netlist::TimingView& view, const SizingSpec& spec,
                                       const std::vector<double>& start_speed);
 
 /// Convenience: start from S = value everywhere.
-FullSpaceFormulation build_full_space(const netlist::Circuit& circuit, const SizingSpec& spec,
+FullSpaceFormulation build_full_space(const netlist::TimingView& view, const SizingSpec& spec,
                                       double start_speed = 1.0);
 
 }  // namespace statsize::core

@@ -9,20 +9,16 @@
 namespace statsize::core {
 
 using netlist::NodeId;
-using netlist::NodeKind;
 
-GreedyResult greedy_size(const netlist::Circuit& circuit, const SizingSpec& spec,
+GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec,
                          double target, double sigma_weight, const GreedyOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
-  const ReducedEvaluator eval(circuit, spec.sigma_model);
+  const ReducedEvaluator eval(view, spec.sigma_model);
 
   GreedyResult result;
-  result.speed.assign(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  result.speed.assign(static_cast<std::size_t>(view.num_nodes()), 1.0);
 
-  std::vector<NodeId> gates;
-  for (NodeId id : circuit.topo_order()) {
-    if (circuit.node(id).kind == NodeKind::kGate) gates.push_back(id);
-  }
+  const std::vector<NodeId>& gates = view.gates_in_topo_order();
 
   std::vector<double> grad;
   double metric = eval.eval_metric(result.speed, sigma_weight, &grad);

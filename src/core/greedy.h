@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/spec.h"
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 
 namespace statsize::core {
 
@@ -32,9 +32,9 @@ struct GreedyResult {
   double wall_seconds = 0.0;
 };
 
-/// Greedily sizes `circuit` until mu + sigma_weight * sigma <= target (or no
+/// Greedily sizes `view` until mu + sigma_weight * sigma <= target (or no
 /// move improves the metric). Starts from S = 1 everywhere.
-GreedyResult greedy_size(const netlist::Circuit& circuit, const SizingSpec& spec,
+GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec,
                          double target, double sigma_weight,
                          const GreedyOptions& options = {});
 

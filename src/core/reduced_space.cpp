@@ -50,34 +50,18 @@ struct ReducedEvaluator::ForwardCache {
   std::vector<double> avar;
 };
 
-ReducedEvaluator::ReducedEvaluator(const netlist::Circuit& circuit, ssta::SigmaModel sigma_model)
-    : circuit_(&circuit), sigma_model_(sigma_model) {}
-
 ReducedEvaluator::ReducedEvaluator(const netlist::TimingView& view, ssta::SigmaModel sigma_model)
     : view_(&view), sigma_model_(sigma_model) {}
 
 ReducedEvaluator::~ReducedEvaluator() = default;
 
-const netlist::Circuit& ReducedEvaluator::circuit() const {
-  if (circuit_ == nullptr) {
-    throw std::logic_error(
-        "ReducedEvaluator::circuit: evaluator was constructed from a bare "
-        "TimingView (ECO edit path) and has no backing Circuit");
-  }
-  return *circuit_;
-}
-
-const netlist::TimingView& ReducedEvaluator::resolve_view() const {
-  return circuit_ != nullptr ? circuit_->view() : *view_;
-}
-
 NormalRV ReducedEvaluator::eval(const std::vector<double>& speed) const {
-  const ssta::DelayCalculator calc(resolve_view(), sigma_model_);
+  const ssta::DelayCalculator calc(*view_, sigma_model_);
   return ssta::run_ssta(calc, speed).circuit_delay;
 }
 
 void ReducedEvaluator::note_edits(const std::vector<NodeId>& nodes) {
-  const netlist::TimingView& view = resolve_view();
+  const netlist::TimingView& view = *view_;
   if (!fwd_) fwd_ = std::make_unique<ForwardCache>();
   ForwardCache& f = *fwd_;
   const std::size_t n = static_cast<std::size_t>(view.num_nodes());
@@ -108,17 +92,9 @@ std::size_t ReducedEvaluator::last_forward_recomputes() const {
 }
 
 NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const {
-  const std::size_t n =
-      static_cast<std::size_t>(circuit_ != nullptr ? circuit_->num_nodes() : view_->num_nodes());
+  const netlist::TimingView& view = *view_;
+  const std::size_t n = static_cast<std::size_t>(view.num_nodes());
   if (speed.size() != n) throw std::invalid_argument("speed must be indexed by NodeId");
-  // Guard before view(): an output-less circuit cannot survive finalize(), so
-  // this diagnostic must fire pre-finalize (core_test pins it).
-  if ((circuit_ != nullptr ? circuit_->outputs() : view_->outputs()).empty()) {
-    throw std::invalid_argument(
-        "ReducedEvaluator::taped_forward: circuit has no primary outputs, so the "
-        "circuit delay (and its gradient) is undefined");
-  }
-  const netlist::TimingView& view = resolve_view();
   if (!fwd_) fwd_ = std::make_unique<ForwardCache>();
   ForwardCache& f = *fwd_;
   const std::vector<NodeId>& outs = view.outputs();
@@ -133,9 +109,7 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
         // with num_inputs < 1 and the BLIF reader maps zero-fanin .names to
         // auxiliary inputs), but a fanin-less gate would underflow the
         // step-slice arithmetic below — fail loudly instead.
-        const std::string name =
-            circuit_ != nullptr ? circuit_->node(id).name : "gate#" + std::to_string(id);
-        throw std::invalid_argument("ReducedEvaluator::taped_forward: gate '" + name +
+        throw std::invalid_argument("ReducedEvaluator::taped_forward: gate '" + view.name(id) +
                                     "' has no fanins; its arrival fold is undefined");
       }
       f.step_begin[static_cast<std::size_t>(id)] = gate_steps;
@@ -224,7 +198,7 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
 
 void ReducedEvaluator::adjoint(const std::vector<double>& speed, double seed_mu,
                                double seed_var, std::vector<double>& grad) const {
-  const netlist::TimingView& view = resolve_view();
+  const netlist::TimingView& view = *view_;
   const bool taped_here = fwd_ && fwd_->valid && fwd_->view_epoch == view.epoch() &&
                           speed.size() == fwd_->speed.size() &&
                           std::memcmp(speed.data(), fwd_->speed.data(),

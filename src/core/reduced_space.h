@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "core/spec.h"
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "ssta/delay_model.h"
 #include "stat/normal.h"
 
@@ -40,17 +40,13 @@ namespace statsize::core {
 
 class ReducedEvaluator {
  public:
-  ReducedEvaluator(const netlist::Circuit& circuit, ssta::SigmaModel sigma_model);
-
-  /// Evaluates against a standalone view — e.g. an ECO-edited copy owned by
-  /// an IncrementalEngine or a derived serve cache entry. The caller keeps
-  /// `view` alive (and does not move it) for this evaluator's lifetime.
-  /// circuit() throws on an evaluator built this way.
+  /// Evaluates against `view`: a Circuit's compiled view (a Circuit converts
+  /// to it) or an ECO-edited copy owned by an IncrementalEngine or a derived
+  /// serve cache entry. The caller keeps `view` alive (and does not move it)
+  /// for this evaluator's lifetime.
   ReducedEvaluator(const netlist::TimingView& view, ssta::SigmaModel sigma_model);
 
   ~ReducedEvaluator();
-
-  const netlist::Circuit& circuit() const;
 
   /// Forward sweep only: the circuit-delay distribution at `speed`.
   /// Stateless (does not consult or update the gradient tape).
@@ -62,9 +58,10 @@ class ReducedEvaluator {
   /// search calls this once per trial point and derives f and the adjoint
   /// seeds from the returned Tmax.
   ///
-  /// Degenerate circuits are rejected with std::invalid_argument naming the
-  /// problem (no primary outputs — Tmax undefined; a zero-fanin gate — no
-  /// arrival to fold) instead of underflowing the step-slice arithmetic.
+  /// A zero-fanin gate (no arrival to fold) is rejected with
+  /// std::invalid_argument naming it instead of underflowing the step-slice
+  /// arithmetic. (A view always has primary outputs: finalize() rejects a
+  /// circuit without them.)
   ///
   /// Not safe for concurrent calls on one instance: the forward tape is
   /// cached across calls.
@@ -111,10 +108,7 @@ class ReducedEvaluator {
  private:
   struct ForwardCache;
 
-  const netlist::TimingView& resolve_view() const;
-
-  const netlist::Circuit* circuit_ = nullptr;  ///< null when view-constructed
-  const netlist::TimingView* view_ = nullptr;  ///< null when circuit-constructed
+  const netlist::TimingView* view_;
   ssta::SigmaModel sigma_model_;
   mutable std::unique_ptr<ForwardCache> fwd_;    ///< lazy; forward tape
 };

@@ -37,17 +37,17 @@ void validate_spec(const SizingSpec& spec, int num_nodes) {
   }
 }
 
+/// Gate count up to which auto_method picks the full-space formulation.
+constexpr int kFullSpaceGateLimit = 300;
+
 }  // namespace
 
-Sizer::Sizer(const netlist::Circuit& circuit, SizingSpec spec)
-    : circuit_(&circuit), view_(nullptr), spec_(std::move(spec)) {
-  if (!circuit.finalized()) throw std::invalid_argument("circuit must be finalized");
-  view_ = &circuit.view();
-  validate_spec(spec_, circuit.num_nodes());
+Method auto_method(const netlist::TimingView& view) {
+  return view.num_gates() <= kFullSpaceGateLimit ? Method::kFullSpace : Method::kReducedSpace;
 }
 
 Sizer::Sizer(const netlist::TimingView& view, SizingSpec spec)
-    : circuit_(nullptr), view_(&view), spec_(std::move(spec)) {
+    : view_(&view), spec_(std::move(spec)) {
   validate_spec(spec_, view.num_nodes());
 }
 
@@ -135,9 +135,10 @@ Score score_sizing(const netlist::TimingView& v, const SizingSpec& spec,
 /// sequence is pinned by the standard, so retry starts are bit-reproducible
 /// across platforms; amplitude grows with the attempt number.
 std::vector<double> perturbed_start(const std::vector<double>& start, double max_speed,
-                                    unsigned seed, int attempt) {
+                                    int attempt) {
+  constexpr unsigned kRetrySeed = 12345u;
   std::vector<double> s = start;
-  std::mt19937 rng(seed + 7919u * static_cast<unsigned>(attempt));
+  std::mt19937 rng(kRetrySeed + 7919u * static_cast<unsigned>(attempt));
   const double amp = std::min(0.05 * attempt, 0.5);
   for (double& v : s) {
     const double u = static_cast<double>(rng()) * (1.0 / 4294967296.0);  // [0, 1)
@@ -178,11 +179,9 @@ SizingResult Sizer::resize(const SizerOptions& options, const SizingWarmStart& w
 
 SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<double>& initial_speed,
                              const SizingWarmStart* warm) const {
-  if (options.method == Method::kFullSpace && circuit_ == nullptr) {
-    throw std::invalid_argument(
-        "Sizer: full-space sizing needs the owning Circuit (the NLP constraint "
-        "structure is built from it); construct the Sizer from a Circuit or use "
-        "Method::kReducedSpace on this view");
+  if (options.max_retries < 0) {
+    throw std::invalid_argument("Sizer: max_retries must be >= 0, got " +
+                                std::to_string(options.max_retries));
   }
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -225,7 +224,7 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
       if (attempt > 0 && runtime::cancel_requested()) break;  // no budget left for retries
       const std::vector<double> start =
           attempt == 0 ? initial_speed
-                       : perturbed_start(initial_speed, spec_.max_speed, options.retry_seed, attempt);
+                       : perturbed_start(initial_speed, spec_.max_speed, attempt);
       SizingResult r;
       try {
         // Warm multiplier state only applies to the un-perturbed first
@@ -285,14 +284,14 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   SizingResult warm;
   // An ECO warm start replaces the reduced-space pre-solve: the previous
   // solution's sizes already play the feasible-start role.
-  if (options.warm_start_full_space && warm_in == nullptr) {
+  if (warm_in == nullptr) {
     SizerOptions pre = options;
     pre.method = Method::kReducedSpace;
     pre.verbose = false;
     warm = run_reduced_space(pre, start, rho_scale, nullptr);
     s0 = warm.speed;
   }
-  FullSpaceFormulation form = build_full_space(*circuit_, spec_, s0);
+  FullSpaceFormulation form = build_full_space(*view_, spec_, s0);
 
   nlp::AugLagOptions al;
   al.initial_rho *= rho_scale;
@@ -330,7 +329,7 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   // optimum; never return something worse than the point we started from.
   // (An expired deadline can make the rescore throw — keep the solver's
   // checkpoint in that case.)
-  if (!result.converged && options.warm_start_full_space && warm_in == nullptr) {
+  if (!result.converged && warm_in == nullptr) {
     bool use_warm = false;
     try {
       use_warm = score_sizing(*view_, spec_, warm.speed)
@@ -454,10 +453,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
         grad[i] += spec_.objective.weights[static_cast<std::size_t>(gates[i])];
       }
       if (!std::isfinite(grad[i])) {
-        throw nlp::EvalBreakdown("reduced-space gradient (gate " +
-                                 (circuit_ != nullptr ? circuit_->node(gates[i]).name
-                                                      : "#" + std::to_string(gates[i])) +
-                                 ")");
+        throw nlp::EvalBreakdown("reduced-space gradient (gate " + v.name(gates[i]) + ")");
       }
     }
   };
@@ -467,7 +463,6 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   nlp::LbfgsOptions lb;
   lb.tol = options.optimality_tol;
   lb.max_iterations = options.max_inner_iterations;
-  lb.verbose = false;
 
   // Best-iterate checkpoint across the constrained outer loop (scored on the
   // true propagated timing, which the loop computes anyway). Restored only

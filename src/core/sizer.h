@@ -7,10 +7,17 @@
 //   core::SizingResult r = sizer.run();
 //   // r.speed[g], r.circuit_delay, r.sum_speed ...
 //
+// The Sizer runs on a TimingView: a Circuit passes as its compiled view, and
+// an ECO-edited view copy (DESIGN.md §12) sizes the same way, with either
+// method.
+//
 // Two solution methods are provided (DESIGN.md sec. 5.1):
 //  * kFullSpace — the paper's formulation (eq. 17) solved with the
 //    augmented-Lagrangian / trust-region stack, exactly as the authors used
-//    LANCELOT. Every timing quantity is an NLP variable.
+//    LANCELOT. Every timing quantity is an NLP variable. The solve starts
+//    from a cheap reduced-space pre-solve (the timing variables are
+//    re-propagated, so the start is feasible), which saves most outer
+//    iterations beyond toy circuits.
 //  * kReducedSpace — speed factors only; timing evaluated by forward SSTA
 //    with adjoint gradients, bound-constrained L-BFGS inside a scalar
 //    augmented-Lagrangian loop for the delay constraint.
@@ -21,7 +28,7 @@
 #include <vector>
 
 #include "core/spec.h"
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "runtime/cancel.h"
 #include "stat/normal.h"
 
@@ -29,18 +36,18 @@ namespace statsize::core {
 
 enum class Method { kFullSpace, kReducedSpace };
 
+/// The method `--method auto` picks: the paper's full-space formulation up to
+/// 300 gates, the reduced-space adjoint mode beyond (full space on
+/// thousand-gate circuits reproduces the paper's hours-scale LANCELOT times,
+/// see Table 1's CPU column).
+Method auto_method(const netlist::TimingView& view);
+
 struct SizerOptions {
   Method method = Method::kFullSpace;
   double feasibility_tol = 1e-6;
   double optimality_tol = 2e-4;
   int max_outer_iterations = 40;
   int max_inner_iterations = 3000;
-  /// Full-space runs first solve the cheap reduced-space problem and start
-  /// the augmented Lagrangian from that sizing (the timing variables are
-  /// re-propagated, so the start is feasible). Dramatically fewer outer
-  /// iterations on anything beyond toy circuits; disable to reproduce the
-  /// paper's cold-start behaviour.
-  bool warm_start_full_space = true;
   bool verbose = false;
 
   // ---- Resilience (DESIGN.md §9) ----
@@ -56,10 +63,9 @@ struct SizerOptions {
   /// Deterministic multistart retries after a numerical breakdown or stall:
   /// each retry restarts from seeded perturbed initial sizes with the initial
   /// penalty backed off (bounded), and the lexicographically best attempt
-  /// wins. 0 disables.
+  /// wins. 0 disables; negative values make run/resize throw
+  /// std::invalid_argument.
   int max_retries = 0;
-  /// Seed for the retry perturbations (mt19937; bit-reproducible anywhere).
-  unsigned retry_seed = 12345u;
 };
 
 /// Carry-over state from a previous solve of a nearby instance — the sizing
@@ -111,13 +117,9 @@ struct SizingResult {
 
 class Sizer {
  public:
-  Sizer(const netlist::Circuit& circuit, SizingSpec spec);
-
-  /// Sizes against a standalone TimingView — e.g. an ECO-edited copy owned by
+  /// Sizes `view`: a Circuit's compiled view or an ECO-edited copy owned by
   /// an ssta::IncrementalEngine or a derived serve cache entry. The caller
-  /// keeps `view` alive for this sizer's lifetime. Only Method::kReducedSpace
-  /// works on a bare view (the full-space NLP is built from the owning
-  /// Circuit); run/resize throw std::invalid_argument otherwise.
+  /// keeps `view` alive for this sizer's lifetime.
   Sizer(const netlist::TimingView& view, SizingSpec spec);
 
   /// Runs the optimization; `initial_speed` (indexed by NodeId) overrides the
@@ -152,8 +154,7 @@ class Sizer {
   std::vector<double> default_start() const;
   void finish(SizingResult& result) const;
 
-  const netlist::Circuit* circuit_;  ///< null when view-constructed
-  const netlist::TimingView* view_;  ///< never null (circuit_->view() otherwise)
+  const netlist::TimingView* view_;
   SizingSpec spec_;
 };
 

@@ -112,6 +112,10 @@ class Circuit {
   /// finalize() has run.
   const TimingView& view() const;
 
+  /// Every timing and sizing engine takes a TimingView; a Circuit passes as
+  /// its view() (DESIGN.md §8). Throws until finalize() has run.
+  operator const TimingView&() const { return view(); }
+
   const CellLibrary& library() const { return *library_; }
   const Node& node(NodeId id) const { return nodes_.at(static_cast<std::size_t>(id)); }
   const CellType& cell_of(NodeId id) const { return library_->cell(node(id).cell); }

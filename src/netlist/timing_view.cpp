@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -44,9 +45,11 @@ TimingView::TimingView(const Circuit& circuit) {
   fanin_offset_.assign(n + 1, 0);
   fanout_offset_.assign(n + 1, 0);
 
+  auto names = std::make_shared<std::vector<std::string>>(n);
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
     const Node& node = circuit.node(id);
     const std::size_t i = static_cast<std::size_t>(id);
+    (*names)[i] = node.name;
     kind_[i] = node.kind;
     is_output_[i] = node.is_output ? 1 : 0;
     level_[i] = circuit.node_level(id);
@@ -68,6 +71,8 @@ TimingView::TimingView(const Circuit& circuit) {
     fanin_offset_[i + 1] = fanin_offset_[i] + node.fanins.size();
     fanout_offset_[i + 1] = fanout_offset_[i] + node.fanouts.size();
   }
+
+  names_ = std::move(names);
 
   fanin_.reserve(fanin_offset_[n]);
   fanout_.reserve(fanout_offset_[n]);

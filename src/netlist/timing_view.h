@@ -14,7 +14,13 @@
 //     C_load + sum C_in,i S_i) is a contiguous dot product with no Node or
 //     CellLibrary chasing,
 //   * the topological order, the gates-only topological order, the primary
-//     outputs, and the CSR level partition the parallel LevelSchedule runs.
+//     outputs, and the CSR level partition the parallel LevelSchedule runs,
+//   * the node names, in one immutable table every copy of the view shares
+//     (full-space variable names and diagnostics read them).
+//
+// The view is the one input of every timing and sizing engine (ssta, core,
+// runtime); a Circuit converts to its view(), so callers holding a Circuit
+// pass it unchanged.
 //
 // Invariants vs. Circuit: edge and level orders are exactly the Node lists'
 // orders (fanins pin order, fanouts ascending driver-derived order, levels in
@@ -38,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,6 +85,9 @@ class TimingView {
   bool is_output(NodeId id) const { return is_output_[static_cast<std::size_t>(id)] != 0; }
   /// Topological level: 0 for primary inputs, 1 + max fanin level for gates.
   int level(NodeId id) const { return level_[static_cast<std::size_t>(id)]; }
+  /// The node's name in the source netlist. Copies of a view share one
+  /// immutable name table, so an edited copy copies no strings.
+  const std::string& name(NodeId id) const { return (*names_)[static_cast<std::size_t>(id)]; }
   /// CellLibrary id of the gate's cell; -1 for primary inputs.
   int cell(NodeId id) const { return cell_[static_cast<std::size_t>(id)]; }
   CellFunction function(NodeId id) const { return function_[static_cast<std::size_t>(id)]; }
@@ -191,6 +201,7 @@ class TimingView {
   std::vector<NodeId> dirty_;               ///< first-edit order, deduplicated
   std::vector<unsigned char> dirty_mask_;   ///< lazily sized; dedup for dirty_
 
+  std::shared_ptr<const std::vector<std::string>> names_;
   std::vector<NodeKind> kind_;
   std::vector<unsigned char> is_output_;
   std::vector<int> level_;

@@ -252,6 +252,11 @@ void AugLagModel::hess_vec(const std::vector<double>& v, std::vector<double>& hv
 
 namespace {
 
+/// Penalty schedule: rho grows tenfold per infeasible outer iteration, up to
+/// a cap at which the solve reports kStalled.
+constexpr double kRhoIncrease = 10.0;
+constexpr double kMaxRho = 1e10;
+
 /// Best-iterate checkpoint (DESIGN.md §9): the lexicographically best outer
 /// iterate seen so far — least violation beyond the feasibility tolerance
 /// first, then lowest objective. Restored only on the kTimeLimit /
@@ -314,7 +319,7 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
   }
   const std::vector<double> x_start = result.x;
 
-  double rho = warm.rho > 0.0 ? std::min(warm.rho, options.max_rho) : options.initial_rho;
+  double rho = warm.rho > 0.0 ? std::min(warm.rho, kMaxRho) : options.initial_rho;
   double eta = 1.0 / std::pow(rho, 0.1);
   double omega = 1.0 / rho;
 
@@ -380,7 +385,6 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
       std::printf("[auglag] outer=%d rho=%.1e f=%.6g ||c||=%.3e pg=%.3e inner_it=%d\n", outer,
                   rho, result.objective, cnorm, inner.projected_gradient, inner.iterations);
     }
-    if (options.on_outer) options.on_outer(outer, result.x, cnorm, inner.projected_gradient);
 
     if (std::isfinite(result.objective) && std::isfinite(cnorm) &&
         ckpt.improves(cnorm, result.objective, options.feasibility_tol)) {
@@ -425,11 +429,11 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
       eta = std::max(eta / std::pow(rho, 0.9), 0.1 * options.feasibility_tol);
       omega = std::max(omega / rho, 0.1 * options.optimality_tol);
     } else {
-      if (rho >= options.max_rho) {
+      if (rho >= kMaxRho) {
         result.status = SolveStatus::kStalled;
         return result;
       }
-      rho = std::min(rho * options.rho_increase, options.max_rho);
+      rho = std::min(rho * kRhoIncrease, kMaxRho);
       eta = 1.0 / std::pow(rho, 0.1);
       omega = std::max(1.0 / rho, 0.1 * options.optimality_tol);
     }

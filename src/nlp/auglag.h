@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,15 +28,11 @@ namespace statsize::nlp {
 
 struct AugLagOptions {
   double initial_rho = 10.0;
-  double rho_increase = 10.0;
-  double max_rho = 1e10;
   double feasibility_tol = 1e-7;   ///< final ||c||_inf target
   double optimality_tol = 1e-6;    ///< final projected-gradient target
   int max_outer_iterations = 40;
   int max_inner_iterations = 400;  ///< trust-region iterations per subproblem
   bool verbose = false;
-  /// Optional per-outer-iteration callback (iteration, x, ||c||, projgrad).
-  std::function<void(int, const std::vector<double>&, double, double)> on_outer;
 };
 
 enum class SolveStatus {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 
 #include "runtime/cancel.h"
@@ -10,6 +9,9 @@
 namespace statsize::nlp {
 
 namespace {
+
+constexpr std::size_t kHistory = 10;  ///< curvature pairs kept
+constexpr double kMinStep = 1e-14;
 
 double clamp_to_box(double v, double lo, double hi) { return std::min(std::max(v, lo), hi); }
 
@@ -94,15 +96,14 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
     // at any given step length — gt_dx is NOT monotone in the step), retry
     // once from steepest descent with cleared curvature pairs.
     bool accepted = false;
-    double step = 1.0;
     for (int attempt = 0; attempt < 2 && !accepted; ++attempt) {
       if (attempt == 1) {
         if (history.empty()) break;  // d already was -g
         history.clear();
         for (std::size_t i = 0; i < n; ++i) d[i] = -g[i];
       }
-      step = 1.0;
-      for (int bt = 0; bt < 60 && step >= options.min_step; ++bt, step *= 0.5) {
+      double step = 1.0;
+      for (int bt = 0; bt < 60 && step >= kMinStep; ++bt, step *= 0.5) {
         double gt_dx = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           x_new[i] = clamp_to_box(x[i] + step * d[i], lower[i], upper[i]);
@@ -130,7 +131,7 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
           if (sy > 1e-10 * std::sqrt(ss * yy)) {
             p.rho = 1.0 / sy;
             history.push_back(std::move(p));
-            if (static_cast<int>(history.size()) > options.history) history.pop_front();
+            if (history.size() > kHistory) history.pop_front();
           }
           x = x_new;
           f = f_new;
@@ -139,10 +140,6 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
           break;
         }
       }
-    }
-    if (options.verbose) {
-      std::printf("[lbfgs] it=%d f=%.8g pg=%.2e step=%.2e\n", iter, f,
-                  result.projected_gradient, step);
     }
     if (!accepted) {
       // Line search failed even along steepest descent: stationary to

@@ -30,9 +30,6 @@ struct LbfgsObjective {
 struct LbfgsOptions {
   double tol = 1e-6;  ///< projected-gradient infinity norm
   int max_iterations = 500;
-  int history = 10;
-  double min_step = 1e-14;
-  bool verbose = false;
 };
 
 struct LbfgsResult {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "runtime/cancel.h"
 #include "runtime/fault.h"
@@ -10,6 +9,11 @@
 namespace statsize::nlp {
 
 namespace {
+
+constexpr int kMaxCgIterations = 100;  ///< per trust-region step
+constexpr double kInitialRadius = 1.0;
+constexpr double kMaxRadius = 1e8;
+constexpr double kAcceptRatio = 1e-4;  ///< minimum actual/predicted reduction to move
 
 double clamp_to_box(double v, double lo, double hi) { return std::min(std::max(v, lo), hi); }
 
@@ -56,7 +60,7 @@ TrustRegionResult minimize_bound_constrained(SmoothModel& model, std::vector<dou
 
   TrustRegionResult result;
   double f = model.eval(x, &g);
-  double radius = options.initial_radius;
+  double radius = kInitialRadius;
   bool need_grad = false;  // gradient is current for x
 
   // Stagnation window: if 50 iterations together achieve no meaningful
@@ -143,7 +147,7 @@ TrustRegionResult minimize_bound_constrained(SmoothModel& model, std::vector<dou
       const double cg_tol = std::min(0.1, std::sqrt(r0norm)) * r0norm;
       p = r;
       double rr = r0norm * r0norm;
-      for (int cg = 0; cg < options.max_cg_iterations; ++cg) {
+      for (int cg = 0; cg < kMaxCgIterations; ++cg) {
         runtime::poll_cancel();
         model.hess_vec(p, hv);
         double php = 0.0;
@@ -200,17 +204,12 @@ TrustRegionResult minimize_bound_constrained(SmoothModel& model, std::vector<dou
     const double ared = f - f_trial;
     const double ratio = pred > 0.0 ? ared / pred : -1.0;
 
-    if (options.verbose) {
-      std::printf("[tron] it=%d f=%.8g pred=%.2e ared=%.2e ratio=%.2f radius=%.2e pg=%.2e\n",
-                  iter, f, pred, ared, ratio, radius, result.projected_gradient);
-    }
-
-    if (ratio >= options.accept_ratio && ared > -1e-30) {
+    if (ratio >= kAcceptRatio && ared > -1e-30) {
       x = trial;
       f = f_trial;
       need_grad = true;
       if (ratio >= 0.75 && snorm >= 0.8 * radius) {
-        radius = std::min(2.0 * radius, options.max_radius);
+        radius = std::min(2.0 * radius, kMaxRadius);
       } else if (ratio < 0.25) {
         radius = std::max(0.25 * snorm, 1e-13);
       }

@@ -14,11 +14,6 @@ namespace statsize::nlp {
 struct TrustRegionOptions {
   double tol = 1e-6;            ///< projected-gradient infinity-norm target
   int max_iterations = 200;
-  int max_cg_iterations = 100;  ///< per trust-region step
-  double initial_radius = 1.0;
-  double max_radius = 1e8;
-  double accept_ratio = 1e-4;   ///< minimum actual/predicted reduction to move
-  bool verbose = false;
 };
 
 struct TrustRegionResult {

@@ -7,12 +7,9 @@
 // beyond the barrier. The level partition itself is structural — it is
 // compiled into the flat TimingView by Circuit::finalize() (one CSR array,
 // netlist::TimingView::level_gates); this class binds that view to the
-// global pool and adds the barriered executors.
-//
-// A LevelSchedule over a non-finalized circuit is rejected with
-// std::logic_error: the level partition does not exist before finalize(),
-// and silently building one from a half-wired graph would schedule gates
-// before their fanins. tests/runtime_test.cpp pins this contract.
+// global pool and adds the barriered executors. A Circuit passes as its
+// view, which does not exist before finalize() (Circuit::view() throws), so a
+// half-wired graph can never be scheduled.
 
 #pragma once
 
@@ -25,12 +22,7 @@ namespace statsize::runtime {
 
 class LevelSchedule {
  public:
-  /// Binds to `circuit`'s compiled TimingView. Throws std::logic_error if
-  /// the circuit is not finalized. The circuit must outlive the schedule.
-  explicit LevelSchedule(const netlist::Circuit& circuit);
-
-  /// Binds directly to an already-compiled view (which must outlive the
-  /// schedule) — the form the retargeted sweeps use.
+  /// Binds to `view`, which must outlive the schedule.
   explicit LevelSchedule(const netlist::TimingView& view) : view_(&view) {}
 
   int num_levels() const { return view_->num_levels(); }

@@ -7,7 +7,9 @@
 // shares the base entry's Circuit (and its parse work) but owns an edited
 // TimingView copy plus the per-gate speed overrides; its key is the base key
 // extended with a content hash of the edits, so identical edit sets dedupe
-// exactly like identical uploads.
+// exactly like identical uploads. Every engine takes a TimingView (names
+// included), so a derived entry serves every job type an upload does —
+// full-space sizing too.
 //
 // Concurrency contract:
 //  * find() takes a shared lock and bumps an atomic recency stamp — readers
@@ -59,8 +61,8 @@ struct CachedCircuit {
   /// alive across cache eviction. Null for plain uploads.
   std::shared_ptr<const CachedCircuit> base;
   /// Edited TimingView copy (delay-model constants already applied via
-  /// update_node_params). Null for plain uploads — jobs fall back to the
-  /// shared circuit's view.
+  /// update_node_params; it shares the base view's name table). Null for
+  /// plain uploads — jobs fall back to the shared circuit's view.
   std::shared_ptr<const netlist::TimingView> patched_view;
   /// Per-gate speed-factor overrides, applied on top of the uniform
   /// `params.speed` fill for analysis jobs (first-edit order; later PATCHes
@@ -69,7 +71,7 @@ struct CachedCircuit {
   std::vector<std::pair<netlist::NodeId, double>> speed_edits;
   std::size_t num_edits = 0;  ///< total edit records folded into this entry
 
-  /// The view every job on this entry computes against.
+  /// The view every job on this entry computes against, whatever its type.
   const netlist::TimingView& timing_view() const {
     return patched_view ? *patched_view : circuit->view();
   }

@@ -562,7 +562,7 @@ void JobScheduler::run_job(Job& job, double t_start) {
   const runtime::ThreadBudget budget(job.params.jobs);
 
   // Derived (PATCH-created) entries carry an edited TimingView; jobs compute
-  // against it through the same view-overload engines the CLI path compiles,
+  // against it through the same engines the CLI path runs on a Circuit's view,
   // so a patched result is bit-identical to re-uploading the edited netlist.
   const netlist::TimingView& view = job.circuit->timing_view();
   const ssta::SigmaModel sigma_model{job.params.sigma_kappa, job.params.sigma_offset};
@@ -672,27 +672,17 @@ void JobScheduler::run_job(Job& job, double t_start) {
         opt.cancel = &job.cancel;
         opt.max_retries = job.params.max_retries;
 
-        const bool derived = job.circuit->patched_view != nullptr;
-        if (derived && opt.method == core::Method::kFullSpace) {
-          throw std::runtime_error(
-              "full-space sizing needs the original upload (the NLP is built from "
-              "the Circuit); use method=reduced on patched circuits");
+        // ECO resize (DESIGN.md §12): a reduced-space job on a derived entry
+        // warm-starts from the nearest solved ancestor's sizes and
+        // multiplier/penalty state when one exists. Everything else — uploads,
+        // and full-space jobs on either kind of entry — solves cold.
+        const core::Sizer sizer(view, spec);
+        std::shared_ptr<const core::SizingWarmStart> warm;
+        if (job.circuit->patched_view != nullptr && opt.method == core::Method::kReducedSpace) {
+          warm = job.circuit->resolve_warm();
         }
-        core::SizingResult r;
-        bool warm_started = false;
-        if (derived) {
-          // ECO resize (DESIGN.md §12): size against the edited view,
-          // warm-starting from the nearest solved ancestor's sizes and
-          // multiplier/penalty state when one exists.
-          core::Sizer sizer(view, spec);
-          const std::shared_ptr<const core::SizingWarmStart> warm =
-              job.circuit->resolve_warm();
-          warm_started = warm != nullptr;
-          r = warm_started ? sizer.resize(opt, *warm) : sizer.run(opt);
-        } else {
-          core::Sizer sizer(*job.circuit->circuit, spec);
-          r = sizer.run(opt);
-        }
+        const bool warm_started = warm != nullptr;
+        core::SizingResult r = warm_started ? sizer.resize(opt, *warm) : sizer.run(opt);
         if (opt.method == core::Method::kReducedSpace) {
           job.circuit->store_warm(
               std::make_shared<core::SizingWarmStart>(std::move(r.warm)));

@@ -8,7 +8,9 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -612,14 +614,25 @@ bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobReq
 
   JobParams& params = out->params;
   params = JobParams{};
+  // Integer params are range-checked at full width, before narrowing to int.
+  bool in_range = true;
+  auto int_param = [&](const char* key, int& field, std::int64_t lo, std::int64_t hi) {
+    const std::int64_t v = body.int_or(key, field);
+    if (v < lo || v > hi) {
+      in_range = false;
+    } else {
+      field = static_cast<int>(v);
+    }
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   try {
     params.deadline_ms = body.number_or("deadline_ms", params.deadline_ms);
-    params.jobs = body.int_or("jobs", params.jobs);
+    int_param("jobs", params.jobs, 0, 1024);
     params.sigma_kappa = body.number_or("sigma_kappa", params.sigma_kappa);
     params.sigma_offset = body.number_or("sigma_offset", params.sigma_offset);
     params.speed = body.number_or("speed", params.speed);
     params.corner = body.string_or("corner", params.corner);
-    params.mc_samples = body.int_or("samples", params.mc_samples);
+    int_param("samples", params.mc_samples, 1, kIntMax);
     params.mc_seed = static_cast<std::uint64_t>(
         body.int_or("seed", static_cast<int>(params.mc_seed)));
     params.objective = body.string_or("objective", params.objective);
@@ -629,13 +642,12 @@ bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobReq
         body.number_or("constraint_sigma_weight", params.constraint_sigma_weight);
     params.method = body.string_or("method", params.method);
     params.max_speed = body.number_or("max_speed", params.max_speed);
-    params.max_retries = body.int_or("max_retries", params.max_retries);
+    int_param("max_retries", params.max_retries, 0, kIntMax);
   } catch (const std::exception& e) {
     *error = HttpResponse::json(400, error_body(std::string("bad job params: ") + e.what()));
     return false;
   }
-  if (params.deadline_ms < 0.0 || params.mc_samples < 1 ||
-      params.jobs < 0 || params.jobs > 1024) {
+  if (!in_range || params.deadline_ms < 0.0) {
     *error = HttpResponse::json(400, error_body("job params out of range"));
     return false;
   }

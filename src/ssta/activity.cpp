@@ -88,12 +88,11 @@ bool eval_gate(CellFunction fn, const NodeId* fanins, std::size_t num_fanins,
 
 }  // namespace
 
-std::vector<double> signal_probabilities(const netlist::Circuit& circuit,
+std::vector<double> signal_probabilities(const netlist::TimingView& view,
                                          double input_probability) {
   if (input_probability < 0.0 || input_probability > 1.0) {
     throw std::invalid_argument("input probability must lie in [0, 1]");
   }
-  const netlist::TimingView& view = circuit.view();
   std::vector<double> probs(static_cast<std::size_t>(view.num_nodes()), 0.0);
   for (NodeId id : view.topo_order()) {
     if (view.kind(id) == NodeKind::kPrimaryInput) {
@@ -107,17 +106,16 @@ std::vector<double> signal_probabilities(const netlist::Circuit& circuit,
   return probs;
 }
 
-std::vector<double> switching_activity(const netlist::Circuit& circuit,
+std::vector<double> switching_activity(const netlist::TimingView& view,
                                        double input_probability) {
-  std::vector<double> act = signal_probabilities(circuit, input_probability);
+  std::vector<double> act = signal_probabilities(view, input_probability);
   for (double& p : act) p = 2.0 * p * (1.0 - p);
   return act;
 }
 
-std::vector<double> power_weights(const netlist::Circuit& circuit, double input_probability,
+std::vector<double> power_weights(const netlist::TimingView& view, double input_probability,
                                   double internal_cap_fraction) {
-  const std::vector<double> act = switching_activity(circuit, input_probability);
-  const netlist::TimingView& view = circuit.view();
+  const std::vector<double> act = switching_activity(view, input_probability);
   std::vector<double> weights(static_cast<std::size_t>(view.num_nodes()), 0.0);
   for (NodeId id : view.gates_in_topo_order()) {
     const double cin = view.c_in(id);
@@ -128,10 +126,9 @@ std::vector<double> power_weights(const netlist::Circuit& circuit, double input_
   return weights;
 }
 
-std::vector<double> signal_probabilities_monte_carlo(const netlist::Circuit& circuit,
+std::vector<double> signal_probabilities_monte_carlo(const netlist::TimingView& view,
                                                      int num_samples, std::uint64_t seed,
                                                      double input_probability) {
-  const netlist::TimingView& view = circuit.view();
   std::mt19937_64 rng(seed);
   std::bernoulli_distribution coin(input_probability);
   std::vector<char> value(static_cast<std::size_t>(view.num_nodes()), 0);

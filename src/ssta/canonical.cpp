@@ -122,12 +122,11 @@ CanonicalForm CanonicalForm::max(const CanonicalForm& a, const CanonicalForm& b,
   return out;
 }
 
-CanonicalTimingReport run_canonical_ssta(const netlist::Circuit& circuit,
+CanonicalTimingReport run_canonical_ssta(const netlist::TimingView& view,
                                          const std::vector<NormalRV>& gate_delays) {
-  if (static_cast<int>(gate_delays.size()) != circuit.num_nodes()) {
+  if (static_cast<int>(gate_delays.size()) != view.num_nodes()) {
     throw std::invalid_argument("gate_delays must be indexed by NodeId");
   }
-  const netlist::TimingView& view = circuit.view();
   CanonicalTimingReport report;
   report.arrival.resize(static_cast<std::size_t>(view.num_nodes()));
   int next_source = view.num_nodes();  // residual ids beyond gate ids
@@ -151,7 +150,7 @@ CanonicalTimingReport run_canonical_ssta(const netlist::Circuit& circuit,
 
 CanonicalTimingReport run_canonical_ssta(const DelayCalculator& calc,
                                          const std::vector<double>& speed) {
-  return run_canonical_ssta(calc.circuit(), calc.all_delays(speed));
+  return run_canonical_ssta(calc.view(), calc.all_delays(speed));
 }
 
 }  // namespace statsize::ssta

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "ssta/delay_model.h"
 #include "stat/normal.h"
 
@@ -78,7 +78,7 @@ struct CanonicalTimingReport {
 };
 
 /// Propagates canonical arrival times; gate delay g contributes source id g.
-CanonicalTimingReport run_canonical_ssta(const netlist::Circuit& circuit,
+CanonicalTimingReport run_canonical_ssta(const netlist::TimingView& view,
                                          const std::vector<stat::NormalRV>& gate_delays);
 
 /// Convenience overload mirroring run_ssta(DelayCalculator, speed).

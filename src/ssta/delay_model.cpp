@@ -1,24 +1,10 @@
 #include "ssta/delay_model.h"
 
-#include <stdexcept>
-
 #include "netlist/timing_view.h"
 
 namespace statsize::ssta {
 
 using netlist::NodeId;
-
-DelayCalculator::DelayCalculator(const netlist::Circuit& circuit, SigmaModel sigma_model)
-    : circuit_(&circuit), view_(&circuit.view()), sigma_model_(sigma_model) {}
-
-const netlist::Circuit& DelayCalculator::circuit() const {
-  if (circuit_ == nullptr) {
-    throw std::logic_error(
-        "DelayCalculator::circuit: calculator was constructed from a bare "
-        "TimingView (ECO edit path) and has no backing Circuit");
-  }
-  return *circuit_;
-}
 
 double DelayCalculator::mean_delay(NodeId id, const std::vector<double>& speed) const {
   const double load = view_->load_capacitance(id, speed.data());
@@ -46,11 +32,6 @@ std::vector<stat::NormalRV> DelayCalculator::all_delays(const std::vector<double
   return delays;
 }
 
-double DelayCalculator::total_speed(const netlist::Circuit& circuit,
-                                    const std::vector<double>& speed) {
-  return total_speed(circuit.view(), speed);
-}
-
 double DelayCalculator::total_speed(const netlist::TimingView& view,
                                     const std::vector<double>& speed) {
   double sum = 0.0;
@@ -58,11 +39,6 @@ double DelayCalculator::total_speed(const netlist::TimingView& view,
     sum += speed[static_cast<std::size_t>(id)];
   }
   return sum;
-}
-
-double DelayCalculator::total_area(const netlist::Circuit& circuit,
-                                   const std::vector<double>& speed) {
-  return total_area(circuit.view(), speed);
 }
 
 double DelayCalculator::total_area(const netlist::TimingView& view,

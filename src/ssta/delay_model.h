@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "stat/normal.h"
 
 namespace statsize::ssta {
@@ -26,26 +26,14 @@ struct SigmaModel {
   double sigma(double mu) const { return kappa * mu + offset; }
 };
 
-/// Evaluates the sizable delay model over a whole circuit. All evaluation
-/// runs against a TimingView; the Circuit constructor just binds the
-/// circuit's compiled view (and keeps the Circuit reachable for consumers
-/// that need Node-level detail, e.g. canonical SSTA). The view constructor
-/// serves the ECO path, where an edited view copy has no backing Circuit.
+/// Evaluates the sizable delay model over a whole circuit's TimingView — the
+/// compiled view of a Circuit (which converts to it) or an edited copy (the
+/// ECO path).
 class DelayCalculator {
  public:
-  /// Binds circuit.view(); throws (via view()) if not finalized.
-  explicit DelayCalculator(const netlist::Circuit& circuit, SigmaModel sigma_model = {});
-
-  /// Binds a standalone view — e.g. an edited copy owned by an
-  /// IncrementalEngine or a derived serve cache entry. The caller keeps
-  /// `view` alive for this calculator's lifetime. circuit() throws on a
-  /// calculator built this way.
+  /// The caller keeps `view` alive for this calculator's lifetime.
   explicit DelayCalculator(const netlist::TimingView& view, SigmaModel sigma_model = {})
       : view_(&view), sigma_model_(sigma_model) {}
-
-  /// The backing Circuit, for consumers needing Node-level detail. Throws
-  /// std::logic_error when constructed from a bare TimingView.
-  const netlist::Circuit& circuit() const;
 
   /// The timing graph every evaluation runs on.
   const netlist::TimingView& view() const { return *view_; }
@@ -63,15 +51,12 @@ class DelayCalculator {
   std::vector<stat::NormalRV> all_delays(const std::vector<double>& speed) const;
 
   /// Sum of speed factors — the paper's area measure (Table 1's sum S_i).
-  static double total_speed(const netlist::Circuit& circuit, const std::vector<double>& speed);
   static double total_speed(const netlist::TimingView& view, const std::vector<double>& speed);
 
   /// Area-weighted sum (cell area scales linearly with S, see [3]/[8]).
-  static double total_area(const netlist::Circuit& circuit, const std::vector<double>& speed);
   static double total_area(const netlist::TimingView& view, const std::vector<double>& speed);
 
  private:
-  const netlist::Circuit* circuit_ = nullptr;  ///< null when view-constructed
   const netlist::TimingView* view_;
   SigmaModel sigma_model_;
 };

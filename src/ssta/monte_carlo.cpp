@@ -175,12 +175,6 @@ struct alignas(64) ChunkMoments {
 
 }  // namespace
 
-MonteCarloResult run_monte_carlo(const netlist::Circuit& circuit,
-                                 const std::vector<stat::NormalRV>& gate_delays,
-                                 const MonteCarloOptions& options) {
-  return run_monte_carlo(circuit.view(), gate_delays, options);
-}
-
 MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
                                  const std::vector<stat::NormalRV>& gate_delays,
                                  const MonteCarloOptions& options) {
@@ -225,14 +219,13 @@ MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
   return result;
 }
 
-std::vector<double> monte_carlo_criticality(const netlist::Circuit& circuit,
+std::vector<double> monte_carlo_criticality(const netlist::TimingView& view,
                                             const std::vector<stat::NormalRV>& gate_delays,
                                             const MonteCarloOptions& options) {
-  if (static_cast<int>(gate_delays.size()) != circuit.num_nodes()) {
+  if (static_cast<int>(gate_delays.size()) != view.num_nodes()) {
     throw std::invalid_argument("gate_delays must be indexed by NodeId");
   }
   validate_num_samples(options, "monte_carlo_criticality");
-  const netlist::TimingView& view = circuit.view();
   const DelayParams params(gate_delays);
   const std::size_t chunks = num_chunks(options);
   std::vector<long> hits(static_cast<std::size_t>(view.num_nodes()), 0);

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "stat/normal.h"
 
 namespace statsize::ssta {
@@ -44,12 +44,6 @@ struct MonteCarloOptions {
 
 /// Samples every gate delay independently from its normal distribution and
 /// propagates deterministically; returns circuit-delay statistics.
-MonteCarloResult run_monte_carlo(const netlist::Circuit& circuit,
-                                 const std::vector<stat::NormalRV>& gate_delays,
-                                 const MonteCarloOptions& options = {});
-
-/// View-level implementation the Circuit overload delegates to; accepts an
-/// ECO-edited view copy with no backing Circuit (serve's derived entries).
 MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
                                  const std::vector<stat::NormalRV>& gate_delays,
                                  const MonteCarloOptions& options = {});
@@ -57,7 +51,7 @@ MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
 /// Per-gate criticality: the fraction of Monte Carlo trials in which the gate
 /// lies on the critical path (computed by tracing back the argmax from the
 /// critical primary output). Indexed by NodeId; inputs get 0.
-std::vector<double> monte_carlo_criticality(const netlist::Circuit& circuit,
+std::vector<double> monte_carlo_criticality(const netlist::TimingView& view,
                                             const std::vector<stat::NormalRV>& gate_delays,
                                             const MonteCarloOptions& options = {});
 

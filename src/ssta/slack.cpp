@@ -17,12 +17,6 @@ double SlackReport::meet_probability(NodeId id) const {
   return stat::normal_cdf(s.mu / s.sigma());
 }
 
-SlackReport compute_slacks(const netlist::Circuit& circuit,
-                           const std::vector<NormalRV>& gate_delays,
-                           const TimingReport& timing, double deadline) {
-  return compute_slacks(circuit.view(), gate_delays, timing, deadline);
-}
-
 SlackReport compute_slacks(const netlist::TimingView& view,
                            const std::vector<NormalRV>& gate_delays,
                            const TimingReport& timing, double deadline) {
@@ -65,10 +59,9 @@ SlackReport compute_slacks(const netlist::TimingView& view,
   return report;
 }
 
-std::vector<NodeId> extract_critical_path(const netlist::Circuit& circuit,
+std::vector<NodeId> extract_critical_path(const netlist::TimingView& view,
                                           const TimingReport& timing) {
   // Start at the PO with the largest mean arrival.
-  const netlist::TimingView& view = circuit.view();
   NodeId cur = view.outputs().front();
   for (NodeId o : view.outputs()) {
     if (timing.arrival[static_cast<std::size_t>(o)].mu >

@@ -17,7 +17,7 @@
 
 #include <vector>
 
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "ssta/ssta.h"
 #include "stat/normal.h"
 
@@ -32,19 +32,13 @@ struct SlackReport {
 };
 
 /// Computes required times and slacks for `deadline` at every primary output.
-SlackReport compute_slacks(const netlist::Circuit& circuit,
-                           const std::vector<stat::NormalRV>& gate_delays,
-                           const TimingReport& timing, double deadline);
-
-/// View-level implementation the Circuit overload delegates to; accepts an
-/// ECO-edited view copy with no backing Circuit.
 SlackReport compute_slacks(const netlist::TimingView& view,
                            const std::vector<stat::NormalRV>& gate_delays,
                            const TimingReport& timing, double deadline);
 
 /// Mean-critical path: from the latest-arriving primary output back through
 /// the latest-arriving fanin to a primary input. Returned source-to-sink.
-std::vector<netlist::NodeId> extract_critical_path(const netlist::Circuit& circuit,
+std::vector<netlist::NodeId> extract_critical_path(const netlist::TimingView& view,
                                                    const TimingReport& timing);
 
 }  // namespace statsize::ssta

@@ -81,18 +81,6 @@ TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalR
   return run_ssta(view, gate_delays, arrivals);
 }
 
-TimingReport run_ssta(const netlist::Circuit& circuit, const std::vector<NormalRV>& gate_delays,
-                      const std::vector<NormalRV>& input_arrivals) {
-  return run_ssta(circuit.view(), gate_delays, input_arrivals);
-}
-
-TimingReport run_ssta(const netlist::Circuit& circuit, const std::vector<NormalRV>& gate_delays,
-                      NormalRV input_arrival) {
-  const std::vector<NormalRV> arrivals(static_cast<std::size_t>(circuit.num_inputs()),
-                                       input_arrival);
-  return run_ssta(circuit.view(), gate_delays, arrivals);
-}
-
 TimingReport run_ssta(const DelayCalculator& calc, const std::vector<double>& speed) {
   return run_ssta(calc.view(), calc.all_delays(speed));
 }
@@ -113,11 +101,6 @@ StaReport run_sta(const netlist::TimingView& view, const std::vector<NormalRV>& 
   });
   report.circuit_delay = fold_max(view.outputs(), report.arrival, max);
   return report;
-}
-
-StaReport run_sta(const netlist::Circuit& circuit, const std::vector<NormalRV>& gate_delays,
-                  Corner corner) {
-  return run_sta(circuit.view(), gate_delays, corner);
 }
 
 }  // namespace statsize::ssta

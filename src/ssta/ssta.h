@@ -12,7 +12,7 @@
 
 #include <vector>
 
-#include "netlist/circuit.h"
+#include "netlist/timing_view.h"
 #include "ssta/delay_model.h"
 #include "stat/normal.h"
 
@@ -28,23 +28,13 @@ struct TimingReport {
   stat::NormalRV circuit_delay;
 };
 
-/// Propagates arrival times through `circuit` given per-node gate delays
-/// (from DelayCalculator::all_delays or custom). `input_arrival` applies to
-/// every primary input; per-input schedules can be passed via the overload.
+/// Propagates arrival times through `view` (a Circuit passes as its view;
+/// an ECO-edited copy works the same) given per-node gate delays (from
+/// DelayCalculator::all_delays or custom). `input_arrival` applies to every
+/// primary input; per-input schedules can be passed via the overload.
 /// Views of at least 192 gates are swept level by level on the global
 /// runtime pool when it has more than one thread; each gate's fold is a
 /// fixed serial computation, so results are identical at any thread count.
-TimingReport run_ssta(const netlist::Circuit& circuit,
-                      const std::vector<stat::NormalRV>& gate_delays,
-                      stat::NormalRV input_arrival = {});
-
-TimingReport run_ssta(const netlist::Circuit& circuit,
-                      const std::vector<stat::NormalRV>& gate_delays,
-                      const std::vector<stat::NormalRV>& input_arrivals);
-
-/// View-level propagation — the implementation the Circuit overloads
-/// delegate to. Takes any TimingView, including an ECO-edited copy with no
-/// backing Circuit (the serve PATCH path / IncrementalEngine cross-check).
 TimingReport run_ssta(const netlist::TimingView& view,
                       const std::vector<stat::NormalRV>& gate_delays,
                       const std::vector<stat::NormalRV>& input_arrivals);
@@ -53,8 +43,8 @@ TimingReport run_ssta(const netlist::TimingView& view,
                       const std::vector<stat::NormalRV>& gate_delays,
                       stat::NormalRV input_arrival = {});
 
-/// Convenience: delay model evaluation + propagation in one call (runs on
-/// the calculator's view, so it works for view-only calculators too).
+/// Convenience: delay model evaluation + propagation in one call, on the
+/// calculator's view.
 TimingReport run_ssta(const DelayCalculator& calc, const std::vector<double>& speed);
 
 // ---------------------------------------------------------------------------
@@ -72,9 +62,6 @@ struct StaReport {
   std::vector<double> arrival;  ///< per node
   double circuit_delay = 0.0;   ///< max over primary outputs
 };
-
-StaReport run_sta(const netlist::Circuit& circuit, const std::vector<stat::NormalRV>& gate_delays,
-                  Corner corner);
 
 StaReport run_sta(const netlist::TimingView& view, const std::vector<stat::NormalRV>& gate_delays,
                   Corner corner);

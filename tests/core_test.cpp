@@ -449,24 +449,21 @@ TEST(ReducedEvaluatorTest, SpeedingUpReducesDelayMetric) {
 
 TEST(ReducedEvaluatorTest, RejectsCircuitWithNoPrimaryOutputs) {
   // Without outputs, Tmax (and the step-slice arithmetic of the adjoint) is
-  // undefined; the evaluator must refuse with a named diagnostic instead of
-  // underflowing `outs.size() - 1`. A circuit like this cannot survive
-  // finalize(), so probe the guard pre-finalize — it sits before any
-  // topo-order access.
+  // undefined. Such a circuit cannot be finalized, and a Circuit passes as
+  // its view, which does not exist before finalize(): the evaluator is
+  // refused at construction.
   const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
   Circuit c(lib);
   const NodeId a = c.add_input("a");
   const NodeId g0 = c.add_gate(lib.find("INV"), {a}, "g0");
   (void)g0;  // never marked as an output
-  const ReducedEvaluator eval(c, {0.25, 0.0});
-  std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.0);
-  std::vector<double> grad;
   try {
-    eval.eval_with_grad(speed, 1.0, 0.0, grad);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("no primary outputs"), std::string::npos) << e.what();
+    const ReducedEvaluator eval(c, {0.25, 0.0});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "circuit must be finalized first");
   }
+  EXPECT_THROW(c.finalize(), std::runtime_error);  // CIR004: no primary outputs
 }
 
 TEST(ReducedEvaluatorTest, EvalMetricEqualsProbeSeededAdjoint) {

@@ -559,15 +559,32 @@ TEST(SizerWarmStart, ResizeValidatesWarmStart) {
   EXPECT_THROW(sizer.resize(reduced_opts(), warm), std::invalid_argument);
 }
 
-TEST(SizerWarmStart, ViewConstructedSizerRejectsFullSpace) {
+TEST(SizerWarmStart, ViewConstructedSizerRunsFullSpace) {
+  // Full space on a copy of the circuit's view is bit-identical to sizing
+  // the Circuit itself, and it converges on an edited copy too.
   const Circuit c = small_dag(40, 53);
   TimingView view = c.view();
   core::SizingSpec spec;
-  const core::Sizer sizer(view, spec);
   core::SizerOptions full;
   full.method = core::Method::kFullSpace;
-  EXPECT_THROW(sizer.run(full), std::invalid_argument);
-  EXPECT_NO_THROW(sizer.run(reduced_opts()));
+  const core::SizingResult ref = core::Sizer(c, spec).run(full);
+  const core::SizingResult copy = core::Sizer(view, spec).run(full);
+  ASSERT_TRUE(ref.converged) << ref.status;
+  EXPECT_EQ(copy.status, ref.status);
+  EXPECT_EQ(copy.speed, ref.speed);
+  EXPECT_EQ(copy.circuit_delay.mu, ref.circuit_delay.mu);
+  EXPECT_EQ(copy.circuit_delay.var, ref.circuit_delay.var);
+  EXPECT_EQ(copy.iterations, ref.iterations);
+
+  const std::vector<NodeId>& gates = view.gates_in_topo_order();
+  for (std::size_t i = 0; i < gates.size(); i += gates.size() / 4) {
+    NodeParams p = view.node_params(gates[i]);
+    p.t_int *= 1.1;
+    view.update_node_params(gates[i], p);
+  }
+  const core::SizingResult edited = core::Sizer(view, spec).run(full);
+  EXPECT_TRUE(edited.converged) << edited.status;
+  EXPECT_GT(edited.circuit_delay.mu, ref.circuit_delay.mu);
 }
 
 TEST(SizerWarmStart, WarmResizeConvergesInFewerOuterIterationsThanCold) {

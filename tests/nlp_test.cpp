@@ -547,22 +547,6 @@ TEST(DerivativeCheck, FlagsWrongGradient) {
   EXPECT_FALSE(rep.ok(1e-4));
 }
 
-TEST(AugLag, OnOuterCallbackObservesProgress) {
-  auto p = make_hs6();
-  AugLagOptions opt;
-  int calls = 0;
-  double last_cnorm = 1e9;
-  opt.on_outer = [&](int, const std::vector<double>&, double cnorm, double) {
-    ++calls;
-    last_cnorm = cnorm;
-  };
-  const SolveResult r = solve_augmented_lagrangian(*p, opt);
-  EXPECT_TRUE(r.ok());
-  EXPECT_GT(calls, 0);
-  EXPECT_LE(last_cnorm, 1e-6);
-  EXPECT_EQ(calls, r.outer_iterations);
-}
-
 TEST(AugLag, AcceptableStatusCountsAsOk) {
   SolveResult r;
   r.status = SolveStatus::kAcceptable;

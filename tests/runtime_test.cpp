@@ -384,11 +384,18 @@ TEST(Runtime, CancelScopesArePerThread) {
 // ---------------------------------------------------------------------------
 
 TEST(LevelSchedule, RejectsNonFinalizedCircuit) {
+  // A Circuit passes as its view, which does not exist before finalize():
+  // a half-wired graph can never be scheduled.
   const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
   netlist::Circuit c(lib);
   const netlist::NodeId a = c.add_input("a");
   c.add_gate(lib.cell_for_inputs(1), {a}, "g");
-  EXPECT_THROW(runtime::LevelSchedule sched(c), std::logic_error);
+  try {
+    runtime::LevelSchedule sched(c);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "circuit must be finalized first");
+  }
 }
 
 TEST(LevelSchedule, LevelsRespectDependenciesAndCoverAllGates) {

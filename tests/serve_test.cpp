@@ -207,6 +207,25 @@ TEST_F(ServeTest, UnknownTargetsAndParamsAreRejected) {
   EXPECT_EQ(client_->request("PUT", "/v1/circuits").status, 405);
 }
 
+TEST_F(ServeTest, OutOfRangeIntegerParamsGet400BeforeNarrowing) {
+  // Integers are range-checked before they narrow to int: a negative retry
+  // count would leave the sizer with no attempt to score, and 2^32 + 1 would
+  // narrow to 1. Both answer 400, and the daemon keeps serving.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  EXPECT_EQ(client_->request("POST", "/v1/jobs",
+                             job_body(key, "size", "\"max_retries\": -1")).status,
+            400);
+  EXPECT_EQ(client_->request("POST", "/v1/jobs",
+                             job_body(key, "monte_carlo", "\"samples\": 4294967297")).status,
+            400);
+  EXPECT_EQ(client_->request("POST", "/v1/jobs",
+                             job_body(key, "ssta", "\"jobs\": 4294967297")).status,
+            400);
+  const std::string id = client_->submit(job_body(key, "size", "\"max_retries\": 1"));
+  EXPECT_EQ(client_->wait(id, 0.01, 60.0).string_or("state", ""), "done");
+}
+
 TEST_F(ServeTest, DeadlinedSizeJobReturnsTimeLimitCheckpoint) {
   StartServer();
   const std::string key = client_->upload(apex1_blif(), "blif", "apex1");
@@ -834,14 +853,15 @@ TEST_F(ServeTest, PatchedSizeOverHttpMatchesInProcessWarmResize) {
   ASSERT_NE(warm_result, nullptr);
   EXPECT_TRUE(warm_result->bool_or("warm_started", false));
 
-  // Full-space sizing cannot run on a patched entry (the NLP is built from
-  // the immutable Circuit) — the job fails with a routing hint, not silently
-  // wrong numbers.
+  // Full-space sizing runs on a patched entry like on an upload: cold, with
+  // its reduced pre-solve (warm starts stay reduced-only).
   const std::string full_id =
       client_->submit(job_body(derived, "size", "\"method\": \"full\""));
-  util::JsonValue full_doc = client_->wait(full_id, 0.01, 60.0);
-  EXPECT_EQ(full_doc.string_or("state", ""), "failed");
-  EXPECT_NE(full_doc.string_or("error", "").find("reduced"), std::string::npos);
+  util::JsonValue full_doc = client_->wait(full_id, 0.01, 120.0);
+  ASSERT_EQ(full_doc.string_or("state", ""), "done") << full_doc.string_or("error", "");
+  const util::JsonValue* full_result = full_doc.find("result");
+  ASSERT_NE(full_result, nullptr);
+  EXPECT_FALSE(full_result->bool_or("warm_started", true));
 
   // In-process mirror of the daemon's exact pipeline (JobParams defaults:
   // min-delay objective with sigma weight 3, max_speed 3, default sigma
@@ -873,6 +893,20 @@ TEST_F(ServeTest, PatchedSizeOverHttpMatchesInProcessWarmResize) {
   }
   EXPECT_EQ(warm_result->number_or("mu", -1.0), warm_ref.circuit_delay.mu);
   EXPECT_EQ(warm_result->int_or("outer_iterations", -1), warm_ref.outer_iterations);
+
+  // The served full-space job is bit-identical to the in-process full solve
+  // on the edited view.
+  core::SizerOptions full_opt;
+  full_opt.method = core::Method::kFullSpace;
+  const core::SizingResult full_ref = core::Sizer(view, spec).run(full_opt);
+  const util::JsonValue* full_speed = full_result->find("speed");
+  ASSERT_NE(full_speed, nullptr);
+  ASSERT_EQ(full_speed->items().size(), full_ref.speed.size());
+  for (std::size_t i = 0; i < full_ref.speed.size(); ++i) {
+    EXPECT_EQ(full_speed->items()[i].as_number(), full_ref.speed[i]) << "node " << i;
+  }
+  EXPECT_EQ(full_result->number_or("mu", -1.0), full_ref.circuit_delay.mu);
+  EXPECT_EQ(full_result->int_or("outer_iterations", -1), full_ref.outer_iterations);
 }
 
 // ---------------------------------------------------------------------------

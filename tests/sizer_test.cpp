@@ -296,10 +296,16 @@ TEST(SizerValidation, WeightedObjectiveNeedsMatchingWeights) {
 }
 
 TEST(SizerValidation, RejectsUnfinalizedAndBadSpecs) {
+  // A Circuit passes as its view, which does not exist before finalize().
   netlist::Circuit open_circuit(netlist::CellLibrary::standard());
   open_circuit.add_input("a");
   SizingSpec spec;
-  EXPECT_THROW(Sizer(open_circuit, spec), std::invalid_argument);
+  try {
+    Sizer s(open_circuit, spec);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "circuit must be finalized first");
+  }
 
   const Circuit c = netlist::make_tree_circuit();
   SizingSpec bad;
@@ -309,6 +315,20 @@ TEST(SizerValidation, RejectsUnfinalizedAndBadSpecs) {
   SizingSpec sigma_unconstrained;
   sigma_unconstrained.objective = Objective::min_sigma();
   EXPECT_THROW(Sizer(c, sigma_unconstrained), std::invalid_argument);
+}
+
+TEST(SizerValidation, NegativeMaxRetriesIsRejected) {
+  // With max_retries < 0 no attempt would run and the final scoring would
+  // read an empty sizing; both entry points refuse up front.
+  const Circuit c = netlist::make_tree_circuit();
+  const Sizer sizer(c, SizingSpec{});
+  SizerOptions opt;
+  opt.method = Method::kReducedSpace;
+  opt.max_retries = -1;
+  EXPECT_THROW(sizer.run(opt), std::invalid_argument);
+  EXPECT_THROW(sizer.resize(opt, SizingWarmStart{}), std::invalid_argument);
+  opt.max_retries = 0;
+  EXPECT_TRUE(sizer.run(opt).converged);
 }
 
 TEST(SizerReducedSpace, Apex2MinMuPlus3SigmaIsPinned) {

@@ -409,8 +409,7 @@ int main(int argc, char** argv) {
     } else if (method == "reduced") {
       opt.method = core::Method::kReducedSpace;
     } else if (method == "auto") {
-      opt.method =
-          circuit.num_gates() <= 300 ? core::Method::kFullSpace : core::Method::kReducedSpace;
+      opt.method = core::auto_method(circuit);
     } else {
       throw std::invalid_argument("unknown method '" + method + "'");
     }
