@@ -35,6 +35,25 @@ if grep -nwE 'Circuit' "$REPO_ROOT"/src/ssta/*.h "$REPO_ROOT"/src/core/*.h \
 fi
 echo "engine-input gate passed"
 
+# One job lifecycle (DESIGN.md §13): every served job enters through
+# admit_locked(), the one writer of admit records, and leaves through
+# finish(), the one place that writes end records, retires a job and stores
+# its terminal state. Each of these must have exactly one call site in the
+# scheduler. Definitions start in column 0 and comment lines are exempt.
+# Needs no build.
+echo "== one job lifecycle (one admit, one finish in scheduler.cpp) =="
+SCHEDULER="$REPO_ROOT/src/serve/scheduler.cpp"
+for site in 'admit_record(' 'end_record(' 'retire_locked(' 'state.store('; do
+  calls=$(grep -F "$site" "$SCHEDULER" | grep -E '^[[:space:]]' |
+    grep -cvE '^[[:space:]]*//' || true)
+  if [ "$calls" -ne 1 ]; then
+    echo "lifecycle gate FAILED: $calls call sites of '$site' in src/serve/scheduler.cpp, want 1:"
+    grep -nF "$site" "$SCHEDULER"
+    exit 1
+  fi
+done
+echo "lifecycle gate passed"
+
 echo "== configure ($SANITIZE) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DSTATSIZE_SANITIZE="$SANITIZE" \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -45,6 +46,8 @@ JobType job_type_from_name(const std::string& name) {
   throw std::invalid_argument("unknown job type: " + name);
 }
 
+namespace {
+
 JobState job_state_from_name(const std::string& name) {
   for (JobState s : {JobState::kQueued, JobState::kRunning, JobState::kDone,
                      JobState::kCancelled, JobState::kFailed, JobState::kInterrupted}) {
@@ -53,6 +56,11 @@ JobState job_state_from_name(const std::string& name) {
   throw std::invalid_argument("unknown job state: " + name);
 }
 
+/// Serializes params as one JSON object (journal admit records); the inverse
+/// of job_params_from_json. Every field round-trips bit-exactly except
+/// mc_seed, which travels through the JSON layer's double representation and
+/// is exact only up to 2^53 (the server's request parser has the same limit,
+/// so a journaled seed always round-trips to what the client could submit).
 void write_job_params(util::JsonWriter& w, const JobParams& p) {
   w.begin_object();
   w.key("deadline_ms").value(p.deadline_ms);
@@ -94,8 +102,6 @@ JobParams job_params_from_json(const util::JsonValue& doc) {
   p.max_retries = static_cast<int>(doc.int_or("max_retries", p.max_retries));
   return p;
 }
-
-namespace {
 
 std::string fmt_double(double d) {
   char buf[64];
@@ -165,30 +171,24 @@ std::string end_record(const std::string& id, JobState state, const std::string&
   return os.str();
 }
 
-}  // namespace
-
-void Job::set_circuit(std::shared_ptr<const CachedCircuit> entry) {
-  circuit_key = entry ? entry->key : "";
-  circuit_name = entry ? entry->name : "";
-  circuit = std::move(entry);
+/// A new job for admission: everything but its id and idempotency key.
+std::shared_ptr<Job> new_job(JobType type, std::shared_ptr<const CachedCircuit> circuit,
+                             JobParams params) {
+  auto job = std::make_shared<Job>();
+  job->type = type;
+  job->params = std::move(params);
+  if (circuit) {
+    job->circuit_key = circuit->key;
+    job->circuit_name = circuit->name;
+  }
+  job->circuit = std::move(circuit);
+  return job;
 }
 
-std::string Job::describe() const {
-  JobState st = state.load(std::memory_order_acquire);
-  std::string result;
-  std::string err;
-  double sub_ms;
-  double start_ms;
-  double fin_ms;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    result = result_json;
-    err = error;
-    sub_ms = submitted_ms;
-    start_ms = started_ms;
-    fin_ms = finished_ms;
-  }
+}  // namespace
 
+std::string Job::describe() const {
+  const JobState st = state.load(std::memory_order_acquire);
   std::string out = "{\n";
   out += "  \"id\": \"" + util::JsonWriter::escape(id) + "\",\n";
   out += "  \"type\": \"" + std::string(job_type_name(type)) + "\",\n";
@@ -204,16 +204,17 @@ std::string Job::describe() const {
     out += "  \"retryable\": true,\n";
   }
   out += "  \"deadline_ms\": " + fmt_double(params.deadline_ms) + ",\n";
-  if (start_ms > 0.0) {
-    out += "  \"queue_wait_ms\": " + fmt_double(start_ms - sub_ms) + ",\n";
+  const std::lock_guard<std::mutex> lock(mu);
+  if (started_ms > 0.0) {
+    out += "  \"queue_wait_ms\": " + fmt_double(started_ms - submitted_ms) + ",\n";
+    if (finished_ms > 0.0) {
+      out += "  \"run_ms\": " + fmt_double(finished_ms - started_ms) + ",\n";
+    }
   }
-  if (fin_ms > 0.0) {
-    out += "  \"run_ms\": " + fmt_double(fin_ms - start_ms) + ",\n";
-  }
-  if (st == JobState::kDone && !result.empty()) {
-    out += "  \"result\": " + indent_blob(result, 2) + "\n";
-  } else if (!err.empty()) {
-    out += "  \"error\": \"" + util::JsonWriter::escape(err) + "\"\n";
+  if (st == JobState::kDone && !result_json.empty()) {
+    out += "  \"result\": " + indent_blob(result_json, 2) + "\n";
+  } else if (!error.empty()) {
+    out += "  \"error\": \"" + util::JsonWriter::escape(error) + "\"\n";
   } else {
     out += "  \"error\": null\n";
   }
@@ -237,33 +238,16 @@ void JobScheduler::start() {
 }
 
 void JobScheduler::stop() {
+  std::deque<std::shared_ptr<Job>> queued;
   std::vector<std::thread> to_join;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     started_ = false;
     stopping_ = true;
-    // Flip every still-queued job to cancelled and trip the running ones; the
-    // executors drain cooperatively.
-    for (auto& job : queue_) {
-      JobState expected = JobState::kQueued;
-      if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
-                                             std::memory_order_acq_rel)) {
-        job->circuit.reset();
-        {
-          std::lock_guard<std::mutex> jlock(job->mu);
-          job->error = "server shutting down";
-        }
-        // Journal the shutdown cancellation so a restart on the same journal
-        // reports these jobs cancelled instead of re-admitting them — a
-        // graceful stop is an observed outcome, not a crash.
-        journal_append_soft(end_record(job->id, JobState::kCancelled, "",
-                                       "server shutting down"));
-        if (metrics_) metrics_->jobs_cancelled.inc();
-        retire_locked(*job);
-      }
-    }
-    queue_.clear();
+    // Take the queue so no executor starts another job, and trip the running
+    // ones; the executors drain cooperatively.
+    queued.swap(queue_);
     if (metrics_) metrics_->queue_depth.set(0);
     for (auto& [id, job] : jobs_) {
       if (job->state.load(std::memory_order_acquire) == JobState::kRunning) {
@@ -274,6 +258,10 @@ void JobScheduler::stop() {
     executors_.clear();
   }
   cv_.notify_all();
+  // A graceful stop is an observed outcome, not a crash: the end records let
+  // a restart on the same journal report these jobs cancelled instead of
+  // re-admitting them.
+  for (const auto& job : queued) cancel_queued(*job, "server shutting down");
   for (std::thread& t : to_join) t.join();
 }
 
@@ -284,10 +272,7 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
   SubmitOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || !started_) {
-      outcome.overflow = true;
-      return outcome;
-    }
+    if (stopping_ || !started_) return outcome;
     // Idempotency first: a dedup hit must answer even when the queue is full
     // (that is the whole point of retrying with the same key after a 429).
     if (!idempotency_key.empty()) {
@@ -307,38 +292,17 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
     }
     if (queue_.size() >= options_.queue_depth) {
       if (metrics_) metrics_->jobs_rejected.inc();
-      outcome.overflow = true;
       return outcome;
     }
-    auto job = std::make_shared<Job>();
-    char idbuf[16];
-    std::snprintf(idbuf, sizeof(idbuf), "job-%06d", next_id_++);
-    job->id = idbuf;
-    job->type = type;
-    job->params = std::move(params);
-    job->set_circuit(std::move(circuit));
-    job->idempotency_key = idempotency_key;
-    job->submitted_ms = now_ms();
-    // Durable admission: the admit record must hit the journal before the
-    // job becomes visible or acked. Appending under mu_ keeps journal order
-    // identical to admission order, which recovery relies on.
-    if (journal_ != nullptr) {
-      try {
-        journal_->append(admit_record(*job));
-        if (metrics_) metrics_->journal_records_written.inc();
-      } catch (const JournalWriteError& e) {
-        if (metrics_) metrics_->journal_write_errors.inc();
-        outcome.journal_error = e.what();
-        return outcome;
-      }
+    auto job = new_job(type, std::move(circuit), std::move(params));
+    job->idempotency_key = std::move(idempotency_key);
+    try {
+      admit_locked(job);
+    } catch (const JournalWriteError& e) {
+      outcome.journal_error = e.what();
+      return outcome;
     }
-    jobs_.emplace(job->id, job);
-    queue_.push_back(job);
-    if (!idempotency_key.empty()) idem_[idempotency_key] = job->id;
-    if (metrics_) {
-      metrics_->jobs_submitted.inc();
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-    }
+    if (metrics_) metrics_->jobs_submitted.inc();
     outcome.job = std::move(job);
   }
   cv_.notify_one();
@@ -352,82 +316,160 @@ JobScheduler::BatchOutcome JobScheduler::submit_batch(std::vector<JobRequest> re
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ || !started_ || queue_.size() + requests.size() > options_.queue_depth) {
       if (metrics_) metrics_->jobs_rejected.inc(static_cast<std::int64_t>(requests.size()));
-      outcome.overflow = true;
       return outcome;
     }
-    std::vector<std::shared_ptr<Job>> jobs;
-    jobs.reserve(requests.size());
-    const double submitted = now_ms();
     for (JobRequest& req : requests) {
-      auto job = std::make_shared<Job>();
-      char idbuf[16];
-      std::snprintf(idbuf, sizeof(idbuf), "job-%06d", next_id_++);
-      job->id = idbuf;
-      job->type = req.type;
-      job->params = std::move(req.params);
-      job->set_circuit(std::move(req.circuit));
-      job->submitted_ms = submitted;
-      if (journal_ != nullptr) {
-        try {
-          journal_->append(admit_record(*job));
-          if (metrics_) metrics_->journal_records_written.inc();
-        } catch (const JournalWriteError& e) {
-          // All-or-nothing in THIS process: nothing of the batch was made
-          // visible, so the client's 503 is honest. Records already written
-          // for earlier batch members stay in the journal; a crash-recovery
-          // would re-admit those as queued jobs (at-least-once).
-          if (metrics_) metrics_->journal_write_errors.inc();
-          outcome.journal_error = e.what();
-          return outcome;
-        }
+      auto job = new_job(req.type, std::move(req.circuit), std::move(req.params));
+      try {
+        admit_locked(job);
+      } catch (const JournalWriteError& e) {
+        // All-or-nothing in THIS process: the members admitted so far leave
+        // again before mu_ is released, so nothing of the batch was visible
+        // and the client's 503 is honest. Their admit records stay in the
+        // journal; a crash-recovery would re-admit those as queued jobs
+        // (at-least-once).
+        for (const auto& admitted : outcome.jobs) jobs_.erase(admitted->id);
+        queue_.resize(queue_.size() - outcome.jobs.size());
+        if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+        outcome.jobs.clear();
+        outcome.journal_error = e.what();
+        return outcome;
       }
-      jobs_.emplace(job->id, job);
-      jobs.push_back(std::move(job));
+      outcome.jobs.push_back(std::move(job));
     }
-    for (const auto& job : jobs) queue_.push_back(job);
-    if (metrics_) {
-      metrics_->jobs_submitted.inc(static_cast<std::int64_t>(jobs.size()));
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-    }
-    outcome.jobs = std::move(jobs);
+    if (metrics_) metrics_->jobs_submitted.inc(static_cast<std::int64_t>(outcome.jobs.size()));
   }
   cv_.notify_all();
   return outcome;
 }
 
-void JobScheduler::restore(std::vector<RestoredJob> recovered) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (RestoredJob& r : recovered) {
-    auto job = std::make_shared<Job>();
-    job->id = r.id;
-    job->type = r.type;
-    job->params = std::move(r.params);
-    job->circuit_key = std::move(r.circuit_key);
-    job->circuit_name = r.circuit ? r.circuit->name : "";
-    // Only a re-queued job runs again; a terminal one keeps just the key.
-    if (r.state == JobState::kQueued) job->circuit = std::move(r.circuit);
-    job->idempotency_key = r.idempotency_key;
-    job->state.store(r.state, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> jlock(job->mu);
-      job->result_json = std::move(r.result_json);
-      job->error = std::move(r.error);
-    }
-    // Resume id allocation past every recovered id so new admissions never
-    // collide with journaled ones.
-    if (job->id.size() > 4 && job->id.compare(0, 4, "job-") == 0) {
-      const int n = std::atoi(job->id.c_str() + 4);
-      if (n >= next_id_) next_id_ = n + 1;
-    }
-    if (!job->idempotency_key.empty()) idem_[job->idempotency_key] = job->id;
-    if (r.state == JobState::kQueued) {
-      job->submitted_ms = now_ms();  // queue-wait clock restarts at recovery
-      queue_.push_back(job);
-    }
-    jobs_[job->id] = job;
-    if (r.state != JobState::kQueued) retire_locked(*job);
+void JobScheduler::recover(const util::JsonValue& admit,
+                           std::shared_ptr<const CachedCircuit> circuit, bool started,
+                           const util::JsonValue* end) {
+  const JobState end_state =
+      end ? job_state_from_name(end->string_or("state", "failed")) : JobState::kQueued;
+  const util::JsonValue* params = admit.find("params");
+  auto job = new_job(job_type_from_name(admit.string_or("type", "ssta")), std::move(circuit),
+                     params ? job_params_from_json(*params) : JobParams{});
+  job->id = admit.string_or("id", "");
+  job->circuit_key = admit.string_or("circuit", "");
+  job->idempotency_key = admit.string_or("idempotency_key", "");
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    admit_locked(job);  // a journaled id: no admit record is written
   }
+  if (end != nullptr) {
+    // Terminal before the crash: pollable again with its exact pre-crash
+    // result.
+    finish(*job, end_state, end->string_or("result", ""), end->string_or("error", ""),
+           Ending::kReplayed);
+  } else if (started) {
+    // Running at the crash: terminal but retryable. How far it got is
+    // unknown, so it never silently re-runs (a size job mutates warm-start
+    // state); the client re-submits under its idempotency key.
+    finish(*job, JobState::kInterrupted, {},
+           "interrupted: daemon crashed while this job was running (re-submit to retry)");
+    return;  // counted as interrupted, not as recovered
+  } else if (job->circuit == nullptr) {
+    // Queued at the crash, but its circuit did not survive replay (torn tail
+    // or eviction): a named failure, never a crash or a silent drop.
+    finish(*job, JobState::kFailed, {},
+           "recovery failed: circuit " + job->circuit_key +
+               " is not in the recovered cache (journal truncated or entry evicted); "
+               "re-upload it and re-submit");
+  }
+  if (metrics_) metrics_->jobs_recovered.inc();
+}
+
+void JobScheduler::admit_locked(const std::shared_ptr<Job>& job) {
+  if (job->id.empty()) {
+    char idbuf[16];
+    std::snprintf(idbuf, sizeof(idbuf), "job-%06d", next_id_++);
+    job->id = idbuf;
+    // Durable admission: the admit record must hit the journal before the
+    // job becomes visible or acked. Appending under mu_ keeps journal order
+    // identical to admission order, which recovery relies on.
+    if (journal_ != nullptr) {
+      try {
+        journal_->append(admit_record(*job));
+      } catch (const JournalWriteError&) {
+        if (metrics_) metrics_->journal_write_errors.inc();
+        throw;
+      }
+      if (metrics_) metrics_->journal_records_written.inc();
+    }
+  } else if (job->id.compare(0, 4, "job-") == 0) {
+    // A journaled id: allocation resumes past it, so new admissions never
+    // collide with journaled ones.
+    next_id_ = std::max(next_id_, std::atoi(job->id.c_str() + 4) + 1);
+  }
+  job->submitted_ms = now_ms();  // a recovered job's queue wait restarts here
+  jobs_[job->id] = job;
+  if (!job->idempotency_key.empty()) idem_[job->idempotency_key] = job->id;
+  queue_.push_back(job);
   if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+}
+
+void JobScheduler::finish(Job& job, JobState state, std::string result, std::string error,
+                          Ending ending) {
+  job.circuit.reset();  // a finished job must not pin an evicted entry
+  const double t_end = now_ms();
+  // End record BEFORE the state flip: once a poller can observe "done", the
+  // journal must already know — a crash between flip and append would
+  // otherwise resurrect a completed job as interrupted after the client saw
+  // its result.
+  if (ending == Ending::kNew) journal_append_soft(end_record(job.id, state, result, error));
+  double t_start;
+  {
+    std::lock_guard<std::mutex> lock(job.mu);
+    job.result_json = std::move(result);
+    job.error = std::move(error);
+    job.finished_ms = t_end;
+    t_start = job.started_ms;
+  }
+  {
+    // Into the history before the flip: a poller that sees the job finished
+    // also sees it counted against kFinishedJobsKept. A job finished while
+    // queued (cancelled, or settled by recovery) leaves the queue here.
+    const std::lock_guard<std::mutex> lock(mu_);
+    retire_locked(job);
+    const auto queued = std::find_if(queue_.begin(), queue_.end(),
+                                     [&](const auto& q) { return q.get() == &job; });
+    if (queued != queue_.end()) {
+      queue_.erase(queued);
+      if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+    }
+  }
+  job.state.store(state, std::memory_order_release);
+  if (metrics_ == nullptr || ending == Ending::kReplayed) return;
+  switch (state) {
+    case JobState::kDone: metrics_->jobs_completed.inc(); break;
+    case JobState::kCancelled: metrics_->jobs_cancelled.inc(); break;
+    case JobState::kFailed: metrics_->jobs_failed.inc(); break;
+    case JobState::kInterrupted: metrics_->jobs_interrupted.inc(); break;
+    default: break;
+  }
+  if (t_start > 0.0) {  // it ran on an executor
+    metrics_->jobs_running.dec();
+    metrics_->service_ms.record(t_end - t_start);
+    if (job.type == JobType::kSize) {
+      metrics_->service_sizing_ms.record(t_end - t_start);
+    } else {
+      metrics_->service_analysis_ms.record(t_end - t_start);
+    }
+  }
+}
+
+bool JobScheduler::cancel_queued(Job& job, std::string reason) {
+  // Winning this exchange makes this thread the last reader of job.circuit:
+  // the executor skips a job it cannot claim.
+  JobState expected = JobState::kQueued;
+  if (!job.state.compare_exchange_strong(expected, JobState::kCancelled,
+                                         std::memory_order_acq_rel)) {
+    return false;
+  }
+  finish(job, JobState::kCancelled, {}, std::move(reason));
+  return true;
 }
 
 void JobScheduler::retire_locked(const Job& job) {
@@ -461,28 +503,12 @@ std::shared_ptr<Job> JobScheduler::get(const std::string& id) const {
 bool JobScheduler::cancel(const std::string& id) {
   std::shared_ptr<Job> job = get(id);
   if (!job) return false;
-  JobState expected = JobState::kQueued;
-  if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
-                                         std::memory_order_acq_rel)) {
-    // Winning the queued -> cancelled exchange makes this thread the last
-    // reader of job->circuit: the executor skips a job it cannot claim.
-    job->circuit.reset();
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->error = "cancelled before start";
-      job->finished_ms = now_ms();
-    }
-    journal_append_soft(end_record(job->id, JobState::kCancelled, "", "cancelled before start"));
-    if (metrics_) metrics_->jobs_cancelled.inc();
-    const std::lock_guard<std::mutex> lock(mu_);
-    retire_locked(*job);
-    return true;
+  if (cancel_queued(*job, "cancelled before start")) return true;
+  if (job->state.load(std::memory_order_acquire) != JobState::kRunning) {
+    return false;  // already finished
   }
-  if (expected == JobState::kRunning) {
-    job->cancel.request_cancel();
-    return true;
-  }
-  return false;  // already finished
+  job->cancel.request_cancel();
+  return true;
 }
 
 std::size_t JobScheduler::queue_size() const {
@@ -539,34 +565,51 @@ void JobScheduler::run_job(Job& job, double t_start) {
     // Simulated executor crash: the job dies mid-flight with NO terminal
     // journal record — exactly what a restart after SIGKILL would find. The
     // in-process outcome mirrors what recovery replay would surface.
-    job.circuit.reset();
-    {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.error = "interrupted: executor crashed (injected serve.executor.crash)";
-      job.finished_ms = now_ms();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      retire_locked(job);
-    }
-    job.state.store(JobState::kInterrupted, std::memory_order_release);
-    if (metrics_) {
-      metrics_->jobs_running.dec();
-      metrics_->jobs_interrupted.inc();
-    }
+    finish(job, JobState::kInterrupted, {},
+           "interrupted: executor crashed (injected serve.executor.crash)", Ending::kCrash);
     return;
   }
 
+  JobState state = JobState::kDone;
+  std::string result;
+  std::string error;
+  try {
+    result = compute(job);
+  } catch (const runtime::OperationCancelled& e) {
+    state = JobState::kCancelled;
+    error = e.reason() == runtime::CancelReason::kDeadline
+                ? std::string("deadline exceeded: ") + e.what()
+                : std::string("cancelled: ") + e.what();
+  } catch (const std::exception& e) {
+    state = JobState::kFailed;
+    error = e.what();
+  }
+  finish(job, state, std::move(result), std::move(error));
+}
+
+std::string JobScheduler::compute(Job& job) {
   // The job's thread budget: caps this executor's parallel_for calls and
   // leaves the pool, and every later job, alone.
   const runtime::ThreadBudget budget(job.params.jobs);
+
+  // Analysis jobs run under one CancelScope: a tripped token or expired
+  // deadline unwinds the sweep (no partial results). Sizing routes the
+  // deadline through SizerOptions instead: the sizer owns its CancelScope and
+  // degrades to an honest best-iterate checkpoint (status ".../time-limit")
+  // rather than aborting — a deadline'd size job is kDone, not kCancelled.
+  const double deadline_seconds = job.params.deadline_ms / 1000.0;
+  std::optional<runtime::CancelScope> scope;
+  if (job.type != JobType::kSize) {
+    scope.emplace(&job.cancel, deadline_seconds > 0.0
+                                   ? runtime::Deadline::after_seconds(deadline_seconds)
+                                   : runtime::Deadline::never());
+  }
 
   // Derived (PATCH-created) entries carry an edited TimingView; jobs compute
   // against it through the same engines the CLI path runs on a Circuit's view,
   // so a patched result is bit-identical to re-uploading the edited netlist.
   const netlist::TimingView& view = job.circuit->timing_view();
   const ssta::SigmaModel sigma_model{job.params.sigma_kappa, job.params.sigma_offset};
-  const double deadline_seconds = job.params.deadline_ms / 1000.0;
 
   // Uniform analysis speed fill, then the entry's per-gate overrides.
   auto analysis_speed = [&] {
@@ -577,189 +620,115 @@ void JobScheduler::run_job(Job& job, double t_start) {
     return speed;
   };
 
-  JobState final_state = JobState::kDone;
-  std::string result;
-  std::string error;
-  try {
-    std::ostringstream os;
-    util::JsonWriter w(os);
-    switch (job.type) {
-      case JobType::kSsta: {
-        // Analysis jobs run under an outer CancelScope: a tripped token or
-        // expired deadline unwinds the sweep (no partial results).
-        runtime::CancelScope scope(&job.cancel,
-                                   deadline_seconds > 0.0
-                                       ? runtime::Deadline::after_seconds(deadline_seconds)
-                                       : runtime::Deadline::never());
-        ssta::DelayCalculator calc(view, sigma_model);
-        ssta::TimingReport report = ssta::run_ssta(calc, analysis_speed());
-        w.begin_object();
-        w.key("mu").value(report.circuit_delay.mu);
-        w.key("sigma").value(report.circuit_delay.sigma());
-        w.key("var").value(report.circuit_delay.var);
-        w.key("mu_plus_3sigma").value(report.circuit_delay.quantile_offset(3.0));
-        w.end_object();
-        break;
-      }
-      case JobType::kSta: {
-        runtime::CancelScope scope(&job.cancel,
-                                   deadline_seconds > 0.0
-                                       ? runtime::Deadline::after_seconds(deadline_seconds)
-                                       : runtime::Deadline::never());
-        ssta::Corner corner = ssta::Corner::kWorst;
-        if (job.params.corner == "best") corner = ssta::Corner::kBest;
-        else if (job.params.corner == "typical") corner = ssta::Corner::kTypical;
-        else if (job.params.corner != "worst") {
-          throw std::runtime_error("unknown corner: " + job.params.corner);
-        }
-        ssta::DelayCalculator calc(view, sigma_model);
-        ssta::StaReport report = ssta::run_sta(view, calc.all_delays(analysis_speed()), corner);
-        w.begin_object();
-        w.key("corner").value(job.params.corner);
-        w.key("circuit_delay").value(report.circuit_delay);
-        w.end_object();
-        break;
-      }
-      case JobType::kMonteCarlo: {
-        runtime::CancelScope scope(&job.cancel,
-                                   deadline_seconds > 0.0
-                                       ? runtime::Deadline::after_seconds(deadline_seconds)
-                                       : runtime::Deadline::never());
-        ssta::DelayCalculator calc(view, sigma_model);
-        ssta::MonteCarloOptions mc;
-        mc.num_samples = job.params.mc_samples;
-        mc.seed = job.params.mc_seed;
-        ssta::MonteCarloResult mc_result =
-            ssta::run_monte_carlo(view, calc.all_delays(analysis_speed()), mc);
-        w.begin_object();
-        w.key("samples").value(job.params.mc_samples);
-        w.key("seed").value(static_cast<long>(job.params.mc_seed));
-        w.key("mean").value(mc_result.mean);
-        w.key("stddev").value(mc_result.stddev);
-        w.key("min").value(mc_result.min);
-        w.key("max").value(mc_result.max);
-        w.key("q50").value(mc_result.quantile(0.50));
-        w.key("q95").value(mc_result.quantile(0.95));
-        w.key("q99").value(mc_result.quantile(0.99));
-        w.end_object();
-        break;
-      }
-      case JobType::kSize: {
-        // Sizing routes the deadline through SizerOptions instead of an
-        // outer scope: the sizer owns its CancelScope and degrades to an
-        // honest best-iterate checkpoint (status ".../time-limit") rather
-        // than aborting — a deadline'd size job is kDone, not kCancelled.
-        core::SizingSpec spec;
-        if (job.params.objective == "delay") {
-          spec.objective = core::Objective::min_delay(job.params.sigma_weight);
-        } else if (job.params.objective == "area") {
-          spec.objective = core::Objective::min_area();
-        } else {
-          throw std::runtime_error("unknown objective: " + job.params.objective);
-        }
-        if (job.params.max_delay > 0.0) {
-          spec.delay_constraint = core::DelayConstraint::at_most(
-              job.params.max_delay, job.params.constraint_sigma_weight);
-        }
-        spec.max_speed = job.params.max_speed;
-        spec.sigma_model = sigma_model;
-
-        core::SizerOptions opt;
-        if (job.params.method == "full") opt.method = core::Method::kFullSpace;
-        else if (job.params.method == "reduced") opt.method = core::Method::kReducedSpace;
-        else throw std::runtime_error("unknown method: " + job.params.method);
-        opt.time_limit_seconds = deadline_seconds;
-        opt.cancel = &job.cancel;
-        opt.max_retries = job.params.max_retries;
-
-        // ECO resize (DESIGN.md §12): a reduced-space job on a derived entry
-        // warm-starts from the nearest solved ancestor's sizes and
-        // multiplier/penalty state when one exists. Everything else — uploads,
-        // and full-space jobs on either kind of entry — solves cold.
-        const core::Sizer sizer(view, spec);
-        std::shared_ptr<const core::SizingWarmStart> warm;
-        if (job.circuit->patched_view != nullptr && opt.method == core::Method::kReducedSpace) {
-          warm = job.circuit->resolve_warm();
-        }
-        const bool warm_started = warm != nullptr;
-        core::SizingResult r = warm_started ? sizer.resize(opt, *warm) : sizer.run(opt);
-        if (opt.method == core::Method::kReducedSpace) {
-          job.circuit->store_warm(
-              std::make_shared<core::SizingWarmStart>(std::move(r.warm)));
-        }
-        if (metrics_ && r.from_checkpoint) metrics_->jobs_deadline_checkpoints.inc();
-        w.begin_object();
-        w.key("converged").value(r.converged);
-        w.key("status").value(r.status);
-        w.key("method").value(job.params.method);
-        w.key("warm_started").value(warm_started);
-        w.key("mu").value(r.circuit_delay.mu);
-        w.key("sigma").value(r.circuit_delay.sigma());
-        w.key("mu_plus_3sigma").value(r.circuit_delay.quantile_offset(3.0));
-        w.key("sum_speed").value(r.sum_speed);
-        w.key("area").value(r.area);
-        w.key("objective_value").value(r.objective_value);
-        w.key("constraint_violation").value(r.constraint_violation);
-        w.key("iterations").value(r.iterations);
-        w.key("outer_iterations").value(r.outer_iterations);
-        w.key("value_evals").value(r.value_evals);
-        w.key("gradient_evals").value(r.gradient_evals);
-        w.key("retries_used").value(r.retries_used);
-        w.key("from_checkpoint").value(r.from_checkpoint);
-        w.key("checkpoint_outer").value(r.checkpoint_outer);
-        w.key("speed").begin_array();
-        for (double s : r.speed) w.value(s);
-        w.end_array();
-        w.end_object();
-        break;
-      }
+  // Names (corner, objective, method) were checked at admission.
+  std::ostringstream os;
+  util::JsonWriter w(os);
+  switch (job.type) {
+    case JobType::kSsta: {
+      ssta::DelayCalculator calc(view, sigma_model);
+      ssta::TimingReport report = ssta::run_ssta(calc, analysis_speed());
+      w.begin_object();
+      w.key("mu").value(report.circuit_delay.mu);
+      w.key("sigma").value(report.circuit_delay.sigma());
+      w.key("var").value(report.circuit_delay.var);
+      w.key("mu_plus_3sigma").value(report.circuit_delay.quantile_offset(3.0));
+      w.end_object();
+      break;
     }
-    result = os.str();
-  } catch (const runtime::OperationCancelled& e) {
-    final_state = JobState::kCancelled;
-    error = e.reason() == runtime::CancelReason::kDeadline
-                ? std::string("deadline exceeded: ") + e.what()
-                : std::string("cancelled: ") + e.what();
-  } catch (const std::exception& e) {
-    final_state = JobState::kFailed;
-    error = e.what();
-  }
-
-  job.circuit.reset();  // a finished job must not pin an evicted entry
-  const double t_end = now_ms();
-  // Terminal record BEFORE the state flip: once a poller can observe "done",
-  // the journal must already know — a crash between flip and append would
-  // otherwise resurrect a completed job as interrupted after the client saw
-  // its result.
-  journal_append_soft(end_record(job.id, final_state, result, error));
-  {
-    std::lock_guard<std::mutex> lock(job.mu);
-    job.result_json = std::move(result);
-    job.error = std::move(error);
-    job.finished_ms = t_end;
-  }
-  {
-    // Into the history before the flip: a poller that sees the job finished
-    // also sees it counted against kFinishedJobsKept.
-    const std::lock_guard<std::mutex> lock(mu_);
-    retire_locked(job);
-  }
-  job.state.store(final_state, std::memory_order_release);
-  if (metrics_) {
-    metrics_->jobs_running.dec();
-    metrics_->service_ms.record(t_end - t_start);
-    if (job.type == JobType::kSize) {
-      metrics_->service_sizing_ms.record(t_end - t_start);
-    } else {
-      metrics_->service_analysis_ms.record(t_end - t_start);
+    case JobType::kSta: {
+      ssta::Corner corner = ssta::Corner::kWorst;
+      if (job.params.corner == "best") corner = ssta::Corner::kBest;
+      if (job.params.corner == "typical") corner = ssta::Corner::kTypical;
+      ssta::DelayCalculator calc(view, sigma_model);
+      ssta::StaReport report = ssta::run_sta(view, calc.all_delays(analysis_speed()), corner);
+      w.begin_object();
+      w.key("corner").value(job.params.corner);
+      w.key("circuit_delay").value(report.circuit_delay);
+      w.end_object();
+      break;
     }
-    switch (final_state) {
-      case JobState::kDone: metrics_->jobs_completed.inc(); break;
-      case JobState::kCancelled: metrics_->jobs_cancelled.inc(); break;
-      case JobState::kFailed: metrics_->jobs_failed.inc(); break;
-      default: break;
+    case JobType::kMonteCarlo: {
+      ssta::DelayCalculator calc(view, sigma_model);
+      ssta::MonteCarloOptions mc;
+      mc.num_samples = job.params.mc_samples;
+      mc.seed = job.params.mc_seed;
+      ssta::MonteCarloResult mc_result =
+          ssta::run_monte_carlo(view, calc.all_delays(analysis_speed()), mc);
+      w.begin_object();
+      w.key("samples").value(job.params.mc_samples);
+      w.key("seed").value(static_cast<long>(job.params.mc_seed));
+      w.key("mean").value(mc_result.mean);
+      w.key("stddev").value(mc_result.stddev);
+      w.key("min").value(mc_result.min);
+      w.key("max").value(mc_result.max);
+      w.key("q50").value(mc_result.quantile(0.50));
+      w.key("q95").value(mc_result.quantile(0.95));
+      w.key("q99").value(mc_result.quantile(0.99));
+      w.end_object();
+      break;
+    }
+    case JobType::kSize: {
+      core::SizingSpec spec;
+      spec.objective = job.params.objective == "area"
+                           ? core::Objective::min_area()
+                           : core::Objective::min_delay(job.params.sigma_weight);
+      if (job.params.max_delay > 0.0) {
+        spec.delay_constraint = core::DelayConstraint::at_most(
+            job.params.max_delay, job.params.constraint_sigma_weight);
+      }
+      spec.max_speed = job.params.max_speed;
+      spec.sigma_model = sigma_model;
+
+      core::SizerOptions opt;
+      opt.method = job.params.method == "full" ? core::Method::kFullSpace
+                                               : core::Method::kReducedSpace;
+      opt.time_limit_seconds = deadline_seconds;
+      opt.cancel = &job.cancel;
+      opt.max_retries = job.params.max_retries;
+
+      // ECO resize (DESIGN.md §12): a reduced-space job on a derived entry
+      // warm-starts from the nearest solved ancestor's sizes and
+      // multiplier/penalty state when one exists. Everything else — uploads,
+      // and full-space jobs on either kind of entry — solves cold.
+      const core::Sizer sizer(view, spec);
+      std::shared_ptr<const core::SizingWarmStart> warm;
+      if (job.circuit->patched_view != nullptr && opt.method == core::Method::kReducedSpace) {
+        warm = job.circuit->resolve_warm();
+      }
+      const bool warm_started = warm != nullptr;
+      core::SizingResult r = warm_started ? sizer.resize(opt, *warm) : sizer.run(opt);
+      if (opt.method == core::Method::kReducedSpace) {
+        job.circuit->store_warm(
+            std::make_shared<core::SizingWarmStart>(std::move(r.warm)));
+      }
+      if (metrics_ && r.from_checkpoint) metrics_->jobs_deadline_checkpoints.inc();
+      w.begin_object();
+      w.key("converged").value(r.converged);
+      w.key("status").value(r.status);
+      w.key("method").value(job.params.method);
+      w.key("warm_started").value(warm_started);
+      w.key("mu").value(r.circuit_delay.mu);
+      w.key("sigma").value(r.circuit_delay.sigma());
+      w.key("mu_plus_3sigma").value(r.circuit_delay.quantile_offset(3.0));
+      w.key("sum_speed").value(r.sum_speed);
+      w.key("area").value(r.area);
+      w.key("objective_value").value(r.objective_value);
+      w.key("constraint_violation").value(r.constraint_violation);
+      w.key("iterations").value(r.iterations);
+      w.key("outer_iterations").value(r.outer_iterations);
+      w.key("value_evals").value(r.value_evals);
+      w.key("gradient_evals").value(r.gradient_evals);
+      w.key("retries_used").value(r.retries_used);
+      w.key("from_checkpoint").value(r.from_checkpoint);
+      w.key("checkpoint_outer").value(r.checkpoint_outer);
+      w.key("speed").begin_array();
+      for (double s : r.speed) w.value(s);
+      w.end_array();
+      w.end_object();
+      break;
     }
   }
+  return os.str();
 }
 
 }  // namespace statsize::serve

@@ -16,7 +16,10 @@
 // ssta/sta job, else the oldest job, runs it under its cancel
 // token/deadline and thread budget, and publishes a result JSON blob.
 // cancel() flips a queued job straight to kCancelled or trips a running
-// job's CancellationToken so the cooperative polls unwind it.
+// job's CancellationToken so the cooperative polls unwind it. Every job,
+// submitted, batched or replayed from the journal, enters through one
+// admit_locked() and leaves through one finish(), the only place that writes
+// end records, retires jobs and publishes terminal states.
 
 #pragma once
 
@@ -50,11 +53,9 @@ enum class JobState { kQueued, kRunning, kDone, kCancelled, kFailed, kInterrupte
 const char* job_type_name(JobType type);
 const char* job_state_name(JobState state);
 
-/// Inverse of job_type_name / job_state_name, for journal replay. Throw
-/// std::invalid_argument on an unknown name (a corrupt-but-checksummed
-/// record is a bug, not a torn tail — fail loudly).
+/// Inverse of job_type_name, for requests and journal replay. Throws
+/// std::invalid_argument on an unknown name.
 JobType job_type_from_name(const std::string& name);
-JobState job_state_from_name(const std::string& name);
 
 /// Everything a job request can carry. Parsed from the POST /v1/jobs body by
 /// the server; defaults mirror the CLI's.
@@ -87,21 +88,13 @@ struct JobParams {
   int max_retries = 0;
 };
 
-/// Serializes params as one JSON object (journal admit records); the inverse
-/// of job_params_from_json. Every field round-trips bit-exactly except
-/// mc_seed, which travels through the JSON layer's double representation and
-/// is exact only up to 2^53 (the server's request parser has the same limit,
-/// so a journaled seed always round-trips to what the client could submit).
-void write_job_params(util::JsonWriter& w, const JobParams& params);
-JobParams job_params_from_json(const util::JsonValue& doc);
-
 struct Job {
   std::string id;  ///< "job-NNNNNN"
   JobType type = JobType::kSsta;
   JobParams params;
   /// The entry the job runs against. Set at admission and read only by the
-  /// executor; every terminal path resets it, so a finished job does not
-  /// keep an evicted cache entry (say a PATCH-derived view copy) alive.
+  /// executor; finish() resets it, so a finished job does not keep an
+  /// evicted cache entry (say a PATCH-derived view copy) alive.
   std::shared_ptr<const CachedCircuit> circuit;
   std::string circuit_key;   ///< circuit->key, kept for the job document
   std::string circuit_name;  ///< circuit->name, kept for the job document
@@ -119,11 +112,9 @@ struct Job {
   double finished_ms = 0.0;
 
   /// Serializes the full job document (state, params echo, timings, and the
-  /// result object when done) as one JSON object.
+  /// result object when done) as one JSON object. queue_wait_ms and run_ms
+  /// appear only once the job has started.
   std::string describe() const;
-
-  /// Admission: holds `entry` and records its key and name.
-  void set_circuit(std::shared_ptr<const CachedCircuit> entry);
 };
 
 /// Finished jobs kept pollable. Once this many newer jobs have finished, a
@@ -157,16 +148,14 @@ class JobScheduler {
   /// to call twice.
   void stop();
 
-  /// How one submission resolved. Exactly one of job / overflow /
-  /// journal_error is meaningful: a non-null job with deduplicated=true is
-  /// an existing job answering a retried Idempotency-Key; overflow maps to
-  /// 429; a non-empty journal_error means the admit record could not be made
-  /// durable, so the job was NOT admitted (maps to 503 — the client retries
-  /// and the same key cannot double-admit).
+  /// How one submission resolved: a non-null job (with deduplicated=true,
+  /// an existing job answering a retried Idempotency-Key); or a non-empty
+  /// journal_error, meaning the admit record could not be made durable, so
+  /// the job was NOT admitted (maps to 503 — the client retries and the same
+  /// key cannot double-admit); or neither, an overflow (maps to 429).
   struct SubmitOutcome {
     std::shared_ptr<Job> job;
     bool deduplicated = false;
-    bool overflow = false;
     std::string journal_error;
   };
 
@@ -188,7 +177,6 @@ class JobScheduler {
 
   struct BatchOutcome {
     std::vector<std::shared_ptr<Job>> jobs;  ///< request order; empty on failure
-    bool overflow = false;
     std::string journal_error;
   };
 
@@ -202,26 +190,16 @@ class JobScheduler {
   /// carry no idempotency keys, so clients own batch-level retries).
   BatchOutcome submit_batch(std::vector<JobRequest> requests);
 
-  /// One journal-recovered job to reinstall at startup, before start().
-  struct RestoredJob {
-    std::string id;
-    JobType type = JobType::kSsta;
-    JobParams params;
-    std::shared_ptr<const CachedCircuit> circuit;  ///< may be null for terminal states
-    std::string circuit_key;                       ///< from the admit record
-    std::string idempotency_key;
-    JobState state = JobState::kQueued;  ///< kQueued re-enqueues; others install as-is
-    std::string result_json;             ///< kDone payload
-    std::string error;                   ///< failed/cancelled/interrupted reason
-  };
-
-  /// Reinstalls recovered jobs: terminal jobs become pollable again (the
-  /// last kFinishedJobsKept of them, in journal order), kQueued
-  /// jobs re-enter the queue in call order under their original ids, the
-  /// idempotency index is rebuilt, and id allocation resumes past the highest
-  /// recovered id. Writes NO journal records — the admit records already live
-  /// in the journal being resumed.
-  void restore(std::vector<RestoredJob> recovered);
+  /// Journal recovery, before start(), in journal order: re-admits the job of
+  /// an `admit` record under its journaled id (no new admit record) on
+  /// `circuit`, null when the entry did not survive replay, then settles it.
+  /// With its `end` record it finishes as journaled; started without one it
+  /// finishes `interrupted`; without its circuit, `failed` — both journaled,
+  /// so a later restart replays them as they are. Otherwise it stays queued.
+  /// Throws std::invalid_argument, admitting nothing, on an unknown type or
+  /// state name (a corrupt-but-checksummed record).
+  void recover(const util::JsonValue& admit, std::shared_ptr<const CachedCircuit> circuit,
+               bool started, const util::JsonValue* end);
 
   std::shared_ptr<Job> get(const std::string& id) const;
 
@@ -236,9 +214,33 @@ class JobScheduler {
   std::size_t executors() const;
 
  private:
+  /// How finish() treats a terminal state besides publishing it.
+  enum class Ending {
+    kNew,       ///< decided in this process: journal an end record, count it
+    kCrash,     ///< serve.executor.crash: count it but journal nothing, as
+                ///< a SIGKILL would leave no end record either
+    kReplayed,  ///< read back from the journal's end record: neither
+  };
+
   void executor_loop();
   /// Runs a claimed job; `t_start` is its start stamp.
   void run_job(Job& job, double t_start);
+  /// Runs the job's engine and returns its result JSON. Throws
+  /// OperationCancelled or the engine's error.
+  std::string compute(Job& job);
+  /// The one admission path; caller holds mu_. Keeps a journaled id (journal
+  /// recovery) or assigns the next one and appends the job's admit record,
+  /// then registers and queues the job. Throws JournalWriteError when the
+  /// admit record could not be made durable; the job is not registered then.
+  void admit_locked(const std::shared_ptr<Job>& job);
+  /// The one terminal transition: releases the job's circuit, appends its
+  /// end record, stores result/error/finish time, retires it, publishes
+  /// `state` and counts it. Caller does not hold mu_.
+  void finish(Job& job, JobState state, std::string result, std::string error,
+              Ending ending = Ending::kNew);
+  /// Finishes a queued job as cancelled when this thread wins the
+  /// queued -> cancelled exchange; false when the job was not queued.
+  bool cancel_queued(Job& job, std::string reason);
   /// Records that `job` reached a terminal state and forgets the oldest
   /// finished job beyond kFinishedJobsKept. Caller holds mu_.
   void retire_locked(const Job& job);

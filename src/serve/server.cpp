@@ -44,6 +44,13 @@ std::string parse_error_body(const util::JsonParseError& e) {
   return os.str();
 }
 
+/// A 429 or 503 the client should retry after a second.
+HttpResponse retry_later(int status, const std::string& message) {
+  HttpResponse response = HttpResponse::json(status, error_body(message));
+  response.headers["Retry-After"] = "1";
+  return response;
+}
+
 void set_recv_timeout(int fd, double seconds) {
   if (seconds <= 0.0) return;
   timeval tv{};
@@ -273,10 +280,7 @@ HttpResponse Server::handle(const HttpRequest& request) {
   }
   if (path == "/v1/readyz" && request.method == "GET") {
     if (draining_.load(std::memory_order_acquire)) {
-      HttpResponse response =
-          HttpResponse::json(503, error_body("draining: server is shutting down"));
-      response.headers["Retry-After"] = "1";
-      return response;
+      return retry_later(503, "draining: server is shutting down");
     }
     return HttpResponse::json(200, "{\n  \"ready\": true\n}");
   }
@@ -303,28 +307,33 @@ HttpResponse Server::handle(const HttpRequest& request) {
   return HttpResponse::json(404, error_body("no such endpoint: " + std::string(path)));
 }
 
-bool Server::journal_upload_record(const char* kind, const std::string& base,
-                                   const std::string& body, HttpResponse* error) {
-  if (journal_ == nullptr || replaying_) return true;
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("kind").value(kind);
-  if (!base.empty()) w.key("base").value(base);
-  w.key("body").value(body);
-  w.end_object();
-  try {
-    journal_->append(os.str());
-    metrics_.journal_records_written.inc();
-    return true;
-  } catch (const JournalWriteError& e) {
-    metrics_.journal_write_errors.inc();
-    *error = HttpResponse::json(
-        503, error_body(std::string(kind) +
-                        " not durable (journal write failed: " + e.what() + "); retry"));
-    error->headers["Retry-After"] = "1";
-    return false;
+std::optional<HttpResponse> Server::journal_and_insert(const char* kind, const std::string& base,
+                                                       const std::string& body,
+                                                       std::shared_ptr<const CachedCircuit> entry,
+                                                       CircuitCache::InsertResult* inserted) {
+  if (journal_ != nullptr && !replaying_) {
+    std::ostringstream os;
+    util::JsonWriter w(os);
+    w.begin_object();
+    w.key("kind").value(kind);
+    if (!base.empty()) w.key("base").value(base);
+    w.key("body").value(body);
+    w.end_object();
+    try {
+      journal_->append(os.str());
+      metrics_.journal_records_written.inc();
+    } catch (const JournalWriteError& e) {
+      metrics_.journal_write_errors.inc();
+      return retry_later(503, std::string(kind) + " not durable (journal write failed: " +
+                                  e.what() + "); retry");
+    }
   }
+  *inserted = cache_.insert(std::move(entry));  // existed: a concurrent twin won the race
+  if (inserted->evicted > 0) {
+    metrics_.cache_evictions.inc(static_cast<std::int64_t>(inserted->evicted));
+  }
+  metrics_.circuits_cached.set(static_cast<std::int64_t>(cache_.size()));
+  return std::nullopt;
 }
 
 HttpResponse Server::handle_upload(const HttpRequest& request) {
@@ -349,10 +358,9 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
   const std::string name = body.string_or("name", "");
 
   const std::string key = circuit_key(format, text->as_string());
-  std::shared_ptr<const CachedCircuit> entry = cache_.find(key);
-  bool cached = entry != nullptr;
-  std::size_t evicted = 0;
-  if (cached) {
+  CircuitCache::InsertResult lookup{cache_.find(key)};
+  lookup.existed = lookup.entry != nullptr;
+  if (lookup.existed) {
     metrics_.cache_hits.inc();
   } else {
     metrics_.cache_misses.inc();
@@ -374,25 +382,17 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
     fresh->key = key;
     fresh->name = name;
     fresh->format = format;
-    // Journal before insert: a 503 here must leave no cache entry, or the
-    // client's retry would hit the cache and skip journaling forever.
-    HttpResponse journal_error;
-    if (!journal_upload_record("circuit", "", request.body, &journal_error)) {
-      return journal_error;
+    if (auto failed = journal_and_insert("circuit", "", request.body, std::move(fresh), &lookup)) {
+      return *failed;
     }
-    CircuitCache::InsertResult inserted = cache_.insert(std::move(fresh));
-    entry = inserted.entry;
-    cached = inserted.existed;  // concurrent identical upload won the race
-    evicted = inserted.evicted;
-    if (evicted > 0) metrics_.cache_evictions.inc(static_cast<std::int64_t>(evicted));
   }
-  metrics_.circuits_cached.set(static_cast<std::int64_t>(cache_.size()));
 
+  const std::shared_ptr<const CachedCircuit>& entry = lookup.entry;
   std::ostringstream os;
   util::JsonWriter w(os);
   w.begin_object();
   w.key("key").value(entry->key);
-  w.key("cached").value(cached);
+  w.key("cached").value(lookup.existed);
   w.key("name").value(entry->name);
   w.key("format").value(entry->format);
   w.key("gates").value(entry->num_gates);
@@ -400,9 +400,9 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
   w.key("outputs").value(entry->num_outputs);
   w.key("depth").value(entry->depth);
   w.key("levels").value(entry->num_levels);
-  w.key("evicted").value(static_cast<long>(evicted));
+  w.key("evicted").value(static_cast<long>(lookup.evicted));
   w.end_object();
-  return HttpResponse::json(cached ? 200 : 201, os.str());
+  return HttpResponse::json(lookup.existed ? 200 : 201, os.str());
 }
 
 HttpResponse Server::handle_patch(const HttpRequest& request, const std::string& key) {
@@ -497,10 +497,9 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
                 static_cast<unsigned long long>(fnv1a64(canon)));
   const std::string derived_key = base->key + suffix;
 
-  std::shared_ptr<const CachedCircuit> entry = cache_.find(derived_key);
-  bool cached = entry != nullptr;
-  std::size_t evicted = 0;
-  if (cached) {
+  CircuitCache::InsertResult lookup{cache_.find(derived_key)};
+  lookup.existed = lookup.entry != nullptr;
+  if (lookup.existed) {
     metrics_.cache_hits.inc();
   } else {
     auto fresh = std::make_shared<CachedCircuit>();
@@ -534,30 +533,25 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
     fresh->base = base;
     fresh->patched_view = std::move(view);
     fresh->num_edits = base->num_edits + edits.size();
-    HttpResponse journal_error;
-    if (!journal_upload_record("patch", base->key, request.body, &journal_error)) {
-      return journal_error;
+    if (auto failed = journal_and_insert("patch", base->key, request.body, std::move(fresh),
+                                         &lookup)) {
+      return *failed;
     }
-    CircuitCache::InsertResult inserted = cache_.insert(std::move(fresh));
-    entry = inserted.entry;
-    cached = inserted.existed;
-    evicted = inserted.evicted;
-    if (evicted > 0) metrics_.cache_evictions.inc(static_cast<std::int64_t>(evicted));
   }
-  metrics_.circuits_cached.set(static_cast<std::int64_t>(cache_.size()));
 
+  const std::shared_ptr<const CachedCircuit>& entry = lookup.entry;
   std::ostringstream os;
   util::JsonWriter w(os);
   w.begin_object();
   w.key("key").value(entry->key);
   w.key("base").value(base->key);
-  w.key("cached").value(cached);
+  w.key("cached").value(lookup.existed);
   w.key("name").value(entry->name);
   w.key("edits_applied").value(static_cast<long>(edits.size()));
   w.key("num_edits").value(static_cast<long>(entry->num_edits));
   w.key("gates").value(entry->num_gates);
   w.end_object();
-  return HttpResponse::json(cached ? 200 : 201, os.str());
+  return HttpResponse::json(lookup.existed ? 200 : 201, os.str());
 }
 
 HttpResponse Server::handle_list_circuits() {
@@ -580,35 +574,21 @@ HttpResponse Server::handle_list_circuits() {
   return HttpResponse::json(200, os.str());
 }
 
-bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobRequest* out,
-                               HttpResponse* error) {
-  if (!body.is_object()) {
-    *error = HttpResponse::json(400, error_body("job request must be a JSON object"));
-    return false;
-  }
+Server::Rejection Server::parse_job_request(const util::JsonValue& body,
+                                            JobScheduler::JobRequest* out) {
+  if (!body.is_object()) return {400, "job request must be a JSON object"};
   const std::string key = body.string_or("circuit", "");
-  if (key.empty()) {
-    *error = HttpResponse::json(400, error_body("missing field: circuit (cache key)"));
-    return false;
-  }
-  const std::string type_name = body.string_or("type", "ssta");
-  if (type_name == "ssta") out->type = JobType::kSsta;
-  else if (type_name == "sta") out->type = JobType::kSta;
-  else if (type_name == "monte_carlo") out->type = JobType::kMonteCarlo;
-  else if (type_name == "size") out->type = JobType::kSize;
-  else {
-    *error = HttpResponse::json(
-        400, error_body("unknown job type: " + type_name +
-                        " (expected ssta | sta | monte_carlo | size)"));
-    return false;
+  if (key.empty()) return {400, "missing field: circuit (cache key)"};
+  try {
+    out->type = job_type_from_name(body.string_or("type", "ssta"));
+  } catch (const std::invalid_argument& e) {
+    return {400, std::string(e.what()) + " (expected ssta | sta | monte_carlo | size)"};
   }
 
   out->circuit = cache_.find(key);
   if (!out->circuit) {
     metrics_.cache_misses.inc();
-    *error = HttpResponse::json(
-        404, error_body("unknown circuit key: " + key + " (upload it first)"));
-    return false;
+    return {404, "unknown circuit key: " + key + " (upload it first)"};
   }
   metrics_.cache_hits.inc();
 
@@ -644,14 +624,22 @@ bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobReq
     params.max_speed = body.number_or("max_speed", params.max_speed);
     int_param("max_retries", params.max_retries, 0, kIntMax);
   } catch (const std::exception& e) {
-    *error = HttpResponse::json(400, error_body(std::string("bad job params: ") + e.what()));
-    return false;
+    return {400, std::string("bad job params: ") + e.what()};
   }
-  if (!in_range || params.deadline_ms < 0.0) {
-    *error = HttpResponse::json(400, error_body("job params out of range"));
-    return false;
+  if (!in_range || params.deadline_ms < 0.0) return {400, "job params out of range"};
+  // Names and the speed are checked here, so the executor never meets one it
+  // cannot run.
+  if (params.corner != "best" && params.corner != "typical" && params.corner != "worst") {
+    return {400, "unknown corner: " + params.corner + " (expected best | typical | worst)"};
   }
-  return true;
+  if (params.objective != "delay" && params.objective != "area") {
+    return {400, "unknown objective: " + params.objective + " (expected delay | area)"};
+  }
+  if (params.method != "full" && params.method != "reduced") {
+    return {400, "unknown method: " + params.method + " (expected full | reduced)"};
+  }
+  if (params.speed <= 0.0) return {400, "speed must be positive"};
+  return {};
 }
 
 HttpResponse Server::handle_submit(const HttpRequest& request) {
@@ -676,24 +664,18 @@ HttpResponse Server::handle_submit(const HttpRequest& request) {
         400, error_body("body must be a JSON object (or an array of them to batch)"));
   }
   JobScheduler::JobRequest req;
-  HttpResponse error;
-  if (!parse_job_request(body, &req, &error)) return error;
+  const Rejection rejected = parse_job_request(body, &req);
+  if (rejected.status != 0) {
+    return HttpResponse::json(rejected.status, error_body(rejected.message));
+  }
 
   JobScheduler::SubmitOutcome outcome = scheduler_.submit(
       req.type, std::move(req.circuit), std::move(req.params), idempotency_key);
   if (!outcome.journal_error.empty()) {
-    HttpResponse response = HttpResponse::json(
-        503, error_body("admission not durable (journal write failed: " +
-                        outcome.journal_error + "); retry"));
-    response.headers["Retry-After"] = "1";
-    return response;
+    return retry_later(503, "admission not durable (journal write failed: " +
+                                outcome.journal_error + "); retry");
   }
-  if (outcome.job == nullptr) {
-    HttpResponse response = HttpResponse::json(
-        429, error_body("job queue full (retry later)"));
-    response.headers["Retry-After"] = "1";
-    return response;
-  }
+  if (outcome.job == nullptr) return retry_later(429, "job queue full (retry later)");
   const std::shared_ptr<Job>& job = outcome.job;
   std::ostringstream os;
   util::JsonWriter w(os);
@@ -719,43 +701,31 @@ HttpResponse Server::handle_submit_batch(const util::JsonValue& body) {
   // whole batch, so clients never have to hunt down half-submitted jobs.
   std::vector<JobScheduler::JobRequest> requests(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    HttpResponse error;
-    if (!parse_job_request(items[i], &requests[i], &error)) {
-      const std::string detail = util::parse_json(error.body).string_or("error", "invalid");
-      return HttpResponse::json(error.status,
-                                error_body("jobs[" + std::to_string(i) + "]: " + detail));
+    const Rejection rejected = parse_job_request(items[i], &requests[i]);
+    if (rejected.status != 0) {
+      return HttpResponse::json(
+          rejected.status, error_body("jobs[" + std::to_string(i) + "]: " + rejected.message));
     }
   }
-  // Echo material captured before submit_batch moves the requests.
-  std::vector<std::pair<JobType, std::string>> echo;
-  echo.reserve(requests.size());
-  for (const auto& r : requests) echo.emplace_back(r.type, r.circuit->key);
 
   JobScheduler::BatchOutcome outcome = scheduler_.submit_batch(std::move(requests));
   if (!outcome.journal_error.empty()) {
-    HttpResponse response = HttpResponse::json(
-        503, error_body("batch admission not durable (journal write failed: " +
-                        outcome.journal_error + "); retry"));
-    response.headers["Retry-After"] = "1";
-    return response;
+    return retry_later(503, "batch admission not durable (journal write failed: " +
+                                outcome.journal_error + "); retry");
   }
-  const std::vector<std::shared_ptr<Job>>& jobs = outcome.jobs;
-  if (jobs.empty()) {
-    HttpResponse response = HttpResponse::json(
-        429, error_body("job queue cannot take the whole batch (retry later)"));
-    response.headers["Retry-After"] = "1";
-    return response;
+  if (outcome.jobs.empty()) {
+    return retry_later(429, "job queue cannot take the whole batch (retry later)");
   }
   std::ostringstream os;
   util::JsonWriter w(os);
   w.begin_object();
   w.key("jobs").begin_array();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (const std::shared_ptr<Job>& job : outcome.jobs) {
     w.begin_object();
-    w.key("id").value(jobs[i]->id);
-    w.key("state").value(job_state_name(jobs[i]->state.load(std::memory_order_acquire)));
-    w.key("type").value(job_type_name(echo[i].first));
-    w.key("circuit").value(echo[i].second);
+    w.key("id").value(job->id);
+    w.key("state").value(job_state_name(job->state.load(std::memory_order_acquire)));
+    w.key("type").value(job_type_name(job->type));
+    w.key("circuit").value(job->circuit_key);
     w.end_object();
   }
   w.end_array();
@@ -797,15 +767,15 @@ void Server::recover_from_journal() {
 
   // Circuit/patch records are re-driven through the real upload/patch
   // handlers (identical parsing, identical content-hash keys); replaying_
-  // suppresses re-journaling inside them. Job records are folded into one
-  // RestoredJob per id: the latest observed transition decides the state.
+  // suppresses re-journaling inside them. Job records are folded per id;
+  // the scheduler then re-admits and settles each job.
   replaying_ = true;
-  struct Recovered {
-    JobScheduler::RestoredJob job;
-    bool started = false;
-    bool ended = false;
+  struct Folded {
+    const util::JsonValue* admit;
+    bool started;
+    const util::JsonValue* end;
   };
-  std::vector<Recovered> pending;  ///< admission order == journal order
+  std::vector<Folded> folded;  ///< admission order == journal order
   std::map<std::string, std::size_t> by_id;
   for (const Journal::Record& rec : records) {
     try {
@@ -823,72 +793,38 @@ void Server::recover_from_journal() {
           handle_patch(req, base);
         }
       } else if (rec.kind == "admit") {
-        Recovered r;
-        r.job.id = rec.doc.string_or("id", "");
-        if (r.job.id.empty()) continue;
-        r.job.type = job_type_from_name(rec.doc.string_or("type", "ssta"));
-        if (const util::JsonValue* params = rec.doc.find("params")) {
-          r.job.params = job_params_from_json(*params);
-        }
-        r.job.idempotency_key = rec.doc.string_or("idempotency_key", "");
-        r.job.circuit_key = rec.doc.string_or("circuit", "");
-        by_id[r.job.id] = pending.size();
-        pending.push_back(std::move(r));
+        const std::string id = rec.doc.string_or("id", "");
+        if (id.empty()) continue;
+        by_id[id] = folded.size();
+        folded.push_back({&rec.doc, false, nullptr});
       } else if (rec.kind == "start") {
         const auto it = by_id.find(rec.doc.string_or("id", ""));
-        if (it != by_id.end()) pending[it->second].started = true;
+        if (it != by_id.end()) folded[it->second].started = true;
       } else if (rec.kind == "end") {
         const auto it = by_id.find(rec.doc.string_or("id", ""));
-        if (it == by_id.end()) continue;
-        const JobState state = job_state_from_name(rec.doc.string_or("state", "failed"));
-        Recovered& r = pending[it->second];
-        r.job.state = state;
-        r.job.result_json = rec.doc.string_or("result", "");
-        r.job.error = rec.doc.string_or("error", "");
-        r.ended = true;
+        if (it != by_id.end()) folded[it->second].end = &rec.doc;
       }
       // Unknown kinds are skipped: a newer daemon's records must not brick
       // an older one pointed at the same directory.
     } catch (const std::exception&) {
       // A checksummed-but-unreplayable record (say, a circuit whose text no
       // longer parses) must not keep the daemon down; any job referencing
-      // the missing state fails below with a named error instead.
+      // the missing state fails in recovery with a named error instead.
     }
   }
   replaying_ = false;
-  metrics_.circuits_cached.set(static_cast<std::int64_t>(cache_.size()));
 
-  std::vector<JobScheduler::RestoredJob> restored;
-  restored.reserve(pending.size());
-  for (Recovered& r : pending) {
-    r.job.circuit = cache_.find(r.job.circuit_key);
-    if (r.ended) {
-      // Terminal before the crash: reinstall verbatim so GET /v1/jobs/<id>
-      // keeps answering with the exact pre-crash result.
-      metrics_.jobs_recovered.inc();
-    } else if (r.started) {
-      // Running at crash: terminal-but-retryable. We cannot know how far it
-      // got, so we never silently re-run it (a size job mutates warm-start
-      // state); the client re-submits under its idempotency key.
-      r.job.state = JobState::kInterrupted;
-      r.job.error =
-          "interrupted: daemon crashed while this job was running (re-submit to retry)";
-      metrics_.jobs_interrupted.inc();
-    } else if (r.job.circuit == nullptr) {
-      // Queued at crash but its circuit did not survive replay (torn tail or
-      // eviction): a named failure, never a crash or a silent drop.
-      r.job.state = JobState::kFailed;
-      r.job.error = "recovery failed: circuit " + r.job.circuit_key +
-                    " is not in the recovered cache (journal truncated or entry "
-                    "evicted); re-upload it and re-submit";
-      metrics_.jobs_recovered.inc();
-    } else {
-      r.job.state = JobState::kQueued;  // re-admitted in original order
-      metrics_.jobs_recovered.inc();
+  for (const Folded& f : folded) {
+    try {
+      // Circuits are looked up after the whole replay: a job needs only its
+      // entry to exist by the end of the journal.
+      scheduler_.recover(*f.admit, cache_.find(f.admit->string_or("circuit", "")), f.started,
+                         f.end);
+    } catch (const std::exception&) {
+      // A job record naming an unknown type or state is skipped like any
+      // other record the fold cannot replay.
     }
-    restored.push_back(std::move(r.job));
   }
-  scheduler_.restore(std::move(restored));
 }
 
 }  // namespace statsize::serve

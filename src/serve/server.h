@@ -35,6 +35,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,23 +110,32 @@ class Server {
   /// Startup recovery: replays the opened journal's records — circuit/patch
   /// bodies re-driven through the upload/patch handlers (replaying_ set so
   /// they do not re-journal), jobs reconstructed and handed to
-  /// JobScheduler::restore. Runs before any thread exists.
+  /// JobScheduler::recover in journal order. Runs before any thread exists.
   void recover_from_journal();
-  /// Appends a circuit/patch journal record carrying the raw request body
-  /// (replay re-drives it through the same handler). False → `*error` holds
-  /// the ready 503 and nothing may be inserted into the cache.
-  bool journal_upload_record(const char* kind, const std::string& base,
-                             const std::string& body, HttpResponse* error);
+  /// Journals a new upload ("circuit") or PATCH ("patch", from `base`) entry's
+  /// raw request body for replay, then inserts the entry into `*inserted` and
+  /// updates the cache metrics. On a journal failure it returns the 503 and
+  /// inserts nothing: a cached entry would make the retry skip journaling.
+  std::optional<HttpResponse> journal_and_insert(const char* kind, const std::string& base,
+                                                 const std::string& body,
+                                                 std::shared_ptr<const CachedCircuit> entry,
+                                                 CircuitCache::InsertResult* inserted);
 
   HttpResponse handle_upload(const HttpRequest& request);
   HttpResponse handle_list_circuits();
   HttpResponse handle_patch(const HttpRequest& request, const std::string& key);
   HttpResponse handle_submit(const HttpRequest& request);
   HttpResponse handle_submit_batch(const util::JsonValue& body);
+  /// Why a job request was refused: its HTTP status (0 = accepted) and the
+  /// error message.
+  struct Rejection {
+    int status = 0;
+    std::string message;
+  };
   /// Parses one job-request object (a whole POST /v1/jobs body or one batch
-  /// element) into `out`. False → `*error` is the ready 4xx response.
-  bool parse_job_request(const util::JsonValue& body, JobScheduler::JobRequest* out,
-                         HttpResponse* error);
+  /// element) into `out`, checking every name and range, so an admitted job
+  /// can always run.
+  Rejection parse_job_request(const util::JsonValue& body, JobScheduler::JobRequest* out);
   HttpResponse handle_job_get(const std::string& id);
   HttpResponse handle_job_delete(const std::string& id);
   HttpResponse handle_stats();

@@ -430,6 +430,52 @@ TEST_F(ChaosServeTest, QueuedJobWithMissingCircuitFailsWithNamedError) {
   EXPECT_NE(error.find("re-upload"), std::string::npos) << error;
 }
 
+TEST_F(ChaosServeTest, TerminalStatesRecoveryDecidesAreJournaled) {
+  {
+    serve::Journal journal({dir_, serve::FsyncPolicy::kNone});
+    // The circuit record is lost: job-000001 fails, job-000002 was running.
+    journal.append(admit_record("job-000001", c17_key()));
+    journal.append(admit_record("job-000002", c17_key()));
+    journal.append(start_record("job-000002"));
+  }
+  StartServer();
+  EXPECT_EQ(client_->job("job-000001").json().string_or("state", ""), "failed");
+  EXPECT_EQ(client_->job("job-000002").json().string_or("state", ""), "interrupted");
+
+  // The client re-uploads the circuit, then the daemon restarts. Both
+  // verdicts were journaled, so neither job comes back to life and runs.
+  EXPECT_EQ(client_->upload(kC17, "blif", "c17"), c17_key());
+  RestartServer();
+  std::vector<std::string> ends;
+  for (const serve::Journal::Record& rec : server_->journal()->replay()) {
+    if (rec.kind == "end") {
+      ends.push_back(rec.doc.string_or("id", "") + " " + rec.doc.string_or("state", ""));
+    }
+  }
+  EXPECT_EQ(ends, (std::vector<std::string>{"job-000001 failed", "job-000002 interrupted"}));
+  const util::JsonValue failed = client_->job("job-000001").json();
+  EXPECT_EQ(failed.string_or("state", ""), "failed");
+  EXPECT_NE(failed.string_or("error", "").find("re-upload"), std::string::npos);
+  EXPECT_EQ(client_->job("job-000002").json().string_or("state", ""), "interrupted");
+  EXPECT_EQ(server_->metrics().jobs_recovered.value(), 2);
+  EXPECT_EQ(server_->scheduler().queue_size(), 0u);
+}
+
+TEST_F(ChaosServeTest, BatchWithAFailedAdmitRecordQueuesNothing) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  fault::arm("serve.journal.write:2");  // the second member's admit record tears
+  serve::ApiResult batch = client_->request(
+      "POST", "/v1/jobs", "[" + job_body(key, "ssta") + ", " + job_body(key, "sta") + "]");
+  EXPECT_EQ(batch.status, 503) << batch.body;
+  fault::disarm();
+  EXPECT_EQ(server_->scheduler().get("job-000001"), nullptr);
+  EXPECT_EQ(server_->scheduler().queue_size(), 0u);
+  EXPECT_EQ(server_->metrics().jobs_submitted.value(), 0);
+  // The batch's ids stay spent: job-000001's admit record is in the journal.
+  EXPECT_EQ(client_->submit(job_body(key, "ssta")), "job-000003");
+}
+
 TEST_F(ChaosServeTest, LiveWorkAndGracefulStopSurviveRestart) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif", "c17");

@@ -207,6 +207,33 @@ TEST_F(ServeTest, UnknownTargetsAndParamsAreRejected) {
   EXPECT_EQ(client_->request("PUT", "/v1/circuits").status, 405);
 }
 
+TEST_F(ServeTest, UnknownNamesAndNonPositiveSpeedGet400NamingTheField) {
+  // Names and the analysis speed are checked at admission: an admitted job
+  // never fails on them later, and speed 0 never comes back done with null
+  // moments.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::pair<std::string, std::string> bad[] = {
+      {job_body(key, "size", "\"method\": \"exact\""), "method"},
+      {job_body(key, "sta", "\"corner\": \"slow\""), "corner"},
+      {job_body(key, "size", "\"objective\": \"power\""), "objective"},
+      {job_body(key, "ssta", "\"speed\": 0"), "speed"},
+      {job_body(key, "monte_carlo", "\"speed\": -1.5"), "speed"},
+  };
+  for (const auto& [body, field] : bad) {
+    serve::ApiResult rejected = client_->request("POST", "/v1/jobs", body);
+    EXPECT_EQ(rejected.status, 400) << body << " -> " << rejected.body;
+    EXPECT_NE(rejected.json().string_or("error", "").find(field), std::string::npos)
+        << rejected.body;
+  }
+  serve::ApiResult batch = client_->request(
+      "POST", "/v1/jobs",
+      "[" + job_body(key, "ssta") + ", " + job_body(key, "sta", "\"corner\": \"slow\"") + "]");
+  EXPECT_EQ(batch.status, 400) << batch.body;
+  EXPECT_NE(batch.body.find("jobs[1]: unknown corner"), std::string::npos) << batch.body;
+  EXPECT_EQ(server_->metrics().jobs_submitted.value(), 0);
+}
+
 TEST_F(ServeTest, OutOfRangeIntegerParamsGet400BeforeNarrowing) {
   // Integers are range-checked before they narrow to int: a negative retry
   // count would leave the sizer with no attempt to score, and 2^32 + 1 would
@@ -364,6 +391,34 @@ TEST_F(ServeTest, StopCancelsQueuedAndRunningJobs) {
   const auto q = server_->scheduler().get(queued);
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->state.load(), serve::JobState::kCancelled);
+}
+
+TEST_F(ServeTest, JobsCancelledWhileQueuedReportNoRunTime) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+  const std::vector<std::string> running = OccupyEveryExecutor();
+  const std::string deleted = client_->submit(job_body(key, "ssta"));
+  const std::string stopped = client_->submit(job_body(key, "ssta"));
+
+  ASSERT_EQ(client_->cancel(deleted).status, 200);
+  util::JsonValue doc = client_->job(deleted).json();
+  EXPECT_EQ(doc.string_or("state", ""), "cancelled");
+  EXPECT_EQ(doc.find("run_ms"), nullptr) << client_->job(deleted).body;
+  EXPECT_EQ(doc.find("queue_wait_ms"), nullptr);
+
+  // stop() finishes its queued jobs the same way: stamped, but never run.
+  server_->stop();
+  const auto job = server_->scheduler().get(stopped);
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job->state.load(), serve::JobState::kCancelled);
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    EXPECT_GT(job->finished_ms, 0.0);
+    EXPECT_EQ(job->started_ms, 0.0);
+  }
+  EXPECT_EQ(util::parse_json(job->describe()).find("run_ms"), nullptr) << job->describe();
+  EXPECT_EQ(server_->metrics().jobs_cancelled.value(),
+            static_cast<std::int64_t>(running.size()) + 2);
 }
 
 // ---------------------------------------------------------------------------
