@@ -236,6 +236,15 @@ int main() {
               "identical");
   runtime::set_threads(1);
 
+  // Fanout lists derived here from the Node fanins (sinks in ascending id,
+  // one entry per pin), independently of the view's CSR.
+  std::vector<std::vector<netlist::NodeId>> node_fanouts(
+      static_cast<std::size_t>(k2.num_nodes()));
+  for (netlist::NodeId id = 0; id < k2.num_nodes(); ++id) {
+    for (const netlist::NodeId f : k2.node(id).fanins) {
+      node_fanouts[static_cast<std::size_t>(f)].push_back(id);
+    }
+  }
   auto node_all_delays = [&](std::vector<stat::NormalRV>& out) {
     out.assign(static_cast<std::size_t>(k2.num_nodes()), stat::NormalRV{});
     for (const netlist::NodeId id : k2.topo_order()) {
@@ -243,7 +252,7 @@ int main() {
       if (n.kind != netlist::NodeKind::kGate) continue;
       const netlist::CellType& cell = k2.library().cell(n.cell);
       double load = n.wire_load + (n.is_output ? n.pad_load : 0.0);
-      for (const netlist::NodeId fo : n.fanouts) {
+      for (const netlist::NodeId fo : node_fanouts[static_cast<std::size_t>(id)]) {
         load += k2.library().cell(k2.node(fo).cell).c_in * sp[static_cast<std::size_t>(fo)];
       }
       const double mu = cell.t_int + cell.c * load / sp[static_cast<std::size_t>(id)];

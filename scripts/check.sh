@@ -35,6 +35,31 @@ if grep -nwE 'Circuit' "$REPO_ROOT"/src/ssta/*.h "$REPO_ROOT"/src/core/*.h \
 fi
 echo "engine-input gate passed"
 
+# One compiled graph (DESIGN.md §8): fanouts, levels and the topological
+# order are derived once, into the TimingView; the Circuit keeps only what
+# its builder set, and the view's epoch is its one edit record. The runtime
+# knows nothing of the netlist. Comment lines in circuit.h are exempt.
+# Needs no build.
+echo "== one compiled graph (derived structure only in the TimingView) =="
+graph_gate_failed() {
+  echo "compiled-graph gate FAILED: $1"
+  exit 1
+}
+if grep -nE '#include[[:space:]]*"netlist/' "$REPO_ROOT"/src/runtime/*; then
+  graph_gate_failed "the src/runtime lines above include a netlist header"
+fi
+if grep -n 'statsize_netlist' "$REPO_ROOT/src/runtime/CMakeLists.txt"; then
+  graph_gate_failed "src/runtime/CMakeLists.txt names statsize_netlist"
+fi
+if grep -rnwE 'dirty_nodes|clear_dirty|note_edits|LevelSchedule' "$REPO_ROOT/src"; then
+  graph_gate_failed "the src/ lines above name a deleted edit record or level scheduler"
+fi
+if grep -nwE 'fanouts|gate_levels|node_level' "$REPO_ROOT/src/netlist/circuit.h" |
+    grep -vE '^[0-9]+:[[:space:]]*//'; then
+  graph_gate_failed "the circuit.h lines above declare derived graph structure"
+fi
+echo "compiled-graph gate passed"
+
 # One job lifecycle (DESIGN.md §13): every served job enters through
 # admit_locked(), the one writer of admit records, and leaves through
 # finish(), the one place that writes end records, retires a job and stores

@@ -36,11 +36,6 @@ struct ReducedEvaluator::ForwardCache {
   std::vector<NormalRV> arrival;
   std::vector<NormalRV> delay;
 
-  // Edits declared via note_edits since the last sweep.
-  std::vector<NodeId> noted;
-  std::vector<unsigned char> noted_mask;
-  std::uint64_t noted_epoch = 0;
-
   ssta::ConeWorklist cone;  ///< persistent to avoid per-call allocation
 
   std::size_t last_recomputes = 0;
@@ -60,31 +55,8 @@ NormalRV ReducedEvaluator::eval(const std::vector<double>& speed) const {
   return ssta::run_ssta(calc, speed).circuit_delay;
 }
 
-void ReducedEvaluator::note_edits(const std::vector<NodeId>& nodes) {
-  const netlist::TimingView& view = *view_;
-  if (!fwd_) fwd_ = std::make_unique<ForwardCache>();
-  ForwardCache& f = *fwd_;
-  const std::size_t n = static_cast<std::size_t>(view.num_nodes());
-  if (f.noted_mask.size() != n) f.noted_mask.assign(n, 0);
-  for (NodeId u : nodes) {
-    if (u < 0 || u >= static_cast<NodeId>(n)) {
-      throw std::invalid_argument("ReducedEvaluator::note_edits: node " + std::to_string(u) +
-                                  " is out of range");
-    }
-    unsigned char& m = f.noted_mask[static_cast<std::size_t>(u)];
-    if (!m) {
-      m = 1;
-      f.noted.push_back(u);
-    }
-  }
-  f.noted_epoch = view.epoch();
-}
-
 void ReducedEvaluator::invalidate() {
-  if (!fwd_) return;
-  fwd_->valid = false;
-  for (NodeId u : fwd_->noted) fwd_->noted_mask[static_cast<std::size_t>(u)] = 0;
-  fwd_->noted.clear();
+  if (fwd_) fwd_->valid = false;
 }
 
 std::size_t ReducedEvaluator::last_forward_recomputes() const {
@@ -117,22 +89,17 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
     }
     f.out_step_begin = gate_steps;
     f.steps.resize(gate_steps + outs.size() - 1);
-    if (f.noted_mask.size() != n) f.noted_mask.assign(n, 0);
     f.cone = ssta::ConeWorklist(view);
     f.structure_built = true;
   }
 
   const ssta::DelayCalculator calc(view, sigma_model_);
 
-  // Incremental is sound only when the tape is valid AND every view edit
-  // since the tape was written is accounted for: either the epoch is
-  // unchanged (speed-diff dirt only) or note_edits was called after the last
-  // edit (noted_epoch caught up). An un-noted edit leaves noted_epoch
-  // behind and forces a cold tape.
+  // Incremental is sound only when the tape is valid and the view is
+  // unedited since it was written (speed-diff dirt only); any edit bumps
+  // view.epoch() and forces a cold tape.
   const std::uint64_t cur_epoch = view.epoch();
-  const bool incremental =
-      f.valid && f.speed.size() == n &&
-      (cur_epoch == f.view_epoch || (!f.noted.empty() && cur_epoch == f.noted_epoch));
+  const bool incremental = f.valid && f.speed.size() == n && cur_epoch == f.view_epoch;
   // Until the sweep completes, the tape is neither a base for the cone path
   // nor something adjoint() may read.
   f.valid = false;
@@ -148,13 +115,12 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
       f.cone.seed(view, g);
     }
   } else {
-    // Delay-dirty set: speed-diff gates and noted nodes, each widened by its
-    // gate fanins (a driver's load carries the edited gate's c_in * S term).
+    // Delay-dirty set: speed-diff gates, each widened by its gate fanins (a
+    // driver's load carries the edited gate's c_in * S term).
     for (NodeId g : view.gates_in_topo_order()) {
       const std::size_t i = static_cast<std::size_t>(g);
       if (std::memcmp(&speed[i], &f.speed[i], sizeof(double)) != 0) f.cone.mark_edit(view, g);
     }
-    for (NodeId u : f.noted) f.cone.mark_edit(view, u);
     f.cone.recompute_dirty(view, [&](NodeId g) {
       const NormalRV d = calc.delay(g, speed);
       NormalRV& slot = f.delay[static_cast<std::size_t>(g)];
@@ -190,8 +156,6 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
 
   f.speed = speed;
   f.view_epoch = cur_epoch;
-  for (NodeId u : f.noted) f.noted_mask[static_cast<std::size_t>(u)] = 0;
-  f.noted.clear();
   f.valid = true;
   return tmax;
 }

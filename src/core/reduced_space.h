@@ -17,13 +17,14 @@
 //
 // ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
 // delays, recorded Clark steps) across calls. The forward sweep runs on
-// ssta::ConeWorklist: only the gates whose speed (or, via note_edits(), whose
-// delay-model constants) changed are delay-dirty, and only the cone they
-// reach is refolded; the adjoint runs over the patched tape. A gate not
-// refolded has bitwise-identical fanin arrivals, hence bitwise-identical
-// cached steps, so the incremental gradient is bit-identical to a cold
-// evaluation (pinned by tests and bench/eco_incremental). A cold tape is the
-// same worklist with every gate seeded.
+// ssta::ConeWorklist: only the gates whose speed changed are delay-dirty, and
+// only the cone they reach is refolded; the adjoint runs over the patched
+// tape. A gate not refolded has bitwise-identical fanin arrivals, hence
+// bitwise-identical cached steps, so the incremental gradient is
+// bit-identical to a cold evaluation (pinned by tests and
+// bench/eco_incremental). A cold tape is the same worklist with every gate
+// seeded; an edit to the view bumps view.epoch(), and a tape written at
+// another epoch is never reused, so an edited view gives a cold tape.
 
 #pragma once
 
@@ -88,14 +89,6 @@ class ReducedEvaluator {
   /// probe).
   double eval_metric(const std::vector<double>& speed, double sigma_weight,
                      std::vector<double>* grad) const;
-
-  /// Marks view nodes whose delay-model constants were edited (via
-  /// TimingView::update_node_params on this evaluator's view) since the last
-  /// taped sweep. Call *after* the edits: the evaluator records the view's
-  /// current epoch, and the next forward sweep repropagates only the cone of
-  /// the noted nodes (plus any speed-diff dirt). Edits made without a note
-  /// are still safe — the epoch mismatch forces a cold tape.
-  void note_edits(const std::vector<netlist::NodeId>& nodes);
 
   /// Drops the forward tape; the next taped_forward builds a cold one.
   void invalidate();

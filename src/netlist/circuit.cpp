@@ -12,8 +12,12 @@ void Circuit::require_mutable(const char* operation) const {
   if (finalized_) throw FinalizedMutationError(operation);
 }
 
-void Circuit::require_finalized() const {
-  if (!finalized_) throw std::runtime_error("circuit must be finalized first");
+Node& Circuit::node_for(const char* operation, NodeId id) {
+  if (id < 0 || id >= static_cast<NodeId>(nodes_.size())) {
+    throw std::invalid_argument(std::string(operation) + ": node id " + std::to_string(id) +
+                                " out of range");
+  }
+  return nodes_[static_cast<std::size_t>(id)];
 }
 
 NodeId Circuit::add_input(std::string name) {
@@ -29,19 +33,23 @@ NodeId Circuit::add_input(std::string name) {
 NodeId Circuit::add_gate(int cell, std::vector<NodeId> fanins, std::string name) {
   require_mutable("add_gate");
   const CellType& type = library_->cell(cell);  // throws on bad id
+  if (name.empty()) name = "g" + std::to_string(num_gates_);
   if (static_cast<int>(fanins.size()) != type.num_inputs) {
-    throw std::invalid_argument("gate " + name + ": cell " + type.name + " expects " +
+    throw std::invalid_argument("add_gate: gate '" + name + "': cell " + type.name + " expects " +
                                 std::to_string(type.num_inputs) + " fanins, got " +
                                 std::to_string(fanins.size()));
   }
   const NodeId self = static_cast<NodeId>(nodes_.size());
   for (NodeId f : fanins) {
-    if (f < 0 || f >= self) throw std::invalid_argument("fanin id out of range (forward ref?)");
+    if (f < 0 || f >= self) {
+      throw std::invalid_argument("add_gate: gate '" + name + "': fanin id " + std::to_string(f) +
+                                  " out of range (forward ref?)");
+    }
   }
   Node n;
   n.kind = NodeKind::kGate;
   n.cell = cell;
-  n.name = name.empty() ? "g" + std::to_string(num_gates_) : std::move(name);
+  n.name = std::move(name);
   n.fanins = std::move(fanins);
   nodes_.push_back(std::move(n));
   ++num_gates_;
@@ -63,7 +71,7 @@ NodeId Circuit::add_gate_deferred(int cell, std::string name) {
 
 void Circuit::set_fanin(NodeId id, int pin, NodeId driver) {
   require_mutable("set_fanin");
-  Node& n = nodes_.at(static_cast<std::size_t>(id));
+  Node& n = node_for("set_fanin", id);
   if (n.kind != NodeKind::kGate) {
     throw std::invalid_argument("set_fanin: node '" + n.name + "' is not a gate");
   }
@@ -80,7 +88,10 @@ void Circuit::set_fanin(NodeId id, int pin, NodeId driver) {
 
 void Circuit::mark_output(NodeId id, double pad_load) {
   require_mutable("mark_output");
-  Node& n = nodes_.at(static_cast<std::size_t>(id));
+  Node& n = node_for("mark_output", id);
+  if (n.is_output) {
+    throw std::invalid_argument("mark_output: node '" + n.name + "' is already a primary output");
+  }
   n.is_output = true;
   n.pad_load = pad_load;
   outputs_.push_back(id);
@@ -88,8 +99,12 @@ void Circuit::mark_output(NodeId id, double pad_load) {
 
 void Circuit::set_wire_load(NodeId id, double load) {
   require_mutable("set_wire_load");
-  if (load < 0.0) throw std::invalid_argument("wire load must be non-negative");
-  nodes_.at(static_cast<std::size_t>(id)).wire_load = load;
+  Node& n = node_for("set_wire_load", id);
+  if (load < 0.0) {
+    throw std::invalid_argument("set_wire_load: node '" + n.name +
+                                "': wire load must be non-negative");
+  }
+  n.wire_load = load;
 }
 
 void Circuit::finalize() {
@@ -105,79 +120,21 @@ void Circuit::finalize() {
     throw std::runtime_error("circuit validation failed:\n" + report.errors_text());
   }
 
-  for (Node& n : nodes_) n.fanouts.clear();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (NodeId f : nodes_[i].fanins) {
-      nodes_[static_cast<std::size_t>(f)].fanouts.push_back(static_cast<NodeId>(i));
-    }
-  }
-  topo_ = std::move(topo);
-
-  // Level partition (cached for the parallel runtime's LevelSchedule and for
-  // depth()): level(gate) = 1 + max level over fanins, inputs at level 0.
-  node_level_.assign(nodes_.size(), 0);
-  int max_level = 0;
-  for (NodeId id : topo_) {
-    const Node& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.kind != NodeKind::kGate) continue;
-    int lvl = 1;
-    for (NodeId f : n.fanins) {
-      lvl = std::max(lvl, node_level_[static_cast<std::size_t>(f)] + 1);
-    }
-    node_level_[static_cast<std::size_t>(id)] = lvl;
-    max_level = std::max(max_level, lvl);
-  }
-  gate_levels_.assign(static_cast<std::size_t>(max_level), {});
-  for (NodeId id : topo_) {
-    if (nodes_[static_cast<std::size_t>(id)].kind != NodeKind::kGate) continue;
-    gate_levels_[static_cast<std::size_t>(node_level_[static_cast<std::size_t>(id)] - 1)]
-        .push_back(id);
-  }
-
-  // Compile the flat timing graph (the finalized flag must be set first —
-  // the view reads through the require_finalized accessors). A failed
-  // compile (non-finite cell constants/loads, see MOD005) leaves the
-  // circuit un-finalized, never half-frozen.
+  // The view derives fanouts and levels from the fanins and this order. A
+  // failed compile (non-finite cell constants/loads, see MOD005) throws
+  // before finalized_ is set, so the circuit is never half-frozen.
+  view_.reset(new TimingView(*this, std::move(topo)));
   finalized_ = true;
-  try {
-    view_ = std::make_shared<const TimingView>(*this);
-  } catch (...) {
-    finalized_ = false;
-    throw;
-  }
 }
 
 const TimingView& Circuit::view() const {
-  require_finalized();
+  if (!finalized_) throw std::runtime_error("circuit must be finalized first");
   return *view_;
 }
 
-const std::vector<std::vector<NodeId>>& Circuit::gate_levels() const {
-  require_finalized();
-  return gate_levels_;
-}
+const std::vector<NodeId>& Circuit::topo_order() const { return view().topo_order(); }
 
-int Circuit::node_level(NodeId id) const {
-  require_finalized();
-  return node_level_.at(static_cast<std::size_t>(id));
-}
-
-const std::vector<NodeId>& Circuit::topo_order() const {
-  require_finalized();
-  return topo_;
-}
-
-double Circuit::load_capacitance(NodeId id, const std::vector<double>& speed) const {
-  require_finalized();
-  // Same edge order and arithmetic as the historical Node walk, through the
-  // compiled per-edge capacitances — bit-identical, no library chasing.
-  return view_->load_capacitance(id, speed.data());
-}
-
-int Circuit::depth() const {
-  require_finalized();
-  return static_cast<int>(gate_levels_.size());
-}
+int Circuit::depth() const { return view().num_levels(); }
 
 CircuitStats compute_stats(const Circuit& circuit) {
   CircuitStats s;
@@ -185,13 +142,14 @@ CircuitStats compute_stats(const Circuit& circuit) {
   s.num_inputs = circuit.num_inputs();
   s.num_outputs = static_cast<int>(circuit.outputs().size());
   s.depth = circuit.depth();
+  const TimingView& view = circuit.view();
   long fanin_sum = 0;
   long fanout_sum = 0;
-  for (NodeId id : circuit.topo_order()) {
-    const Node& n = circuit.node(id);
-    if (n.kind == NodeKind::kGate) fanin_sum += static_cast<long>(n.fanins.size());
-    fanout_sum += static_cast<long>(n.fanouts.size());
-    s.max_fanout = std::max(s.max_fanout, static_cast<int>(n.fanouts.size()));
+  for (NodeId id : view.topo_order()) {
+    const int fanouts = static_cast<int>(view.fanouts(id).size());
+    if (view.is_gate(id)) fanin_sum += static_cast<long>(view.fanins(id).size());
+    fanout_sum += fanouts;
+    s.max_fanout = std::max(s.max_fanout, fanouts);
   }
   if (s.num_gates > 0) s.avg_fanin = static_cast<double>(fanin_sum) / s.num_gates;
   const int drivers = s.num_gates + s.num_inputs;

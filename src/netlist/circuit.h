@@ -7,9 +7,11 @@
 // total circuit delay distribution (sec. 4).
 //
 // A circuit is built incrementally (add_input / add_gate / mark_output) and
-// then frozen by finalize(), which derives fanout lists, computes a
-// topological order, and validates the structure (pin counts, acyclicity,
-// no dangling gates). Mutating calls after finalize() throw.
+// then frozen by finalize(), which validates the structure (pin counts,
+// acyclicity, no dangling gates) and compiles the TimingView. The Circuit
+// keeps only what its builder set — nodes, fanins, cells, loads, outputs and
+// names; fanouts, levels and the topological order are derived once, into the
+// view (DESIGN.md §8). Mutating calls after finalize() throw.
 
 #pragma once
 
@@ -43,7 +45,7 @@ class FinalizedMutationError : public std::runtime_error {
                            ": circuit is finalized; no further edits allowed. Post-finalize "
                            "parameter edits go through a TimingView copy "
                            "(TimingView::update_node_params / ssta::IncrementalEngine), which "
-                           "tracks its own epoch and dirty set instead of staling view().") {}
+                           "tracks its own epoch instead of staling view().") {}
 };
 
 /// Per-gate delay-model constants of eq. 14 as one editable record: the unit
@@ -61,7 +63,6 @@ struct Node {
   int cell = -1;  ///< id into the circuit's CellLibrary; -1 for inputs
   std::string name;
   std::vector<NodeId> fanins;
-  std::vector<NodeId> fanouts;  ///< derived by finalize()
   bool is_output = false;
   double wire_load = 0.0;  ///< C_load: wiring capacitance on this node's output
   double pad_load = 0.0;   ///< extra capacitance when driving a primary output
@@ -88,12 +89,14 @@ class Circuit {
   void set_fanin(NodeId id, int pin, NodeId driver);
 
   /// Flags `id` as driving a primary output pad with capacitance `pad_load`.
+  /// Throws std::invalid_argument for an out-of-range id or a node that is
+  /// already an output (the eq. 18a fold would Clark-max it with itself).
   void mark_output(NodeId id, double pad_load = 1.0);
 
   void set_wire_load(NodeId id, double load);
 
-  /// Freezes the circuit: derives fanouts, topologically sorts, validates,
-  /// and compiles the flat TimingView every hot sweep runs on (see view()).
+  /// Freezes the circuit: validates, topologically sorts, and compiles the
+  /// flat TimingView every hot sweep runs on (see view()).
   /// Validation runs through analyze::lint_circuit_structure, so the thrown
   /// std::runtime_error lists every structural error at once and names the
   /// offending nodes (including the actual gates forming a combinational
@@ -129,36 +132,19 @@ class Circuit {
   /// dependency-respecting traversal (every fanin precedes its fanouts).
   const std::vector<NodeId>& topo_order() const;
 
-  /// Topological level partition of the gates, cached by finalize():
-  /// gate_levels()[k] holds every gate whose longest path from a primary
-  /// input is k+1 edges, in ascending topological-order position. Gates in
-  /// one level have no dependencies on each other — the parallel runtime's
-  /// LevelSchedule executes them concurrently (see src/runtime/).
-  const std::vector<std::vector<NodeId>>& gate_levels() const;
-
-  /// Topological level of node `id` (0 for primary inputs).
-  int node_level(NodeId id) const;
-
-  /// Total load capacitance seen by node `id` at the given speed factors:
-  /// wire + pad + sum over fanout gates of C_in * S_fanout (eq. 14's
-  /// C_load + sum C_in,i S_i). `speed` is indexed by NodeId; inputs ignore it.
-  double load_capacitance(NodeId id, const std::vector<double>& speed) const;
-
   /// Logic depth in gate levels (longest input-to-output path).
   int depth() const;
 
  private:
   /// Throws FinalizedMutationError naming `operation` once finalize() ran.
   void require_mutable(const char* operation) const;
-  void require_finalized() const;
+  /// The node `id`, or std::invalid_argument naming `operation` and the id.
+  Node& node_for(const char* operation, NodeId id);
 
   const CellLibrary* library_;
   std::shared_ptr<const TimingView> view_;  ///< compiled by finalize()
   std::vector<Node> nodes_;
   std::vector<NodeId> outputs_;
-  std::vector<NodeId> topo_;
-  std::vector<std::vector<NodeId>> gate_levels_;  ///< derived by finalize()
-  std::vector<int> node_level_;                   ///< derived by finalize()
   int num_gates_ = 0;
   int num_inputs_ = 0;
   bool finalized_ = false;

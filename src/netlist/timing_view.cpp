@@ -21,12 +21,8 @@ void require_finite(double v, const std::string& what) {
 
 }  // namespace
 
-TimingView::TimingView(const Circuit& circuit) {
-  if (!circuit.finalized()) {
-    throw std::logic_error(
-        "TimingView requires a finalized circuit: fanouts, the topological "
-        "order, and the level partition are derived by Circuit::finalize()");
-  }
+TimingView::TimingView(const Circuit& circuit, std::vector<NodeId> topo)
+    : topo_(std::move(topo)) {
   const std::size_t n = static_cast<std::size_t>(circuit.num_nodes());
   num_gates_ = circuit.num_gates();
   num_inputs_ = circuit.num_inputs();
@@ -52,7 +48,6 @@ TimingView::TimingView(const Circuit& circuit) {
     (*names)[i] = node.name;
     kind_[i] = node.kind;
     is_output_[i] = node.is_output ? 1 : 0;
-    level_[i] = circuit.node_level(id);
     static_load_[i] = node.wire_load + (node.is_output ? node.pad_load : 0.0);
     require_finite(static_load_[i], "node '" + node.name + "' wire/pad load");
     if (node.kind == NodeKind::kGate) {
@@ -69,42 +64,51 @@ TimingView::TimingView(const Circuit& circuit) {
       require_finite(cell.area, "cell '" + cell.name + "' area");
     }
     fanin_offset_[i + 1] = fanin_offset_[i] + node.fanins.size();
-    fanout_offset_[i + 1] = fanout_offset_[i] + node.fanouts.size();
+    for (NodeId f : node.fanins) ++fanout_offset_[static_cast<std::size_t>(f) + 1];
   }
-
   names_ = std::move(names);
+  for (std::size_t i = 0; i < n; ++i) fanout_offset_[i + 1] += fanout_offset_[i];
 
+  // Fanout CSR: sinks visited in ascending id, pins in order, so each
+  // driver's row lists its sinks in ascending id with one entry per pin.
   fanin_.reserve(fanin_offset_[n]);
-  fanout_.reserve(fanout_offset_[n]);
-  fanout_cin_.reserve(fanout_offset_[n]);
+  fanout_.resize(fanout_offset_[n]);
+  fanout_cin_.resize(fanout_offset_[n]);
+  std::vector<std::size_t> fill(fanout_offset_.begin(), fanout_offset_.end() - 1);
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-    const Node& node = circuit.node(id);
-    fanin_.insert(fanin_.end(), node.fanins.begin(), node.fanins.end());
-    for (NodeId fo : node.fanouts) {
-      // Fanouts are always gates (only gates have fanins), so the sink's pin
-      // capacitance was copied — and finiteness-checked — above when fo was
-      // visited, or will be; read the library directly to keep one pass.
-      fanout_.push_back(fo);
-      fanout_cin_.push_back(circuit.library().cell(circuit.node(fo).cell).c_in);
+    const std::vector<NodeId>& fanins = circuit.node(id).fanins;
+    fanin_.insert(fanin_.end(), fanins.begin(), fanins.end());
+    for (NodeId f : fanins) {
+      const std::size_t e = fill[static_cast<std::size_t>(f)]++;
+      fanout_[e] = id;
+      fanout_cin_[e] = c_in_[static_cast<std::size_t>(id)];
     }
   }
 
-  topo_ = circuit.topo_order();
+  // Levels: 1 + max fanin level per gate, inputs at 0; each level lists its
+  // gates in ascending topological position.
   outputs_ = circuit.outputs();
   gate_topo_.reserve(static_cast<std::size_t>(num_gates_));
+  int max_level = 0;
   for (NodeId id : topo_) {
-    if (kind_[static_cast<std::size_t>(id)] == NodeKind::kGate) gate_topo_.push_back(id);
+    const std::size_t i = static_cast<std::size_t>(id);
+    if (kind_[i] != NodeKind::kGate) continue;
+    gate_topo_.push_back(id);
+    int lvl = 1;
+    for (NodeId f : fanins(id)) lvl = std::max(lvl, level_[static_cast<std::size_t>(f)] + 1);
+    level_[i] = lvl;
+    max_level = std::max(max_level, lvl);
   }
-
-  const std::vector<std::vector<NodeId>>& levels = circuit.gate_levels();
-  level_offset_.assign(levels.size() + 1, 0);
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    level_offset_[l + 1] = level_offset_[l] + levels[l].size();
+  // Gate level L lands in partition row L - 1: count into offset L, prefix-
+  // sum, then fill each row in the order gate_topo_ visits its gates.
+  level_offset_.assign(static_cast<std::size_t>(max_level) + 1, 0);
+  for (NodeId id : gate_topo_) ++level_offset_[static_cast<std::size_t>(level(id))];
+  for (std::size_t l = 0; l < static_cast<std::size_t>(max_level); ++l) {
+    level_offset_[l + 1] += level_offset_[l];
   }
-  level_gate_.reserve(level_offset_[levels.size()]);
-  for (const std::vector<NodeId>& lvl : levels) {
-    level_gate_.insert(level_gate_.end(), lvl.begin(), lvl.end());
-  }
+  level_gate_.resize(gate_topo_.size());
+  fill.assign(level_offset_.begin(), level_offset_.end() - 1);
+  for (NodeId id : gate_topo_) level_gate_[fill[static_cast<std::size_t>(level(id) - 1)]++] = id;
 }
 
 void TimingView::update_node_params(NodeId id, const NodeParams& params) {
@@ -126,7 +130,7 @@ void TimingView::update_node_params(NodeId id, const NodeParams& params) {
   // The derived per-edge pin caps: every fanin's fanout edge targeting this
   // gate carries its C_in. A gate wired twice to one driver owns two such
   // edges on that driver; the scan rewrites each (matching the compile,
-  // which emitted one fanout_cin_ slot per Node::fanouts entry).
+  // which emitted one fanout_cin_ slot per fanin pin).
   const std::size_t fi_end = fanin_offset_[i + 1];
   for (std::size_t fe = fanin_offset_[i]; fe < fi_end; ++fe) {
     const std::size_t f = static_cast<std::size_t>(fanin_[fe]);
@@ -137,16 +141,6 @@ void TimingView::update_node_params(NodeId id, const NodeParams& params) {
   }
 
   ++epoch_;
-  if (dirty_mask_.size() != kind_.size()) dirty_mask_.assign(kind_.size(), 0);
-  if (!dirty_mask_[i]) {
-    dirty_mask_[i] = 1;
-    dirty_.push_back(id);
-  }
-}
-
-void TimingView::clear_dirty() {
-  for (NodeId id : dirty_) dirty_mask_[static_cast<std::size_t>(id)] = 0;
-  dirty_.clear();
 }
 
 void TimingView::batch_load_capacitance(const double* speed, double* cap) const {

@@ -1,9 +1,9 @@
 // Flat, immutable structure-of-arrays compilation of a finalized Circuit —
 // the cache-friendly timing graph every hot sweep traverses (DESIGN.md §8).
 //
-// The mutable netlist (Circuit/Node: per-node heap vectors, bounds-checked
-// node() access, library chasing in load_capacitance) stays the build-time
-// substrate; TimingView is what the timing engines actually walk:
+// The Circuit (per-node heap vectors, bounds-checked node() access) is the
+// build record: nodes, fanins, cells, loads, outputs and names. Everything
+// derived from it lives here, computed once by Circuit::finalize():
 //
 //   * CSR fanin/fanout edge arrays (offsets + one flat NodeId array each),
 //   * packed per-node kind / is_output / level / cell arrays,
@@ -14,27 +14,26 @@
 //     C_load + sum C_in,i S_i) is a contiguous dot product with no Node or
 //     CellLibrary chasing,
 //   * the topological order, the gates-only topological order, the primary
-//     outputs, and the CSR level partition the parallel LevelSchedule runs,
+//     outputs, and the CSR level partition the pooled SSTA sweep runs,
 //   * the node names, in one immutable table every copy of the view shares
 //     (full-space variable names and diagnostics read them).
 //
-// The view is the one input of every timing and sizing engine (ssta, core,
-// runtime); a Circuit converts to its view(), so callers holding a Circuit
+// The view is the one input of every timing and sizing engine (ssta,
+// core); a Circuit converts to its view(), so callers holding a Circuit
 // pass it unchanged.
 //
-// Invariants vs. Circuit: edge and level orders are exactly the Node lists'
-// orders (fanins pin order, fanouts ascending driver-derived order, levels in
-// ascending topo position), and every stored double is a *copy* of the value
-// the Node path reads — so any sweep retargeted from Node walks to the view
-// performs the same floating-point operations in the same order and stays
-// bit-identical. Circuit::finalize() compiles and caches the view
-// (Circuit::view()); that shared snapshot is held const and never mutated,
-// and a Circuit cannot change after finalize() (FinalizedMutationError), so
-// the two can never disagree. Post-finalize (ECO) edits operate on value
-// *copies* of the view instead: TimingView is all-vector and cheaply
-// copyable, and update_node_params() mutates such a copy in place while
-// tracking an epoch counter and a dirty set so downstream caches can
-// repropagate exactly the edited cone (DESIGN.md §12).
+// Derivation orders, which every fold order depends on: fanins in pin order;
+// each driver's fanouts in ascending sink id, one entry per pin; a gate's
+// level is 1 + max fanin level (inputs at 0), and each level lists its gates
+// in ascending topological position. Every stored double is a copy of the
+// Node or CellLibrary value. Circuit::finalize() compiles and caches the
+// view (Circuit::view()); that shared snapshot is held const and never
+// mutated, and a Circuit cannot change after finalize()
+// (FinalizedMutationError), so the two can never disagree. Post-finalize
+// (ECO) edits operate on value *copies* of the view instead: TimingView is
+// all-vector and cheaply copyable, and update_node_params() mutates such a
+// copy in place and bumps its epoch, the one edit record downstream caches
+// compare against (DESIGN.md §12).
 //
 // Compilation validates that every precomputed constant is finite and throws
 // std::invalid_argument naming the offending cell/node otherwise; `statsize
@@ -68,13 +67,6 @@ struct NodeSpan {
 
 class TimingView {
  public:
-  /// Compiles `circuit`, which must be finalized (std::logic_error otherwise)
-  /// and must outlive nothing: the view copies everything it needs. Normally
-  /// not called directly — finalize() builds one and Circuit::view() serves
-  /// it. Throws std::invalid_argument if any compiled constant (cell t_int /
-  /// c / c_in / area, wire or pad load) is non-finite.
-  explicit TimingView(const Circuit& circuit);
-
   int num_nodes() const { return static_cast<int>(kind_.size()); }
   int num_gates() const { return num_gates_; }
   int num_inputs() const { return num_inputs_; }
@@ -110,10 +102,9 @@ class TimingView {
   //
   // The view Circuit::view() serves stays an immutable snapshot; ECO edits
   // mutate a value *copy* through update_node_params. Each successful edit
-  // bumps epoch() and records the node in dirty_nodes(), the cumulative set
-  // a cache consumer (ssta::IncrementalEngine, core::ReducedEvaluator)
-  // drains with clear_dirty() after repropagating — a stale cache is
-  // detectable by epoch mismatch instead of silently wrong.
+  // bumps epoch(), so a cache built on the view (core::ReducedEvaluator's
+  // tape) detects a stale base by epoch mismatch instead of going silently
+  // wrong.
 
   /// Replaces gate `id`'s delay-model constants: t_int/c/c_in/area, plus the
   /// derived per-edge pin cap on every fanin→id fanout edge (a gate wired
@@ -126,22 +117,13 @@ class TimingView {
   /// pristine) view, +1 per successful update_node_params.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Nodes edited since the last clear_dirty(), deduplicated, in first-edit
-  /// order. Dirtiness covers the node's *own* constants; consumers widen to
-  /// the delay-dirty frontier themselves (edited ∪ their gate fanins — a
-  /// c_in change shifts every driver's load through the rewritten edge cap).
-  const std::vector<NodeId>& dirty_nodes() const { return dirty_; }
-
-  /// Acknowledges dirty_nodes() as repropagated; epoch() keeps its value.
-  void clear_dirty();
-
   /// Fanins of `id` in pin order (empty for primary inputs).
   NodeSpan fanins(NodeId id) const {
     const std::size_t i = static_cast<std::size_t>(id);
     return {fanin_.data() + fanin_offset_[i], fanin_offset_[i + 1] - fanin_offset_[i]};
   }
 
-  /// Fanout gates of `id`, in the same order as Node::fanouts.
+  /// Fanout gates of `id` in ascending id, one entry per connected pin.
   NodeSpan fanouts(NodeId id) const {
     const std::size_t i = static_cast<std::size_t>(id);
     return {fanout_.data() + fanout_offset_[i], fanout_offset_[i + 1] - fanout_offset_[i]};
@@ -155,7 +137,7 @@ class TimingView {
 
   /// Total load at `id` under `speed` (indexed by NodeId): eq. 14's
   /// C_load + sum C_in,i S_i as one contiguous dot product over the node's
-  /// fanout edges. Identical arithmetic and edge order to the Node walk.
+  /// fanout edges, folded in fanouts(id) order.
   double load_capacitance(NodeId id, const double* speed) const {
     const std::size_t i = static_cast<std::size_t>(id);
     double cap = static_load_[i];
@@ -176,7 +158,7 @@ class TimingView {
   /// per-node loop, hence bit-identical results.
   void batch_load_capacitance(const double* speed, double* cap) const;
 
-  /// Every node, fanins before fanouts (Circuit::topo_order's order).
+  /// Every node, fanins before fanouts (Circuit::topo_order() reads it).
   const std::vector<NodeId>& topo_order() const { return topo_; }
 
   /// The gates of topo_order() in the same relative order — the serial
@@ -186,20 +168,27 @@ class TimingView {
   /// Primary outputs in mark_output order (the eq. 18a fold order).
   const std::vector<NodeId>& outputs() const { return outputs_; }
 
-  /// Gates of level `l` (0-based) in ascending topo position — the same
-  /// partition Circuit::gate_levels() holds, as one flat CSR array.
+  /// Gates of level `l` (0-based; level(id) == l + 1) in ascending topo
+  /// position, as one flat CSR array. Gates in one level do not depend on
+  /// each other, so a sweep may run them concurrently.
   NodeSpan level_gates(int l) const {
     const std::size_t k = static_cast<std::size_t>(l);
     return {level_gate_.data() + level_offset_[k], level_offset_[k + 1] - level_offset_[k]};
   }
 
  private:
+  friend class Circuit;
+
+  /// Compiles the build record of `circuit` in the topological order `topo`
+  /// (finalize() passes the analyzer's). Throws std::invalid_argument if
+  /// any compiled constant (cell t_int / c / c_in / area, wire or pad load)
+  /// is non-finite.
+  TimingView(const Circuit& circuit, std::vector<NodeId> topo);
+
   int num_gates_ = 0;
   int num_inputs_ = 0;
 
   std::uint64_t epoch_ = 0;
-  std::vector<NodeId> dirty_;               ///< first-edit order, deduplicated
-  std::vector<unsigned char> dirty_mask_;   ///< lazily sized; dedup for dirty_
 
   std::shared_ptr<const std::vector<std::string>> names_;
   std::vector<NodeKind> kind_;

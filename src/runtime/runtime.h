@@ -11,11 +11,11 @@
 // included. The cap is thread-local and never changes the pool.
 //
 // Where the pool is used (DESIGN.md §7): the forward level sweeps of
-// run_ssta and run_sta (LevelSchedule::for_each_gate on views of at least
-// 192 gates) and Monte Carlo trial chunks. Everything else — the reduced-
-// space tape and its adjoint, hess_vec, the augmented-Lagrangian and Problem
-// evaluations, the dirty-cone worklist — is a serial loop; DESIGN.md §7
-// records what that measured.
+// run_ssta and run_sta (one parallel_for per TimingView level, on views of
+// at least 192 gates) and Monte Carlo trial chunks. Everything else — the
+// reduced-space tape and its adjoint, hess_vec, the augmented-Lagrangian
+// and Problem evaluations, the dirty-cone worklist — is a serial loop;
+// DESIGN.md §7 records what that measured.
 //
 // Determinism contract: a parallel_for body writes only index-keyed slots,
 // and any cross-item fold runs afterwards on the calling thread in a fixed

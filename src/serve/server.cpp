@@ -520,7 +520,6 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
     } catch (const std::exception& e) {
       return HttpResponse::json(400, error_body(std::string("edit rejected: ") + e.what()));
     }
-    view->clear_dirty();  // a fresh entry starts with a clean epoch baseline
     fresh->key = derived_key;
     fresh->name = body.string_or("name", base->name);
     fresh->format = base->format;

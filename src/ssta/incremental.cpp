@@ -48,7 +48,6 @@ void IncrementalEngine::full_recompute() {
   TimingReport report = run_ssta(view_, delay_, input_arrivals_);
   arrival_ = std::move(report.arrival);
   tmax_ = report.circuit_delay;
-  view_.clear_dirty();
   last_delay_recomputes_ = static_cast<std::size_t>(view_.num_gates());
   last_arrival_recomputes_ = static_cast<std::size_t>(view_.num_gates());
 }
@@ -120,7 +119,6 @@ NormalRV IncrementalEngine::apply_edits(const std::vector<TimingEdit>& edits) {
     return true;
   });
   tmax_ = fold_max(view_.outputs(), arrival_, stat::clark_max);
-  view_.clear_dirty();
   return tmax_;
 }
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "netlist/timing_view.h"
-#include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
 #include "ssta/propagate.h"
 #include "stat/clark.h"
@@ -25,11 +24,19 @@ constexpr int kParallelGateCutoff = 192;
 constexpr std::size_t kGateGrain = 32;
 
 /// The forward sweep: eval_gate(id) on every gate, fanins first — as a
-/// pooled level sweep on large views, else a serial topological walk.
+/// pooled level sweep on large views, else a serial topological walk. The
+/// pooled sweep runs the view's levels in order, a barrier between them,
+/// and fans each level's gates across the pool (a level of at most
+/// kGateGrain gates runs inline).
 template <class EvalGate>
 void sweep_gates(const netlist::TimingView& view, EvalGate&& eval_gate) {
   if (runtime::thread_budget() > 1 && view.num_gates() >= kParallelGateCutoff) {
-    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
+    for (int l = 0; l < view.num_levels(); ++l) {
+      const netlist::NodeSpan lvl = view.level_gates(l);
+      runtime::parallel_for(lvl.size(), kGateGrain, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) eval_gate(lvl[i]);
+      });
+    }
   } else {
     for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
   }

@@ -552,6 +552,21 @@ TEST(BlifErrors, MissingArityCellThrowsAndLints) {
             std::string::npos);
 }
 
+TEST(BlifErrors, DuplicateOutputThrowsAndLints) {
+  const std::string text =
+      ".model m\n.inputs a b\n.outputs y z y\n.names a b y\n11 0\n.names y b z\n11 0\n.end\n";
+  {
+    std::istringstream in(text);
+    EXPECT_THROW(netlist::read_blif(in), std::invalid_argument);
+  }
+  std::istringstream in(text);
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  ASSERT_TRUE(has_rule(report, "PAR001"));
+  EXPECT_NE(message_of(report, "PAR001").find("'y' is already a primary output"),
+            std::string::npos);
+  EXPECT_EQ(report.exit_code(), 3);
+}
+
 TEST(BlifErrors, CycleSurfacesAsStructuralDiagnosticNotParseError) {
   // A cycle is representable in the graph, so the raw importer accepts it and
   // the structural analyzer names the gates — strictly better than the old
@@ -630,6 +645,22 @@ TEST(VerilogErrors, BadInputsThrowAndLint) {
     EXPECT_NE(message_of(report, "PAR002").find(tc.expect), std::string::npos);
     EXPECT_EQ(report.exit_code(), 3);
   }
+}
+
+TEST(VerilogErrors, DuplicateOutputThrowsAndLints) {
+  const std::string text =
+      "module top (a, y);\ninput a;\noutput y, y;\nINV g1 (.A(a), .Y(y));\nendmodule\n";
+  {
+    std::istringstream in(text);
+    EXPECT_THROW(netlist::read_verilog(in), std::invalid_argument);
+  }
+  std::istringstream in(text);
+  const Report report = analyze::lint_verilog(in, CellLibrary::standard(), fast_options());
+  ASSERT_TRUE(has_rule(report, "PAR002"));
+  // A gate node carries its instance name.
+  EXPECT_NE(message_of(report, "PAR002").find("'g1' is already a primary output"),
+            std::string::npos);
+  EXPECT_EQ(report.exit_code(), 3);
 }
 
 TEST(LintDriver, MissingFileIsAParseDiagnosticNotACrash) {

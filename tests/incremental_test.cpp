@@ -1,7 +1,7 @@
 // Incremental (ECO) timing tests — DESIGN.md §12.
 //
 // Covers the whole edit→invalidate→repropagate stack: the TimingView mutation
-// protocol (update_node_params / epoch / dirty set), the FinalizedMutationError
+// protocol (update_node_params / epoch), the FinalizedMutationError
 // contract on the Circuit side, the IncrementalEngine's bit-identity pin
 // against full run_ssta recompute, the ReducedEvaluator's persistent forward
 // tape, and the Sizer warm-start path. The property suite drives random mixed
@@ -156,12 +156,11 @@ TEST(TimingViewEdit, DuplicateEdgeGetsBothPinCapsRewritten) {
             view.static_load(d) + 3.5 * 2.0 + 3.5 * 2.0);
 }
 
-TEST(TimingViewEdit, EpochAndDirtySetTrackEditsDeduplicated) {
+TEST(TimingViewEdit, EpochCountsEveryEdit) {
   const Circuit c = small_dag(30, 11);
   TimingView view = c.view();
   const std::vector<NodeId>& gates = view.gates_in_topo_order();
   EXPECT_EQ(view.epoch(), 0u);
-  EXPECT_TRUE(view.dirty_nodes().empty());
 
   NodeParams p0 = view.node_params(gates[0]);
   p0.t_int *= 1.1;
@@ -170,16 +169,10 @@ TEST(TimingViewEdit, EpochAndDirtySetTrackEditsDeduplicated) {
   p1.c_in *= 1.1;
   view.update_node_params(gates[1], p1);
   p0.t_int *= 1.1;
-  view.update_node_params(gates[0], p0);  // re-edit: epoch bumps, no dup
+  view.update_node_params(gates[0], p0);  // a re-edit bumps the epoch too
 
   EXPECT_EQ(view.epoch(), 3u);
-  ASSERT_EQ(view.dirty_nodes().size(), 2u);
-  EXPECT_EQ(view.dirty_nodes()[0], gates[0]);  // first-edit order
-  EXPECT_EQ(view.dirty_nodes()[1], gates[1]);
-
-  view.clear_dirty();
-  EXPECT_TRUE(view.dirty_nodes().empty());
-  EXPECT_EQ(view.epoch(), 3u);  // epoch is monotone, not reset
+  EXPECT_EQ(c.view().epoch(), 0u);  // the snapshot the copy came from is untouched
 }
 
 TEST(TimingViewEdit, InvalidEditsThrowAndLeaveViewUnchanged) {
@@ -195,7 +188,6 @@ TEST(TimingViewEdit, InvalidEditsThrowAndLeaveViewUnchanged) {
   EXPECT_THROW(view.update_node_params(g, bad), std::invalid_argument);
 
   EXPECT_EQ(view.epoch(), 0u);
-  EXPECT_TRUE(view.dirty_nodes().empty());
   EXPECT_EQ(view.t_int(g), before.t_int);
 }
 
@@ -371,7 +363,6 @@ void run_edit_sequence_property(int jobs) {
 
   for (int step = 0; step < 12; ++step) {
     std::vector<TimingEdit> batch;
-    std::vector<NodeId> param_edited;
     const int n = batch_size(rng);
     for (int i = 0; i < n; ++i) {
       const NodeId g = gates[pick_gate(rng)];
@@ -383,7 +374,6 @@ void run_edit_sequence_property(int jobs) {
         p.c *= scale_dist(rng);
         p.c_in *= scale_dist(rng);
         batch.push_back(TimingEdit::set_params(g, p));
-        param_edited.push_back(g);
       }
     }
     engine.apply_edits(batch);
@@ -411,9 +401,9 @@ void run_edit_sequence_property(int jobs) {
       EXPECT_EQ(s_inc.slack[i].var, s_full.slack[i].var);
     }
 
-    // Gradients: the warm evaluator (persistent tape, dirty-cone re-eval)
-    // vs a cold evaluation on the same edited view.
-    warm_eval.note_edits(param_edited);
+    // Gradients: the warm evaluator (persistent tape, dirty-cone re-eval;
+    // a cold tape after a parameter edit bumps the epoch) vs a cold
+    // evaluation on the same edited view.
     std::vector<double> g_warm, g_cold;
     const stat::NormalRV t_warm = warm_eval.eval_with_grad(engine.speed(), 1.0, 0.5, g_warm);
     core::ReducedEvaluator cold(engine.view(), sigma);
@@ -475,8 +465,8 @@ TEST(ReducedEvaluatorCache, UnnotedViewEditStillYieldsColdBits) {
   std::vector<double> g_warm, g_cold;
   eval.eval_with_grad(speed, 1.0, 0.0, g_warm);
 
-  // Edit behind the evaluator's back (no note_edits): the epoch mismatch must
-  // force a cold tape, not a silently stale gradient.
+  // Edit the view under the evaluator: the epoch mismatch must force a cold
+  // tape, not a silently stale gradient.
   const NodeId g = view.gates_in_topo_order()[3];
   NodeParams p = view.node_params(g);
   p.t_int *= 1.3;

@@ -5,6 +5,7 @@
 #include "netlist/cell_library.h"
 #include "netlist/circuit.h"
 #include "netlist/generators.h"
+#include "netlist/timing_view.h"
 
 #include <set>
 #include <sstream>
@@ -81,9 +82,21 @@ TEST(Circuit, LoadCapacitanceSumsFanoutPins) {
   speed[static_cast<std::size_t>(g2)] = 2.0;
   const double c_in_nand2 = lib.cell(lib.find("NAND2")).c_in;
   // g0 drives pin of g1 (S=3) and pin of g2 (S=2) plus wire 0.5.
-  EXPECT_DOUBLE_EQ(c.load_capacitance(g0, speed), 0.5 + c_in_nand2 * 3.0 + c_in_nand2 * 2.0);
+  EXPECT_DOUBLE_EQ(c.view().load_capacitance(g0, speed.data()),
+                   0.5 + c_in_nand2 * 3.0 + c_in_nand2 * 2.0);
   // g2 is an output: pad load 2.0 only.
-  EXPECT_DOUBLE_EQ(c.load_capacitance(g2, speed), 2.0);
+  EXPECT_DOUBLE_EQ(c.view().load_capacitance(g2, speed.data()), 2.0);
+}
+
+/// The what() of the std::invalid_argument `fn` throws ("" if none).
+template <class Fn>
+std::string invalid_argument_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Circuit, RejectsWrongPinCount) {
@@ -91,6 +104,37 @@ TEST(Circuit, RejectsWrongPinCount) {
   Circuit c(lib);
   const NodeId pi = c.add_input("a");
   EXPECT_THROW(c.add_gate(lib.find("NAND2"), {pi}, "bad"), std::invalid_argument);
+  // Every builder error names the gate or the id at fault: an unnamed gate
+  // by the name it would have been given.
+  EXPECT_EQ(invalid_argument_text([&] { c.add_gate(lib.find("NAND2"), {pi}); }),
+            "add_gate: gate 'g0': cell NAND2 expects 2 fanins, got 1");
+  EXPECT_EQ(invalid_argument_text([&] { c.add_gate(lib.find("INV"), {7}, "fwd"); }),
+            "add_gate: gate 'fwd': fanin id 7 out of range (forward ref?)");
+  EXPECT_EQ(invalid_argument_text([&] { c.set_wire_load(9, 1.0); }),
+            "set_wire_load: node id 9 out of range");
+  EXPECT_EQ(invalid_argument_text([&] { c.mark_output(-1); }),
+            "mark_output: node id -1 out of range");
+  EXPECT_EQ(invalid_argument_text([&] { c.set_fanin(5, 0, pi); }),
+            "set_fanin: node id 5 out of range");
+}
+
+TEST(Circuit, RejectsANodeMarkedAsAnOutputTwice) {
+  // Marked twice, 23GAT would enter the eq. 18a output fold twice and be
+  // Clark-maxed with itself as if the two were independent.
+  std::istringstream blif(
+      ".model c17\n.inputs 1GAT 2GAT 3GAT 6GAT 7GAT\n.outputs 22GAT 23GAT 23GAT\n"
+      ".names 1GAT 3GAT 10GAT\n.names 3GAT 6GAT 11GAT\n.names 2GAT 11GAT 16GAT\n"
+      ".names 11GAT 7GAT 19GAT\n.names 10GAT 16GAT 22GAT\n.names 16GAT 19GAT 23GAT\n.end\n");
+  EXPECT_EQ(invalid_argument_text([&] { read_blif(blif); }),
+            "mark_output: node '23GAT' is already a primary output");
+
+  const CellLibrary& lib = CellLibrary::standard();
+  Circuit c(lib);
+  const NodeId g = c.add_gate(lib.find("INV"), {c.add_input("a")}, "g");
+  c.mark_output(g);
+  EXPECT_THROW(c.mark_output(g, 2.0), std::invalid_argument);
+  EXPECT_EQ(c.outputs(), std::vector<NodeId>{g});
+  EXPECT_EQ(c.node(g).pad_load, 1.0);
 }
 
 TEST(Circuit, RejectsEditsAfterFinalize) {

@@ -10,6 +10,7 @@
 
 #include "core/reduced_space.h"
 #include "core/sizer.h"
+#include "graph_reference.h"
 #include "netlist/generators.h"
 #include "runtime/runtime.h"
 #include "ssta/canonical.h"
@@ -183,7 +184,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClarkMinVsMc, ::testing::Range(0, 8));
 // Every hot sweep (SSTA, corner STA, Monte Carlo, the reduced-space adjoint)
 // was retargeted from per-Node walks onto the flat CSR TimingView. The
 // refactoring contract is bit-identity, so these tests keep independent
-// Node-walk reference engines — written against Circuit/Node only, never the
+// Node-walk reference engines — written against Circuit/Node only, with
+// fanouts and levels derived in-test (graph_reference.h), never by the
 // view — and require EXPECT_EQ-equal doubles from the production paths, both
 // serially (--jobs 1) and on the level-parallel runtime (--jobs 4; the
 // circuits sit above the 192-gate parallel cutoff so the parallel sweeps
@@ -318,9 +320,11 @@ NormalRV ref_reduced_grad(const Circuit& c, const ssta::SigmaModel& sm,
   std::vector<NormalRV> arrival(n);
   std::vector<NormalRV> delay(n);
   std::vector<std::vector<stat::ClarkGrad>> steps(n);
-  auto load_of = [&](const netlist::Node& node) {
+  const auto fanouts = graph_reference::fanouts(c);
+  auto load_of = [&](NodeId id) {
+    const netlist::Node& node = c.node(id);
     double load = node.wire_load + (node.is_output ? node.pad_load : 0.0);
-    for (NodeId fo : node.fanouts) {
+    for (NodeId fo : fanouts[static_cast<std::size_t>(id)]) {
       load += c.library().cell(c.node(fo).cell).c_in * speed[static_cast<std::size_t>(fo)];
     }
     return load;
@@ -336,7 +340,7 @@ NormalRV ref_reduced_grad(const Circuit& c, const ssta::SigmaModel& sm,
                                steps[i][k - 1]);
     }
     const netlist::CellType& cell = c.library().cell(node.cell);
-    const double mu = cell.t_int + cell.c * load_of(node) / speed[i];
+    const double mu = cell.t_int + cell.c * load_of(id) / speed[i];
     delay[i] = NormalRV::from_sigma(mu, sm.sigma(mu));
     arrival[i] = stat::add(u, delay[i]);
   }
@@ -366,7 +370,7 @@ NormalRV ref_reduced_grad(const Circuit& c, const ssta::SigmaModel& sm,
   amu[static_cast<std::size_t>(outs[0])] += acc_mu;
   avar[static_cast<std::size_t>(outs[0])] += acc_var;
 
-  const auto& levels = c.gate_levels();
+  const auto levels = graph_reference::gate_levels(c, c.topo_order());
   for (std::size_t l = levels.size(); l-- > 0;) {
     for (NodeId id : levels[l]) {
       const netlist::Node& node = c.node(id);
@@ -378,8 +382,8 @@ NormalRV ref_reduced_grad(const Circuit& c, const ssta::SigmaModel& sm,
       const double adj_mu_t = a_mu + a_var * 2.0 * sm.kappa * sigma_t;
       const netlist::CellType& cell = c.library().cell(node.cell);
       const double s_own = speed[i];
-      grad[i] += adj_mu_t * (-cell.c * load_of(node) / (s_own * s_own));
-      for (NodeId fo : node.fanouts) {
+      grad[i] += adj_mu_t * (-cell.c * load_of(id) / (s_own * s_own));
+      for (NodeId fo : fanouts[i]) {
         grad[static_cast<std::size_t>(fo)] +=
             adj_mu_t * cell.c * c.library().cell(c.node(fo).cell).c_in / s_own;
       }

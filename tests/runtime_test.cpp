@@ -27,7 +27,6 @@
 #include "netlist/generators.h"
 #include "nlp/auglag.h"
 #include "nlp/problem.h"
-#include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
 #include "runtime/thread_pool.h"
 #include "ssta/delay_model.h"
@@ -377,80 +376,6 @@ TEST(Runtime, CancelScopesArePerThread) {
   b.join();
   EXPECT_EQ(a_cancelled.load(), kRounds);
   EXPECT_EQ(b_identical.load(), kRounds);
-}
-
-// ---------------------------------------------------------------------------
-// LevelSchedule
-// ---------------------------------------------------------------------------
-
-TEST(LevelSchedule, RejectsNonFinalizedCircuit) {
-  // A Circuit passes as its view, which does not exist before finalize():
-  // a half-wired graph can never be scheduled.
-  const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
-  netlist::Circuit c(lib);
-  const netlist::NodeId a = c.add_input("a");
-  c.add_gate(lib.cell_for_inputs(1), {a}, "g");
-  try {
-    runtime::LevelSchedule sched(c);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "circuit must be finalized first");
-  }
-}
-
-TEST(LevelSchedule, LevelsRespectDependenciesAndCoverAllGates) {
-  const netlist::Circuit c = medium_dag();
-  const runtime::LevelSchedule sched(c);
-  EXPECT_EQ(sched.num_levels(), c.depth());
-  int seen = 0;
-  for (int l = 0; l < sched.num_levels(); ++l) {
-    for (netlist::NodeId id : sched.level(l)) {
-      EXPECT_EQ(c.node_level(id), l + 1);
-      for (netlist::NodeId f : c.node(id).fanins) {
-        EXPECT_LT(c.node_level(f), l + 1) << "fanin scheduled at or after its sink";
-      }
-      ++seen;
-    }
-  }
-  EXPECT_EQ(seen, c.num_gates());
-}
-
-TEST(LevelSchedule, ForEachGateVisitsEveryGateOnce) {
-  ThreadGuard guard;
-  runtime::set_threads(4);
-  const netlist::Circuit c = medium_dag();
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(c.num_nodes()));
-  runtime::LevelSchedule(c).for_each_gate(8, [&](netlist::NodeId id) {
-    hits[static_cast<std::size_t>(id)].fetch_add(1);
-  });
-  for (netlist::NodeId id : c.topo_order()) {
-    const int expect = c.node(id).kind == netlist::NodeKind::kGate ? 1 : 0;
-    EXPECT_EQ(hits[static_cast<std::size_t>(id)].load(), expect);
-  }
-}
-
-TEST(LevelSchedule, ForEachGateRunsEveryFaninBeforeItsGate) {
-  // The barrier between levels is the whole synchronization story of the
-  // pooled forward sweeps: with one gate per chunk at 4 threads, every gate
-  // must observe each of its gate fanins as already visited.
-  ThreadGuard guard;
-  runtime::set_threads(4);
-  const netlist::Circuit c = medium_dag();
-  std::vector<std::atomic<int>> done(static_cast<std::size_t>(c.num_nodes()));
-  std::atomic<int> early{0};
-  runtime::LevelSchedule(c).for_each_gate(1, [&](netlist::NodeId id) {
-    for (netlist::NodeId f : c.node(id).fanins) {
-      if (c.node(f).kind == netlist::NodeKind::kGate &&
-          done[static_cast<std::size_t>(f)].load(std::memory_order_acquire) != 1) {
-        early.fetch_add(1);
-      }
-    }
-    done[static_cast<std::size_t>(id)].store(1, std::memory_order_release);
-  });
-  EXPECT_EQ(early.load(), 0);
-  int visited = 0;
-  for (const std::atomic<int>& d : done) visited += d.load();
-  EXPECT_EQ(visited, c.num_gates());
 }
 
 // ---------------------------------------------------------------------------
