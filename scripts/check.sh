@@ -135,6 +135,24 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^eco$'
 echo "== ctest chaos label under sanitizers =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^chaos$'
 
+# Paper-tables gate (EXPERIMENTS.md): the E1-E3, E6 and E10-E12 benches each
+# check the shapes the paper's tables assert and exit nonzero when one fails.
+# A perf change to the solvers must keep every one of them, so each exit code
+# is a hard gate. The bench's output is printed only on failure.
+echo "== paper tables gate (E1-E3, E6, E10-E12) =="
+for bench in table1_benchmarks table2_tree table3_speedfactors ablation_formulation \
+    corner_vs_statistical greedy_vs_nlp ablation_discrete; do
+  code=0
+  (cd "$BUILD_DIR" && "$BUILD_DIR/bench/$bench" > "$BUILD_DIR/paper_$bench.log" 2>&1) || code=$?
+  if [ "$code" -ne 0 ]; then
+    cat "$BUILD_DIR/paper_$bench.log"
+    echo "paper-tables gate FAILED: bench/$bench exited $code"
+    exit 1
+  fi
+  echo "$bench: all criteria hold"
+done
+echo "paper-tables gate passed"
+
 # Chaos soak hard gate: a forked journaled daemon under armed IO faults is
 # SIGKILLed mid-load, restarted on the same journal, and must show no lost
 # jobs, no duplicate side effects from idempotent retries, and bit-identical

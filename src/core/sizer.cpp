@@ -106,10 +106,9 @@ double objective_metric(const netlist::TimingView& v, const SizingSpec& spec,
       return spec.objective.sign * t.sigma();
     case ObjectiveKind::kWeighted: {
       double w = 0.0;
-      for (std::size_t i = 0; i < speed.size(); ++i) {
-        if (v.is_gate(static_cast<NodeId>(i))) {
-          w += spec.objective.weights[i] * speed[i];
-        }
+      for (NodeId id : v.gates_in_topo_order()) {
+        w += spec.objective.weights[static_cast<std::size_t>(id)] *
+             speed[static_cast<std::size_t>(id)];
       }
       return w;
     }
@@ -267,6 +266,11 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
   // The final SSTA scoring runs outside the cancel scope: an expired deadline
   // must not poison the returned timing numbers.
   finish(result);
+  // Reduced space reports the objective alone (no augmented-Lagrangian
+  // terms), at the returned speeds, from the timing finish() just computed.
+  if (options.method == Method::kReducedSpace) {
+    result.objective_value = objective_metric(*view_, spec_, result.speed, result.circuit_delay);
+  }
   result.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return result;
 }
@@ -560,11 +564,6 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   result.warm.rho = rho;
   result.value_evals = value_evals;
   result.gradient_evals = gradient_evals;
-  try {
-    result.objective_value = value(x);
-  } catch (...) {  // deadline already expired / still-armed tripwire
-    result.objective_value = 0.0;
-  }
   return result;
 }
 

@@ -89,7 +89,7 @@ struct SizingResult {
   stat::NormalRV circuit_delay;     ///< SSTA at the final sizes
   double sum_speed = 0.0;           ///< Tables' "sum S_i" column
   double area = 0.0;                ///< cell-area weighted
-  double objective_value = 0.0;
+  double objective_value = 0.0;     ///< the spec objective alone, no penalty terms
   double constraint_violation = 0.0;
   int iterations = 0;               ///< total inner iterations
   int outer_iterations = 0;         ///< multiplier/penalty outer iterations

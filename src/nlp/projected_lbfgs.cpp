@@ -35,7 +35,6 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
 
   struct Pair {
     std::vector<double> s, y;
-    double rho;
   };
   std::deque<Pair> history;
 
@@ -43,7 +42,9 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
   std::vector<double> g_new(n);
   std::vector<double> d(n);
   std::vector<double> x_new(n);
+  std::vector<std::size_t> free_idx;
   std::vector<double> alpha_buf;
+  std::vector<double> rho_free;
 
   LbfgsResult result;
   double f = fn.value(x);
@@ -51,54 +52,75 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
   fn.gradient(g);
   ++result.gradient_evals;
 
+  // Every exit reports the point it returns.
+  auto report = [&] {
+    result.objective = f;
+    result.projected_gradient = pg_norm(x, g, lower, upper);
+  };
+
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     runtime::poll_cancel();
     result.iterations = iter + 1;
-    result.objective = f;
-    result.projected_gradient = pg_norm(x, g, lower, upper);
+    report();
     if (result.projected_gradient <= options.tol) {
       result.converged = true;
       return result;
     }
 
-    // Two-loop recursion for d = -H g.
-    d = g;
+    // Active set: coordinates at a bound whose gradient points out of the
+    // box. They get d_i = 0; the two-loop recursion runs on the rest.
+    free_idx.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool active = (x[i] <= lower[i] && g[i] > 0.0) || (x[i] >= upper[i] && g[i] < 0.0);
+      if (!active) free_idx.push_back(i);
+    }
+    auto dot_free = [&](const std::vector<double>& a, const std::vector<double>& b) {
+      double s = 0.0;
+      for (std::size_t i : free_idx) s += a[i] * b[i];
+      return s;
+    };
+
+    // Two-loop recursion for d = -H g on the free coordinates. A pair whose
+    // restricted curvature s.y is not safely positive is skipped this
+    // iteration (rho_free = 0), and gamma comes from the newest pair kept.
+    std::fill(d.begin(), d.end(), 0.0);
+    for (std::size_t i : free_idx) d[i] = g[i];
     alpha_buf.assign(history.size(), 0.0);
+    rho_free.assign(history.size(), 0.0);
+    double gamma = 1.0;
+    bool used_pairs = false;
     for (std::size_t k = history.size(); k-- > 0;) {
       const Pair& p = history[k];
-      double sd = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sd += p.s[i] * d[i];
-      alpha_buf[k] = p.rho * sd;
-      for (std::size_t i = 0; i < n; ++i) d[i] -= alpha_buf[k] * p.y[i];
-    }
-    if (!history.empty()) {
-      const Pair& last = history.back();
-      double yy = 0.0;
-      double sy = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        yy += last.y[i] * last.y[i];
-        sy += last.s[i] * last.y[i];
+      const double sy = dot_free(p.s, p.y);
+      const double ss = dot_free(p.s, p.s);
+      const double yy = dot_free(p.y, p.y);
+      if (!(sy > 1e-10 * std::sqrt(ss * yy))) continue;
+      rho_free[k] = 1.0 / sy;
+      if (!used_pairs) {
+        gamma = sy / std::max(yy, 1e-30);
+        used_pairs = true;
       }
-      const double gamma = sy / std::max(yy, 1e-30);
-      for (std::size_t i = 0; i < n; ++i) d[i] *= gamma;
+      alpha_buf[k] = rho_free[k] * dot_free(p.s, d);
+      for (std::size_t i : free_idx) d[i] -= alpha_buf[k] * p.y[i];
     }
+    for (std::size_t i : free_idx) d[i] *= gamma;
     for (std::size_t k = 0; k < history.size(); ++k) {
+      if (rho_free[k] == 0.0) continue;
       const Pair& p = history[k];
-      double yd = 0.0;
-      for (std::size_t i = 0; i < n; ++i) yd += p.y[i] * d[i];
-      const double beta = p.rho * yd;
-      for (std::size_t i = 0; i < n; ++i) d[i] += (alpha_buf[k] - beta) * p.s[i];
+      const double beta = rho_free[k] * dot_free(p.y, d);
+      for (std::size_t i : free_idx) d[i] += (alpha_buf[k] - beta) * p.s[i];
     }
-    for (std::size_t i = 0; i < n; ++i) d[i] = -d[i];
+    for (std::size_t i : free_idx) d[i] = -d[i];
 
     // Projected Armijo backtracking along P(x + a d). If the quasi-Newton
-    // direction fails outright (its projection can contain ascent components
-    // at any given step length — gt_dx is NOT monotone in the step), retry
+    // direction fails outright (a free coordinate at a bound can still be
+    // pushed out of the box, so gt_dx is NOT monotone in the step), retry
     // once from steepest descent with cleared curvature pairs.
     bool accepted = false;
     for (int attempt = 0; attempt < 2 && !accepted; ++attempt) {
       if (attempt == 1) {
-        if (history.empty()) break;  // d already was -g
+        if (!used_pairs) break;  // d already was -g on the free set
+        ++result.restarts;
         history.clear();
         for (std::size_t i = 0; i < n; ++i) d[i] = -g[i];
       }
@@ -129,7 +151,6 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
             yy += p.y[i] * p.y[i];
           }
           if (sy > 1e-10 * std::sqrt(ss * yy)) {
-            p.rho = 1.0 / sy;
             history.push_back(std::move(p));
             if (history.size() > kHistory) history.pop_front();
           }
@@ -147,6 +168,7 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
       return result;
     }
   }
+  report();
   return result;
 }
 

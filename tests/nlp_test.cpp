@@ -9,6 +9,7 @@
 #include "nlp/projected_lbfgs.h"
 #include "nlp/tron.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -689,6 +690,84 @@ TEST(ProjectedLbfgs, GradientOnlyAtStartAndAcceptedIterates) {
   }
   EXPECT_EQ(gradients, r.gradient_evals);
   EXPECT_EQ(last_accepted, x);
+}
+
+/// Infinity norm of the projected-gradient step P(x - g) - x.
+double projected_gradient_norm(const std::vector<double>& x, const std::vector<double>& g,
+                               const std::vector<double>& lo, const std::vector<double>& hi) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, std::abs(std::clamp(x[i] - g[i], lo[i], hi[i]) - x[i]));
+  }
+  return worst;
+}
+
+TEST(ProjectedLbfgs, MaxIterationsExitReportsTheReturnedPoint) {
+  // The iteration cap stops the solver right after an accepted step; the
+  // result must describe that step's point, not the one before it.
+  std::vector<double> x = {-1.2, 1.0};
+  const std::vector<double> lo(2, -10.0);
+  const std::vector<double> hi(2, 10.0);
+  LbfgsOptions opt;
+  opt.max_iterations = 1;
+  const LbfgsResult r = minimize_projected_lbfgs(split(rosenbrock), x, lo, hi, opt);
+  ASSERT_FALSE(r.converged);
+  ASSERT_NE(x, (std::vector<double>{-1.2, 1.0})) << "the one iteration must take a step";
+  std::vector<double> g;
+  EXPECT_EQ(r.objective, rosenbrock(x, g));
+  EXPECT_EQ(r.projected_gradient, projected_gradient_norm(x, g, lo, hi));
+}
+
+TEST(ProjectedLbfgs, ActiveBoundsKeepCurvatureMemory) {
+  // Coupled convex quadratic 0.5 x'Ax - b'x on the box [0, 1]^50, with A
+  // tridiagonal (diagonal 2..4, off-diagonal -0.9) and b = A t, so the
+  // unconstrained minimizer is t: 2 in the even coordinates (outside the
+  // box) and 0.5 in the odd ones. The even coordinates end on the upper
+  // bound. A full-space quasi-Newton step clipped by the box finds no
+  // descent there and falls back to steepest descent; the step on the free
+  // coordinates keeps its curvature pairs and needs about one trial per
+  // iteration.
+  const std::size_t n = 50;
+  std::vector<double> diag(n);
+  std::vector<double> t(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    diag[i] = 2.0 * (1.0 + static_cast<double>(i) / static_cast<double>(n - 1));
+    t[i] = i % 2 == 0 ? 2.0 : 0.5;
+  }
+  auto times_a = [diag](const std::vector<double>& v) {
+    const std::size_t m = v.size();
+    std::vector<double> av(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      av[i] = diag[i] * v[i];
+      if (i > 0) av[i] -= 0.9 * v[i - 1];
+      if (i + 1 < m) av[i] -= 0.9 * v[i + 1];
+    }
+    return av;
+  };
+  const std::vector<double> b = times_a(t);
+  auto fn = [times_a, b](const std::vector<double>& x, std::vector<double>& g) {
+    const std::vector<double> ax = times_a(x);
+    g.resize(x.size());
+    double f = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      f += 0.5 * x[i] * ax[i] - b[i] * x[i];
+      g[i] = ax[i] - b[i];
+    }
+    return f;
+  };
+
+  std::vector<double> x(n, 0.0);
+  const std::vector<double> lo(n, 0.0);
+  const std::vector<double> hi(n, 1.0);
+  LbfgsOptions opt;
+  opt.tol = 1e-8;
+  opt.max_iterations = 1000;
+  const LbfgsResult r = minimize_projected_lbfgs(split(fn), x, lo, hi, opt);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.restarts, 0);
+  EXPECT_LE(r.value_evals, 1.5 * r.gradient_evals)
+      << r.value_evals << " values for " << r.gradient_evals << " gradients";
+  for (std::size_t i = 0; i < n; i += 2) EXPECT_EQ(x[i], 1.0) << "coordinate " << i;
 }
 
 // Randomized equality-constrained quadratics: min ||x - a||^2 s.t. b^T x = 1.

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -334,20 +335,59 @@ TEST(SizerValidation, NegativeMaxRetriesIsRejected) {
 TEST(SizerReducedSpace, Apex2MinMuPlus3SigmaIsPinned) {
   // The reduced-space solve every served size job runs, pinned to its
   // iteration count and result doubles: which trials get an adjoint is a
-  // cost decision and must not move a single iterate.
+  // cost decision and must not move a single iterate. The pins are those of
+  // the active-set L-BFGS direction (quasi-Newton steps on the free speeds
+  // only).
   const Circuit c = netlist::make_mcnc_like("apex2");
   SizingSpec spec;
   spec.objective = Objective::min_delay(3.0);
   const SizingResult r = Sizer(c, spec).run(opts(Method::kReducedSpace));
   ASSERT_TRUE(r.converged) << r.status;
-  EXPECT_EQ(r.iterations, 233);
-  EXPECT_EQ(r.circuit_delay.mu, 53.53354626749283);
-  EXPECT_EQ(r.circuit_delay.sigma(), 0.9604921146121401);
-  EXPECT_EQ(r.sum_speed, 210.9600845862904);
-  EXPECT_EQ(r.objective_value, 56.41502261132925);
+  EXPECT_EQ(r.iterations, 55);
+  EXPECT_EQ(r.circuit_delay.mu, 53.53352919467362);
+  EXPECT_EQ(r.circuit_delay.sigma(), 0.9604976592346441);
+  EXPECT_EQ(r.sum_speed, 210.96048175968);
+  EXPECT_EQ(r.objective_value, 56.415022172377554);
   // Converged inner solve: one gradient at the start, one per accepted step.
   EXPECT_EQ(r.gradient_evals, r.iterations);
   EXPECT_GT(r.value_evals, r.gradient_evals);
+}
+
+/// k2 min sum S s.t. mu + 3 sigma <= 140.3, Table 1's k2 row 7.
+SizingSpec k2_min_area_spec() {
+  SizingSpec spec;
+  spec.objective = Objective::min_area();
+  spec.delay_constraint = DelayConstraint::at_most(140.3, 3.0);
+  return spec;
+}
+
+TEST(SizerReducedSpace, TrialsPerIterationStayNearOne) {
+  // The active-set direction keeps the curvature pairs at the speed bounds,
+  // so the line search accepts its first or second trial: about one forward
+  // sweep per adjoint. A projected full-space quasi-Newton step needs 3 to 6.
+  const Circuit apex2 = netlist::make_mcnc_like("apex2");
+  SizingSpec delay_spec;
+  delay_spec.objective = Objective::min_delay(3.0);
+  const Circuit k2 = netlist::make_mcnc_like("k2");
+  const std::pair<const Circuit*, SizingSpec> cases[] = {{&apex2, delay_spec},
+                                                         {&k2, k2_min_area_spec()}};
+  for (const auto& [circuit, spec] : cases) {
+    const SizingResult r = Sizer(*circuit, spec).run(opts(Method::kReducedSpace));
+    ASSERT_TRUE(r.converged) << r.status;
+    EXPECT_LE(r.value_evals, 1.5 * r.gradient_evals)
+        << r.value_evals << " values for " << r.gradient_evals << " gradients";
+  }
+}
+
+TEST(SizerReducedSpace, ConstrainedObjectiveValueIsTheObjectiveAlone) {
+  // The solver minimizes the objective plus augmented-Lagrangian terms; the
+  // result reports the objective alone, as full space does: sum S here.
+  const Circuit c = netlist::make_mcnc_like("k2");
+  const SizingResult r = Sizer(c, k2_min_area_spec()).run(opts(Method::kReducedSpace));
+  ASSERT_TRUE(r.converged) << r.status;
+  double sum_s = 0.0;
+  for (NodeId id : c.view().gates_in_topo_order()) sum_s += r.speed[static_cast<std::size_t>(id)];
+  EXPECT_EQ(r.objective_value, sum_s);
 }
 
 TEST(SizerReducedSpace, EvaluationCountsAreThreadCountInvariant) {
