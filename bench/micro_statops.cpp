@@ -38,6 +38,17 @@ void BM_NormalCdf(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalCdf);
 
+// The kernel every Clark max calls once: Phi(x), Phi(-x) and phi(x).
+void BM_NormalTerms(benchmark::State& state) {
+  double x = -6.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stat::normal_terms(x));
+    x += 0.001;
+    if (x > 6.0) x = -6.0;
+  }
+}
+BENCHMARK(BM_NormalTerms);
+
 void BM_ClarkMaxValue(benchmark::State& state) {
   const auto ops = random_operands(1024, 1);
   std::size_t i = 0;

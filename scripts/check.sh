@@ -79,6 +79,17 @@ for site in 'admit_record(' 'end_record(' 'retire_locked(' 'state.store('; do
 done
 echo "lifecycle gate passed"
 
+# One Phi/phi kernel (DESIGN.md §5 item 4): stat::normal_terms is the only
+# place a normal CDF is computed, from one shared exponential and Cody's
+# rational approximations. The C library's complementary error function must
+# not appear anywhere under src/, not even in a comment. Needs no build.
+echo "== one Phi/phi kernel (no erfc under src/) =="
+if grep -rn 'erfc' "$REPO_ROOT/src"; then
+  echo "Phi-kernel gate FAILED: the src/ lines above name erfc; take Phi from stat::normal_terms"
+  exit 1
+fi
+echo "Phi-kernel gate passed"
+
 echo "== configure ($SANITIZE) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DSTATSIZE_SANITIZE="$SANITIZE" \
@@ -138,9 +149,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^chaos$'
 # Paper-tables gate (EXPERIMENTS.md): the E1-E3, E6 and E10-E12 benches each
 # check the shapes the paper's tables assert and exit nonzero when one fails.
 # A perf change to the solvers must keep every one of them, so each exit code
-# is a hard gate. The bench's output is printed only on failure.
-echo "== paper tables gate (E1-E3, E6, E10-E12) =="
-for bench in table1_benchmarks table2_tree table3_speedfactors ablation_formulation \
+# is a hard gate. E4, E5 and E9 check the Clark moments, circuit SSTA and
+# canonical SSTA against Monte Carlo: the accuracy a change to the Phi/phi
+# kernel can break. The bench's output is printed only on failure.
+echo "== paper tables gate (E1-E6, E9-E12) =="
+for bench in table1_benchmarks table2_tree table3_speedfactors validation_statmax \
+    validation_ssta_yield ablation_formulation validation_correlation \
     corner_vs_statistical greedy_vs_nlp ablation_discrete; do
   code=0
   (cd "$BUILD_DIR" && "$BUILD_DIR/bench/$bench" > "$BUILD_DIR/paper_$bench.log" 2>&1) || code=$?

@@ -95,7 +95,9 @@ class Dual2 {
 
   friend Dual2 operator/(const Dual2& a, const Dual2& b) {
     const double inv = 1.0 / b.v_;
-    return a * apply_unary(b, inv, -inv * inv, 2.0 * inv * inv * inv);
+    Dual2 r = a * apply_unary(b, inv, -inv * inv, 2.0 * inv * inv * inv);
+    r.v_ = a.v_ / b.v_;  // the rounded quotient, so values match double code
+    return r;
   }
 
   friend bool operator<(const Dual2& a, const Dual2& b) { return a.v_ < b.v_; }
@@ -141,27 +143,6 @@ template <int N>
 Dual2<N> log(const Dual2<N>& x) {
   const double inv = 1.0 / x.value();
   return Dual2<N>::apply_unary(x, std::log(x.value()), inv, -inv * inv);
-}
-
-/// Standard-normal CDF: Phi(x) = erfc(-x / sqrt(2)) / 2.
-/// Phi'(x) = phi(x), Phi''(x) = -x * phi(x).
-template <int N>
-Dual2<N> normal_cdf(const Dual2<N>& x) {
-  constexpr double kInvSqrt2 = 0.70710678118654752440;
-  constexpr double kInvSqrt2Pi = 0.39894228040143267794;
-  const double v = x.value();
-  const double f = 0.5 * std::erfc(-v * kInvSqrt2);
-  const double pdf = kInvSqrt2Pi * std::exp(-0.5 * v * v);
-  return Dual2<N>::apply_unary(x, f, pdf, -v * pdf);
-}
-
-/// Standard-normal PDF: phi'(x) = -x phi(x), phi''(x) = (x^2 - 1) phi(x).
-template <int N>
-Dual2<N> normal_pdf(const Dual2<N>& x) {
-  constexpr double kInvSqrt2Pi = 0.39894228040143267794;
-  const double v = x.value();
-  const double pdf = kInvSqrt2Pi * std::exp(-0.5 * v * v);
-  return Dual2<N>::apply_unary(x, pdf, -v * pdf, (v * v - 1.0) * pdf);
 }
 
 }  // namespace statsize::autodiff

@@ -79,9 +79,12 @@ CanonicalForm CanonicalForm::max(const CanonicalForm& a, const CanonicalForm& b,
   const NormalRV moments = stat::clark_max_correlated(a.to_normal(), b.to_normal(), cov,
                                                       &tightness);
 
-  // Dominated cases keep the winning form exactly.
-  if (tightness >= 1.0) return a;
-  if (tightness <= 0.0) return b;
+  // Dominated cases keep the winning form exactly: a once Phi(alpha) rounds
+  // to 1, b once Phi(-alpha) = 1 - Phi(alpha) does.
+  const double wa = tightness;
+  const double wb = 1.0 - tightness;
+  if (wa >= 1.0) return a;
+  if (wb >= 1.0) return b;
 
   // Linear mixing of coefficients preserves all cross-covariances to first
   // order: Cov(max, X) ~ Phi(alpha) Cov(A, X) + Phi(-alpha) Cov(B, X)
@@ -90,8 +93,6 @@ CanonicalForm CanonicalForm::max(const CanonicalForm& a, const CanonicalForm& b,
   out.terms_.reserve(a.terms_.size() + b.terms_.size());
   std::size_t i = 0;
   std::size_t j = 0;
-  const double wa = tightness;
-  const double wb = 1.0 - tightness;
   while (i < a.terms_.size() || j < b.terms_.size()) {
     if (j >= b.terms_.size() || (i < a.terms_.size() && a.terms_[i].first < b.terms_[j].first)) {
       out.terms_.push_back({a.terms_[i].first, wa * a.terms_[i].second});

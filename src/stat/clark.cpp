@@ -50,9 +50,7 @@ NormalRV clark_max_grad(const NormalRV& a, const NormalRV& b, ClarkGrad& grad) {
   const double theta = std::sqrt(theta2);
   const double gap = a.mu - b.mu;
   const double alpha = gap / theta;
-  const double cdf_p = normal_cdf(alpha);
-  const double cdf_m = normal_cdf(-alpha);
-  const double pdf = normal_pdf(alpha);
+  const auto [cdf_p, cdf_m, pdf] = normal_terms(alpha);
 
   const double c = 0.5 * gap;
   const double mu_centered = c * (cdf_p - cdf_m) + theta * pdf;
@@ -121,9 +119,7 @@ NormalRV clark_max_correlated(const NormalRV& a, const NormalRV& b, double cov,
   const double theta = std::sqrt(theta2);
   const double gap = a.mu - b.mu;
   const double alpha = gap / theta;
-  const double cdf_p = normal_cdf(alpha);
-  const double cdf_m = normal_cdf(-alpha);
-  const double pdf = normal_pdf(alpha);
+  const auto [cdf_p, cdf_m, pdf] = normal_terms(alpha);
   if (tightness != nullptr) *tightness = cdf_p;
 
   // Mean-centered evaluation as in clark_moments; the cross term of E[C^2]

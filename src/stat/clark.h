@@ -22,6 +22,12 @@
 //    |mu| >> sigma.
 //  * theta -> 0 degenerates to the deterministic max; below kThetaFloor the
 //    exact limit (with subgradient choice at ties) is returned.
+//  * Phi(alpha), Phi(-alpha) and phi(alpha) come from one call of
+//    normal_terms (normal.h): one shared exponential and Cody's rational
+//    approximations, the smaller tail to <= 2.5e-13 relative for
+//    |alpha| <= 37.5 and Phi to <= 2.2e-16 absolute. Every evaluator below,
+//    the Dual2 Hessian path included, takes its terms from that kernel, so
+//    clark_max, clark_max_grad and clark_max_full's value agree bit for bit.
 
 #pragma once
 
@@ -80,8 +86,21 @@ NormalRV clark_max_correlated(const NormalRV& a, const NormalRV& b, double cov,
 /// (required-time) propagation needs. Independent operands.
 NormalRV clark_min(const NormalRV& a, const NormalRV& b);
 
+/// normal_terms for second-order forward autodiff: the values come from the
+/// double kernel, the derivatives from Phi' = phi, phi' = -x phi and
+/// phi'' = (x^2 - 1) phi.
+template <int N>
+NormalTerms<autodiff::Dual2<N>> normal_terms(const autodiff::Dual2<N>& x) {
+  using D = autodiff::Dual2<N>;
+  const double v = x.value();
+  const NormalTerms<double> t = normal_terms(v);
+  const double dpdf = -v * t.pdf;
+  return {D::apply_unary(x, t.cdf, t.pdf, dpdf), D::apply_unary(x, t.ccdf, -t.pdf, -dpdf),
+          D::apply_unary(x, t.pdf, dpdf, (v * v - 1.0) * t.pdf)};
+}
+
 /// Generic evaluator shared by the double fast path and the Dual2 Hessian
-/// path. T must support +,-,*,/, sqrt(), normal_cdf(), normal_pdf().
+/// path. T must support +,-,*,/, sqrt() and normal_terms().
 /// Requires varA + varB > 0 (the caller handles the degenerate branch).
 template <class T>
 void clark_moments(const T& mu_a, const T& mu_b, const T& var_a, const T& var_b,
@@ -91,9 +110,7 @@ void clark_moments(const T& mu_a, const T& mu_b, const T& var_a, const T& var_b,
   const T theta = sqrt(var_a + var_b);
   const T gap = mu_a - mu_b;
   const T alpha = gap / theta;
-  const T cdf_p = normal_cdf(alpha);
-  const T cdf_m = normal_cdf(-alpha);
-  const T pdf = normal_pdf(alpha);
+  const auto [cdf_p, cdf_m, pdf] = normal_terms(alpha);
   // Mean-centered evaluation: c = (muA - muB)/2 so that cA = c, cB = -c and
   // the (cA + cB) theta phi cross-term of eq. 12 vanishes identically.
   const T c = gap * 0.5;

@@ -92,18 +92,6 @@ TEST(Dual2, ExpLogRoundTrip) {
   EXPECT_NEAR(f.hess(0, 0), 0.0, 1e-10);
 }
 
-TEST(Dual2, NormalCdfPdfConsistency) {
-  // d/dx Phi(x) == phi(x) and d/dx phi(x) == -x phi(x).
-  for (double v : {-2.0, -0.5, 0.0, 0.3, 1.7}) {
-    const D2 x = D2::variable(v, 0);
-    const D2 cdf = normal_cdf(x);
-    const D2 pdf = normal_pdf(x);
-    EXPECT_NEAR(cdf.grad(0), pdf.value(), kTol) << "x=" << v;
-    EXPECT_NEAR(pdf.grad(0), -v * pdf.value(), kTol) << "x=" << v;
-    EXPECT_NEAR(cdf.hess(0, 0), -v * pdf.value(), kTol) << "x=" << v;
-  }
-}
-
 TEST(Dual2, UnaryMinusNegatesEverything) {
   const D2 x = D2::variable(1.5, 0);
   const D2 y = D2::variable(-0.5, 1);

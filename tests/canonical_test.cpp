@@ -125,6 +125,25 @@ TEST(CanonicalFormTest, MaxOfIdenticalFormsIsIdentity) {
   EXPECT_EQ(next, 100);  // no residual needed
 }
 
+TEST(Canonical, DominatedMaxIsSymmetric) {
+  // theta = 1 (independent sources, sigmas 0.6 and 0.8), so alpha is the
+  // mean gap. Once one operand dominates, both operand orders must return
+  // that operand exactly; no dead term of the loser may survive.
+  for (double alpha : {-20.0, -10.0, 10.0, 20.0}) {
+    const CanonicalForm a = CanonicalForm::variable(alpha, 0, 0.6);
+    const CanonicalForm b = CanonicalForm::variable(0.0, 1, 0.8);
+    int next_ab = 100;
+    int next_ba = 100;
+    const CanonicalForm ab = CanonicalForm::max(a, b, next_ab);
+    const CanonicalForm ba = CanonicalForm::max(b, a, next_ba);
+    EXPECT_EQ(ab.terms(), ba.terms()) << "alpha " << alpha;
+    EXPECT_EQ(ab.terms().size(), 1u) << "alpha " << alpha;
+    EXPECT_EQ(ab.mean(), ba.mean()) << "alpha " << alpha;
+    EXPECT_EQ(ab.variance(), ba.variance()) << "alpha " << alpha;
+    EXPECT_EQ(next_ab, next_ba) << "alpha " << alpha;
+  }
+}
+
 TEST(CanonicalSsta, MatchesIndependentSstaOnTree) {
   // No reconvergence -> the independence assumption is exact and both
   // engines agree.

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -287,6 +288,89 @@ TEST(ClarkDegenerate, ZeroVarianceOperandsAreFinite) {
     EXPECT_GE(c.var, 0.0);
     EXPECT_GE(c.mu, std::max(pair[0].mu, pair[1].mu) - 1e-12);
     expect_finite_derivatives(grad, hess, "zero variance");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One Phi/phi kernel: every evaluator takes its terms from normal_terms, so
+// the value paths agree bit for bit, and the Dual2 overload's derivatives are
+// those of the double kernel.
+// ---------------------------------------------------------------------------
+
+TEST(ClarkKernel, EvaluatorsAgreeBitwise) {
+  // theta = 1 for the alpha sweep (var 0.36 + 0.64), so mu_a is alpha; the
+  // sweep crosses the saturation of Phi near |alpha| = 8.3 and the underflow
+  // of the tail and phi near |alpha| = 38.6. The last points sit at and
+  // below the degenerate-theta floor.
+  std::vector<Point> grid;
+  for (double alpha : {-40.0, -38.0, -8.3, -3.0, -0.4, 0.0, 0.4, 3.0, 8.3, 38.0, 40.0}) {
+    grid.push_back({alpha, 0.0, 0.36, 0.64});
+    grid.push_back({alpha + 100.0, 100.0, 0.64, 0.36});
+  }
+  grid.push_back({1.0, 1.0 - 1e-13, 1e-24, 0.0});
+  grid.push_back({1.0, 1.0, 5e-25, 5e-25});
+  grid.push_back({2.0, 1.0, 0.0, 0.0});
+  grid.push_back({1.0, 1.0 + 1e-11, 2e-24, 0.0});
+  for (const Point& p : grid) {
+    const NormalRV a{p.mu_a, p.var_a};
+    const NormalRV b{p.mu_b, p.var_b};
+    const NormalRV plain = clark_max(a, b);
+    ClarkGrad grad;
+    const NormalRV with_grad = clark_max_grad(a, b, grad);
+    ClarkGrad grad_full;
+    ClarkHess hess;
+    const NormalRV full = clark_max_full(a, b, grad_full, hess);
+    EXPECT_EQ(plain.mu, with_grad.mu) << p.mu_a << " " << p.mu_b;
+    EXPECT_EQ(plain.var, with_grad.var) << p.mu_a << " " << p.mu_b;
+    EXPECT_EQ(plain.mu, full.mu) << p.mu_a << " " << p.mu_b;
+    EXPECT_EQ(plain.var, full.var) << p.mu_a << " " << p.mu_b;
+    if (p.var_a + p.var_b > kThetaFloorSq) {
+      double mu = 0.0;
+      double var = 0.0;
+      clark_moments(p.mu_a, p.mu_b, p.var_a, p.var_b, mu, var);
+      EXPECT_EQ(plain.mu, mu) << p.mu_a << " " << p.mu_b;
+      EXPECT_EQ(plain.var, var) << p.mu_a << " " << p.mu_b;
+    }
+  }
+}
+
+TEST(ClarkKernel, Dual2TermsMatchFiniteDifferences) {
+  using D1 = autodiff::Dual2<1>;
+  constexpr double kH = 1e-5;
+  for (double v : {-9.0, -4.5, -2.0, -0.6, -0.1, 0.0, 0.2, 0.7, 1.3, 3.0, 6.0}) {
+    const NormalTerms<D1> t = normal_terms(D1::variable(v, 0));
+    const NormalTerms<double> up = normal_terms(v + kH);
+    const NormalTerms<double> dn = normal_terms(v - kH);
+    const NormalTerms<D1> tu = normal_terms(D1::variable(v + kH, 0));
+    const NormalTerms<D1> td = normal_terms(D1::variable(v - kH, 0));
+    const NormalTerms<double> at = normal_terms(v);
+    EXPECT_EQ(t.cdf.value(), at.cdf) << "x=" << v;
+    EXPECT_EQ(t.ccdf.value(), at.ccdf) << "x=" << v;
+    EXPECT_EQ(t.pdf.value(), at.pdf) << "x=" << v;
+    const auto check = [&](const D1& d, double f_up, double f_dn, const D1& d_up,
+                           const D1& d_dn, const char* name) {
+      EXPECT_NEAR(d.grad(0), (f_up - f_dn) / (2 * kH), 1e-9) << name << " x=" << v;
+      EXPECT_NEAR(d.hess(0, 0), (d_up.grad(0) - d_dn.grad(0)) / (2 * kH), 1e-9)
+          << name << " x=" << v;
+    };
+    check(t.cdf, up.cdf, dn.cdf, tu.cdf, td.cdf, "cdf");
+    check(t.ccdf, up.ccdf, dn.ccdf, tu.ccdf, td.ccdf, "ccdf");
+    check(t.pdf, up.pdf, dn.pdf, tu.pdf, td.pdf, "pdf");
+  }
+}
+
+// The Dual2 normal CDF/PDF check, kept with the function it covers.
+TEST(Dual2, NormalCdfPdfConsistency) {
+  // d/dx Phi(x) == phi(x) and d/dx phi(x) == -x phi(x).
+  using D2 = autodiff::Dual2<2>;
+  constexpr double kTol = 1e-12;
+  for (double v : {-2.0, -0.5, 0.0, 0.3, 1.7}) {
+    const D2 x = D2::variable(v, 0);
+    const D2 cdf = normal_terms(x).cdf;
+    const D2 pdf = normal_terms(x).pdf;
+    EXPECT_NEAR(cdf.grad(0), pdf.value(), kTol) << "x=" << v;
+    EXPECT_NEAR(pdf.grad(0), -v * pdf.value(), kTol) << "x=" << v;
+    EXPECT_NEAR(cdf.hess(0, 0), -v * pdf.value(), kTol) << "x=" << v;
   }
 }
 

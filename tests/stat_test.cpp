@@ -10,7 +10,9 @@
 #include "stat/clark.h"
 #include "stat/normal.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -59,6 +61,82 @@ TEST(Normal, QuantileEdgeCases) {
   EXPECT_TRUE(std::isinf(normal_quantile(1.0)));
   EXPECT_LT(normal_quantile(0.0), 0.0);
   EXPECT_GT(normal_quantile(1.0), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The one Phi/phi kernel, normal_terms, against the C library.
+// ---------------------------------------------------------------------------
+
+// Dense grid over [-37.5, 37.5]: the step is not a binary fraction, so the
+// points land all over each approximation range, including its breakpoints'
+// neighbourhoods (|x| = sqrt(2) * 0.5 and sqrt(2) * 4).
+std::vector<double> dense_grid() {
+  std::vector<double> xs;
+  for (double x = 0.0; x <= 37.5; x += 9.7e-4) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  for (double x : {0.5 * std::sqrt(2.0), 4.0 * std::sqrt(2.0)}) {
+    for (double d : {std::nextafter(x, 0.0), x, std::nextafter(x, 10.0)}) {
+      xs.push_back(d);
+      xs.push_back(-d);
+    }
+  }
+  return xs;
+}
+
+TEST(NormalTerms, MatchLibraryComplementaryErrorFunction) {
+  double worst_tail_5 = 0.0;
+  double worst_tail = 0.0;
+  double worst_abs = 0.0;
+  for (double x : dense_grid()) {
+    const NormalTerms<double> t = normal_terms(x);
+    const double ref_cdf = 0.5 * std::erfc(-x / std::sqrt(2.0));
+    const double ref_ccdf = 0.5 * std::erfc(x / std::sqrt(2.0));
+    worst_abs = std::max({worst_abs, std::abs(t.cdf - ref_cdf), std::abs(t.ccdf - ref_ccdf)});
+    const double tail = x < 0.0 ? t.cdf : t.ccdf;
+    const double ref_tail = 0.5 * std::erfc(std::abs(x) / std::sqrt(2.0));
+    const double rel = std::abs(tail - ref_tail) / ref_tail;
+    worst_tail = std::max(worst_tail, rel);
+    if (std::abs(x) <= 5.0) worst_tail_5 = std::max(worst_tail_5, rel);
+  }
+  EXPECT_LE(worst_tail_5, 5e-15);
+  EXPECT_LE(worst_tail, 2.5e-13);
+  EXPECT_LE(worst_abs, std::numeric_limits<double>::epsilon());
+}
+
+TEST(NormalTerms, NegationMirrorsExactly) {
+  std::vector<double> xs = dense_grid();
+  for (double x : {0.0, 1e-300, 8.3, 38.0, 40.0, 1e10, std::numeric_limits<double>::infinity()}) {
+    xs.push_back(x);
+  }
+  for (double x : xs) {
+    const NormalTerms<double> p = normal_terms(x);
+    const NormalTerms<double> m = normal_terms(-x);
+    ASSERT_EQ(p.cdf, m.ccdf) << "x=" << x;
+    ASSERT_EQ(p.ccdf, m.cdf) << "x=" << x;
+    ASSERT_EQ(p.pdf, m.pdf) << "x=" << x;
+  }
+}
+
+TEST(NormalTerms, PdfIsTheDensityBitForBit) {
+  for (double x : dense_grid()) {
+    const NormalTerms<double> t = normal_terms(x);
+    ASSERT_EQ(t.pdf, 0.3989422804014327 * std::exp(-0.5 * x * x)) << "x=" << x;
+    ASSERT_EQ(t.pdf, normal_pdf(x)) << "x=" << x;
+    ASSERT_EQ(t.cdf, normal_cdf(x)) << "x=" << x;
+  }
+}
+
+TEST(NormalTerms, SaturateBeyondTheSubnormalTail) {
+  const NormalTerms<double> t = normal_terms(40.0);
+  EXPECT_EQ(t.cdf, 1.0);
+  EXPECT_EQ(t.ccdf, 0.0);
+  EXPECT_EQ(t.pdf, 0.0);
+  const NormalTerms<double> inf = normal_terms(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(inf.cdf, 0.0);
+  EXPECT_EQ(inf.ccdf, 1.0);
+  EXPECT_EQ(inf.pdf, 0.0);
 }
 
 TEST(NormalRV, AdditionMatchesEq4) {
