@@ -64,7 +64,7 @@ inline void print_workload(const char* name, const netlist::Circuit& c) {
 /// of named fields, written as
 ///
 ///   { "bench": "<name>", "rows": [ { "gates": 1600, "threads": 4,
-///     "ssta_wall_ms": 1.9, ... }, ... ] }
+///     "mc_wall_ms": 41.2, ... }, ... ] }
 ///
 /// so scripts can diff runs without scraping the human tables. Fields keep
 /// insertion order. The default output path is BENCH_<name>.json in the

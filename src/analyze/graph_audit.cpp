@@ -53,8 +53,8 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
                    fmt(stats.mean_gate_fanout) + " (" +
                    fmt(static_cast<double>(stats.max_fanout) / stats.mean_gate_fanout) +
                    "x skew)",
-               "the gate driving this net sums its whole load alone, unbalancing its "
-               "level's chunk in the pooled forward sweep; consider buffering the net");
+               "the gate driving this net sums its whole load alone, and every speed "
+               "change on its fanout re-times it; consider buffering the net");
   }
 
   // GRF005: reconvergence.

@@ -14,7 +14,8 @@
 //     C_load + sum C_in,i S_i) is a contiguous dot product with no Node or
 //     CellLibrary chasing,
 //   * the topological order, the gates-only topological order, the primary
-//     outputs, and the CSR level partition the pooled SSTA sweep runs,
+//     outputs, and the CSR level partition the dirty-cone worklist and the
+//     adjoint walk,
 //   * the node names, in one immutable table every copy of the view shares
 //     (full-space variable names and diagnostics read them).
 //

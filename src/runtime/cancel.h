@@ -3,7 +3,7 @@
 // A solve that must terminate within a time budget (CLI --time-limit) or on
 // external request installs a CancelScope; every long-running loop in the
 // system — ThreadPool::parallel_for chunk claims, runtime::parallel_for
-// entry (and therefore every level of the pooled SSTA sweep), the TRON
+// entry (and therefore every Monte Carlo run), the TRON
 // trust-region and CG inner loops, projected L-BFGS iterations, and the
 // augmented-Lagrangian outer loop — polls the active scope at its natural boundary and throws
 // OperationCancelled when the token is cancelled or the deadline has passed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +54,10 @@ int resolve_jobs_value(const char* value, int fallback, std::string* warning) {
     return fallback;
   };
   if (value == nullptr || value[0] == '\0') return reject("empty value");
+  // strtol skips leading whitespace; the whole string must be the integer.
+  if (std::isspace(static_cast<unsigned char>(value[0])) != 0) {
+    return reject("expected an integer");
+  }
   errno = 0;
   char* end = nullptr;
   const long n = std::strtol(value, &end, 10);

@@ -1,5 +1,5 @@
 // Process-global execution runtime: one shared ThreadPool plus the
-// deterministic parallel_for every pooled loop in statsize goes through. A
+// deterministic parallel_for that Monte Carlo's trial chunks go through. A
 // single knob sets the thread count everywhere:
 //
 //   * runtime::set_threads(n)      — programmatic (CLI --jobs)
@@ -10,12 +10,11 @@
 // value): its parallel_for calls then use at most that many threads, caller
 // included. The cap is thread-local and never changes the pool.
 //
-// Where the pool is used (DESIGN.md §7): the forward level sweeps of
-// run_ssta and run_sta (one parallel_for per TimingView level, on views of
-// at least 192 gates) and Monte Carlo trial chunks. Everything else — the
-// reduced-space tape and its adjoint, hess_vec, the augmented-Lagrangian
-// and Problem evaluations, the dirty-cone worklist — is a serial loop;
-// DESIGN.md §7 records what that measured.
+// Where the pool is used (DESIGN.md §7): Monte Carlo trial chunks
+// (run_monte_carlo and monte_carlo_criticality), and nothing else. The SSTA
+// and STA sweeps, the reduced-space tape and its adjoint, hess_vec, the
+// augmented-Lagrangian and Problem evaluations and the dirty-cone worklist
+// are serial loops; DESIGN.md §7 records what that measured.
 //
 // Determinism contract: a parallel_for body writes only index-keyed slots,
 // and any cross-item fold runs afterwards on the calling thread in a fixed

@@ -4,14 +4,12 @@
 //   * Determinism. parallel_for hands each index range to exactly one
 //     participant and all outputs go to disjoint slots chosen by index, so a
 //     result never depends on which worker ran which chunk. Reductions are
-//     NOT performed here — callers combine per-block partials in block order
-//     (runtime.h provides the helpers), which is what makes parallel results
-//     bit-identical at any thread count.
-//   * Cheap dispatch. Workers are persistent and park on an epoch counter
-//     (a sense-reversing barrier generalized to a 64-bit epoch). Publishing
-//     a parallel region is: write the region descriptor, bump the epoch,
-//     wake any sleepers. No heap allocation, no std::function, no per-helper
-//     queue traffic — workers claim chunks straight off the region's atomic
+//     NOT performed here — callers combine per-block partials in block order,
+//     which is what makes parallel results bit-identical at any thread count.
+//   * Plain dispatch. Its one caller is Monte Carlo, whose chunks run for
+//     milliseconds, so a region is published under one mutex and a sleeping
+//     team is woken through a condition variable. No heap allocation, no
+//     std::function: participants claim chunks off the region's atomic
 //     cursor.
 //   * Nested safety. A parallel_for issued from inside a region (from a
 //     worker, or from the calling thread while it executes its own chunks)
@@ -26,24 +24,20 @@
 //     they drain, and only the first `budget - 1` workers claim chunks.
 //   * Exceptions. The first exception thrown by any chunk is captured, the
 //     chunk cursor is exhausted so further claims stop, and the exception is
-//     rethrown on the calling thread after the end-of-region barrier.
+//     rethrown on the calling thread once the region is over.
 //
-// Region protocol (full-team epoch barrier):
-//   1. The owner takes for_mutex_ (try_lock; see "Many callers"), fills the
-//      single reusable region descriptor, and bumps epoch_ (seq_cst release
-//      of the descriptor).
-//   2. Every worker observes the epoch change (spinning briefly, then
-//      sleeping on sleep_cv_), drains chunks off the cursor if its index is
-//      inside the region's budget, and arrives at the end barrier (arrived_)
-//      either way. The owner drains chunks too.
-//   3. The owner waits until arrived_ == workers, then resets the barrier.
-//      Because the whole team checks in every epoch, no stale worker can
-//      ever touch a reused descriptor — which is what makes the single
-//      descriptor safe without per-call allocation or generation tags.
-// The idle pool costs nothing: workers spin a short bounded budget and then
-// block on a condition variable; a seq_cst Dekker handshake between the
-// owner's (bump epoch, read sleepers_) and the workers' (raise sleepers_,
-// re-check epoch under the sleep mutex) makes lost wakeups impossible.
+// Region protocol (one mutex, two condition variables):
+//   1. The owner takes for_mutex_ (try_lock; see "Many callers"). Under
+//      mutex_ it fills the single reusable region descriptor, bumps
+//      generation_, sets running_ to the number of claiming workers, and
+//      wakes the team on work_cv_.
+//   2. A worker waits on work_cv_ for a generation it has not seen. If its
+//      index is inside the region's budget it drains chunks off the cursor,
+//      then decrements running_ under mutex_; the last one out signals
+//      done_cv_. The owner drains chunks too.
+//   3. The owner waits on done_cv_ for running_ == 0. Every claimer is
+//      counted in running_, so none can miss a generation or still be
+//      reading the descriptor when the next region reuses it.
 
 #pragma once
 
@@ -102,9 +96,9 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain, RangeFn body, int budget = 0);
 
  private:
-  /// The single reusable parallel_for descriptor. Plain fields are published
-  /// by the epoch bump and quiesced by the end barrier; only the cursor is
-  /// contended while a region runs.
+  /// The single reusable parallel_for descriptor. Plain fields are written
+  /// under mutex_ before the generation bump and stay fixed until running_
+  /// drops to 0; only the cursor is contended while a region runs.
   struct Region {
     std::size_t n = 0;
     std::size_t grain = 1;
@@ -117,30 +111,21 @@ class ThreadPool {
 
   void worker_main(std::size_t index);
   void drain_region();
-  void wake_sleepers();
 
-  std::vector<std::thread> workers_;
-
-  // Region state (owner-written between barriers, worker-read during one).
   std::mutex for_mutex_;  // held by the region's owner; busy callers run inline
+
+  // Guarded by mutex_. The owner writes region_ under it; claimers then read
+  // region_ without it until running_ drops to 0 (the cursor is atomic).
+  std::mutex mutex_;
   Region region_;
-  std::mutex error_mutex_;
-  std::exception_ptr error_;  // first failure of the current region
+  std::condition_variable work_cv_;  // a new generation, or stop_
+  std::condition_variable done_cv_;  // running_ reached 0
+  std::uint64_t generation_ = 0;     // regions published so far
+  std::size_t running_ = 0;          // claiming workers still draining
+  std::exception_ptr error_;         // first failure of the current region
+  bool stop_ = false;
 
-  // Epoch barrier. epoch_ publishes regions; arrived_ collects the team at
-  // the end of one. Separate cache lines: epoch_ is read in every spin
-  // iteration while arrived_ is written once per worker per region.
-  alignas(64) std::atomic<std::uint64_t> epoch_{0};
-  alignas(64) std::atomic<std::size_t> arrived_{0};
-  std::mutex owner_mutex_;
-  std::condition_variable owner_cv_;
-
-  // Sleep machinery: workers raise sleepers_ before blocking; publishers
-  // (epoch bump, stop) read it to decide whether a wake is needed.
-  alignas(64) std::atomic<std::size_t> sleepers_{0};
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace statsize::runtime

@@ -7,9 +7,10 @@
 // job's CancelScope chain and its ThreadBudget live on its executor, and a
 // pool region carries its owner's chain to the workers that drain it — so
 // jobs on different executors never see each other's deadline or token.
-// They share the one runtime::ThreadPool: the job that finds it free fans
-// out, the others run their regions on their own executor. Every path gives
-// the CLI's bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
+// Only Monte Carlo jobs use the one runtime::ThreadPool: the job that finds
+// it free fans its trial chunks out, the others run their chunks on their
+// own executor; every sweep runs on its executor. Every path gives the CLI's
+// bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
 // server answers 429) or rejects; an idle executor pops the oldest queued

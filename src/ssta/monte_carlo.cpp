@@ -146,7 +146,7 @@ void run_chunk(const netlist::TimingView& view, const DelayParams& params,
   t_scratch.bind(view);
   std::vector<double>& arrival = t_scratch.arrival;
   const int first = static_cast<int>(chunk) * kChunkSamples;
-  const int last = std::min(first + kChunkSamples, options.num_samples);
+  const int last = first + std::min(kChunkSamples, options.num_samples - first);
   for (int trial = first; trial < last; ++trial) {
     auto sample_delay = [&](NodeId id) {
       double t = params.mu[static_cast<std::size_t>(id)] +

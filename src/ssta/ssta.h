@@ -32,9 +32,8 @@ struct TimingReport {
 /// an ECO-edited copy works the same) given per-node gate delays (from
 /// DelayCalculator::all_delays or custom). `input_arrival` applies to every
 /// primary input; per-input schedules can be passed via the overload.
-/// Views of at least 192 gates are swept level by level on the global
-/// runtime pool when it has more than one thread; each gate's fold is a
-/// fixed serial computation, so results are identical at any thread count.
+/// The sweep walks the gates in topological order on the calling thread, in
+/// one short pass that polls no cancel token.
 TimingReport run_ssta(const netlist::TimingView& view,
                       const std::vector<stat::NormalRV>& gate_delays,
                       const std::vector<stat::NormalRV>& input_arrivals);

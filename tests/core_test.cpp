@@ -361,8 +361,7 @@ TEST(ReducedEvaluatorTest, GradientIsBitwiseStableAcrossCallsAndEvaluators) {
   // An evaluator reused across points keeps a forward tape and adjoint
   // scratch between calls; none of it may leak into a later answer. The
   // gradient at x after a detour through another point equals the first one
-  // and a fresh evaluator's, bit for bit. apex1 (982 gates) is above the
-  // parallel gate cutoff, so the forward sweep takes the pooled path.
+  // and a fresh evaluator's, bit for bit, on apex1 (982 gates).
   const Circuit c = netlist::make_mcnc_like("apex1");
   const ReducedEvaluator reused(c, {0.25, 0.02});
   std::vector<double> x(static_cast<std::size_t>(c.num_nodes()));

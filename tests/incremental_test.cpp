@@ -296,9 +296,9 @@ TEST(IncrementalEngine, WholeLevelBatchMatchesFullRecompute) {
 }
 
 TEST(IncrementalEngine, SameEditsGiveSameBitsAndWorkAtAnyThreadCount) {
-  // The engine primes its caches with a pooled full analysis and then runs a
-  // serial worklist: arrivals, Tmax and the per-call work counters of an
-  // edit sequence must not depend on --jobs.
+  // The engine primes its caches with a full analysis and then runs a
+  // worklist, both serial: arrivals, Tmax and the per-call work counters of
+  // an edit sequence must not depend on --jobs.
   const Circuit c = small_dag(300, 41);
   const std::vector<NodeId>& gates = c.view().gates_in_topo_order();
   const std::vector<std::vector<TimingEdit>> batches = {
@@ -345,8 +345,8 @@ TEST(IncrementalEngine, SameEditsGiveSameBitsAndWorkAtAnyThreadCount) {
 void run_edit_sequence_property(int jobs) {
   runtime::set_threads(jobs);
 
-  // ~300 gates: comfortably above the parallel gate cutoff so the pooled
-  // forward sweeps actually run at jobs > 1.
+  // ~300 gates, swept serially at any jobs value: the property pins that
+  // the thread count changes no answer.
   const Circuit c = small_dag(300, 77);
   const ssta::SigmaModel sigma{};
   IncrementalEngine engine(c.view(), unit_speed(c.view()), sigma);

@@ -1,9 +1,9 @@
 // Tests for the parallel execution runtime (src/runtime/): thread-pool
 // lifecycle, exception propagation, nested regions, regions from several
-// threads at once, per-thread budgets and cancel scopes, the levelized
-// scheduler's finalization contract, and — the load-bearing property — that
-// SSTA, Monte Carlo and NLP evaluation produce bit-identical results at any
-// thread count (serial path, --jobs 1, --jobs N).
+// threads at once, per-thread budgets and cancel scopes, and — the
+// load-bearing property — that SSTA, Monte Carlo and NLP evaluation produce
+// bit-identical results at any thread count (serial path, --jobs 1,
+// --jobs N).
 
 #include <algorithm>
 #include <atomic>
@@ -191,6 +191,8 @@ TEST(Runtime, JobsEnvMalformedValuesFallBackWithNamedWarning) {
       {"abc", "expected an integer"},
       {"4x", "expected an integer"},
       {"3.5", "expected an integer"},
+      {" 4", "expected an integer"},
+      {"\t4", "expected an integer"},
       {"", "empty value"},
       {"0", ">= 1"},
       {"-2", ">= 1"},
@@ -563,8 +565,8 @@ TEST(Determinism, TapedForwardTmaxEqualsEvalAcrossThreadCounts) {
 
 TEST(Determinism, KernelsBitwiseEqualAcrossThreadCounts) {
   // The full acceptance matrix: --jobs {1,2,4} for every kernel a sizing run
-  // uses — the pooled ones (SSTA level sweep, Monte Carlo, criticality) and
-  // the serial ones that run beside them (hess_vec, the adjoint) — all
+  // uses — the pooled ones (Monte Carlo, criticality) and the serial ones
+  // that run beside them (the SSTA sweep, hess_vec, the adjoint) — all
   // bit-identical to the 1-thread reference.
   ThreadGuard guard;
   const netlist::Circuit c = medium_dag(300);

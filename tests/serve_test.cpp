@@ -639,9 +639,8 @@ TEST_F(ServeTest, ListAndPatchResponsesReportTheCircuitsShape) {
 }
 
 TEST_F(ServeTest, ServedSstaOnAPooledCircuitIsBitIdenticalAtAnyJobs) {
-  // apex1 (982 gates) is above the parallel gate cutoff, so a job's "jobs"
-  // value decides whether the forward level sweep runs on the pool. The
-  // answer must be the in-process one either way.
+  // apex1 (982 gates) at two "jobs" values: the forward sweep is serial at
+  // any budget, so the answer must be the in-process one either way.
   StartServer();
   const std::string text = apex1_blif();
   const std::string key = client_->upload(text, "blif", "apex1");
@@ -690,10 +689,9 @@ TEST_F(ServeTest, JobsValueIsAPerJobBudgetThatLeavesTheDaemonSetting) {
 }
 
 TEST_F(ServeTest, PooledSstaFinishesWhileAMonteCarloJobHoldsThePool) {
-  // A long Monte Carlo job owns the pool's region. An apex1 ssta job (above
-  // the pooled-sweep cutoff) on another executor finds the pool busy, runs
-  // its level sweeps on its own executor, and finishes first, with the
-  // in-process bits.
+  // A long Monte Carlo job owns the pool's region. An apex1 ssta job on
+  // another executor sweeps serially on that executor, never waits for the
+  // pool, and finishes first, with the in-process bits.
   StartServer();
   if (server_->scheduler().executors() < 2) GTEST_SKIP() << "one executor: jobs run in turn";
   const std::string text = apex1_blif();

@@ -391,9 +391,8 @@ TEST(SizerReducedSpace, ConstrainedObjectiveValueIsTheObjectiveAlone) {
 }
 
 TEST(SizerReducedSpace, EvaluationCountsAreThreadCountInvariant) {
-  // k2 is above the pooled forward-sweep cutoff. Counts are deterministic
-  // work measures, so they match across --jobs like the result bits; the
-  // solve is capped to keep the test short.
+  // Counts on k2 are deterministic work measures, so they match across
+  // --jobs like the result bits; the solve is capped to keep the test short.
   const Circuit c = netlist::make_mcnc_like("k2");
   SizingSpec spec;
   spec.objective = Objective::min_area();
