@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/reduced_space.h"
+#include "core/sizer.h"
 #include "netlist/generators.h"
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
@@ -112,6 +113,60 @@ void BM_AdjointGradient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * p.num_gates);
 }
 BENCHMARK(BM_AdjointGradient)->Arg(100)->Arg(1000);
+
+// Taped forward sweeps on Table 1 circuits. EveryGateMoved alternates two
+// speed vectors that differ at every gate, so each call walks the whole
+// circuit through the dirty-cone worklist; Cold drops the tape first and
+// records it from scratch. The two should cost the same.
+std::vector<double> random_speeds(const netlist::Circuit& c, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> s(1.0, 2.0);
+  std::vector<double> out(static_cast<std::size_t>(c.num_nodes()), 1.0);
+  for (netlist::NodeId g : c.view().gates_in_topo_order()) {
+    out[static_cast<std::size_t>(g)] = s(rng);
+  }
+  return out;
+}
+
+void BM_TapedForwardEveryGateMoved(benchmark::State& state, const char* name) {
+  const netlist::Circuit c = netlist::make_mcnc_like(name);
+  const core::ReducedEvaluator eval(c, {0.25, 0.0});
+  const std::vector<double> speeds[2] = {random_speeds(c, 7), random_speeds(c, 8)};
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.taped_forward(speeds[k ^= 1]).mu);
+  }
+  state.SetItemsProcessed(state.iterations() * c.num_gates());
+}
+BENCHMARK_CAPTURE(BM_TapedForwardEveryGateMoved, apex2, "apex2");
+BENCHMARK_CAPTURE(BM_TapedForwardEveryGateMoved, k2, "k2");
+
+void BM_TapedForwardCold(benchmark::State& state, const char* name) {
+  const netlist::Circuit c = netlist::make_mcnc_like(name);
+  core::ReducedEvaluator eval(c, {0.25, 0.0});
+  const std::vector<double> speed = random_speeds(c, 7);
+  for (auto _ : state) {
+    eval.invalidate();
+    benchmark::DoNotOptimize(eval.taped_forward(speed).mu);
+  }
+  state.SetItemsProcessed(state.iterations() * c.num_gates());
+}
+BENCHMARK_CAPTURE(BM_TapedForwardCold, apex2, "apex2");
+BENCHMARK_CAPTURE(BM_TapedForwardCold, k2, "k2");
+
+// One whole reduced-space solve: the size job `statsize serve` runs on apex2
+// (min mu + 3 sigma, projected L-BFGS over taped sweeps and adjoints).
+void BM_ProjectedLbfgsApex2Reduced(benchmark::State& state) {
+  const netlist::Circuit c = netlist::make_mcnc_like("apex2");
+  core::SizingSpec spec;
+  spec.objective = core::Objective::min_delay(3.0);
+  core::SizerOptions opt;
+  opt.method = core::Method::kReducedSpace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::Sizer(c, spec).run(opt).objective_value);
+  }
+}
+BENCHMARK(BM_ProjectedLbfgsApex2Reduced)->Unit(benchmark::kMillisecond);
 
 void BM_MonteCarloTiming(benchmark::State& state) {
   // One full MC characterization (1000 samples) — the cost the paper avoids

@@ -74,10 +74,9 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
     report.add("GRF006", "timing graph",
                std::to_string(stats.level_widths.size()) + " levels at mean width " +
                    fmt(stats.mean_level_width) +
-                   ": the barriered critical path is serial and caps parallel speedup at " +
-                   fmt(stats.mean_level_width) + "x",
-               "deep-narrow circuits gain more from batching independent jobs than from "
-               "intra-sweep parallelism");
+                   ": each job's sweeps and adjoint level walk run one long dependent chain",
+               "deep-narrow circuits gain throughput from independent jobs side by side (the "
+               "serve executors), not from within one job");
   }
 
   if (stats_out != nullptr) *stats_out = stats;

@@ -3,8 +3,8 @@
 //
 // The raw numbers come from netlist::compute_view_stats / check_view_-
 // invariants; this module judges them: CSR soundness (GRF001/002), fanout
-// hot spots (GRF004), correlation blind spots (GRF005), and Amdahl ceilings
-// (GRF006). Everything is deterministic: a pure function of the view.
+// hot spots (GRF004), correlation blind spots (GRF005), and deep-narrow
+// shapes (GRF006). Everything is deterministic: a pure function of the view.
 
 #pragma once
 

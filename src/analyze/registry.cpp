@@ -42,7 +42,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       // -- TimingView graph analytics (statsize audit) -----------------------
       {"GRF001", "graph", Severity::kError, "csr-invariant-violation",
        "the compiled TimingView violates a CSR invariant (edge symmetry, topo order, level "
-       "partition) the parallel sweeps rely on"},
+       "partition) the sweeps, the cone walk and the adjoint's level walk rely on"},
       {"GRF002", "graph", Severity::kError, "zero-width-level",
        "the level partition contains an empty level, which a sound finalize() can never emit "
        "(every level holds at least one gate by construction)"},
@@ -53,8 +53,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "the reconvergence ratio is high; independence SSTA underestimates correlation here "
        "(consider the canonical correlation-aware engine)"},
       {"GRF006", "graph", Severity::kNote, "deep-narrow-graph",
-       "logic depth dwarfs the mean level width: the sweep's critical path is serial and "
-       "Amdahl caps any level-parallel speedup"},
+       "logic depth dwarfs the mean level width: every serial sweep and the adjoint's "
+       "level walk follow one long dependent chain, so only jobs side by side add throughput"},
       // -- cell library / sigma model / size tables -------------------------
       {"LIB001", "library", Severity::kError, "non-positive-intrinsic-delay",
        "a cell's intrinsic delay t_int is zero or negative"},

@@ -93,8 +93,6 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
     f.structure_built = true;
   }
 
-  const ssta::DelayCalculator calc(view, sigma_model_);
-
   // Incremental is sound only when the tape is valid and the view is
   // unedited since it was written (speed-diff dirt only); any edit bumps
   // view.epoch() and forces a cold tape.
@@ -104,36 +102,22 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
   // nor something adjoint() may read.
   f.valid = false;
 
-  if (!incremental) {
-    // Cold tape: every delay computed and every gate seeded unconditionally
-    // — a gate whose delay equals the zeroed slot bit for bit must still
-    // fold its fanins and record its steps.
+  if (incremental) {
+    f.cone.mark_speed_changes(view, f.speed.data(), speed.data());
+  } else {
+    // Cold tape: every gate refolds, even one whose delay equals the zeroed
+    // slot bit for bit, so every slice is recorded.
     f.arrival.assign(n, NormalRV{});
     f.delay.assign(n, NormalRV{});
-    for (NodeId g : view.gates_in_topo_order()) {
-      f.delay[static_cast<std::size_t>(g)] = calc.delay(g, speed);
-      f.cone.seed(view, g);
-    }
-  } else {
-    // Delay-dirty set: speed-diff gates, each widened by its gate fanins (a
-    // driver's load carries the edited gate's c_in * S term).
-    for (NodeId g : view.gates_in_topo_order()) {
-      const std::size_t i = static_cast<std::size_t>(g);
-      if (std::memcmp(&speed[i], &f.speed[i], sizeof(double)) != 0) f.cone.mark_edit(view, g);
-    }
-    f.cone.recompute_dirty(view, [&](NodeId g) {
-      const NormalRV d = calc.delay(g, speed);
-      NormalRV& slot = f.delay[static_cast<std::size_t>(g)];
-      if (ssta::same_bits(d, slot)) return false;
-      slot = d;
-      return true;
-    });
+    f.cone.mark_all();
   }
 
-  // Refold the seeded cone level by level, recording each gate's steps into
-  // its own slice (operand A = the running accumulator). A gate not refolded
-  // has bitwise-identical fanin arrivals, hence an identical slice already.
-  f.last_recomputes = f.cone.drain(view, [&](NodeId g) {
+  // One forward walk over the marked cone, recording each refolded gate's
+  // steps into its own slice (operand A = the running accumulator). A gate
+  // not refolded has bitwise-identical fanin arrivals, hence an identical
+  // slice already.
+  const ssta::DelayCalculator calc(view, sigma_model_);
+  f.last_recomputes = f.cone.walk(view, calc, speed, f.delay, [&](NodeId g) {
     const std::size_t i = static_cast<std::size_t>(g);
     ClarkGrad* steps = f.steps.data() + f.step_begin[i];
     const NormalRV u = ssta::fold_max(
@@ -144,7 +128,7 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
     if (ssta::same_bits(a, f.arrival[i])) return false;
     f.arrival[i] = a;
     return true;
-  });
+  }).refolds;
 
   // The primary-output fold is always re-recorded (it is O(outputs) and its
   // operand-A accumulator depends on every output's arrival).

@@ -13,18 +13,13 @@
 // tape, run only where the optimizer accepts the point.
 //
 // Both sweeps are serial (DESIGN.md §7), so results are equal at any thread
-// count.
-//
-// ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
-// delays, recorded Clark steps) across calls. The forward sweep runs on
-// ssta::ConeWorklist: only the gates whose speed changed are delay-dirty, and
-// only the cone they reach is refolded; the adjoint runs over the patched
-// tape. A gate not refolded has bitwise-identical fanin arrivals, hence
-// bitwise-identical cached steps, so the incremental gradient is
-// bit-identical to a cold evaluation (pinned by tests and
-// bench/eco_incremental). A cold tape is the same worklist with every gate
-// seeded; an edit to the view bumps view.epoch(), and a tape written at
-// another epoch is never reused, so an edited view gives a cold tape.
+// count. The evaluator keeps its forward tape (arrivals, delays, recorded
+// Clark steps) across calls (DESIGN.md §12): the forward sweep is one
+// ssta::ConeWorklist walk that refolds only the cone of the gates whose
+// speed moved, and a gate not refolded has bitwise-identical fanin arrivals,
+// hence identical cached steps, so the gradient is bit-identical to a cold
+// one. A cold tape is the same walk with every gate marked; an edit bumps
+// view.epoch(), and a tape of another epoch is never reused.
 
 #pragma once
 

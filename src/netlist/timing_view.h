@@ -13,9 +13,9 @@
 //     per-fanout-edge precomputed sink C_in, so load_capacitance (eq. 14's
 //     C_load + sum C_in,i S_i) is a contiguous dot product with no Node or
 //     CellLibrary chasing,
-//   * the topological order, the gates-only topological order, the primary
-//     outputs, and the CSR level partition the dirty-cone worklist and the
-//     adjoint walk,
+//   * the topological order, the gates-only topological order the sweeps and
+//     the dirty-cone worklist walk, the primary outputs, and the CSR level
+//     partition the adjoint walks,
 //   * the node names, in one immutable table every copy of the view shares
 //     (full-space variable names and diagnostics read them).
 //
@@ -259,7 +259,7 @@ struct TimingViewStats {
 /// the circuit has more outputs); 0 skips cone statistics entirely.
 TimingViewStats compute_view_stats(const TimingView& view, int max_cone_samples = 64);
 
-/// Self-check of the CSR invariants the parallel sweeps rely on (offsets
+/// Self-check of the CSR invariants the sweeps rely on (offsets
 /// monotone and exactly tiling, edge targets in range, fanin/fanout symmetry,
 /// topological order consistent with edges, level partition matching the
 /// per-node level array, every gate in exactly one level). Returns one

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
+#include "nlp/tron.h"
 #include "runtime/cancel.h"
 
 namespace statsize::nlp {
@@ -15,15 +15,6 @@ constexpr double kMinStep = 1e-14;
 
 double clamp_to_box(double v, double lo, double hi) { return std::min(std::max(v, lo), hi); }
 
-double pg_norm(const std::vector<double>& x, const std::vector<double>& g,
-               const std::vector<double>& lo, const std::vector<double>& hi) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    worst = std::max(worst, std::abs(clamp_to_box(x[i] - g[i], lo[i], hi[i]) - x[i]));
-  }
-  return worst;
-}
-
 }  // namespace
 
 LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<double>& x,
@@ -33,18 +24,28 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) x[i] = clamp_to_box(x[i], lower[i], upper[i]);
 
+  // One ring of kHistory + 1 pair slots, allocated once: pair(0..count-1)
+  // are the kept pairs, oldest first; pair(count) holds a candidate until it
+  // passes the curvature test. A slot caches s and y gathered onto the free
+  // coordinates, and their restricted s.y, s.s, y.y, until the free set moves.
   struct Pair {
-    std::vector<double> s, y;
+    std::vector<double> s, y, s_free, y_free;
+    double sy = 0.0, ss = 0.0, yy = 0.0, rho = 0.0, alpha = 0.0;
+    bool cached = false;
   };
-  std::deque<Pair> history;
+  std::vector<Pair> ring(kHistory + 1);
+  for (Pair& p : ring) p.s = p.y = p.s_free = p.y_free = std::vector<double>(n);
+  std::size_t head = 0;
+  std::size_t count = 0;
+  const auto pair = [&](std::size_t k) -> Pair& { return ring[(head + k) % ring.size()]; };
 
   std::vector<double> g(n);
   std::vector<double> g_new(n);
   std::vector<double> d(n);
+  std::vector<double> d_free(n);
   std::vector<double> x_new(n);
   std::vector<std::size_t> free_idx;
-  std::vector<double> alpha_buf;
-  std::vector<double> rho_free;
+  std::vector<std::size_t> last_free_idx;
 
   LbfgsResult result;
   double f = fn.value(x);
@@ -55,7 +56,7 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
   // Every exit reports the point it returns.
   auto report = [&] {
     result.objective = f;
-    result.projected_gradient = pg_norm(x, g, lower, upper);
+    result.projected_gradient = projected_gradient_norm(x, g, lower, upper);
   };
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -74,43 +75,60 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
       const bool active = (x[i] <= lower[i] && g[i] > 0.0) || (x[i] >= upper[i] && g[i] < 0.0);
       if (!active) free_idx.push_back(i);
     }
-    auto dot_free = [&](const std::vector<double>& a, const std::vector<double>& b) {
-      double s = 0.0;
-      for (std::size_t i : free_idx) s += a[i] * b[i];
-      return s;
+    if (free_idx != last_free_idx) {
+      for (Pair& p : ring) p.cached = false;
+      last_free_idx = free_idx;
+    }
+    const std::size_t nf = free_idx.size();
+    // Every restricted sum runs in free-coordinate order.
+    const auto dot_free = [nf](const std::vector<double>& a, const std::vector<double>& b) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < nf; ++j) sum += a[j] * b[j];
+      return sum;
     };
 
-    // Two-loop recursion for d = -H g on the free coordinates. A pair whose
-    // restricted curvature s.y is not safely positive is skipped this
-    // iteration (rho_free = 0), and gamma comes from the newest pair kept.
-    std::fill(d.begin(), d.end(), 0.0);
-    for (std::size_t i : free_idx) d[i] = g[i];
-    alpha_buf.assign(history.size(), 0.0);
-    rho_free.assign(history.size(), 0.0);
+    // Two-loop recursion for d = -H g on the free coordinates, gathered into
+    // d_free. A pair whose restricted curvature s.y is not safely positive
+    // is skipped this iteration (rho = 0), and gamma comes from the newest
+    // pair kept.
+    for (std::size_t j = 0; j < nf; ++j) d_free[j] = g[free_idx[j]];
     double gamma = 1.0;
     bool used_pairs = false;
-    for (std::size_t k = history.size(); k-- > 0;) {
-      const Pair& p = history[k];
-      const double sy = dot_free(p.s, p.y);
-      const double ss = dot_free(p.s, p.s);
-      const double yy = dot_free(p.y, p.y);
-      if (!(sy > 1e-10 * std::sqrt(ss * yy))) continue;
-      rho_free[k] = 1.0 / sy;
+    for (std::size_t k = count; k-- > 0;) {
+      Pair& p = pair(k);
+      if (!p.cached) {
+        double sy = 0.0, ss = 0.0, yy = 0.0;
+        for (std::size_t j = 0; j < nf; ++j) {
+          const double sj = p.s_free[j] = p.s[free_idx[j]];
+          const double yj = p.y_free[j] = p.y[free_idx[j]];
+          sy += sj * yj;
+          ss += sj * sj;
+          yy += yj * yj;
+        }
+        p.sy = sy;
+        p.ss = ss;
+        p.yy = yy;
+        p.cached = true;
+      }
+      p.rho = 0.0;
+      if (!(p.sy > 1e-10 * std::sqrt(p.ss * p.yy))) continue;
+      p.rho = 1.0 / p.sy;
       if (!used_pairs) {
-        gamma = sy / std::max(yy, 1e-30);
+        gamma = p.sy / std::max(p.yy, 1e-30);
         used_pairs = true;
       }
-      alpha_buf[k] = rho_free[k] * dot_free(p.s, d);
-      for (std::size_t i : free_idx) d[i] -= alpha_buf[k] * p.y[i];
+      p.alpha = p.rho * dot_free(p.s_free, d_free);
+      for (std::size_t j = 0; j < nf; ++j) d_free[j] -= p.alpha * p.y_free[j];
     }
-    for (std::size_t i : free_idx) d[i] *= gamma;
-    for (std::size_t k = 0; k < history.size(); ++k) {
-      if (rho_free[k] == 0.0) continue;
-      const Pair& p = history[k];
-      const double beta = rho_free[k] * dot_free(p.y, d);
-      for (std::size_t i : free_idx) d[i] += (alpha_buf[k] - beta) * p.s[i];
+    for (std::size_t j = 0; j < nf; ++j) d_free[j] *= gamma;
+    for (std::size_t k = 0; k < count; ++k) {
+      const Pair& p = pair(k);
+      if (p.rho == 0.0) continue;
+      const double beta = p.rho * dot_free(p.y_free, d_free);
+      for (std::size_t j = 0; j < nf; ++j) d_free[j] += (p.alpha - beta) * p.s_free[j];
     }
-    for (std::size_t i : free_idx) d[i] = -d[i];
+    std::fill(d.begin(), d.end(), 0.0);
+    for (std::size_t j = 0; j < nf; ++j) d[free_idx[j]] = -d_free[j];
 
     // Projected Armijo backtracking along P(x + a d). If the quasi-Newton
     // direction fails outright (a free coordinate at a bound can still be
@@ -121,7 +139,7 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
       if (attempt == 1) {
         if (!used_pairs) break;  // d already was -g on the free set
         ++result.restarts;
-        history.clear();
+        count = 0;
         for (std::size_t i = 0; i < n; ++i) d[i] = -g[i];
       }
       double step = 1.0;
@@ -137,12 +155,9 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
         if (f_new <= f + 1e-4 * gt_dx + 1e-12 * (1.0 + std::abs(f))) {
           fn.gradient(g_new);
           ++result.gradient_evals;
-          Pair p;
-          p.s.resize(n);
-          p.y.resize(n);
-          double sy = 0.0;
-          double ss = 0.0;
-          double yy = 0.0;
+          // The candidate goes into the free slot after the newest pair.
+          Pair& p = pair(count);
+          double sy = 0.0, ss = 0.0, yy = 0.0;
           for (std::size_t i = 0; i < n; ++i) {
             p.s[i] = x_new[i] - x[i];
             p.y[i] = g_new[i] - g[i];
@@ -150,9 +165,10 @@ LbfgsResult minimize_projected_lbfgs(const LbfgsObjective& fn, std::vector<doubl
             ss += p.s[i] * p.s[i];
             yy += p.y[i] * p.y[i];
           }
-          if (sy > 1e-10 * std::sqrt(ss * yy)) {
-            history.push_back(std::move(p));
-            if (history.size() > kHistory) history.pop_front();
+          if (sy > 1e-10 * std::sqrt(ss * yy)) {  // kept; a full ring drops its oldest
+            p.cached = false;
+            head = (head + (count == kHistory ? 1 : 0)) % ring.size();
+            count = std::min(count + 1, kHistory);
           }
           x = x_new;
           f = f_new;

@@ -588,9 +588,10 @@ void JobScheduler::run_job(Job& job, double t_start) {
 }
 
 std::string JobScheduler::compute(Job& job) {
-  // The job's thread budget: caps this executor's parallel_for calls and
-  // leaves the pool, and every later job, alone.
-  const runtime::ThreadBudget budget(job.params.jobs);
+  // The job's thread budget: one thread, its executor's, unless the job asks
+  // for more. The executors are the daemon's parallelism; a Monte Carlo job
+  // that stacked pool workers on top of them would slow every other job.
+  const runtime::ThreadBudget budget(job.params.jobs == 0 ? 1 : job.params.jobs);
 
   // Analysis jobs run under one CancelScope: a tripped token or expired
   // deadline unwinds the sweep (no partial results). Sizing routes the

@@ -7,10 +7,12 @@
 // job's CancelScope chain and its ThreadBudget live on its executor, and a
 // pool region carries its owner's chain to the workers that drain it — so
 // jobs on different executors never see each other's deadline or token.
-// Only Monte Carlo jobs use the one runtime::ThreadPool: the job that finds
-// it free fans its trial chunks out, the others run their chunks on their
-// own executor; every sweep runs on its executor. Every path gives the CLI's
-// bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
+// The executors are the daemon's one source of parallelism: a job runs on
+// its executor alone unless it asks for more. Only a Monte Carlo job with an
+// explicit `jobs` >= 2 uses the one runtime::ThreadPool: if it finds the
+// pool free it fans its trial chunks out, else it runs them on its own
+// executor. Every path gives the CLI's bits (index-keyed chunk outputs).
+// DESIGN.md §11 expands on this.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
 // server answers 429) or rejects; an idle executor pops the oldest queued
@@ -65,7 +67,7 @@ struct JobParams {
                              ///< SizerOptions::time_limit_seconds (honest
                              ///< kTimeLimit checkpoint comes back as kDone).
   int jobs = 0;              ///< the job's thread budget (clamped to the
-                             ///< pool size); 0 = the daemon's setting
+                             ///< pool size); 0 = one thread, its executor
 
   // Delay model.
   double sigma_kappa = 0.25;

@@ -74,9 +74,8 @@ NormalRV IncrementalEngine::apply_edits(const std::vector<TimingEdit>& edits) {
     }
   }
 
-  // Phase 1 — apply edits, collecting the delay-dirty set: the edited gate
-  // (its own delay divides by its speed and reads its t_int / c) plus its
-  // gate fanins (their load carries the edited gate's c_in * speed term).
+  // Phase 1 — apply edits, marking the edited gate (its delay reads its own
+  // speed, t_int and c) and, for a speed or c_in edit, its gate fanins.
   for (const TimingEdit& e : edits) {
     const std::size_t i = static_cast<std::size_t>(e.node);
     if (e.kind == TimingEdit::Kind::kSpeed) {
@@ -93,31 +92,25 @@ NormalRV IncrementalEngine::apply_edits(const std::vector<TimingEdit>& edits) {
       if (old.c_in != e.params.c_in) {
         cone_.mark_edit(view_, e.node);
       } else {
-        cone_.mark(view_, e.node);
+        cone_.mark(e.node);
       }
     }
   }
 
-  // Phase 2 — recompute dirty delays; a bitwise-changed delay seeds the
-  // worklist. load_capacitance here is pinned bit-identical to the batched
-  // pass full_recompute uses (timing_view.h).
-  const DelayCalculator calc(view_, sigma_model_);
-  last_delay_recomputes_ = cone_.recompute_dirty(view_, [&](NodeId g) {
-    const NormalRV d = calc.delay(g, speed_);
-    NormalRV& slot = delay_[static_cast<std::size_t>(g)];
-    if (same_bits(d, slot)) return false;
-    slot = d;
-    return true;
-  });
-
-  // Phases 3 + 4 — level-ordered cone repropagation, then the output fold.
-  last_arrival_recomputes_ = cone_.drain(view_, [&](NodeId g) {
-    const std::size_t i = static_cast<std::size_t>(g);
-    const NormalRV a = stat::add(fold_max(view_.fanins(g), arrival_, stat::clark_max), delay_[i]);
-    if (same_bits(a, arrival_[i])) return false;
-    arrival_[i] = a;
-    return true;
-  });
+  // Phase 2 — one walk over the cone. load_capacitance here is pinned
+  // bit-identical to the batched pass full_recompute uses (timing_view.h).
+  const ConeWorklist::Counts counts =
+      cone_.walk(view_, DelayCalculator(view_, sigma_model_), speed_, delay_, [&](NodeId g) {
+        const std::size_t i = static_cast<std::size_t>(g);
+        const NormalRV a =
+            stat::add(fold_max(view_.fanins(g), arrival_, stat::clark_max), delay_[i]);
+        if (same_bits(a, arrival_[i])) return false;
+        arrival_[i] = a;
+        return true;
+      });
+  last_delay_recomputes_ = counts.delays;
+  last_arrival_recomputes_ = counts.refolds;
+  // Phase 3 — the output fold.
   tmax_ = fold_max(view_.outputs(), arrival_, stat::clark_max);
   return tmax_;
 }

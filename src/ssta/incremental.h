@@ -2,30 +2,16 @@
 // of rebuild-everything-per-query (DESIGN.md §12).
 //
 // IncrementalEngine owns a mutable TimingView *copy* plus the cached per-node
-// delay and arrival moments of the last analysis. apply_edits() accepts a
-// batch of {node, new_speed | new_lib_consts} edits and repropagates only the
-// affected cone:
-//
-//   1. Edits mark a small delay-dirty set — the edited gate itself plus its
-//      gate fanins (a speed or c_in change shifts every driver's load through
-//      the edited gate's pin cap; eq. 14).
-//   2. Dirty delays are recomputed; gates whose delay actually changed
-//      (bitwise) seed the level-bucketed ConeWorklist (ssta/propagate.h).
-//   3. Levels are drained in ascending order: each queued gate refolds its
-//      fanin arrivals (run_ssta's fold_max) and, iff the resulting arrival
-//      differs bitwise from the cached one, enqueues its fanouts. A
-//      bitwise-unchanged arrival terminates propagation — every downstream
-//      read would see identical inputs, so downstream results are already
-//      correct to the last bit.
-//   4. The primary-output fold recomputes Tmax.
-//
-// Determinism: each gate's fold is a self-contained serial computation that
-// reads strictly-lower-level arrivals and writes its own slot, so the order
-// gates *within* one level bucket are evaluated in cannot change any value.
-// The folds are run_ssta's own, in fixed edge / mark_output order. Hence
-// every answer is bit-identical to a full run_ssta recompute on the edited
-// view, at any --jobs, which is what tests and bench/eco_incremental
-// hard-check.
+// delay and arrival moments of the last analysis. apply_edits() takes a batch
+// of {node, new_speed | new_lib_consts} edits, marks the edited gates and
+// their gate fanins delay-dirty (a speed or c_in change shifts every driver's
+// load; eq. 14), and runs one ConeWorklist walk (ssta/propagate.h): a dirty
+// gate recomputes its delay, a changed delay or fanin arrival refolds it
+// with run_ssta's fold_max, and only a bitwise-changed arrival reaches its
+// fanouts. The primary-output fold then recomputes Tmax. Each fold is
+// run_ssta's own, in fixed edge / mark_output order, over final inputs, so
+// every answer is bit-identical to a full run_ssta on the edited view, which
+// tests and bench/eco_incremental hard-check.
 
 #pragma once
 

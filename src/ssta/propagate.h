@@ -7,18 +7,24 @@
 // convention (operand A = accumulator, operand B = the next node in list
 // order) lives in exactly one place and the copies cannot drift.
 //
-// ConeWorklist is the one edit -> dirty-cone -> level-bucket worklist that
+// ConeWorklist is the one edit -> dirty-cone worklist that
 // IncrementalEngine::apply_edits and ReducedEvaluator::taped_forward share
-// (DESIGN.md §12). A cold tape is the same worklist with every gate seeded.
+// (DESIGN.md §12): one forward walk over a bitmap of topological gate
+// positions.
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "netlist/timing_view.h"
+#include "ssta/delay_model.h"
 #include "stat/normal.h"
 
 namespace statsize::ssta {
@@ -51,89 +57,140 @@ inline bool same_bits(const stat::NormalRV& a, const stat::NormalRV& b) {
          std::memcmp(&a.var, &b.var, sizeof(double)) == 0;
 }
 
-/// Level-ordered dirty-cone repropagation over one TimingView's structure:
+/// One-pass dirty-cone repropagation over one TimingView's structure, kept
+/// as two bitmaps over positions in gates_in_topo_order(): delay-dirty gates
+/// (mark, mark_edit, mark_speed_changes) and gates queued for a refold.
+/// mark_all() flags and queues every gate: a cold sweep.
 ///
-///   1. mark() / mark_edit() collect the delay-dirty gates;
-///   2. recompute_dirty(recompute) calls recompute(g) -> changed on each and
-///      seeds the gates whose delay changed;
-///   3. drain(refold) visits the seeded gates level by level, lowest first,
-///      calling refold(g) -> changed; a changed arrival seeds g's fanouts.
-///
-/// A gate reads only strictly-lower-level arrivals and its fanouts sit at
-/// strictly higher levels, so the bucket being drained never grows and the
-/// order within a level cannot change any value. Serial by design: the cone
-/// is the small case this exists for. The view is passed to each call rather
-/// than held, so an owner that embeds its view may be moved.
+/// walk() visits the flagged positions in ascending order. A dirty gate
+/// recomputes its delay slot; a bitwise-changed delay or a queued gate calls
+/// refold(g) -> changed, and a changed arrival queues g's fanouts. A gate
+/// reads only arrivals of earlier positions and its fanouts sit at later
+/// ones, and a delay reads no arrival, so one forward pass is exact. Serial
+/// by design: the cone is the small case this exists for. The view is passed
+/// to each call rather than held, so an owner that embeds it may be moved.
 class ConeWorklist {
  public:
+  struct Counts {
+    std::size_t delays = 0, refolds = 0;  ///< delays recomputed, arrivals refolded
+  };
+
   ConeWorklist() = default;
   explicit ConeWorklist(const netlist::TimingView& view)
-      : dirty_mask_(static_cast<std::size_t>(view.num_nodes()), 0),
-        queued_mask_(static_cast<std::size_t>(view.num_nodes()), 0),
-        bucket_(static_cast<std::size_t>(view.num_levels())) {}
-
-  /// Marks gate `g` delay-dirty (primary inputs have no delay and are
-  /// ignored).
-  void mark(const netlist::TimingView& view, netlist::NodeId g) {
-    if (!view.is_gate(g)) return;
-    unsigned char& m = dirty_mask_[static_cast<std::size_t>(g)];
-    if (!m) {
-      m = 1;
-      dirty_.push_back(g);
+      : position_(static_cast<std::size_t>(view.num_nodes()), -1),
+        dirty_((view.gates_in_topo_order().size() + 63) / 64, 0),
+        queued_(dirty_.size(), 0) {
+    const std::vector<netlist::NodeId>& order = view.gates_in_topo_order();
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      position_[static_cast<std::size_t>(order[p])] = static_cast<int>(p);
     }
+    fanout_offset_.push_back(0);
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      for (const netlist::NodeId fo : view.fanouts(order[p])) {
+        fanout_.push_back(position_[static_cast<std::size_t>(fo)]);
+        fanout_bit_.push_back(static_cast<unsigned char>(p % 64));
+      }
+      fanout_offset_.push_back(fanout_.size());
+    }
+  }
+
+  /// Marks gate `g` delay-dirty (primary inputs have no delay: ignored).
+  void mark(netlist::NodeId g) {
+    const int p = position_[static_cast<std::size_t>(g)];
+    if (p >= 0) flag(dirty_, static_cast<std::size_t>(p));
   }
 
   /// An edit of `g`'s speed or pin capacitance: `g` itself plus its gate
   /// fanins, whose loads carry g's c_in * S term (eq. 14).
   void mark_edit(const netlist::TimingView& view, netlist::NodeId g) {
-    mark(view, g);
-    for (const netlist::NodeId f : view.fanins(g)) mark(view, f);
+    mark(g);
+    for (const netlist::NodeId f : view.fanins(g)) mark(f);
   }
 
-  /// Queues gate `g` for a refold at its level (idempotent until drained).
-  void seed(const netlist::TimingView& view, netlist::NodeId g) {
-    unsigned char& m = queued_mask_[static_cast<std::size_t>(g)];
-    if (m) return;
-    m = 1;
-    // Gate levels are 1-based (inputs sit at level 0).
-    bucket_[static_cast<std::size_t>(view.level(g) - 1)].push_back(g);
-  }
-
-  /// recompute(g) -> changed for every marked gate, in mark order; seeds
-  /// the changed ones and clears the dirty set. Returns the number of
-  /// delays recomputed.
-  template <class Recompute>
-  std::size_t recompute_dirty(const netlist::TimingView& view, Recompute&& recompute) {
-    for (const netlist::NodeId g : dirty_) {
-      dirty_mask_[static_cast<std::size_t>(g)] = 0;
-      if (recompute(g)) seed(view, g);
+  /// mark_edit of every gate whose speed differs bitwise between `from` and
+  /// `to` (by NodeId), gathered per gate: a gate is dirty when its own or a
+  /// fanout's speed moved. Each word's fanout edges are one contiguous run,
+  /// tagged with their driver's bit, so a word is built in a register.
+  void mark_speed_changes(const netlist::TimingView& view, const double* from,
+                          const double* to) {
+    const std::vector<netlist::NodeId>& order = view.gates_in_topo_order();
+    moved_.resize(order.size());
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      const std::size_t i = static_cast<std::size_t>(order[p]);
+      moved_[p] = std::bit_cast<std::uint64_t>(from[i]) != std::bit_cast<std::uint64_t>(to[i]);
     }
-    const std::size_t count = dirty_.size();
-    dirty_.clear();
-    return count;
-  }
-
-  /// Drains the buckets; returns the number of gates refolded.
-  template <class Refold>
-  std::size_t drain(const netlist::TimingView& view, Refold&& refold) {
-    std::size_t refolded = 0;
-    for (std::vector<netlist::NodeId>& bucket : bucket_) {
-      refolded += bucket.size();
-      for (const netlist::NodeId g : bucket) {
-        queued_mask_[static_cast<std::size_t>(g)] = 0;
-        if (!refold(g)) continue;
-        for (const netlist::NodeId fo : view.fanouts(g)) seed(view, fo);
+    for (std::size_t w = 0; w < dirty_.size(); ++w) {
+      const std::size_t end = std::min(order.size(), w * 64 + 64);
+      std::uint64_t bits = 0;
+      for (std::size_t p = w * 64; p < end; ++p) bits |= std::uint64_t{moved_[p]} << (p % 64);
+      for (std::size_t e = fanout_offset_[w * 64]; e < fanout_offset_[end]; ++e) {
+        bits |= std::uint64_t{moved_[static_cast<std::size_t>(fanout_[e])]} << fanout_bit_[e];
       }
-      bucket.clear();
+      dirty_[w] |= bits;
     }
-    return refolded;
+  }
+
+  void mark_all() {
+    for (std::size_t w = 0; w < dirty_.size(); ++w) {
+      const std::size_t left = fanout_offset_.size() - 1 - w * 64;  // gates from word w on
+      dirty_[w] = queued_[w] = left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
+    }
+  }
+
+  /// The one forward pass, recomputing dirty delays with `calc` at `speed`
+  /// into `delay`; clears both bitmaps.
+  template <class Refold>
+  Counts walk(const netlist::TimingView& view, const DelayCalculator& calc,
+              const std::vector<double>& speed, std::vector<stat::NormalRV>& delay,
+              Refold&& refold) {
+    const netlist::NodeId* order = view.gates_in_topo_order().data();
+    Counts counts;
+    for (std::size_t w = 0; w < dirty_.size(); ++w) {
+      std::uint64_t dirty = std::exchange(dirty_[w], 0);
+      std::uint64_t queued = std::exchange(queued_[w], 0);
+      while (dirty | queued) {
+        const std::uint64_t bit = (dirty | queued) & -(dirty | queued);
+        const std::size_t p = w * 64 + static_cast<std::size_t>(std::countr_zero(bit));
+        const netlist::NodeId g = order[p];
+        bool run = (queued & bit) != 0;
+        if (dirty & bit) {
+          ++counts.delays;
+          const stat::NormalRV d = calc.delay(g, speed);
+          stat::NormalRV& slot = delay[static_cast<std::size_t>(g)];
+          run = run || !same_bits(d, slot);
+          slot = d;
+        }
+        dirty &= ~bit;
+        queued &= ~bit;
+        if (!run) continue;
+        ++counts.refolds;
+        if (!refold(g)) continue;
+        // Fanouts sit at later positions: this word's stay in the register.
+        for (std::size_t e = fanout_offset_[p]; e < fanout_offset_[p + 1]; ++e) {
+          const std::size_t q = static_cast<std::size_t>(fanout_[e]);
+          if (q / 64 == w) {
+            queued |= std::uint64_t{1} << (q % 64);
+          } else {
+            flag(queued_, q);
+          }
+        }
+      }
+    }
+    return counts;
   }
 
  private:
-  std::vector<netlist::NodeId> dirty_;
-  std::vector<unsigned char> dirty_mask_;
-  std::vector<unsigned char> queued_mask_;
-  std::vector<std::vector<netlist::NodeId>> bucket_;  ///< per gate level
+  static void flag(std::vector<std::uint64_t>& bits, std::size_t p) {
+    bits[p / 64] |= std::uint64_t{1} << (p % 64);
+  }
+
+  std::vector<int> position_;  ///< NodeId -> topological gate position; -1 for inputs
+  std::vector<std::size_t> fanout_offset_;  ///< fanouts as positions, CSR by position
+  std::vector<int> fanout_;
+  std::vector<unsigned char> fanout_bit_;  ///< per fanout edge: its driver's bit in its word
+  std::vector<std::uint64_t> dirty_;       ///< delay to recompute
+  std::vector<std::uint64_t> queued_;      ///< arrival to refold
+  std::vector<unsigned char> moved_;       ///< mark_speed_changes scratch, by position
 };
 
 }  // namespace statsize::ssta

@@ -128,7 +128,9 @@ TEST(TimingViewEdit, UpdateNodeParamsRewritesConstantsAndPinCaps) {
     const netlist::NodeSpan outs = view.fanouts(driver);
     const double* cin = view.fanout_cin(driver);
     for (std::size_t e = 0; e < outs.size(); ++e) {
-      if (outs[e] == g) EXPECT_EQ(cin[e], p.c_in);
+      if (outs[e] == g) {
+        EXPECT_EQ(cin[e], p.c_in);
+      }
     }
   }
   // The Circuit's own compiled snapshot is untouched.
@@ -429,6 +431,84 @@ TEST_F(EditSequenceProperty, Jobs4) { run_edit_sequence_property(4); }
 
 // ---------------------------------------------------------------------------
 // ReducedEvaluator cache behaviour.
+
+/// Applies `steps` seeded edit batches (1-4 edits each: mostly speeds in
+/// [1, 3], one in four a t_int / c_in rescale) to an engine on `c` at seeded
+/// speeds, checks every step against full_recompute() bit for bit, and
+/// returns each step's delay and arrival recompute counts.
+std::vector<std::size_t> seeded_edit_work(const Circuit& c, unsigned seed, int steps) {
+  const TimingView& view = c.view();
+  const std::vector<NodeId>& gates = view.gates_in_topo_order();
+  std::mt19937 rng(seed);
+  const auto draw_speed = [&rng] { return 1.0 + static_cast<double>(rng() % 1001) / 500.0; };
+  std::vector<double> speed = unit_speed(view);
+  for (const NodeId g : gates) speed[static_cast<std::size_t>(g)] = draw_speed();
+  IncrementalEngine engine(view, speed, {0.25, 0.0});
+  std::vector<std::size_t> work;
+  for (int step = 0; step < steps; ++step) {
+    std::vector<TimingEdit> batch;
+    const unsigned edits = 1 + rng() % 4;
+    for (unsigned e = 0; e < edits; ++e) {
+      const NodeId g = gates[rng() % gates.size()];
+      if (rng() % 4 != 0) {
+        batch.push_back(TimingEdit::set_speed(g, draw_speed()));
+        continue;
+      }
+      NodeParams p = engine.view().node_params(g);
+      p.t_int *= 0.9 + static_cast<double>(rng() % 201) / 1000.0;
+      p.c_in *= 0.9 + static_cast<double>(rng() % 201) / 1000.0;
+      batch.push_back(TimingEdit::set_params(g, p));
+    }
+    engine.apply_edits(batch);
+    work.push_back(engine.last_delay_recomputes());
+    work.push_back(engine.last_arrival_recomputes());
+
+    IncrementalEngine full = engine;
+    full.full_recompute();
+    for (std::size_t i = 0; i < full.arrivals().size(); ++i) {
+      expect_rv_eq(engine.arrivals()[i], full.arrivals()[i]);
+    }
+    expect_rv_eq(engine.tmax(), full.tmax());
+  }
+  return work;
+}
+
+TEST(IncrementalEngine, SeededEditSequencesKeepTheirPinnedWork) {
+  // The cone walk's work is part of its contract: which gates recompute a
+  // delay and which refold is fixed by the edits, not by the order the walk
+  // visits them in. Pairs of (delays, arrivals) per step.
+  const std::vector<std::size_t> k2 = seeded_edit_work(netlist::make_mcnc_like("k2"), 7, 12);
+  const std::vector<std::size_t> apex1 =
+      seeded_edit_work(netlist::make_mcnc_like("apex1"), 11, 12);
+  EXPECT_EQ(k2, (std::vector<std::size_t>{3, 746, 3, 10, 1, 1318, 4, 371, 8, 793, 11, 1278,
+                                           10, 935, 4, 297, 5, 461, 9, 1167, 5, 924, 3, 916}));
+  EXPECT_EQ(apex1, (std::vector<std::size_t>{8, 771, 11, 747, 6, 826, 8, 850, 3, 34, 3, 372,
+                                              8, 710, 4, 710, 8, 584, 3, 602, 6, 374, 3, 307}));
+}
+
+TEST(ReducedEvaluatorCache, StepThatMovesEveryGateEqualsAColdTape) {
+  // Two speed vectors that differ at every gate: the second taped_forward
+  // walks the whole circuit through the cone, and must leave the tape a
+  // cold one would, Tmax and gradient to the bit.
+  const Circuit c = netlist::make_mcnc_like("k2");
+  const ssta::SigmaModel sigma{0.25, 0.0};
+  std::vector<double> first = unit_speed(c.view());
+  std::vector<double> second = unit_speed(c.view());
+  for (const NodeId g : c.view().gates_in_topo_order()) {
+    first[static_cast<std::size_t>(g)] = 1.5;
+    second[static_cast<std::size_t>(g)] = 1.0 + 0.001 * static_cast<double>(g % 997);
+  }
+  core::ReducedEvaluator warm(c.view(), sigma);
+  std::vector<double> g_warm;
+  std::vector<double> g_cold;
+  warm.eval_with_grad(first, 1.0, 0.1, g_warm);
+  const stat::NormalRV t_warm = warm.eval_with_grad(second, 1.0, 0.1, g_warm);
+  EXPECT_EQ(warm.last_forward_recomputes(), static_cast<std::size_t>(c.view().num_gates()));
+  const core::ReducedEvaluator cold(c.view(), sigma);
+  const stat::NormalRV t_cold = cold.eval_with_grad(second, 1.0, 0.1, g_cold);
+  expect_rv_eq(t_warm, t_cold);
+  EXPECT_EQ(g_warm, g_cold);
+}
 
 TEST(ReducedEvaluatorCache, ConeReEvalTouchesFewerGatesThanFullSweep) {
   const Circuit c = small_dag(300, 41);

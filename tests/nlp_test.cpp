@@ -770,6 +770,71 @@ TEST(ProjectedLbfgs, ActiveBoundsKeepCurvatureMemory) {
   for (std::size_t i = 0; i < n; i += 2) EXPECT_EQ(x[i], 1.0) << "coordinate " << i;
 }
 
+TEST(ProjectedLbfgs, CoordinateLeavingTheActiveSetKeepsThePinnedPath) {
+  // 0.5 x'Ax - b'x + 0.25 sum x_i^4 on [0, 1]^6, A = M'M + 0.1 I, with M, b
+  // and the start drawn from mt19937(133) (its output sequence is fixed by
+  // the standard). Coordinate 2 enters the active set, leaves it on the
+  // next iterate and enters again, so the free set changes under kept
+  // curvature pairs, and more pairs are accepted than the history keeps.
+  // The iterate path is pinned: x to the bit and the iteration count.
+  constexpr std::size_t n = 6;
+  std::mt19937 rng(133);
+  auto draw = [&rng] { return static_cast<double>(rng() % 20001) / 10000.0 - 1.0; };
+  std::vector<double> m(n * n);
+  std::vector<double> b(n);
+  std::vector<double> x(n);
+  for (double& v : m) v = draw();
+  for (double& v : b) v = 2.0 * draw();
+  for (double& v : x) v = 0.5 + 0.5 * draw();
+  std::vector<double> a(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < n; ++k) sum += m[k * n + i] * m[k * n + j];
+      a[i * n + j] = sum + (i == j ? 0.1 : 0.0);
+    }
+  }
+  const auto times_a = [&a](const std::vector<double>& v, std::size_t i) {
+    double r = 0.0;
+    for (std::size_t j = 0; j < n; ++j) r += a[i * n + j] * v[j];
+    return r;
+  };
+  const std::vector<double> lo(n, 0.0);
+  const std::vector<double> hi(n, 1.0);
+  std::vector<double> at;
+  std::vector<bool> active_2;  // coordinate 2 at each gradient point
+  const LbfgsObjective fn{
+      [&](const std::vector<double>& v) {
+        at = v;
+        double f = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          f += 0.5 * v[i] * times_a(v, i) - b[i] * v[i] + 0.25 * v[i] * v[i] * v[i] * v[i];
+        }
+        return f;
+      },
+      [&](std::vector<double>& g) {
+        g.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          g[i] = times_a(at, i) - b[i] + at[i] * at[i] * at[i];
+        }
+        active_2.push_back((at[2] <= lo[2] && g[2] > 0.0) || (at[2] >= hi[2] && g[2] < 0.0));
+      }};
+
+  const LbfgsResult r = minimize_projected_lbfgs(fn, x, lo, hi);
+  ASSERT_TRUE(r.converged);
+  const auto entered = std::find(active_2.begin(), active_2.end(), true);
+  ASSERT_NE(entered, active_2.end());
+  EXPECT_NE(std::find(entered, active_2.end(), false), active_2.end())
+      << "coordinate 2 never leaves the active set";
+  EXPECT_EQ(r.iterations, 14);
+  EXPECT_EQ(r.value_evals, 14);
+  EXPECT_EQ(r.gradient_evals, 14);
+  const std::vector<double> pinned = {0.36090008564255621, 0.0, 0.0, 0.029016336698978375, 0.0,
+                                      0.60918480917445572};
+  EXPECT_EQ(x, pinned);
+  EXPECT_EQ(r.objective, -0.84556272473541483);
+}
+
 // Randomized equality-constrained quadratics: min ||x - a||^2 s.t. b^T x = 1.
 // Closed form: x* = a + (1 - b.a)/(b.b) * b.
 class AugLagRandomQuadratic : public ::testing::TestWithParam<int> {};

@@ -21,6 +21,7 @@
 #include "netlist/blif.h"
 #include "netlist/generators.h"
 #include "netlist/timing_view.h"
+#include "runtime/fault.h"
 #include "runtime/runtime.h"
 #include "runtime/signal.h"
 #include "serve/circuit_cache.h"
@@ -689,15 +690,16 @@ TEST_F(ServeTest, JobsValueIsAPerJobBudgetThatLeavesTheDaemonSetting) {
 }
 
 TEST_F(ServeTest, PooledSstaFinishesWhileAMonteCarloJobHoldsThePool) {
-  // A long Monte Carlo job owns the pool's region. An apex1 ssta job on
-  // another executor sweeps serially on that executor, never waits for the
-  // pool, and finishes first, with the in-process bits.
+  // A long Monte Carlo job, which asks for 4 threads, owns the pool's
+  // region. An apex1 ssta job on another executor sweeps serially on that
+  // executor, never waits for the pool, and finishes first, with the
+  // in-process bits.
   StartServer();
   if (server_->scheduler().executors() < 2) GTEST_SKIP() << "one executor: jobs run in turn";
   const std::string text = apex1_blif();
   const std::string key = client_->upload(text, "blif", "apex1");
   const std::string mc =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000"));
+      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000, \"jobs\": 4"));
   WaitUntilRunning(mc);
 
   const util::JsonValue doc = client_->wait(client_->submit(job_body(key, "ssta")), 0.01, 60.0);
@@ -712,6 +714,42 @@ TEST_F(ServeTest, PooledSstaFinishesWhileAMonteCarloJobHoldsThePool) {
 
   EXPECT_EQ(client_->cancel(mc).status, 200);
   EXPECT_EQ(client_->wait(mc, 0.02, 60.0).string_or("state", ""), "cancelled");
+}
+
+TEST_F(ServeTest, DefaultMonteCarloJobRunsNoPoolRegionAndJobsFourUsesThePool) {
+  // A served job runs on its executor alone unless it asks for more. With
+  // the pool.chunk fault armed, a default Monte Carlo job claims no pool
+  // chunk and returns the in-process bits, while "jobs": 4 runs a pool
+  // region and meets the fault. Unarmed, "jobs": 4 returns the same bits.
+  StartServer();
+  const std::string text = apex1_blif();
+  const std::string key = client_->upload(text, "blif", "apex1");
+  std::istringstream in(text);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  ssta::MonteCarloOptions mc;
+  mc.num_samples = 3000;
+  mc.seed = 11;
+  const ssta::MonteCarloResult reference = ssta::run_monte_carlo(
+      circuit.view(), ssta::DelayCalculator(circuit, {}).all_delays(speed), mc);
+  const std::string params = "\"samples\": 3000, \"seed\": 11";
+  const std::string pooled_body = job_body(key, "monte_carlo", params + ", \"jobs\": 4");
+  const auto expect_reference = [&](const util::JsonValue& doc) {
+    ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+    EXPECT_EQ(doc.find("result")->number_or("mean", -1.0), reference.mean);
+    EXPECT_EQ(doc.find("result")->number_or("stddev", -1.0), reference.stddev);
+  };
+  {
+    const runtime::fault::ScopedFault armed("pool.chunk:1");
+    expect_reference(client_->wait(client_->submit(job_body(key, "monte_carlo", params))));
+    if (runtime::threads() >= 2) {
+      const util::JsonValue pooled = client_->wait(client_->submit(pooled_body));
+      EXPECT_EQ(pooled.string_or("state", ""), "failed");
+      EXPECT_NE(pooled.string_or("error", "").find("pool.chunk"), std::string::npos)
+          << pooled.string_or("error", "");
+    }
+  }
+  expect_reference(client_->wait(client_->submit(pooled_body)));
 }
 
 TEST_F(ServeTest, QueuedInteractiveJobStartsBeforeAnEarlierQueuedMonteCarloJob) {
@@ -766,7 +804,8 @@ TEST_F(ServeTest, MixedConcurrentJobsAreBitIdenticalToInProcessRuns) {
   const std::string bodies[] = {
       job_body(apex1, "ssta"),
       job_body(apex1, "sta"),
-      job_body(apex1, "monte_carlo", "\"samples\": 3000, \"seed\": 11"),
+      // 4 threads, so the Monte Carlo jobs contend for the pool.
+      job_body(apex1, "monte_carlo", "\"samples\": 3000, \"seed\": 11, \"jobs\": 4"),
       job_body(c17, "size", "\"method\": \"reduced\""),
   };
   constexpr int kClients = 4;
@@ -809,16 +848,18 @@ TEST_F(ServeTest, MixedConcurrentJobsAreBitIdenticalToInProcessRuns) {
 }
 
 TEST_F(ServeTest, DeletingOneRunningJobLeavesAConcurrentOneDone) {
-  // Two jobs run side by side; cancelling one trips only its own token.
+  // Two jobs run side by side; cancelling one trips only its own token. Both
+  // ask for 4 threads: the doomed job owns the pool, the survivor runs its
+  // chunks on its own executor.
   StartServer();
   if (server_->scheduler().executors() < 2) GTEST_SKIP() << "one executor: jobs run in turn";
   const std::string text = apex1_blif();
   const std::string key = client_->upload(text, "blif", "apex1");
   const std::string doomed =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000"));
+      client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000, \"jobs\": 4"));
   WaitUntilRunning(doomed);
-  const std::string survivor =
-      client_->submit(job_body(key, "monte_carlo", "\"samples\": 20000, \"seed\": 5"));
+  const std::string survivor = client_->submit(
+      job_body(key, "monte_carlo", "\"samples\": 20000, \"seed\": 5, \"jobs\": 4"));
   WaitUntilRunning(survivor);
   EXPECT_EQ(client_->cancel(doomed).status, 200);
   EXPECT_EQ(client_->wait(doomed, 0.01, 60.0).string_or("state", ""), "cancelled");
