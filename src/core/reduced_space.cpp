@@ -1,10 +1,8 @@
 #include "core/reduced_space.h"
 
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "netlist/timing_view.h"
 #include "ssta/propagate.h"
@@ -103,13 +101,18 @@ NormalRV ReducedEvaluator::taped_forward(const std::vector<double>& speed) const
   f.valid = false;
 
   if (incremental) {
-    f.cone.mark_speed_changes(view, f.speed.data(), speed.data());
+    // Delay-dirty set: speed-diff gates, each widened by its gate fanins (a
+    // driver's load carries the edited gate's c_in * S term).
+    for (NodeId g : view.gates_in_topo_order()) {
+      const std::size_t i = static_cast<std::size_t>(g);
+      if (std::memcmp(&speed[i], &f.speed[i], sizeof(double)) != 0) f.cone.mark_edit(view, g);
+    }
   } else {
     // Cold tape: every gate refolds, even one whose delay equals the zeroed
     // slot bit for bit, so every slice is recorded.
     f.arrival.assign(n, NormalRV{});
     f.delay.assign(n, NormalRV{});
-    f.cone.mark_all();
+    f.cone.mark_all(view);
   }
 
   // One forward walk over the marked cone, recording each refolded gate's

@@ -6,10 +6,9 @@
 //   * STATSIZE_JOBS=<n>            — environment default
 //   * std::thread::hardware_concurrency() otherwise
 //
-// A thread may cap its own share with a ThreadBudget: its parallel_for calls
-// then use at most that many threads, caller included. The cap is
-// thread-local and never changes the pool. A served job runs at a budget of
-// 1 (its executor alone) unless its `jobs` value asks for more.
+// A thread may cap its own share with a ThreadBudget (a served job's,
+// DESIGN.md §11): its parallel_for calls then use at most that many threads,
+// caller included. The cap is thread-local and never changes the pool.
 //
 // Where the pool is used (DESIGN.md §7): Monte Carlo trial chunks
 // (run_monte_carlo and monte_carlo_criticality), and nothing else. The SSTA

@@ -525,6 +525,7 @@ void JobScheduler::executor_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
     double t_start = 0.0;
+    bool alone = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -544,17 +545,18 @@ void JobScheduler::executor_loop() {
                                               std::memory_order_acq_rel)) {
         continue;
       }
-      // Stamped under the scheduler lock, so start stamps follow pop order
-      // across executors.
+      // Stamped and counted under the scheduler lock, so start stamps follow
+      // pop order across executors and each claim sees every earlier one.
+      alone = running_.fetch_add(1) == 0;
       t_start = now_ms();
       std::lock_guard<std::mutex> jlock(job->mu);
       job->started_ms = t_start;
     }
-    run_job(*job, t_start);
+    run_job(*job, t_start, alone);
   }
 }
 
-void JobScheduler::run_job(Job& job, double t_start) {
+void JobScheduler::run_job(Job& job, double t_start, bool alone) {
   if (metrics_) {
     metrics_->jobs_running.inc();
     metrics_->queue_wait_ms.record(t_start - job.submitted_ms);
@@ -565,6 +567,7 @@ void JobScheduler::run_job(Job& job, double t_start) {
     // Simulated executor crash: the job dies mid-flight with NO terminal
     // journal record — exactly what a restart after SIGKILL would find. The
     // in-process outcome mirrors what recovery replay would surface.
+    running_.fetch_sub(1);
     finish(job, JobState::kInterrupted, {},
            "interrupted: executor crashed (injected serve.executor.crash)", Ending::kCrash);
     return;
@@ -574,7 +577,7 @@ void JobScheduler::run_job(Job& job, double t_start) {
   std::string result;
   std::string error;
   try {
-    result = compute(job);
+    result = compute(job, alone);
   } catch (const runtime::OperationCancelled& e) {
     state = JobState::kCancelled;
     error = e.reason() == runtime::CancelReason::kDeadline
@@ -584,14 +587,14 @@ void JobScheduler::run_job(Job& job, double t_start) {
     state = JobState::kFailed;
     error = e.what();
   }
+  running_.fetch_sub(1);
   finish(job, state, std::move(result), std::move(error));
 }
 
-std::string JobScheduler::compute(Job& job) {
-  // The job's thread budget: one thread, its executor's, unless the job asks
-  // for more. The executors are the daemon's parallelism; a Monte Carlo job
-  // that stacked pool workers on top of them would slow every other job.
-  const runtime::ThreadBudget budget(job.params.jobs == 0 ? 1 : job.params.jobs);
+std::string JobScheduler::compute(Job& job, bool alone) {
+  // Without a `jobs` value a job gets the daemon's setting if it started
+  // alone, else one thread: pool workers atop busy executors slow every job.
+  const runtime::ThreadBudget budget(job.params.jobs != 0 ? job.params.jobs : alone ? 0 : 1);
 
   // Analysis jobs run under one CancelScope: a tripped token or expired
   // deadline unwinds the sweep (no partial results). Sizing routes the

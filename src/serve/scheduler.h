@@ -7,12 +7,10 @@
 // job's CancelScope chain and its ThreadBudget live on its executor, and a
 // pool region carries its owner's chain to the workers that drain it — so
 // jobs on different executors never see each other's deadline or token.
-// The executors are the daemon's one source of parallelism: a job runs on
-// its executor alone unless it asks for more. Only a Monte Carlo job with an
-// explicit `jobs` >= 2 uses the one runtime::ThreadPool: if it finds the
-// pool free it fans its trial chunks out, else it runs them on its own
-// executor. Every path gives the CLI's bits (index-keyed chunk outputs).
-// DESIGN.md §11 expands on this.
+// Only Monte Carlo jobs use the one runtime::ThreadPool: a job that finds it
+// free fans its trial chunks out (without a `jobs` value, only if it started
+// alone), the others run them on their own executor. Every path gives the
+// CLI's bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
 // server answers 429) or rejects; an idle executor pops the oldest queued
@@ -66,8 +64,8 @@ struct JobParams {
   double deadline_ms = 0.0;  ///< 0 = unlimited. Analysis: hard cancel; size:
                              ///< SizerOptions::time_limit_seconds (honest
                              ///< kTimeLimit checkpoint comes back as kDone).
-  int jobs = 0;              ///< the job's thread budget (clamped to the
-                             ///< pool size); 0 = one thread, its executor
+  int jobs = 0;              ///< the job's thread budget (clamped to the pool
+                             ///< size); 0 = the daemon's setting if alone, else 1
 
   // Delay model.
   double sigma_kappa = 0.25;
@@ -226,11 +224,11 @@ class JobScheduler {
   };
 
   void executor_loop();
-  /// Runs a claimed job; `t_start` is its start stamp.
-  void run_job(Job& job, double t_start);
-  /// Runs the job's engine and returns its result JSON. Throws
-  /// OperationCancelled or the engine's error.
-  std::string compute(Job& job);
+  /// Runs a claimed job; `t_start` is its start stamp, `alone` as for compute().
+  void run_job(Job& job, double t_start, bool alone);
+  /// Runs the job's engine, `alone` if no other job was running at its start,
+  /// and returns its result JSON. Throws OperationCancelled or the engine's error.
+  std::string compute(Job& job, bool alone);
   /// The one admission path; caller holds mu_. Keeps a journaled id (journal
   /// recovery) or assigns the next one and appends the job's admit record,
   /// then registers and queues the job. Throws JournalWriteError when the
@@ -264,6 +262,7 @@ class JobScheduler {
   std::map<std::string, std::string> idem_;  ///< Idempotency-Key -> job id
   std::deque<std::string> finished_;          ///< finished job ids, oldest first
   int next_id_ = 1;
+  std::atomic<int> running_{0};  ///< claimed jobs not yet finished
   bool stopping_ = false;
   bool started_ = false;
   std::vector<std::thread> executors_;

@@ -48,8 +48,7 @@ void IncrementalEngine::full_recompute() {
   TimingReport report = run_ssta(view_, delay_, input_arrivals_);
   arrival_ = std::move(report.arrival);
   tmax_ = report.circuit_delay;
-  last_delay_recomputes_ = static_cast<std::size_t>(view_.num_gates());
-  last_arrival_recomputes_ = static_cast<std::size_t>(view_.num_gates());
+  last_.delays = last_.refolds = static_cast<std::size_t>(view_.num_gates());
 }
 
 NormalRV IncrementalEngine::apply_edits(const std::vector<TimingEdit>& edits) {
@@ -99,17 +98,13 @@ NormalRV IncrementalEngine::apply_edits(const std::vector<TimingEdit>& edits) {
 
   // Phase 2 — one walk over the cone. load_capacitance here is pinned
   // bit-identical to the batched pass full_recompute uses (timing_view.h).
-  const ConeWorklist::Counts counts =
-      cone_.walk(view_, DelayCalculator(view_, sigma_model_), speed_, delay_, [&](NodeId g) {
-        const std::size_t i = static_cast<std::size_t>(g);
-        const NormalRV a =
-            stat::add(fold_max(view_.fanins(g), arrival_, stat::clark_max), delay_[i]);
-        if (same_bits(a, arrival_[i])) return false;
-        arrival_[i] = a;
-        return true;
-      });
-  last_delay_recomputes_ = counts.delays;
-  last_arrival_recomputes_ = counts.refolds;
+  last_ = cone_.walk(view_, DelayCalculator(view_, sigma_model_), speed_, delay_, [&](NodeId g) {
+    const std::size_t i = static_cast<std::size_t>(g);
+    const NormalRV a = stat::add(fold_max(view_.fanins(g), arrival_, stat::clark_max), delay_[i]);
+    if (same_bits(a, arrival_[i])) return false;
+    arrival_[i] = a;
+    return true;
+  });
   // Phase 3 — the output fold.
   tmax_ = fold_max(view_.outputs(), arrival_, stat::clark_max);
   return tmax_;

@@ -89,8 +89,8 @@ class IncrementalEngine {
   // Work counters for the last apply_edits call — the observable "re-analysis
   // cost proportional to cone size" contract (bench/eco_incremental reports
   // them next to wall time).
-  std::size_t last_delay_recomputes() const { return last_delay_recomputes_; }
-  std::size_t last_arrival_recomputes() const { return last_arrival_recomputes_; }
+  std::size_t last_delay_recomputes() const { return last_.delays; }
+  std::size_t last_arrival_recomputes() const { return last_.refolds; }
 
  private:
   netlist::TimingView view_;  ///< owned, mutable copy
@@ -104,8 +104,7 @@ class IncrementalEngine {
 
   ConeWorklist cone_;  ///< persistent to avoid per-call allocation
 
-  std::size_t last_delay_recomputes_ = 0;
-  std::size_t last_arrival_recomputes_ = 0;
+  ConeWorklist::Counts last_;  ///< work of the last apply_edits / full_recompute
 };
 
 }  // namespace statsize::ssta

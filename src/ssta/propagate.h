@@ -9,12 +9,10 @@
 //
 // ConeWorklist is the one edit -> dirty-cone worklist that
 // IncrementalEngine::apply_edits and ReducedEvaluator::taped_forward share
-// (DESIGN.md §12): one forward walk over a bitmap of topological gate
-// positions.
+// (DESIGN.md §12).
 
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -59,8 +57,8 @@ inline bool same_bits(const stat::NormalRV& a, const stat::NormalRV& b) {
 
 /// One-pass dirty-cone repropagation over one TimingView's structure, kept
 /// as two bitmaps over positions in gates_in_topo_order(): delay-dirty gates
-/// (mark, mark_edit, mark_speed_changes) and gates queued for a refold.
-/// mark_all() flags and queues every gate: a cold sweep.
+/// (mark, mark_edit) and gates queued for a refold. mark_all() flags and
+/// queues every gate: a cold sweep.
 ///
 /// walk() visits the flagged positions in ascending order. A dirty gate
 /// recomputes its delay slot; a bitwise-changed delay or a queued gate calls
@@ -84,14 +82,6 @@ class ConeWorklist {
     for (std::size_t p = 0; p < order.size(); ++p) {
       position_[static_cast<std::size_t>(order[p])] = static_cast<int>(p);
     }
-    fanout_offset_.push_back(0);
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      for (const netlist::NodeId fo : view.fanouts(order[p])) {
-        fanout_.push_back(position_[static_cast<std::size_t>(fo)]);
-        fanout_bit_.push_back(static_cast<unsigned char>(p % 64));
-      }
-      fanout_offset_.push_back(fanout_.size());
-    }
   }
 
   /// Marks gate `g` delay-dirty (primary inputs have no delay: ignored).
@@ -107,32 +97,10 @@ class ConeWorklist {
     for (const netlist::NodeId f : view.fanins(g)) mark(f);
   }
 
-  /// mark_edit of every gate whose speed differs bitwise between `from` and
-  /// `to` (by NodeId), gathered per gate: a gate is dirty when its own or a
-  /// fanout's speed moved. Each word's fanout edges are one contiguous run,
-  /// tagged with their driver's bit, so a word is built in a register.
-  void mark_speed_changes(const netlist::TimingView& view, const double* from,
-                          const double* to) {
-    const std::vector<netlist::NodeId>& order = view.gates_in_topo_order();
-    moved_.resize(order.size());
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      const std::size_t i = static_cast<std::size_t>(order[p]);
-      moved_[p] = std::bit_cast<std::uint64_t>(from[i]) != std::bit_cast<std::uint64_t>(to[i]);
-    }
+  void mark_all(const netlist::TimingView& view) {
+    const std::size_t gates = view.gates_in_topo_order().size();
     for (std::size_t w = 0; w < dirty_.size(); ++w) {
-      const std::size_t end = std::min(order.size(), w * 64 + 64);
-      std::uint64_t bits = 0;
-      for (std::size_t p = w * 64; p < end; ++p) bits |= std::uint64_t{moved_[p]} << (p % 64);
-      for (std::size_t e = fanout_offset_[w * 64]; e < fanout_offset_[end]; ++e) {
-        bits |= std::uint64_t{moved_[static_cast<std::size_t>(fanout_[e])]} << fanout_bit_[e];
-      }
-      dirty_[w] |= bits;
-    }
-  }
-
-  void mark_all() {
-    for (std::size_t w = 0; w < dirty_.size(); ++w) {
-      const std::size_t left = fanout_offset_.size() - 1 - w * 64;  // gates from word w on
+      const std::size_t left = gates - w * 64;  // gates from word w on
       dirty_[w] = queued_[w] = left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
     }
   }
@@ -150,8 +118,7 @@ class ConeWorklist {
       std::uint64_t queued = std::exchange(queued_[w], 0);
       while (dirty | queued) {
         const std::uint64_t bit = (dirty | queued) & -(dirty | queued);
-        const std::size_t p = w * 64 + static_cast<std::size_t>(std::countr_zero(bit));
-        const netlist::NodeId g = order[p];
+        const netlist::NodeId g = order[w * 64 + static_cast<std::size_t>(std::countr_zero(bit))];
         bool run = (queued & bit) != 0;
         if (dirty & bit) {
           ++counts.delays;
@@ -166,8 +133,8 @@ class ConeWorklist {
         ++counts.refolds;
         if (!refold(g)) continue;
         // Fanouts sit at later positions: this word's stay in the register.
-        for (std::size_t e = fanout_offset_[p]; e < fanout_offset_[p + 1]; ++e) {
-          const std::size_t q = static_cast<std::size_t>(fanout_[e]);
+        for (const netlist::NodeId fo : view.fanouts(g)) {
+          const std::size_t q = static_cast<std::size_t>(position_[static_cast<std::size_t>(fo)]);
           if (q / 64 == w) {
             queued |= std::uint64_t{1} << (q % 64);
           } else {
@@ -184,13 +151,9 @@ class ConeWorklist {
     bits[p / 64] |= std::uint64_t{1} << (p % 64);
   }
 
-  std::vector<int> position_;  ///< NodeId -> topological gate position; -1 for inputs
-  std::vector<std::size_t> fanout_offset_;  ///< fanouts as positions, CSR by position
-  std::vector<int> fanout_;
-  std::vector<unsigned char> fanout_bit_;  ///< per fanout edge: its driver's bit in its word
-  std::vector<std::uint64_t> dirty_;       ///< delay to recompute
-  std::vector<std::uint64_t> queued_;      ///< arrival to refold
-  std::vector<unsigned char> moved_;       ///< mark_speed_changes scratch, by position
+  std::vector<int> position_;         ///< NodeId -> topological gate position; -1 for inputs
+  std::vector<std::uint64_t> dirty_;  ///< delay to recompute
+  std::vector<std::uint64_t> queued_;  ///< arrival to refold
 };
 
 }  // namespace statsize::ssta

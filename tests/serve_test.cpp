@@ -716,12 +716,17 @@ TEST_F(ServeTest, PooledSstaFinishesWhileAMonteCarloJobHoldsThePool) {
   EXPECT_EQ(client_->wait(mc, 0.02, 60.0).string_or("state", ""), "cancelled");
 }
 
-TEST_F(ServeTest, DefaultMonteCarloJobRunsNoPoolRegionAndJobsFourUsesThePool) {
-  // A served job runs on its executor alone unless it asks for more. With
-  // the pool.chunk fault armed, a default Monte Carlo job claims no pool
-  // chunk and returns the in-process bits, while "jobs": 4 runs a pool
-  // region and meets the fault. Unarmed, "jobs": 4 returns the same bits.
+TEST_F(ServeTest, DefaultMonteCarloJobUsesThePoolOnlyWhenItStartsAlone) {
+  // A job without a "jobs" value runs at the daemon's setting when it starts
+  // alone and on its executor alone while another job runs. With the
+  // pool.chunk fault armed, a default Monte Carlo job beside a running job
+  // claims no pool chunk and returns the in-process bits, while on the idle
+  // daemon it runs a pool region and meets the fault. Unarmed, the default
+  // job and "jobs": 4 return the same bits.
   StartServer();
+  if (server_->scheduler().executors() < 2 || runtime::threads() < 2) {
+    GTEST_SKIP() << "one thread: no job fans out";
+  }
   const std::string text = apex1_blif();
   const std::string key = client_->upload(text, "blif", "apex1");
   std::istringstream in(text);
@@ -733,7 +738,7 @@ TEST_F(ServeTest, DefaultMonteCarloJobRunsNoPoolRegionAndJobsFourUsesThePool) {
   const ssta::MonteCarloResult reference = ssta::run_monte_carlo(
       circuit.view(), ssta::DelayCalculator(circuit, {}).all_delays(speed), mc);
   const std::string params = "\"samples\": 3000, \"seed\": 11";
-  const std::string pooled_body = job_body(key, "monte_carlo", params + ", \"jobs\": 4");
+  const std::string default_body = job_body(key, "monte_carlo", params);
   const auto expect_reference = [&](const util::JsonValue& doc) {
     ASSERT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
     EXPECT_EQ(doc.find("result")->number_or("mean", -1.0), reference.mean);
@@ -741,14 +746,20 @@ TEST_F(ServeTest, DefaultMonteCarloJobRunsNoPoolRegionAndJobsFourUsesThePool) {
   };
   {
     const runtime::fault::ScopedFault armed("pool.chunk:1");
-    expect_reference(client_->wait(client_->submit(job_body(key, "monte_carlo", params))));
-    if (runtime::threads() >= 2) {
-      const util::JsonValue pooled = client_->wait(client_->submit(pooled_body));
-      EXPECT_EQ(pooled.string_or("state", ""), "failed");
-      EXPECT_NE(pooled.string_or("error", "").find("pool.chunk"), std::string::npos)
-          << pooled.string_or("error", "");
-    }
+    const std::string busy =
+        client_->submit(job_body(key, "monte_carlo", "\"samples\": 2000000, \"jobs\": 1"));
+    WaitUntilRunning(busy);
+    expect_reference(client_->wait(client_->submit(default_body)));
+    EXPECT_EQ(client_->cancel(busy).status, 200);
+    EXPECT_EQ(client_->wait(busy, 0.01, 60.0).string_or("state", ""), "cancelled");
+
+    const util::JsonValue alone = client_->wait(client_->submit(default_body));
+    EXPECT_EQ(alone.string_or("state", ""), "failed");
+    EXPECT_NE(alone.string_or("error", "").find("pool.chunk"), std::string::npos)
+        << alone.string_or("error", "");
   }
+  expect_reference(client_->wait(client_->submit(default_body)));
+  const std::string pooled_body = job_body(key, "monte_carlo", params + ", \"jobs\": 4");
   expect_reference(client_->wait(client_->submit(pooled_body)));
 }
 
