@@ -50,7 +50,7 @@ int main() {
   std::printf("\n|--------------|------|------|------|------|------|------|------|\n");
 
   std::map<std::string, std::map<std::string, double>> table;
-  for (const core::Objective obj :
+  for (const core::Objective& obj :
        {core::Objective::min_area(), core::Objective::min_sigma(), core::Objective::max_sigma()}) {
     spec.objective = obj;
     core::SizerOptions opt;

@@ -66,7 +66,7 @@ echo "compiled-graph gate passed"
 # its terminal state. Each of these must have exactly one call site in the
 # scheduler. Definitions start in column 0 and comment lines are exempt.
 # Needs no build.
-echo "== one job lifecycle (one admit, one finish in scheduler.cpp) =="
+echo "== one job lifecycle (one admit, one claim, one finish in scheduler.cpp) =="
 SCHEDULER="$REPO_ROOT/src/serve/scheduler.cpp"
 for site in 'admit_record(' 'end_record(' 'retire_locked(' 'state.store('; do
   calls=$(grep -F "$site" "$SCHEDULER" | grep -E '^[[:space:]]' |
@@ -77,6 +77,18 @@ for site in 'admit_record(' 'end_record(' 'retire_locked(' 'state.store('; do
     exit 1
   fi
 done
+# One claim (DESIGN.md §11): the queued -> running exchange, a
+# compare_exchange_strong whose desired value is JobState::kRunning, has one
+# site, claim_locked(), shared by the executors and the admitting thread.
+# Comment lines are dropped and the rest joined, so a call split over lines
+# still counts.
+claims=$(grep -vE '^[[:space:]]*//' "$SCHEDULER" | tr -s ' \t\n' ' ' |
+  grep -oE 'compare_exchange_strong\([^,;]*, ?JobState::kRunning' | wc -l)
+if [ "$claims" -ne 1 ]; then
+  echo "lifecycle gate FAILED: $claims queued -> running exchanges in src/serve/scheduler.cpp, want 1 (claim_locked):"
+  grep -n 'compare_exchange_strong' "$SCHEDULER"
+  exit 1
+fi
 echo "lifecycle gate passed"
 
 # One Phi/phi kernel (DESIGN.md §5 item 4): stat::normal_terms is the only

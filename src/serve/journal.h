@@ -20,7 +20,8 @@
 //   patch    — a PATCH-derived entry (base key, derived key, edits) replayed
 //              against the recovered base
 //   admit    — job admission (id, type, circuit key, idempotency key, params)
-//   start    — the executor picked the job up
+//   start    — the job was claimed to run (by an executor, or for ssta/sta
+//              by the thread that admitted it)
 //   end      — terminal transition (state done|cancelled|failed, result or
 //              error)
 //

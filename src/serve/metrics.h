@@ -1,6 +1,6 @@
 // serve::Metrics — the daemon's observability registry: monotonic counters,
 // point-in-time gauges, and fixed-bucket latency histograms, all lock-free
-// or small-mutex'd so the socket threads and the job executor can record
+// or small-mutex'd so the socket threads and the job executors can record
 // without contending. GET /v1/stats serializes the whole registry as JSON.
 //
 // Wall-clock note: the repo's determinism contract bans clock reads on
@@ -123,7 +123,7 @@ struct Metrics {
   Counter jobs_interrupted;          ///< running-at-crash jobs surfaced as interrupted
 
   // Latency distributions (milliseconds).
-  Histogram queue_wait_ms;
+  Histogram queue_wait_ms;       ///< admission to claim (~0 for ssta/sta, run at admission)
   Histogram service_ms;          ///< run time across all job types
   Histogram service_analysis_ms; ///< ssta | sta | monte_carlo
   Histogram service_sizing_ms;   ///< size

@@ -59,8 +59,8 @@ JobState job_state_from_name(const std::string& name) {
 /// Serializes params as one JSON object (journal admit records); the inverse
 /// of job_params_from_json. Every field round-trips bit-exactly except
 /// mc_seed, which travels through the JSON layer's double representation and
-/// is exact only up to 2^53 (the server's request parser has the same limit,
-/// so a journaled seed always round-trips to what the client could submit).
+/// is exact only below 2^53 (the server's request parser admits no larger
+/// seed, so a journaled seed always round-trips to what the client wrote).
 void write_job_params(util::JsonWriter& w, const JobParams& p) {
   w.begin_object();
   w.key("deadline_ms").value(p.deadline_ms);
@@ -171,6 +171,9 @@ std::string end_record(const std::string& id, JobState state, const std::string&
   return os.str();
 }
 
+/// ssta and sta jobs are one sweep each: the admitting thread runs them.
+bool runs_at_admission(JobType type) { return type == JobType::kSsta || type == JobType::kSta; }
+
 /// A new job for admission: everything but its id and idempotency key.
 std::shared_ptr<Job> new_job(JobType type, std::shared_ptr<const CachedCircuit> circuit,
                              JobParams params) {
@@ -270,6 +273,7 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
                                                  JobParams params,
                                                  std::string idempotency_key) {
   SubmitOutcome outcome;
+  const bool inline_job = runs_at_admission(type);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ || !started_) return outcome;
@@ -290,14 +294,14 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
         // admission below replaces the mapping, giving retry semantics.
       }
     }
-    if (queue_.size() >= options_.queue_depth) {
+    if (!inline_job && queue_.size() >= options_.queue_depth) {
       if (metrics_) metrics_->jobs_rejected.inc();
       return outcome;
     }
     auto job = new_job(type, std::move(circuit), std::move(params));
     job->idempotency_key = std::move(idempotency_key);
     try {
-      admit_locked(job);
+      admit_locked(job, !inline_job);
     } catch (const JournalWriteError& e) {
       outcome.journal_error = e.what();
       return outcome;
@@ -305,31 +309,40 @@ JobScheduler::SubmitOutcome JobScheduler::submit(JobType type,
     if (metrics_) metrics_->jobs_submitted.inc();
     outcome.job = std::move(job);
   }
-  cv_.notify_one();
+  if (inline_job) {
+    run_inline(*outcome.job);
+  } else {
+    cv_.notify_one();
+  }
   return outcome;
 }
 
 JobScheduler::BatchOutcome JobScheduler::submit_batch(std::vector<JobRequest> requests) {
   BatchOutcome outcome;
   if (requests.empty()) return outcome;
+  const auto queued = static_cast<std::size_t>(
+      std::count_if(requests.begin(), requests.end(),
+                    [](const JobRequest& req) { return !runs_at_admission(req.type); }));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || !started_ || queue_.size() + requests.size() > options_.queue_depth) {
+    if (stopping_ || !started_ || queue_.size() + queued > options_.queue_depth) {
       if (metrics_) metrics_->jobs_rejected.inc(static_cast<std::int64_t>(requests.size()));
       return outcome;
     }
     for (JobRequest& req : requests) {
       auto job = new_job(req.type, std::move(req.circuit), std::move(req.params));
       try {
-        admit_locked(job);
+        admit_locked(job, !runs_at_admission(job->type));
       } catch (const JournalWriteError& e) {
         // All-or-nothing in THIS process: the members admitted so far leave
         // again before mu_ is released, so nothing of the batch was visible
         // and the client's 503 is honest. Their admit records stay in the
         // journal; a crash-recovery would re-admit those as queued jobs
         // (at-least-once).
-        for (const auto& admitted : outcome.jobs) jobs_.erase(admitted->id);
-        queue_.resize(queue_.size() - outcome.jobs.size());
+        for (const auto& admitted : outcome.jobs) {
+          jobs_.erase(admitted->id);
+          if (!runs_at_admission(admitted->type)) queue_.pop_back();
+        }
         if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
         outcome.jobs.clear();
         outcome.journal_error = e.what();
@@ -339,7 +352,10 @@ JobScheduler::BatchOutcome JobScheduler::submit_batch(std::vector<JobRequest> re
     }
     if (metrics_) metrics_->jobs_submitted.inc(static_cast<std::int64_t>(outcome.jobs.size()));
   }
-  cv_.notify_all();
+  if (queued > 0) cv_.notify_all();
+  for (const auto& job : outcome.jobs) {
+    if (runs_at_admission(job->type)) run_inline(*job);
+  }
   return outcome;
 }
 
@@ -356,7 +372,7 @@ void JobScheduler::recover(const util::JsonValue& admit,
   job->idempotency_key = admit.string_or("idempotency_key", "");
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    admit_locked(job);  // a journaled id: no admit record is written
+    admit_locked(job, true);  // a journaled id: no admit record is written
   }
   if (end != nullptr) {
     // Terminal before the crash: pollable again with its exact pre-crash
@@ -381,7 +397,7 @@ void JobScheduler::recover(const util::JsonValue& admit,
   if (metrics_) metrics_->jobs_recovered.inc();
 }
 
-void JobScheduler::admit_locked(const std::shared_ptr<Job>& job) {
+void JobScheduler::admit_locked(const std::shared_ptr<Job>& job, bool queue) {
   if (job->id.empty()) {
     char idbuf[16];
     std::snprintf(idbuf, sizeof(idbuf), "job-%06d", next_id_++);
@@ -406,6 +422,7 @@ void JobScheduler::admit_locked(const std::shared_ptr<Job>& job) {
   job->submitted_ms = now_ms();  // a recovered job's queue wait restarts here
   jobs_[job->id] = job;
   if (!job->idempotency_key.empty()) idem_[job->idempotency_key] = job->id;
+  if (!queue) return;
   queue_.push_back(job);
   if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
 }
@@ -449,7 +466,7 @@ void JobScheduler::finish(Job& job, JobState state, std::string result, std::str
     case JobState::kInterrupted: metrics_->jobs_interrupted.inc(); break;
     default: break;
   }
-  if (t_start > 0.0) {  // it ran on an executor
+  if (t_start > 0.0) {  // it was claimed and ran
     metrics_->jobs_running.dec();
     metrics_->service_ms.record(t_end - t_start);
     if (job.type == JobType::kSize) {
@@ -462,7 +479,7 @@ void JobScheduler::finish(Job& job, JobState state, std::string result, std::str
 
 bool JobScheduler::cancel_queued(Job& job, std::string reason) {
   // Winning this exchange makes this thread the last reader of job.circuit:
-  // the executor skips a job it cannot claim.
+  // claim_locked fails on a job it cannot claim, so nobody runs it.
   JobState expected = JobState::kQueued;
   if (!job.state.compare_exchange_strong(expected, JobState::kCancelled,
                                          std::memory_order_acq_rel)) {
@@ -524,42 +541,52 @@ std::size_t JobScheduler::executors() const {
 void JobScheduler::executor_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
-    double t_start = 0.0;
-    bool alone = false;
+    std::optional<Claim> claim;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      // Interactive jobs (ssta, sta) take microseconds; the oldest one goes
-      // before any queued monte_carlo or size job. FIFO within a class.
-      auto next = std::find_if(queue_.begin(), queue_.end(), [](const auto& j) {
-        return j->type == JobType::kSsta || j->type == JobType::kSta;
-      });
-      if (next == queue_.end()) next = queue_.begin();
-      job = std::move(*next);
-      queue_.erase(next);
+      job = std::move(queue_.front());
+      queue_.pop_front();
       if (metrics_) metrics_->queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-      // Claim: a DELETE may have flipped it to cancelled while queued.
-      JobState expected = JobState::kQueued;
-      if (!job->state.compare_exchange_strong(expected, JobState::kRunning,
-                                              std::memory_order_acq_rel)) {
-        continue;
-      }
-      // Stamped and counted under the scheduler lock, so start stamps follow
-      // pop order across executors and each claim sees every earlier one.
-      alone = running_.fetch_add(1) == 0;
-      t_start = now_ms();
-      std::lock_guard<std::mutex> jlock(job->mu);
-      job->started_ms = t_start;
+      claim = claim_locked(*job);  // a DELETE may have cancelled it while queued
     }
-    run_job(*job, t_start, alone);
+    if (claim) run_job(*job, *claim);
   }
 }
 
-void JobScheduler::run_job(Job& job, double t_start, bool alone) {
+std::optional<JobScheduler::Claim> JobScheduler::claim_locked(Job& job) {
+  JobState expected = JobState::kQueued;
+  if (!job.state.compare_exchange_strong(expected, JobState::kRunning,
+                                         std::memory_order_acq_rel)) {
+    return std::nullopt;
+  }
+  // Stamped and counted under the scheduler lock, so start stamps follow
+  // claim order and each claim sees every earlier one.
+  const Claim claim{now_ms(), running_.fetch_add(1) == 0};
+  const std::lock_guard<std::mutex> lock(job.mu);
+  job.started_ms = claim.t_start;
+  return claim;
+}
+
+void JobScheduler::run_inline(Job& job) {
+  std::optional<Claim> claim;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!stopping_) claim = claim_locked(job);
+  }
+  if (claim) {
+    run_job(job, *claim);
+  } else {
+    // stop() began after admission; false when a DELETE already won the job.
+    cancel_queued(job, "server shutting down");
+  }
+}
+
+void JobScheduler::run_job(Job& job, Claim claim) {
   if (metrics_) {
     metrics_->jobs_running.inc();
-    metrics_->queue_wait_ms.record(t_start - job.submitted_ms);
+    metrics_->queue_wait_ms.record(claim.t_start - job.submitted_ms);
   }
   journal_append_soft(start_record(job.id));
 
@@ -577,7 +604,7 @@ void JobScheduler::run_job(Job& job, double t_start, bool alone) {
   std::string result;
   std::string error;
   try {
-    result = compute(job, alone);
+    result = compute(job, claim.alone);
   } catch (const runtime::OperationCancelled& e) {
     state = JobState::kCancelled;
     error = e.reason() == runtime::CancelReason::kDeadline
@@ -596,11 +623,13 @@ std::string JobScheduler::compute(Job& job, bool alone) {
   // alone, else one thread: pool workers atop busy executors slow every job.
   const runtime::ThreadBudget budget(job.params.jobs != 0 ? job.params.jobs : alone ? 0 : 1);
 
-  // Analysis jobs run under one CancelScope: a tripped token or expired
-  // deadline unwinds the sweep (no partial results). Sizing routes the
-  // deadline through SizerOptions instead: the sizer owns its CancelScope and
-  // degrades to an honest best-iterate checkpoint (status ".../time-limit")
-  // rather than aborting — a deadline'd size job is kDone, not kCancelled.
+  // Analysis jobs run under one CancelScope on the thread that claimed them
+  // (the admitting thread for ssta/sta, an executor for Monte Carlo): a
+  // tripped token or expired deadline unwinds the sweep (no partial
+  // results). Sizing routes the deadline through SizerOptions instead: the
+  // sizer owns its CancelScope and degrades to an honest best-iterate
+  // checkpoint (status ".../time-limit") rather than aborting — a
+  // deadline'd size job is kDone, not kCancelled.
   const double deadline_seconds = job.params.deadline_ms / 1000.0;
   std::optional<runtime::CancelScope> scope;
   if (job.type != JobType::kSize) {

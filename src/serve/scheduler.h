@@ -1,26 +1,32 @@
-// JobScheduler — bounded admission queue + the job executors behind
-// `statsize serve`.
+// JobScheduler — the admission path, a bounded queue and the job executors
+// behind `statsize serve`.
 //
-// Why one executor per thread of the process setting (runtime::threads(),
-// the daemon's --jobs / STATSIZE_JOBS): a cheap ssta query must not wait
-// behind a long size or Monte Carlo job. Execution state is per thread — a
-// job's CancelScope chain and its ThreadBudget live on its executor, and a
-// pool region carries its owner's chain to the workers that drain it — so
-// jobs on different executors never see each other's deadline or token.
-// Only Monte Carlo jobs use the one runtime::ThreadPool: a job that finds it
-// free fans its trial chunks out (without a `jobs` value, only if it started
-// alone), the others run them on their own executor. Every path gives the
-// CLI's bits (index-keyed chunk outputs). DESIGN.md §11 expands on this.
+// Two kinds of job, two places to run. An ssta or sta job is one sweep, of
+// the same order as parsing its upload, so the thread that admits it (the
+// connection thread, for a served request) claims it and runs it before
+// submit() returns: its 202 already carries the terminal state, and it never
+// occupies a queue slot. Monte Carlo and size jobs queue for the executors,
+// one per thread of the process setting (runtime::threads(), the daemon's
+// --jobs / STATSIZE_JOBS), which take them FIFO. Execution state is per
+// thread — a job's CancelScope chain and its ThreadBudget live on the thread
+// that runs it, and a pool region carries its owner's chain to the workers
+// that drain it — so no job sees another's deadline or token. Only Monte
+// Carlo jobs use the one runtime::ThreadPool: a job that finds it free fans
+// its trial chunks out (without a `jobs` value, only if it started alone),
+// the others run them on their own executor. Every path gives the CLI's bits
+// (index-keyed chunk outputs). DESIGN.md §11 expands on this.
 //
-// Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
-// server answers 429) or rejects; an idle executor pops the oldest queued
-// ssta/sta job, else the oldest job, runs it under its cancel
-// token/deadline and thread budget, and publishes a result JSON blob.
-// cancel() flips a queued job straight to kCancelled or trips a running
-// job's CancellationToken so the cooperative polls unwind it. Every job,
-// submitted, batched or replayed from the journal, enters through one
-// admit_locked() and leaves through one finish(), the only place that writes
-// end records, retires jobs and publishes terminal states.
+// Lifecycle: submit() admits, then runs an ssta/sta job inline; a Monte
+// Carlo or size job is queued (bounded; nullptr on overflow → the server
+// answers 429). Both the admitting thread and an executor take a job through
+// one claim_locked() (queued → running, the running count, the start stamp)
+// and one run_job(), which runs it under its cancel token/deadline and
+// thread budget and publishes a result JSON blob. cancel() flips a queued
+// job straight to kCancelled or trips a running job's CancellationToken so
+// the cooperative polls unwind it. Every job, submitted, batched or replayed
+// from the journal, enters through one admit_locked() and leaves through one
+// finish(), the only place that writes end records, retires jobs and
+// publishes terminal states.
 
 #pragma once
 
@@ -31,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,8 +101,8 @@ struct Job {
   JobType type = JobType::kSsta;
   JobParams params;
   /// The entry the job runs against. Set at admission and read only by the
-  /// executor; finish() resets it, so a finished job does not keep an
-  /// evicted cache entry (say a PATCH-derived view copy) alive.
+  /// thread that claims the job; finish() resets it, so a finished job does
+  /// not keep an evicted cache entry (say a PATCH-derived view copy) alive.
   std::shared_ptr<const CachedCircuit> circuit;
   std::string circuit_key;   ///< circuit->key, kept for the job document
   std::string circuit_name;  ///< circuit->name, kept for the job document
@@ -126,7 +133,7 @@ struct Job {
 inline constexpr std::size_t kFinishedJobsKept = 4096;
 
 struct SchedulerOptions {
-  std::size_t queue_depth = 64;  ///< queued (not running) jobs before 429
+  std::size_t queue_depth = 64;  ///< queued Monte Carlo/size jobs before 429
 };
 
 class JobScheduler {
@@ -145,8 +152,8 @@ class JobScheduler {
 
   /// Starts runtime::threads() executors.
   void start();
-  /// Cancels queued and running jobs, wakes the executors, joins them. Safe
-  /// to call twice.
+  /// Cancels queued and running jobs (an inline job on an admitting thread
+  /// included), wakes the executors, joins them. Safe to call twice.
   void stop();
 
   /// How one submission resolved: a non-null job (with deduplicated=true,
@@ -165,7 +172,9 @@ class JobScheduler {
   /// kFinishedJobsKept window); an existing non-interrupted
   /// job is returned as-is with deduplicated=true. An `interrupted` match
   /// does not dedup — the new admission replaces the mapping (retry
-  /// semantics, see JobState).
+  /// semantics, see JobState). A new ssta/sta job runs on the calling thread
+  /// and is terminal when this returns; a Monte Carlo or size job is queued,
+  /// or refused when the queue is full.
   SubmitOutcome submit(JobType type, std::shared_ptr<const CachedCircuit> circuit,
                        JobParams params, std::string idempotency_key = {});
 
@@ -181,14 +190,17 @@ class JobScheduler {
     std::string journal_error;
   };
 
-  /// All-or-nothing admission under one lock: either every request is queued
-  /// (ids assigned in order, FIFO with respect to other submissions) and the
-  /// jobs come back in request order, or nothing is queued — overflow when
-  /// the whole batch would not fit under the queue depth (429), journal_error
+  /// All-or-nothing admission under one lock: either every request is
+  /// admitted (ids assigned in order) and the jobs come back in request
+  /// order, or nothing is — overflow when the batch's Monte Carlo and size
+  /// members would not fit under the queue depth (429), journal_error
   /// when any admit record failed to persist (503; already-journaled records
   /// of the failed batch are re-admitted on a later recovery as queued jobs,
   /// which is the at-least-once side of the durability contract — batches
   /// carry no idempotency keys, so clients own batch-level retries).
+  /// After admission the executors are woken for the queued members, then
+  /// the ssta/sta members run on the calling thread in request order, so
+  /// they are terminal when this returns.
   BatchOutcome submit_batch(std::vector<JobRequest> requests);
 
   /// Journal recovery, before start(), in journal order: re-admits the job of
@@ -209,6 +221,7 @@ class JobScheduler {
   /// False when the id is unknown or the job already finished.
   bool cancel(const std::string& id);
 
+  /// Jobs waiting for an executor.
   std::size_t queue_size() const;
 
   /// Executor threads running (0 before start() and after stop()).
@@ -223,17 +236,32 @@ class JobScheduler {
     kReplayed,  ///< read back from the journal's end record: neither
   };
 
+  /// What a claim hands run_job: the job's start stamp, and whether no other
+  /// job was running at that start.
+  struct Claim {
+    double t_start = 0.0;
+    bool alone = false;
+  };
+
   void executor_loop();
-  /// Runs a claimed job; `t_start` is its start stamp, `alone` as for compute().
-  void run_job(Job& job, double t_start, bool alone);
+  /// The one claim, shared by the executors and the admitting thread; caller
+  /// holds mu_. Wins the job's queued -> running exchange, counts it running
+  /// and stamps `started_ms`; nullopt when a cancel won the job first.
+  std::optional<Claim> claim_locked(Job& job);
+  /// Claims an admitted ssta/sta job and runs it on the calling thread; once
+  /// stop() has begun, cancels it instead.
+  void run_inline(Job& job);
+  /// Runs a claimed job to its finish().
+  void run_job(Job& job, Claim claim);
   /// Runs the job's engine, `alone` if no other job was running at its start,
   /// and returns its result JSON. Throws OperationCancelled or the engine's error.
   std::string compute(Job& job, bool alone);
   /// The one admission path; caller holds mu_. Keeps a journaled id (journal
   /// recovery) or assigns the next one and appends the job's admit record,
-  /// then registers and queues the job. Throws JournalWriteError when the
-  /// admit record could not be made durable; the job is not registered then.
-  void admit_locked(const std::shared_ptr<Job>& job);
+  /// then registers the job and, if `queue`, queues it for the executors.
+  /// Throws JournalWriteError when the admit record could not be made
+  /// durable; the job is not registered then.
+  void admit_locked(const std::shared_ptr<Job>& job, bool queue);
   /// The one terminal transition: releases the job's circuit, appends its
   /// end record, stores result/error/finish time, retires it, publishes
   /// `state` and counts it. Caller does not hold mu_.
@@ -257,7 +285,7 @@ class JobScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::shared_ptr<Job>> queue_;
+  std::deque<std::shared_ptr<Job>> queue_;  ///< Monte Carlo, size and recovered jobs
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::map<std::string, std::string> idem_;  ///< Idempotency-Key -> job id
   std::deque<std::string> finished_;          ///< finished job ids, oldest first

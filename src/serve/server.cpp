@@ -13,6 +13,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "netlist/blif.h"
 #include "runtime/fault.h"
@@ -593,17 +594,22 @@ Server::Rejection Server::parse_job_request(const util::JsonValue& body,
 
   JobParams& params = out->params;
   params = JobParams{};
-  // Integer params are range-checked at full width, before narrowing to int.
-  bool in_range = true;
-  auto int_param = [&](const char* key, int& field, std::int64_t lo, std::int64_t hi) {
-    const std::int64_t v = body.int_or(key, field);
-    if (v < lo || v > hi) {
-      in_range = false;
-    } else {
-      field = static_cast<int>(v);
+  // Integer params are range-checked at full width, before they narrow to
+  // their field; the first one out of range is named in the 400.
+  std::string out_of_range;
+  auto int_param = [&](const char* key, auto& field, std::int64_t lo, std::int64_t hi) {
+    const std::int64_t v = body.int_or(key, static_cast<std::int64_t>(field));
+    if (v >= lo && v <= hi) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+    } else if (out_of_range.empty()) {
+      out_of_range = std::string(key) + " (expected " + std::to_string(lo) + " to " +
+                     std::to_string(hi) + ")";
     }
   };
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  // JSON numbers are doubles, exact up to 2^53, and 2^53 + 1 reads as 2^53:
+  // a seed must stay below 2^53 to run as the integer the client wrote.
+  constexpr std::int64_t kSeedMax = (std::int64_t{1} << 53) - 1;
   try {
     params.deadline_ms = body.number_or("deadline_ms", params.deadline_ms);
     int_param("jobs", params.jobs, 0, 1024);
@@ -612,8 +618,7 @@ Server::Rejection Server::parse_job_request(const util::JsonValue& body,
     params.speed = body.number_or("speed", params.speed);
     params.corner = body.string_or("corner", params.corner);
     int_param("samples", params.mc_samples, 1, kIntMax);
-    params.mc_seed = static_cast<std::uint64_t>(
-        body.int_or("seed", static_cast<int>(params.mc_seed)));
+    int_param("seed", params.mc_seed, 0, kSeedMax);
     params.objective = body.string_or("objective", params.objective);
     params.sigma_weight = body.number_or("sigma_weight", params.sigma_weight);
     params.max_delay = body.number_or("max_delay", params.max_delay);
@@ -625,9 +630,12 @@ Server::Rejection Server::parse_job_request(const util::JsonValue& body,
   } catch (const std::exception& e) {
     return {400, std::string("bad job params: ") + e.what()};
   }
-  if (!in_range || params.deadline_ms < 0.0) return {400, "job params out of range"};
-  // Names and the speed are checked here, so the executor never meets one it
-  // cannot run.
+  if (params.deadline_ms < 0.0 && out_of_range.empty()) {
+    out_of_range = "deadline_ms (expected >= 0)";
+  }
+  if (!out_of_range.empty()) return {400, "job param out of range: " + out_of_range};
+  // Names and the speed are checked here, so a job never meets one it cannot
+  // run.
   if (params.corner != "best" && params.corner != "typical" && params.corner != "worst") {
     return {400, "unknown corner: " + params.corner + " (expected best | typical | worst)"};
   }

@@ -5,9 +5,10 @@
 //   GET    /v1/circuits        list cached circuits (most recently used first)
 //   PATCH  /v1/circuits/<key>  ECO edit -> derived entry sharing the base
 //                              circuit (key = "<base>+e-<edit hash>")
-//   POST   /v1/jobs            submit ssta | sta | monte_carlo | size; a JSON
-//                              array batches jobs atomically (all queued in
-//                              order, or one 429 and none queued)
+//   POST   /v1/jobs            submit ssta | sta | monte_carlo | size (an
+//                              ssta/sta job is done in its 202); a JSON
+//                              array batches jobs atomically (all admitted
+//                              in order, or one 429 and none admitted)
 //   GET    /v1/jobs/<id>       poll state + result
 //   DELETE /v1/jobs/<id>       cooperative cancel
 //   GET    /v1/stats           serve::Metrics as JSON
@@ -23,10 +24,13 @@
 //
 // Threading: one accept thread (SO_RCVTIMEO-paced so stop() is prompt) feeds
 // a bounded fd queue; `io_threads` workers each own one connection at a time
-// for its keep-alive lifetime. Compute runs on the JobScheduler's executors,
-// one per thread of the process setting (see scheduler.h for why); each job's
-// cancel scope and thread budget live on its executor thread, so neither
-// socket threads nor other jobs ever see them.
+// for its keep-alive lifetime. A worker runs the O(circuit) work of its own
+// requests inline: upload parsing, PATCH, and the one sweep of an ssta/sta
+// job, which the JobScheduler runs on the admitting thread. Monte Carlo and
+// size jobs run on the scheduler's executors, one per thread of the process
+// setting (see scheduler.h for why). Each job's cancel scope and thread
+// budget live on the thread that runs it, for that job only, so no other job
+// ever sees them.
 
 #pragma once
 
@@ -80,8 +84,9 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Stops accepting, drains IO workers, cancels queued + running jobs,
-  /// joins everything. Idempotent.
+  /// Stops accepting, drains IO workers (an ssta/sta job a worker is running
+  /// finishes first), cancels queued + running jobs, joins everything.
+  /// Idempotent.
   void stop();
 
   /// Marks the server draining: /v1/readyz starts answering 503 +

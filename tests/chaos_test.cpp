@@ -2,7 +2,8 @@
 // multi-site fault schedule engine, the durable job journal (framing, torn
 // tails, injected torn writes), startup recovery replay through a real
 // Server (queued re-admission, `interrupted` surfacing, missing-circuit
-// errors, terminal jobs pollable across restarts), idempotent submission
+// errors, terminal jobs pollable across restarts, the journal records of a
+// job run at admission), idempotent submission
 // including the duplicate-in-flight race, and the client's deterministic
 // seeded backoff against injected accept/read/write faults. Runs in both
 // sanitizer configurations of scripts/check.sh.
@@ -19,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "netlist/blif.h"
+#include "netlist/generators.h"
 #include "runtime/fault.h"
 #include "serve/client.h"
 #include "serve/journal.h"
@@ -326,6 +329,22 @@ class ChaosServeTest : public ::testing::Test {
 
   std::string c17_key() const { return serve::circuit_key("blif", kC17); }
 
+  /// Holds every executor with a long Monte Carlo job on apex1, each running
+  /// before the next is submitted, so a queued job would stay queued.
+  void OccupyEveryExecutor() {
+    std::ostringstream apex1;
+    netlist::write_blif(apex1, netlist::make_mcnc_like("apex1"), "apex1");
+    const std::string key = client_->upload(apex1.str(), "blif", "apex1");
+    for (std::size_t i = 0; i < server_->scheduler().executors(); ++i) {
+      const std::string id = client_->submit(
+          "{\"circuit\": \"" + key + "\", \"type\": \"monte_carlo\", \"samples\": 2000000}");
+      for (int t = 0; t < 500; ++t) {
+        if (client_->job(id).json().string_or("state", "") == "running") break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+  }
+
   std::string dir_;
   std::unique_ptr<serve::Server> server_;
   std::unique_ptr<serve::Client> client_;
@@ -513,6 +532,62 @@ TEST_F(ChaosServeTest, ExecutorCrashFaultYieldsInterruptedAndRetrySucceeds) {
   const std::string retry_id = retry.json().string_or("id", "");
   EXPECT_NE(retry_id, id);
   EXPECT_EQ(client_->wait(retry_id).string_or("state", ""), "done");
+}
+
+TEST_F(ChaosServeTest, InlineJobJournalsAdmitStartEndBeforeItsAnswer) {
+  // An ssta job runs on the thread that admits it, with every executor busy:
+  // by its 202 it has written admit, start and end, in that order, and a
+  // restart replays it done with the same result.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  OccupyEveryExecutor();
+  const serve::ApiResult submitted =
+      client_->request("POST", "/v1/jobs", job_body(key, "ssta"));
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  EXPECT_EQ(submitted.json().string_or("state", ""), "done") << submitted.body;
+  const std::string id = submitted.json().string_or("id", "");
+  const serve::ApiResult polled = client_->job(id);
+  const util::JsonValue done = polled.json();
+  ASSERT_EQ(done.string_or("state", ""), "done") << polled.body;
+  const double mu = done.find("result")->number_or("mu", -1.0);
+
+  RestartServer();
+  std::vector<std::string> kinds;
+  for (const serve::Journal::Record& rec : server_->journal()->replay()) {
+    if (rec.doc.string_or("id", "") != id) continue;
+    kinds.push_back(rec.kind);
+    if (rec.kind == "end") {
+      EXPECT_EQ(rec.doc.string_or("state", ""), "done");
+    }
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"admit", "start", "end"}));
+  const util::JsonValue replayed = client_->job(id).json();
+  ASSERT_EQ(replayed.string_or("state", ""), "done");
+  EXPECT_EQ(replayed.find("result")->number_or("mu", -2.0), mu);
+}
+
+TEST_F(ChaosServeTest, ExecutorCrashDuringAnInlineJobLeavesItInterruptedAndServing) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  OccupyEveryExecutor();
+  fault::arm("serve.executor.crash:1");
+  const serve::ApiResult crashed = client_->request("POST", "/v1/jobs", job_body(key, "ssta"));
+  fault::disarm();
+  ASSERT_EQ(crashed.status, 202) << crashed.body;
+  EXPECT_EQ(crashed.json().string_or("state", ""), "interrupted") << crashed.body;
+  const std::string id = crashed.json().string_or("id", "");
+  EXPECT_EQ(server_->metrics().jobs_interrupted.value(), 1);
+
+  // The daemon keeps serving: a fresh ssta job is done in its 202.
+  EXPECT_EQ(client_->request("GET", "/v1/healthz").status, 200);
+  const serve::ApiResult next = client_->request("POST", "/v1/jobs", job_body(key, "ssta"));
+  ASSERT_EQ(next.status, 202) << next.body;
+  EXPECT_EQ(next.json().string_or("state", ""), "done") << next.body;
+
+  // Like a real crash it left no end record: a restart replays it
+  // interrupted, not done and not re-run.
+  RestartServer();
+  EXPECT_EQ(client_->job(id).json().string_or("state", ""), "interrupted");
 }
 
 // ---------------------------------------------------------------------------

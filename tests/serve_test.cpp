@@ -1,11 +1,12 @@
 // Live-loopback tests of the statsize serve daemon: upload/submit/poll over
 // real sockets, bit-identity against in-process SSTA, queue overflow -> 429,
 // deadline'd jobs (checkpoint for sizing, cancel for analysis), DELETE on a
-// running job, jobs side by side on several executors (isolation, priority,
-// per-job thread budgets), LRU eviction under concurrent readers, stats, and
-// the SIGINT interrupt token. The suite runs in the ThreadSanitizer configuration of
-// scripts/check.sh, so the scheduler/cache/IO synchronization is part of the
-// repo's concurrency surface.
+// running job, ssta/sta jobs answered at admission, jobs side by side on
+// several executors (isolation, per-job thread budgets), LRU eviction under
+// concurrent readers, stats, and the SIGINT interrupt token. The suite runs
+// in the ThreadSanitizer configuration of scripts/check.sh, so the
+// scheduler/cache/IO synchronization is part of the repo's concurrency
+// surface.
 
 #include <gtest/gtest.h>
 
@@ -236,22 +237,33 @@ TEST_F(ServeTest, UnknownNamesAndNonPositiveSpeedGet400NamingTheField) {
 }
 
 TEST_F(ServeTest, OutOfRangeIntegerParamsGet400BeforeNarrowing) {
-  // Integers are range-checked before they narrow to int: a negative retry
-  // count would leave the sizer with no attempt to score, and 2^32 + 1 would
-  // narrow to 1. Both answer 400, and the daemon keeps serving.
+  // Integers are range-checked before they narrow: a negative retry count
+  // would leave the sizer with no attempt to score, 2^32 + 1 would narrow to
+  // 1, a seed of -5 would wrap to 2^64 - 5, and 2^53 + 1 reads as 2^53. Each
+  // answers a 400 naming its field, and the daemon keeps serving.
   StartServer();
   const std::string key = client_->upload(kC17, "blif", "c17");
-  EXPECT_EQ(client_->request("POST", "/v1/jobs",
-                             job_body(key, "size", "\"max_retries\": -1")).status,
-            400);
-  EXPECT_EQ(client_->request("POST", "/v1/jobs",
-                             job_body(key, "monte_carlo", "\"samples\": 4294967297")).status,
-            400);
-  EXPECT_EQ(client_->request("POST", "/v1/jobs",
-                             job_body(key, "ssta", "\"jobs\": 4294967297")).status,
-            400);
+  const std::pair<std::string, std::string> bad[] = {
+      {job_body(key, "size", "\"max_retries\": -1"), "max_retries"},
+      {job_body(key, "monte_carlo", "\"samples\": 4294967297"), "samples"},
+      {job_body(key, "ssta", "\"jobs\": 4294967297"), "jobs"},
+      {job_body(key, "monte_carlo", "\"seed\": 9007199254740993"), "seed"},
+      {job_body(key, "monte_carlo", "\"seed\": 9007199254740992"), "seed"},
+      {job_body(key, "monte_carlo", "\"seed\": -5"), "seed"},
+  };
+  for (const auto& [body, field] : bad) {
+    serve::ApiResult rejected = client_->request("POST", "/v1/jobs", body);
+    EXPECT_EQ(rejected.status, 400) << body << " -> " << rejected.body;
+    EXPECT_NE(rejected.json().string_or("error", "").find(field), std::string::npos)
+        << rejected.body;
+  }
   const std::string id = client_->submit(job_body(key, "size", "\"max_retries\": 1"));
   EXPECT_EQ(client_->wait(id, 0.01, 60.0).string_or("state", ""), "done");
+  // The largest seed a double holds exactly runs as written.
+  const util::JsonValue mc = client_->wait(client_->submit(
+      job_body(key, "monte_carlo", "\"samples\": 10, \"seed\": 9007199254740991")));
+  ASSERT_EQ(mc.string_or("state", ""), "done") << mc.string_or("error", "");
+  EXPECT_EQ(mc.find("result")->int_or("seed", 0), 9007199254740991);
 }
 
 TEST_F(ServeTest, DeadlinedSizeJobReturnsTimeLimitCheckpoint) {
@@ -315,9 +327,10 @@ TEST_F(ServeTest, QueueOverflowAnswers429) {
   // Occupy every executor with a long Monte Carlo run...
   const std::vector<std::string> running = OccupyEveryExecutor();
   // ...fill the one queue slot...
-  const std::string queued = client_->submit(job_body(key, "ssta"));
+  const std::string queued = client_->submit(job_body(key, "monte_carlo", "\"samples\": 100"));
   // ...and the next submission must bounce with 429 + Retry-After.
-  serve::ApiResult overflow = client_->request("POST", "/v1/jobs", job_body(key, "ssta"));
+  serve::ApiResult overflow =
+      client_->request("POST", "/v1/jobs", job_body(key, "monte_carlo", "\"samples\": 100"));
   EXPECT_EQ(overflow.status, 429) << overflow.body;
   EXPECT_GE(server_->metrics().jobs_rejected.value(), 1);
 
@@ -379,10 +392,9 @@ TEST_F(ServeTest, StatsEndpointReportsCountersAndLatencies) {
 TEST_F(ServeTest, StopCancelsQueuedAndRunningJobs) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif");
-  // Every executor busy first: a queued ssta job would otherwise start ahead
-  // of a queued Monte Carlo one.
+  // Every executor busy first, so the short Monte Carlo job stays queued.
   const std::vector<std::string> running = OccupyEveryExecutor();
-  const std::string queued = client_->submit(job_body(key, "ssta"));
+  const std::string queued = client_->submit(job_body(key, "monte_carlo", "\"samples\": 100"));
   server_->stop();
   for (const std::string& id : running) {
     const auto r = server_->scheduler().get(id);
@@ -398,8 +410,9 @@ TEST_F(ServeTest, JobsCancelledWhileQueuedReportNoRunTime) {
   StartServer();
   const std::string key = client_->upload(kC17, "blif");
   const std::vector<std::string> running = OccupyEveryExecutor();
-  const std::string deleted = client_->submit(job_body(key, "ssta"));
-  const std::string stopped = client_->submit(job_body(key, "ssta"));
+  const std::string probe = job_body(key, "monte_carlo", "\"samples\": 100");
+  const std::string deleted = client_->submit(probe);
+  const std::string stopped = client_->submit(probe);
 
   ASSERT_EQ(client_->cancel(deleted).status, 200);
   util::JsonValue doc = client_->job(deleted).json();
@@ -478,17 +491,16 @@ TEST_F(ServeTest, BatchSubmitIsAllOrNothingOnQueueOverflow) {
   const std::string key = client_->upload(kC17, "blif");
   // Occupy every executor so queued jobs stay queued.
   const std::vector<std::string> running = OccupyEveryExecutor();
-  // Three jobs cannot fit the two queue slots: the whole batch bounces and
-  // none of it is queued.
-  const std::string batch3 = "[" + job_body(key, "ssta") + ", " + job_body(key, "ssta") +
-                             ", " + job_body(key, "ssta") + "]";
+  // Three queued jobs cannot fit the two queue slots: the whole batch
+  // bounces and none of it is queued.
+  const std::string probe = job_body(key, "monte_carlo", "\"samples\": 100");
+  const std::string batch3 = "[" + probe + ", " + probe + ", " + probe + "]";
   serve::ApiResult overflow = client_->request("POST", "/v1/jobs", batch3);
   EXPECT_EQ(overflow.status, 429) << overflow.body;
   EXPECT_GE(server_->metrics().jobs_rejected.value(), 3);
 
   // A batch that fits is accepted whole.
-  serve::ApiResult ok = client_->request(
-      "POST", "/v1/jobs", "[" + job_body(key, "ssta") + ", " + job_body(key, "sta") + "]");
+  serve::ApiResult ok = client_->request("POST", "/v1/jobs", "[" + probe + ", " + probe + "]");
   ASSERT_EQ(ok.status, 202) << ok.body;
   const util::JsonValue ok_doc = ok.json();
   const util::JsonValue* accepted = ok_doc.find("jobs");
@@ -769,7 +781,7 @@ TEST_F(ServeTest, QueuedInteractiveJobStartsBeforeAnEarlierQueuedMonteCarloJob) 
   const std::vector<std::string> running = OccupyEveryExecutor();
   const std::string mc = client_->submit(job_body(key, "monte_carlo", "\"samples\": 100"));
   const std::string ssta = client_->submit(job_body(key, "ssta"));
-  // Free one executor: it must take the later ssta job first.
+  // The ssta job ran on its admitting thread, before any executor was free.
   EXPECT_EQ(client_->cancel(running.front()).status, 200);
   EXPECT_EQ(client_->wait(ssta, 0.01, 60.0).string_or("state", ""), "done");
   EXPECT_EQ(client_->wait(mc, 0.01, 60.0).string_or("state", ""), "done");
@@ -781,6 +793,87 @@ TEST_F(ServeTest, QueuedInteractiveJobStartsBeforeAnEarlierQueuedMonteCarloJob) 
     return job->started_ms;
   };
   EXPECT_LT(started(ssta), started(mc));
+}
+
+TEST_F(ServeTest, InteractiveJobIsDoneInItsSubmitAnswerWhileEveryExecutorIsBusy) {
+  // An ssta or sta job runs on the thread that admits it: with every
+  // executor held by a long Monte Carlo job, its 202 already says done, and
+  // its bits are the in-process run's.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::vector<std::string> running = OccupyEveryExecutor();
+
+  std::istringstream in(kC17);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const ssta::DelayCalculator calc(circuit, {});
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const stat::NormalRV ssta_ref = ssta::run_ssta(calc, speed).circuit_delay;
+  const double sta_ref =
+      ssta::run_sta(circuit.view(), calc.all_delays(speed), ssta::Corner::kWorst).circuit_delay;
+
+  for (const std::string type : {"ssta", "sta"}) {
+    SCOPED_TRACE(type);
+    const serve::ApiResult submitted = client_->request("POST", "/v1/jobs", job_body(key, type));
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    EXPECT_EQ(submitted.json().string_or("state", ""), "done") << submitted.body;
+    const serve::ApiResult polled = client_->job(submitted.json().string_or("id", ""));
+    const util::JsonValue doc = polled.json();
+    ASSERT_EQ(doc.string_or("state", ""), "done") << polled.body;
+    const util::JsonValue* result = doc.find("result");
+    ASSERT_NE(result, nullptr);
+    if (type == "ssta") {
+      EXPECT_EQ(result->number_or("mu", -1.0), ssta_ref.mu);
+      EXPECT_EQ(result->number_or("sigma", -1.0), ssta_ref.sigma());
+    } else {
+      EXPECT_EQ(result->number_or("circuit_delay", -1.0), sta_ref);
+    }
+  }
+  EXPECT_EQ(server_->scheduler().queue_size(), 0u);
+  for (const std::string& id : running) {
+    EXPECT_EQ(client_->cancel(id).status, 200);
+    EXPECT_EQ(client_->wait(id, 0.02, 60.0).string_or("state", ""), "cancelled");
+  }
+}
+
+TEST_F(ServeTest, MixedBatchRunsItsInteractiveMembersAtAdmissionAndQueuesTheRest) {
+  // A batch's ssta and sta members are done in its 202; only its Monte Carlo
+  // and size members take queue slots and count against the queue depth.
+  serve::ServerOptions options;
+  options.scheduler.queue_depth = 1;
+  StartServer(options);
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::vector<std::string> running = OccupyEveryExecutor();
+  const std::string probe = job_body(key, "monte_carlo", "\"samples\": 100");
+
+  const serve::ApiResult batch = client_->request(
+      "POST", "/v1/jobs",
+      "[" + job_body(key, "ssta") + ", " + probe + ", " + job_body(key, "sta") + "]");
+  ASSERT_EQ(batch.status, 202) << batch.body;
+  const util::JsonValue doc = batch.json();
+  const util::JsonValue* jobs = doc.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  ASSERT_EQ(jobs->items().size(), 3u);
+  EXPECT_EQ(jobs->items()[0].string_or("state", ""), "done");
+  EXPECT_EQ(jobs->items()[1].string_or("state", ""), "queued");
+  EXPECT_EQ(jobs->items()[2].string_or("state", ""), "done");
+  EXPECT_EQ(server_->scheduler().queue_size(), 1u);
+
+  // The one slot is taken: a batch with one more queued member bounces
+  // whole, its ssta member too, while an all-interactive batch is answered.
+  const serve::ApiResult overflow =
+      client_->request("POST", "/v1/jobs", "[" + job_body(key, "ssta") + ", " + probe + "]");
+  EXPECT_EQ(overflow.status, 429) << overflow.body;
+  const serve::ApiResult interactive = client_->request(
+      "POST", "/v1/jobs", "[" + job_body(key, "sta") + ", " + job_body(key, "ssta") + "]");
+  ASSERT_EQ(interactive.status, 202) << interactive.body;
+  const util::JsonValue interactive_doc = interactive.json();
+  for (const util::JsonValue& j : interactive_doc.find("jobs")->items()) {
+    EXPECT_EQ(j.string_or("state", ""), "done");
+  }
+
+  for (const std::string& id : running) EXPECT_EQ(client_->cancel(id).status, 200);
+  EXPECT_EQ(client_->wait(jobs->items()[1].string_or("id", ""), 0.02, 60.0).string_or("state", ""),
+            "done");
 }
 
 TEST_F(ServeTest, MixedConcurrentJobsAreBitIdenticalToInProcessRuns) {

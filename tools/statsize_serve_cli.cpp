@@ -74,7 +74,7 @@ int run_serve(int argc, char** argv) {
   args.add_int("port", "listen port on 127.0.0.1 (0 = ephemeral, printed at start)", 0);
   args.add_int("io-threads", "concurrent keep-alive connections served", 8);
   args.add_int("cache-capacity", "circuits kept in the LRU cache", 16);
-  args.add_int("queue-depth", "queued jobs before submissions get 429", 64);
+  args.add_int("queue-depth", "queued monte_carlo/size jobs before they get 429", 64);
   args.add_string("stats-out", "write final /v1/stats JSON here on shutdown ('-' = stdout)");
   args.add_string("journal", "durable job journal directory (crash recovery; see DESIGN.md §13)");
   args.add_string("journal-fsync", "journal durability: none | always", "none");
