@@ -91,6 +91,19 @@ if [ "$claims" -ne 1 ]; then
 fi
 echo "lifecycle gate passed"
 
+# One job document (DESIGN.md §11): every answer about a job (submit, batch,
+# GET, DELETE) is Job::describe(), written in scheduler.cpp. The server
+# writes no job field itself: no "state" or "type" key and no state or type
+# name. Comment lines are exempt. Needs no build.
+echo "== one job document (server.cpp writes no job field) =="
+SERVER="$REPO_ROOT/src/serve/server.cpp"
+if grep -nE 'key\("(state|type)"\)|job_(state|type)_name\(' "$SERVER" |
+    grep -vE '^[0-9]+:[[:space:]]*//'; then
+  echo "job-document gate FAILED: the src/serve/server.cpp lines above write a job field; answer with Job::describe()"
+  exit 1
+fi
+echo "job-document gate passed"
+
 # One Phi/phi kernel (DESIGN.md §5 item 4): stat::normal_terms is the only
 # place a normal CDF is computed, from one shared exponential and Cody's
 # rational approximations. The C library's complementary error function must

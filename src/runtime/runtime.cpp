@@ -113,8 +113,7 @@ void parallel_for(std::size_t n, std::size_t grain, RangeFn body) {
   if (n == 0) return;
   const int budget = thread_budget();
   if (budget == 1 || n <= (grain == 0 ? 1 : grain)) {
-    poll_cancel();  // serial fallback honors the same chunk-boundary contract
-    body(0, n);
+    run_inline(n, grain, body);
     return;
   }
   global_pool().parallel_for(n, grain, body, budget);

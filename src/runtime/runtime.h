@@ -79,7 +79,8 @@ class ThreadBudget {
 /// lowered by an installed ThreadBudget (>= 1).
 int thread_budget();
 
-/// parallel_for over [0, n) on the global pool; runs inline when the calling
+/// parallel_for over [0, n) on the global pool; runs inline (run_inline: one
+/// call per grain-sized chunk, a cancel poll before each) when the calling
 /// thread's budget is 1 thread or the range fits one grain. body(b, e) must
 /// only write to slots keyed by the index — the scheduler decides nothing
 /// about values.

@@ -29,6 +29,14 @@ void chunk_checkpoint() {
 
 }  // namespace
 
+void run_inline(std::size_t n, std::size_t grain, RangeFn body) {
+  if (grain == 0) grain = 1;
+  for (std::size_t begin = 0; begin < n; begin += grain) {
+    poll_cancel();
+    body(begin, std::min(begin + grain, n));
+  }
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   const int workers = std::max(1, num_threads) - 1;
   workers_.reserve(static_cast<std::size_t>(workers));
@@ -97,8 +105,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, RangeFn body, in
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (workers_.empty() || n <= grain || t_active_pool == this) {
-    poll_cancel();  // the single-chunk equivalent of the per-chunk checkpoint
-    body(0, n);
+    run_inline(n, grain, body);
     return;
   }
   const std::unique_lock<std::mutex> owner(for_mutex_, std::try_to_lock);

@@ -74,6 +74,11 @@ class RangeFn {
   void (*call_)(const void*, std::size_t, std::size_t);
 };
 
+/// Runs body over [0, n) on the calling thread, one grain-sized call per
+/// chunk with a poll_cancel() before each, so a cancel lands within one
+/// chunk as it does on the pool. The inline path of every parallel_for.
+void run_inline(std::size_t n, std::size_t grain, RangeFn body);
+
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` workers: the thread calling parallel_for is

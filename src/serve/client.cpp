@@ -47,6 +47,9 @@ double retry_after_seconds(const HttpResponse& response) {
   return value;
 }
 
+/// A job document's state once the job can no longer change.
+bool ended(const std::string& state) { return state != "queued" && state != "running"; }
+
 }  // namespace
 
 void Client::ensure_connected() {
@@ -164,7 +167,21 @@ std::string Client::submit(const std::string& body_json, const std::string& idem
     throw std::runtime_error("submit rejected (" + std::to_string(result.status) +
                              "): " + result.body);
   }
-  return result.json().string_or("id", "");
+  const util::JsonValue doc = result.json();
+  std::string id = doc.string_or("id", "");
+  if (ended(doc.string_or("state", ""))) {
+    kept_id_ = id;
+    kept_body_ = std::move(result.body);
+  }
+  return id;
+}
+
+ApiResult Client::job(const std::string& id) {
+  if (!kept_id_.empty() && id == kept_id_) {
+    kept_id_.clear();
+    return ApiResult{200, std::move(kept_body_)};
+  }
+  return request("GET", "/v1/jobs/" + id);
 }
 
 util::JsonValue Client::wait(const std::string& id, double poll_seconds,
@@ -178,7 +195,7 @@ util::JsonValue Client::wait(const std::string& id, double poll_seconds,
     }
     util::JsonValue doc = result.json();
     const std::string state = doc.string_or("state", "");
-    if (state != "queued" && state != "running") return doc;
+    if (ended(state)) return doc;
     if (timeout_seconds > 0.0) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -1,7 +1,9 @@
 // Keep-alive HTTP client for the serve API — the plumbing behind
 // `statsize submit/poll/cancel` and the benches. One Client owns one
 // connection and reconnects transparently when the daemon closed it (idle
-// timeout, error response with Connection: close).
+// timeout, error response with Connection: close). A submit whose answer is
+// already terminal (an ssta/sta job) is kept, so submit + wait on such a
+// job is one exchange (DESIGN.md §11).
 //
 // Resilience (DESIGN.md §13): with ClientOptions::retries > 0 the client
 // survives a hostile network — transport failures (reset, torn response,
@@ -81,15 +83,22 @@ class Client {
   /// `idempotency_key` is sent as the Idempotency-Key header, making retries
   /// (manual or automatic) submit-once. Returns the job id. Throws on
   /// non-2xx (message includes the server's error body).
+  ///
+  /// The answer is the job document. When it is terminal (an ssta/sta job
+  /// runs at admission, so its answer is already done), the client keeps it:
+  /// the next job(id) or wait(id) for that id returns it without a round
+  /// trip, once. A terminal document never changes, so the kept copy is what
+  /// a GET would return, plus the answer's "deduplicated" member.
   std::string submit(const std::string& body_json, const std::string& idempotency_key = "");
 
-  ApiResult job(const std::string& id) { return request("GET", "/v1/jobs/" + id); }
+  /// GET /v1/jobs/<id>, or the document kept from its terminal submit answer.
+  ApiResult job(const std::string& id);
   ApiResult cancel(const std::string& id) { return request("DELETE", "/v1/jobs/" + id); }
   ApiResult stats() { return request("GET", "/v1/stats"); }
 
-  /// Polls GET /v1/jobs/<id> every `poll_seconds` until the job leaves
-  /// queued/running (or `timeout_seconds` elapses, 0 = forever). Returns the
-  /// final job document.
+  /// Polls job(id) every `poll_seconds` until the job leaves queued/running
+  /// (or `timeout_seconds` elapses, 0 = forever). Returns the final job
+  /// document; for a job kept from its submit answer that costs no request.
   util::JsonValue wait(const std::string& id, double poll_seconds = 0.05,
                        double timeout_seconds = 0.0);
 
@@ -106,6 +115,8 @@ class Client {
   bool jitter_seeded_ = false;
   long retries_used_ = 0;
   std::optional<HttpConnection> conn_;
+  std::string kept_id_;    ///< job whose terminal submit answer is kept; empty = none
+  std::string kept_body_;  ///< that answer's body
 };
 
 }  // namespace statsize::serve

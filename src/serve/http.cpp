@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -166,15 +168,26 @@ void HttpConnection::close_fd() {
   }
 }
 
-bool HttpConnection::write_all(std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+bool HttpConnection::write_all(std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (iov[0].iov_len + iov[1].iov_len > 0) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    // A short send leaves the rest queued in the iovecs for the next call.
+    std::size_t sent = static_cast<std::size_t>(n);
+    for (iovec& v : iov) {
+      const std::size_t k = std::min(sent, v.iov_len);
+      v.iov_base = static_cast<char*>(v.iov_base) + k;
+      v.iov_len -= k;
+      sent -= k;
+    }
   }
   return true;
 }
@@ -314,12 +327,14 @@ bool HttpConnection::write_response(const HttpResponse& response, bool keep_aliv
     // Injected torn response: send roughly half the serialized bytes, then
     // die. The peer sees a mid-message EOF (kMalformed), never a silently
     // truncated-but-parseable body — Content-Length guarantees that.
-    const std::string full = head + response.body;
-    write_all(std::string_view(full).substr(0, full.size() / 2));
+    const std::size_t half = (head.size() + response.body.size()) / 2;
+    const std::size_t from_head = std::min(half, head.size());
+    write_all(std::string_view(head).substr(0, from_head),
+              std::string_view(response.body).substr(0, half - from_head));
     close_fd();
     return false;
   }
-  return write_all(head) && write_all(response.body);
+  return write_all(head, response.body);
 }
 
 bool HttpConnection::write_request(const std::string& method, const std::string& target,
@@ -331,7 +346,7 @@ bool HttpConnection::write_request(const std::string& method, const std::string&
   }
   if (!body.empty()) head += "Content-Type: application/json\r\n";
   head += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-  return write_all(head) && write_all(body);
+  return write_all(head, body);
 }
 
 HttpConnection connect_tcp(const std::string& host, int port, double recv_timeout_seconds,

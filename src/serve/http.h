@@ -83,17 +83,21 @@ class HttpConnection {
   ReadOutcome read_response(HttpResponse* out, std::string* error, const HttpLimits& limits = {});
 
   /// Serializes and sends a response; adds Content-Length and Connection
-  /// headers. Returns false on socket error.
+  /// headers. Head and body leave in one sendmsg, so the peer is woken once
+  /// per message. Returns false on socket error.
   bool write_response(const HttpResponse& response, bool keep_alive);
 
-  /// Serializes and sends a request with a Content-Length body. `headers`
-  /// are written as-is after Host (e.g. {"Idempotency-Key", "..."}).
+  /// Serializes and sends a request with a Content-Length body, head and
+  /// body in one sendmsg. `headers` are written as-is after Host (e.g.
+  /// {"Idempotency-Key", "..."}).
   bool write_request(const std::string& method, const std::string& target,
                      const std::string& body, const std::string& host,
                      const std::map<std::string, std::string>& headers = {});
 
  private:
-  bool write_all(std::string_view bytes);
+  /// Sends head then body with sendmsg over two iovecs, resuming after
+  /// short sends.
+  bool write_all(std::string_view head, std::string_view body);
   /// Grows buf_ by one recv; translates errno into an outcome.
   ReadOutcome fill();
   /// Parses a complete head+body message out of buf_ if present.

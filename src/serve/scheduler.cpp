@@ -190,7 +190,7 @@ std::shared_ptr<Job> new_job(JobType type, std::shared_ptr<const CachedCircuit> 
 
 }  // namespace
 
-std::string Job::describe() const {
+std::string Job::describe(const char* flag, bool flag_value) const {
   const JobState st = state.load(std::memory_order_acquire);
   std::string out = "{\n";
   out += "  \"id\": \"" + util::JsonWriter::escape(id) + "\",\n";
@@ -198,6 +198,9 @@ std::string Job::describe() const {
   out += "  \"state\": \"" + std::string(job_state_name(st)) + "\",\n";
   out += "  \"circuit\": \"" + util::JsonWriter::escape(circuit_key) + "\",\n";
   out += "  \"circuit_name\": \"" + util::JsonWriter::escape(circuit_name) + "\",\n";
+  if (flag != nullptr) {
+    out += std::string("  \"") + flag + "\": " + (flag_value ? "true" : "false") + ",\n";
+  }
   if (!idempotency_key.empty()) {
     out += "  \"idempotency_key\": \"" + util::JsonWriter::escape(idempotency_key) + "\",\n";
   }
@@ -222,6 +225,16 @@ std::string Job::describe() const {
     out += "  \"error\": null\n";
   }
   out += "}";
+  return out;
+}
+
+std::string describe_batch(const std::vector<std::shared_ptr<Job>>& jobs) {
+  std::string out = "{\n  \"jobs\": [";
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out += i == 0 ? "\n    " : ",\n    ";
+    out += indent_blob(jobs[i]->describe(), 4);
+  }
+  out += "\n  ]\n}";
   return out;
 }
 

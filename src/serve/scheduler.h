@@ -120,10 +120,17 @@ struct Job {
   double finished_ms = 0.0;
 
   /// Serializes the full job document (state, params echo, timings, and the
-  /// result object when done) as one JSON object. queue_wait_ms and run_ms
-  /// appear only once the job has started.
-  std::string describe() const;
+  /// result object when done) as one JSON object: the one writer of every
+  /// answer about a job. queue_wait_ms and run_ms appear only once the job
+  /// has started. A non-null `flag` adds one boolean member after
+  /// circuit_name: the submit answer's "deduplicated", DELETE's
+  /// "cancel_requested".
+  std::string describe(const char* flag = nullptr, bool flag_value = false) const;
 };
+
+/// The batch submit answer: {"jobs": [...]} of each job's describe(), in
+/// admission order.
+std::string describe_batch(const std::vector<std::shared_ptr<Job>>& jobs);
 
 /// Finished jobs kept pollable. Once this many newer jobs have finished, a
 /// job's id answers 404 and its Idempotency-Key admits a fresh job. This

@@ -351,12 +351,18 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
   if (text == nullptr || !text->is_string()) {
     return HttpResponse::json(400, error_body("missing string field: text"));
   }
-  const std::string format = body.string_or("format", "blif");
+  std::string format;
+  std::string name;
+  try {
+    format = body.string_or("format", "blif");
+    name = body.string_or("name", "");
+  } catch (const std::exception& e) {
+    return HttpResponse::json(400, error_body(std::string("bad upload field: ") + e.what()));
+  }
   if (format != "blif" && format != "verilog") {
     return HttpResponse::json(400, error_body("unknown format: " + format +
                                               " (expected blif | verilog)"));
   }
-  const std::string name = body.string_or("name", "");
 
   const std::string key = circuit_key(format, text->as_string());
   CircuitCache::InsertResult lookup{cache_.find(key)};
@@ -429,6 +435,12 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
         404, error_body("unknown circuit key: " + key + " (upload it first)"));
   }
   metrics_.cache_hits.inc();
+  std::string name;
+  try {
+    name = body.string_or("name", base->name);
+  } catch (const std::exception& e) {
+    return HttpResponse::json(400, error_body(std::string("bad patch field: ") + e.what()));
+  }
   const netlist::TimingView& base_view = base->timing_view();
 
   // Parse + validate every edit before building anything; the canonical
@@ -522,7 +534,7 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
       return HttpResponse::json(400, error_body(std::string("edit rejected: ") + e.what()));
     }
     fresh->key = derived_key;
-    fresh->name = body.string_or("name", base->name);
+    fresh->name = std::move(name);
     fresh->format = base->format;
     fresh->circuit = base->circuit;
     fresh->num_gates = base->num_gates;
@@ -577,10 +589,17 @@ HttpResponse Server::handle_list_circuits() {
 Server::Rejection Server::parse_job_request(const util::JsonValue& body,
                                             JobScheduler::JobRequest* out) {
   if (!body.is_object()) return {400, "job request must be a JSON object"};
-  const std::string key = body.string_or("circuit", "");
+  std::string key;
+  std::string type;
+  try {
+    key = body.string_or("circuit", "");
+    type = body.string_or("type", "ssta");
+  } catch (const std::exception& e) {
+    return {400, std::string("bad job field: ") + e.what()};
+  }
   if (key.empty()) return {400, "missing field: circuit (cache key)"};
   try {
-    out->type = job_type_from_name(body.string_or("type", "ssta"));
+    out->type = job_type_from_name(type);
   } catch (const std::invalid_argument& e) {
     return {400, std::string(e.what()) + " (expected ssta | sta | monte_carlo | size)"};
   }
@@ -628,7 +647,7 @@ Server::Rejection Server::parse_job_request(const util::JsonValue& body,
     params.max_speed = body.number_or("max_speed", params.max_speed);
     int_param("max_retries", params.max_retries, 0, kIntMax);
   } catch (const std::exception& e) {
-    return {400, std::string("bad job params: ") + e.what()};
+    return {400, std::string("bad job field: ") + e.what()};
   }
   if (params.deadline_ms < 0.0 && out_of_range.empty()) {
     out_of_range = "deadline_ms (expected >= 0)";
@@ -683,20 +702,10 @@ HttpResponse Server::handle_submit(const HttpRequest& request) {
                                 outcome.journal_error + "); retry");
   }
   if (outcome.job == nullptr) return retry_later(429, "job queue full (retry later)");
-  const std::shared_ptr<Job>& job = outcome.job;
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("id").value(job->id);
-  // Echo the admitted job's own type/circuit: on a dedup hit these are the
-  // ORIGINAL admission's, which is what the retried request actually got.
-  w.key("state").value(job_state_name(job->state.load(std::memory_order_acquire)));
-  w.key("type").value(job_type_name(job->type));
-  w.key("circuit").value(job->circuit_key);
-  w.key("deduplicated").value(outcome.deduplicated);
-  w.end_object();
-  // 200 (not 202) for a dedup hit: nothing new was accepted for processing.
-  return HttpResponse::json(outcome.deduplicated ? 200 : 202, os.str());
+  // On a dedup hit the document is the ORIGINAL admission's, which is what
+  // the retried request actually got; 200 (not 202): nothing new was accepted.
+  return HttpResponse::json(outcome.deduplicated ? 200 : 202,
+                            outcome.job->describe("deduplicated", outcome.deduplicated));
 }
 
 HttpResponse Server::handle_submit_batch(const util::JsonValue& body) {
@@ -723,21 +732,7 @@ HttpResponse Server::handle_submit_batch(const util::JsonValue& body) {
   if (outcome.jobs.empty()) {
     return retry_later(429, "job queue cannot take the whole batch (retry later)");
   }
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("jobs").begin_array();
-  for (const std::shared_ptr<Job>& job : outcome.jobs) {
-    w.begin_object();
-    w.key("id").value(job->id);
-    w.key("state").value(job_state_name(job->state.load(std::memory_order_acquire)));
-    w.key("type").value(job_type_name(job->type));
-    w.key("circuit").value(job->circuit_key);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return HttpResponse::json(202, os.str());
+  return HttpResponse::json(202, describe_batch(outcome.jobs));
 }
 
 HttpResponse Server::handle_job_get(const std::string& id) {
@@ -750,14 +745,7 @@ HttpResponse Server::handle_job_delete(const std::string& id) {
   std::shared_ptr<Job> job = scheduler_.get(id);
   if (!job) return HttpResponse::json(404, error_body("no such job: " + id));
   const bool accepted = scheduler_.cancel(id);
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("id").value(id);
-  w.key("cancel_requested").value(accepted);
-  w.key("state").value(job_state_name(job->state.load(std::memory_order_acquire)));
-  w.end_object();
-  return HttpResponse::json(accepted ? 200 : 409, os.str());
+  return HttpResponse::json(accepted ? 200 : 409, job->describe("cancel_requested", accepted));
 }
 
 HttpResponse Server::handle_stats() {

@@ -15,6 +15,11 @@
 //   GET    /v1/healthz         liveness (200 even while draining)
 //   GET    /v1/readyz          readiness: 503 + Retry-After once draining
 //
+// Every answer about a job (submit, each batch element, GET, DELETE) is the
+// job's Job::describe() document, so a terminal job's answer carries its
+// result; submit adds "deduplicated" and DELETE "cancel_requested". A
+// mistyped request field answers 400 naming it; a JSON null reads as absent.
+//
 // Crash safety (DESIGN.md §13): with ServerOptions::journal_dir set, every
 // upload/patch/admission/transition is appended to a durable journal before
 // it is acknowledged, and start() replays the journal — circuits re-parsed

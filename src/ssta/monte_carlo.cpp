@@ -190,7 +190,6 @@ MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
 
   runtime::parallel_for(chunks, 1, [&](std::size_t cb, std::size_t ce) {
     for (std::size_t c = cb; c < ce; ++c) {
-      runtime::poll_cancel();  // a serial run is one body call: poll per chunk
       double sum = 0.0;
       double sum2 = 0.0;
       run_chunk(view, params, options, c,
@@ -235,7 +234,6 @@ std::vector<double> monte_carlo_criticality(const netlist::TimingView& view,
   runtime::parallel_for(chunks, 1, [&](std::size_t cb, std::size_t ce) {
     std::vector<long> local(hits.size(), 0);
     for (std::size_t c = cb; c < ce; ++c) {
-      runtime::poll_cancel();
       run_chunk(view, params, options, c,
                 [&](int, double, NodeId crit, const std::vector<double>& arrival) {
                   // Walk back along argmax fanins from the critical output.

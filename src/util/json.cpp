@@ -208,24 +208,38 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
+namespace {
+
+/// The member `key` of `obj` read through `get`, or `fallback` when it is
+/// absent or JSON null; a type error names the member.
+template <class T, class Get>
+T member_or(const JsonValue& obj, std::string_view key, T fallback, Get get) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->is_null()) return fallback;
+  try {
+    return get(*v);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(key) + ": " + e.what());
+  }
+}
+
+}  // namespace
+
 double JsonValue::number_or(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v == nullptr ? fallback : v->as_number();
+  return member_or(*this, key, fallback, [](const JsonValue& v) { return v.as_number(); });
 }
 
 std::int64_t JsonValue::int_or(std::string_view key, std::int64_t fallback) const {
-  const JsonValue* v = find(key);
-  return v == nullptr ? fallback : v->as_int();
+  return member_or(*this, key, fallback, [](const JsonValue& v) { return v.as_int(); });
 }
 
 std::string JsonValue::string_or(std::string_view key, std::string fallback) const {
-  const JsonValue* v = find(key);
-  return v == nullptr ? std::move(fallback) : v->as_string();
+  return member_or(*this, key, std::move(fallback),
+                   [](const JsonValue& v) { return v.as_string(); });
 }
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const {
-  const JsonValue* v = find(key);
-  return v == nullptr ? fallback : v->as_bool();
+  return member_or(*this, key, fallback, [](const JsonValue& v) { return v.as_bool(); });
 }
 
 // ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ class JsonValue {
   /// Object member lookup (first match); nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
 
-  // Defaulted object-member accessors for optional request fields. A present
-  // member of the wrong type still throws — a typo'd value should 400, not
-  // silently fall back.
+  // Defaulted object-member accessors for optional request fields. A member
+  // that is absent or JSON null yields the fallback. A present member of the
+  // wrong type still throws, naming the member ("seed: JSON value is string,
+  // expected number") — a typo'd value should 400, not silently fall back.
   double number_or(std::string_view key, double fallback) const;
   std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
   std::string string_or(std::string_view key, std::string fallback) const;

@@ -343,6 +343,10 @@ class ChaosServeTest : public ::testing::Test {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
+    // "running" is published at the claim, a journal write before the
+    // executor passes the serve.executor.crash site. Let the last job get
+    // past it, so a fault armed next cannot land on it instead.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
   std::string dir_;

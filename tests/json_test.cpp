@@ -232,5 +232,25 @@ TEST(JsonParser, TypeMismatchesThrowNamedErrors) {
   EXPECT_THROW(v.number_or("s", 0.0), std::runtime_error);
 }
 
+TEST(JsonParser, DefaultedAccessorsReadNullAsAbsentAndNameAMistypedMember) {
+  const util::JsonValue v = util::parse_json(R"({"error": null, "seed": "one", "n": 2.5})");
+  EXPECT_EQ(v.string_or("error", "none"), "none");
+  EXPECT_EQ(v.number_or("error", 1.5), 1.5);
+  EXPECT_EQ(v.int_or("error", 7), 7);
+  EXPECT_TRUE(v.bool_or("error", true));
+  try {
+    v.int_or("seed", 0);
+    ADD_FAILURE() << "a string seed read as an integer";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "seed: JSON value is string, expected number");
+  }
+  try {
+    v.int_or("n", 0);
+    ADD_FAILURE() << "2.5 read as an integer";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("n: ", 0), 0u) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace statsize

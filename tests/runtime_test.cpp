@@ -221,20 +221,55 @@ TEST(Runtime, JobsEnvFallbackIsAlwaysPositive) {
 }
 
 TEST(Runtime, SingleThreadSettingRunsEveryRangeInline) {
-  // At --jobs 1 a parallel_for of any length is one body call over the whole
-  // range on the calling thread: the serial reference every determinism test
-  // compares against.
+  // At --jobs 1 a parallel_for of any length runs on the calling thread, one
+  // body call per grain-sized chunk in index order: the serial reference
+  // every determinism test compares against.
   ThreadGuard guard;
   runtime::set_threads(1);
   const std::thread::id caller = std::this_thread::get_id();
-  int calls = 0;
-  runtime::parallel_for(10000, 1, [&](std::size_t b, std::size_t e) {
-    ++calls;
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 10000u);
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  runtime::parallel_for(10000, 7, [&](std::size_t b, std::size_t e) {
+    calls.emplace_back(b, e);
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
-  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(calls.size(), (10000u + 6) / 7);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, 7 * i);
+    EXPECT_EQ(calls[i].second, std::min<std::size_t>(7 * i + 7, 10000));
+  }
+}
+
+TEST(Runtime, SingleThreadCancelLandsWithinOneChunk) {
+  // The inline path polls cancel before every chunk, as a pool chunk claim
+  // does: a body that trips the token in its first chunk sees no second one.
+  ThreadGuard guard;
+  runtime::set_threads(1);
+  {
+    runtime::CancellationToken token;
+    const runtime::CancelScope scope(&token, runtime::Deadline::never());
+    int calls = 0;
+    EXPECT_THROW(runtime::parallel_for(64, 1,
+                                       [&](std::size_t, std::size_t) {
+                                         ++calls;
+                                         token.request_cancel();
+                                       }),
+                 runtime::OperationCancelled);
+    EXPECT_EQ(calls, 1);
+  }
+  {
+    // A pool's own inline path (a one-thread pool) keeps the same contract.
+    runtime::CancellationToken token;
+    const runtime::CancelScope scope(&token, runtime::Deadline::never());
+    runtime::ThreadPool pool(1);
+    int calls = 0;
+    EXPECT_THROW(pool.parallel_for(64, 4,
+                                   [&](std::size_t, std::size_t) {
+                                     ++calls;
+                                     token.request_cancel();
+                                   }),
+                 runtime::OperationCancelled);
+    EXPECT_EQ(calls, 1);
+  }
 }
 
 TEST(Runtime, ParallelForRunsInlineWhenRangeFitsOneGrain) {
@@ -294,7 +329,7 @@ TEST(Runtime, ThreadBudgetCapsTheCallersParticipantsAndRestores) {
       EXPECT_EQ(runtime::thread_budget(), 1);
       int calls = 0;
       runtime::parallel_for(10000, 1, [&](std::size_t, std::size_t) { ++calls; });
-      EXPECT_EQ(calls, 1);
+      EXPECT_EQ(calls, 10000);  // inline: one call per chunk
     }
     EXPECT_EQ(runtime::thread_budget(), 2);
   }

@@ -1,7 +1,9 @@
 // Live-loopback tests of the statsize serve daemon: upload/submit/poll over
 // real sockets, bit-identity against in-process SSTA, queue overflow -> 429,
 // deadline'd jobs (checkpoint for sizing, cancel for analysis), DELETE on a
-// running job, ssta/sta jobs answered at admission, jobs side by side on
+// running job, ssta/sta jobs answered at admission with their whole job
+// document (kept by the client, so one exchange), mistyped fields as 400s,
+// one send per HTTP message over a SOCK_SEQPACKET pair, jobs side by side on
 // several executors (isolation, per-job thread budgets), LRU eviction under
 // concurrent readers, stats, and the SIGINT interrupt token. The suite runs
 // in the ThreadSanitizer configuration of scripts/check.sh, so the
@@ -9,8 +11,11 @@
 // surface.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <csignal>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -876,6 +881,191 @@ TEST_F(ServeTest, MixedBatchRunsItsInteractiveMembersAtAdmissionAndQueuesTheRest
             "done");
 }
 
+/// The submit answer's body with its "deduplicated" member taken out: the
+/// job document a GET returns.
+std::string without_deduplicated(std::string body) {
+  for (const char* member : {"  \"deduplicated\": false,\n", "  \"deduplicated\": true,\n"}) {
+    const std::size_t at = body.find(member);
+    if (at != std::string::npos) body.erase(at, std::string(member).size());
+  }
+  return body;
+}
+
+/// http.requests from /v1/stats; the stats request itself is counted.
+long http_requests(serve::Client& client) {
+  return static_cast<long>(client.stats().json().find("http")->int_or("requests", -1));
+}
+
+TEST_F(ServeTest, TerminalSubmitAnswerCarriesTheJobDocument) {
+  // An ssta or sta job is done at admission, so its 202 is the whole job
+  // document: the result is the in-process run's bits, and apart from
+  // "deduplicated" the answer is byte for byte the body a later GET returns.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  std::istringstream in(kC17);
+  const netlist::Circuit circuit = netlist::read_blif(in);
+  const ssta::DelayCalculator calc(circuit, {});
+  const std::vector<double> speed(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
+  const stat::NormalRV ssta_ref = ssta::run_ssta(calc, speed).circuit_delay;
+  const double sta_ref =
+      ssta::run_sta(circuit.view(), calc.all_delays(speed), ssta::Corner::kWorst).circuit_delay;
+
+  for (const std::string type : {"ssta", "sta"}) {
+    SCOPED_TRACE(type);
+    const serve::ApiResult submitted = client_->request("POST", "/v1/jobs", job_body(key, type));
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    const util::JsonValue doc = submitted.json();
+    EXPECT_EQ(doc.string_or("state", ""), "done") << submitted.body;
+    EXPECT_FALSE(doc.bool_or("deduplicated", true));
+    EXPECT_GE(doc.number_or("queue_wait_ms", -1.0), 0.0);
+    EXPECT_GE(doc.number_or("run_ms", -1.0), 0.0);
+    const util::JsonValue* result = doc.find("result");
+    ASSERT_NE(result, nullptr) << submitted.body;
+    if (type == "ssta") {
+      EXPECT_EQ(result->number_or("mu", -1.0), ssta_ref.mu);
+      EXPECT_EQ(result->number_or("sigma", -1.0), ssta_ref.sigma());
+    } else {
+      EXPECT_EQ(result->number_or("circuit_delay", -1.0), sta_ref);
+    }
+    const serve::ApiResult polled =
+        client_->request("GET", "/v1/jobs/" + doc.string_or("id", ""));
+    ASSERT_EQ(polled.status, 200);
+    EXPECT_EQ(without_deduplicated(submitted.body), polled.body);
+  }
+}
+
+TEST_F(ServeTest, ClientAnswersAnInteractiveJobFromItsSubmitAnswer) {
+  // Client::submit keeps a terminal answer: the job(id) or wait(id) after it
+  // costs no request, once. A queued job is still polled.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+
+  long before = http_requests(*client_);
+  std::string id = client_->submit(job_body(key, "ssta"));
+  const serve::ApiResult kept = client_->job(id);
+  long after = http_requests(*client_);
+  EXPECT_EQ(after - before - 1, 1) << "submit + job made more than the submit request";
+  ASSERT_EQ(kept.status, 200);
+  EXPECT_EQ(kept.json().string_or("state", ""), "done") << kept.body;
+  ASSERT_NE(kept.json().find("result"), nullptr) << kept.body;
+  EXPECT_EQ(without_deduplicated(kept.body), client_->request("GET", "/v1/jobs/" + id).body);
+
+  before = http_requests(*client_);
+  id = client_->submit(job_body(key, "sta"));
+  const util::JsonValue waited = client_->wait(id);
+  after = http_requests(*client_);
+  EXPECT_EQ(after - before - 1, 1) << "submit + wait made more than the submit request";
+  EXPECT_EQ(waited.string_or("state", ""), "done");
+  EXPECT_NE(waited.find("result"), nullptr);
+
+  // Once: the next job(id) for the same id asks the daemon.
+  before = http_requests(*client_);
+  EXPECT_EQ(client_->job(id).json().string_or("state", ""), "done");
+  after = http_requests(*client_);
+  EXPECT_EQ(after - before - 1, 1);
+}
+
+TEST_F(ServeTest, MixedBatchAnswerCarriesEachJobsDocument) {
+  // The batch answer is each job's document: the interactive members are
+  // done with their results, the queued ones carry no result yet.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::vector<std::string> running = OccupyEveryExecutor();
+  const serve::ApiResult batch = client_->request(
+      "POST", "/v1/jobs",
+      "[" + job_body(key, "ssta") + ", " + job_body(key, "monte_carlo", "\"samples\": 100") +
+          ", " + job_body(key, "size") + ", " + job_body(key, "sta") + "]");
+  ASSERT_EQ(batch.status, 202) << batch.body;
+  const util::JsonValue doc = batch.json();
+  const std::vector<util::JsonValue>& jobs = doc.find("jobs")->items();
+  ASSERT_EQ(jobs.size(), 4u);
+  for (std::size_t i : {0u, 3u}) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(jobs[i].string_or("state", ""), "done");
+    const util::JsonValue* result = jobs[i].find("result");
+    ASSERT_NE(result, nullptr) << batch.body;
+    const util::JsonValue polled = client_->job(jobs[i].string_or("id", "")).json();
+    ASSERT_NE(polled.find("result"), nullptr);
+    const char* field = i == 0 ? "mu" : "circuit_delay";
+    EXPECT_EQ(result->number_or(field, -1.0), polled.find("result")->number_or(field, -2.0));
+    EXPECT_GE(jobs[i].number_or("run_ms", -1.0), 0.0);
+  }
+  for (std::size_t i : {1u, 2u}) {
+    SCOPED_TRACE(i);
+    const std::string state = jobs[i].string_or("state", "");
+    EXPECT_TRUE(state == "queued" || state == "running") << state;
+    EXPECT_EQ(jobs[i].find("result"), nullptr) << batch.body;
+    EXPECT_EQ(jobs[i].find("run_ms"), nullptr) << batch.body;
+  }
+
+  for (const std::string& id : running) EXPECT_EQ(client_->cancel(id).status, 200);
+  for (std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(client_->wait(jobs[i].string_or("id", ""), 0.02, 60.0).string_or("state", ""),
+              "done");
+  }
+}
+
+TEST_F(ServeTest, IdempotentRetryOfAFinishedJobAnswersItsDocument) {
+  // A dedup hit on a finished job answers 200 with the job's full document,
+  // result included, and "deduplicated": true.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::map<std::string, std::string> headers = {{"Idempotency-Key", "done-once"}};
+  const serve::ApiResult first = client_->request("POST", "/v1/jobs", job_body(key, "ssta"), headers);
+  ASSERT_EQ(first.status, 202) << first.body;
+  const serve::ApiResult retry = client_->request("POST", "/v1/jobs", job_body(key, "ssta"), headers);
+  ASSERT_EQ(retry.status, 200) << retry.body;
+  const util::JsonValue doc = retry.json();
+  EXPECT_TRUE(doc.bool_or("deduplicated", false));
+  EXPECT_EQ(doc.string_or("id", ""), first.json().string_or("id", "x"));
+  EXPECT_EQ(doc.string_or("state", ""), "done");
+  EXPECT_EQ(doc.string_or("idempotency_key", ""), "done-once");
+  ASSERT_NE(doc.find("result"), nullptr) << retry.body;
+  EXPECT_EQ(without_deduplicated(retry.body), without_deduplicated(first.body));
+}
+
+TEST_F(ServeTest, MistypedFieldsGet400NamingTheFieldAndNullReadsAsAbsent) {
+  // A member of the wrong type is the client's error (400 naming it), never
+  // a 500; a JSON null member reads as absent.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif", "c17");
+  const std::string circuit = "{\"circuit\": \"" + key + "\", ";
+  const std::pair<std::string, std::string> bad[] = {
+      {"{\"circuit\": null}", "circuit"},
+      {"{\"circuit\": 5}", "circuit"},
+      {circuit + "\"type\": 7}", "type"},
+      {circuit + "\"type\": \"ssta\", \"seed\": \"one\"}", "seed"},
+      {"[" + circuit + "\"type\": 7}]", "jobs[0]: bad job field: type"},
+  };
+  for (const auto& [body, field] : bad) {
+    const serve::ApiResult rejected = client_->request("POST", "/v1/jobs", body);
+    EXPECT_EQ(rejected.status, 400) << body << " -> " << rejected.body;
+    EXPECT_NE(rejected.json().string_or("error", "").find(field), std::string::npos)
+        << rejected.body;
+  }
+  const serve::ApiResult untyped = client_->request("POST", "/v1/jobs", circuit + "\"type\": null}");
+  ASSERT_EQ(untyped.status, 202) << untyped.body;
+  EXPECT_EQ(untyped.json().string_or("type", ""), "ssta");
+
+  const std::string text = "\"text\": \"" + util::JsonWriter::escape(kC17) + "\"";
+  for (const auto& [field, value] : {std::make_pair("format", "5"), std::make_pair("name", "[]")}) {
+    const serve::ApiResult rejected = client_->request(
+        "POST", "/v1/circuits", "{\"" + std::string(field) + "\": " + value + ", " + text + "}");
+    EXPECT_EQ(rejected.status, 400) << rejected.body;
+    EXPECT_NE(rejected.json().string_or("error", "").find(field), std::string::npos)
+        << rejected.body;
+  }
+  EXPECT_EQ(client_->request("POST", "/v1/circuits", "{\"format\": null, " + text + "}").status,
+            200);
+
+  const serve::ApiResult patch = client_->request(
+      "PATCH", "/v1/circuits/" + key, "{\"name\": 4, \"edits\": [{\"node\": 5, \"speed\": 2}]}");
+  EXPECT_EQ(patch.status, 400) << patch.body;
+  EXPECT_NE(patch.json().string_or("error", "").find("name"), std::string::npos) << patch.body;
+
+  EXPECT_EQ(client_->stats().json().find("http")->int_or("server_errors", -1), 0);
+}
+
 TEST_F(ServeTest, MixedConcurrentJobsAreBitIdenticalToInProcessRuns) {
   // Several clients keep every executor busy with all four job types at
   // once; each answer must be the in-process one to the bit.
@@ -1148,6 +1338,65 @@ std::shared_ptr<const serve::CachedCircuit> make_entry(const std::string& key) {
   auto entry = std::make_shared<serve::CachedCircuit>();
   entry->key = key;
   return entry;
+}
+
+/// A connected AF_UNIX SOCK_SEQPACKET pair: each send is one record and a
+/// recv returns at most one, so a message split over two sends shows as two
+/// reads.
+struct PacketPair {
+  int fds[2] = {-1, -1};
+  PacketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0); }
+  ~PacketPair() {
+    if (fds[1] >= 0) ::close(fds[1]);
+  }
+  /// One recv from the reading end.
+  std::string read_one() {
+    std::string buf(1 << 16, '\0');
+    const ssize_t n = ::recv(fds[1], buf.data(), buf.size(), 0);
+    buf.resize(n < 0 ? 0 : static_cast<std::size_t>(n));
+    return buf;
+  }
+};
+
+TEST(HttpTest, EachMessageLeavesInOneSend) {
+  PacketPair pair;
+  serve::HttpConnection conn(pair.fds[0]);
+  const std::string body = "{\n  \"ok\": true\n}";
+  ASSERT_TRUE(conn.write_response(serve::HttpResponse::json(200, body), true));
+  const std::string response = pair.read_one();
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_EQ(response.size() - response.find("\r\n\r\n") - 4, body.size()) << response;
+
+  const std::string request_body = "{\"circuit\": \"c-1\"}";
+  ASSERT_TRUE(conn.write_request("POST", "/v1/jobs", request_body, "127.0.0.1:1",
+                                 {{"Idempotency-Key", "k"}}));
+  const std::string request = pair.read_one();
+  EXPECT_EQ(request.rfind("POST /v1/jobs HTTP/1.1\r\n", 0), 0u) << request;
+  EXPECT_EQ(request.substr(request.size() - request_body.size()), request_body) << request;
+}
+
+TEST(HttpTest, TornWriteSendsAStrictPrefixThenCloses) {
+  PacketPair pair;
+  serve::HttpConnection conn(pair.fds[0]);
+  const std::string body(200, 'x');
+  std::string full;
+  {
+    // The untorn bytes of the same message, for comparison.
+    PacketPair reference;
+    serve::HttpConnection whole(reference.fds[0]);
+    ASSERT_TRUE(whole.write_response(serve::HttpResponse::json(200, body), false));
+    full = reference.read_one();
+  }
+  {
+    const runtime::fault::ScopedFault fault(runtime::fault::kServeWritePartial);
+    EXPECT_FALSE(conn.write_response(serve::HttpResponse::json(200, body), false));
+  }
+  EXPECT_FALSE(conn.valid());
+  const std::string prefix = pair.read_one();
+  EXPECT_FALSE(prefix.empty());
+  EXPECT_LT(prefix.size(), full.size());
+  EXPECT_EQ(full.substr(0, prefix.size()), prefix);
+  EXPECT_EQ(pair.read_one(), "");  // EOF
 }
 
 TEST(JobSchedulerTest, KeepsTheLastFinishedJobsPollable) {
