@@ -126,6 +126,20 @@ if grep -rn 'parallel_for(' "$REPO_ROOT/src" | grep -vE '^[^:]*/src/runtime/' |
 fi
 echo "parallel-customer gate passed"
 
+# One outer loop (DESIGN.md §5 item 1): nlp::solve_augmented_lagrangian is
+# the only place a multiplier or penalty changes; both sizing methods hand it
+# their inner minimizer. A compound update of lambda, rho or multipliers
+# (`lambda +=`, `multipliers[j] -=`, `rho *=`) or a reassignment from its own
+# value (`rho = std::min(rho * 4.0, ...)`) anywhere else under src/ fails.
+# Comment lines are exempt. Needs no build.
+echo "== one outer loop (multiplier/penalty updates only in src/nlp/auglag.cpp) =="
+if grep -rnE '\b(lambda|rho|multipliers)\b(\[[^]]*\])?[[:space:]]*([-+*/]=|=[^=;][^;]*[^.>[:alnum:]_]\1\b)' \
+    "$REPO_ROOT/src" | grep -v '/src/nlp/auglag\.cpp:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "outer-loop gate FAILED: the src/ lines above update a multiplier or penalty outside nlp::solve_augmented_lagrangian"
+  exit 1
+fi
+echo "outer-loop gate passed"
+
 echo "== configure ($SANITIZE) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DSTATSIZE_SANITIZE="$SANITIZE" \

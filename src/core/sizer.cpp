@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -37,6 +36,14 @@ void validate_spec(const SizingSpec& spec, int num_nodes) {
   }
 }
 
+/// How far a circuit delay `t` breaks the spec's delay constraint (0 if none).
+double violation(const SizingSpec& spec, const stat::NormalRV& t) {
+  if (!spec.delay_constraint) return 0.0;
+  const DelayConstraint& dc = *spec.delay_constraint;
+  const double h = t.quantile_offset(dc.sigma_weight) - dc.bound;
+  return dc.equality ? std::abs(h) : std::max(0.0, h);
+}
+
 /// Gate count up to which auto_method picks the full-space formulation.
 constexpr int kFullSpaceGateLimit = 300;
 
@@ -67,12 +74,7 @@ void Sizer::finish(SizingResult& result) const {
   result.circuit_delay = ssta::run_ssta(calc, result.speed).circuit_delay;
   result.sum_speed = ssta::DelayCalculator::total_speed(*view_, result.speed);
   result.area = ssta::DelayCalculator::total_area(*view_, result.speed);
-  if (spec_.delay_constraint) {
-    const DelayConstraint& dc = *spec_.delay_constraint;
-    const double metric = result.delay_metric(dc.sigma_weight);
-    const double h = metric - dc.bound;
-    result.constraint_violation = dc.equality ? std::abs(h) : std::max(0.0, h);
-  }
+  result.constraint_violation = violation(spec_, result.circuit_delay);
 }
 
 namespace {
@@ -120,14 +122,7 @@ Score score_sizing(const netlist::TimingView& v, const SizingSpec& spec,
                    const std::vector<double>& speed) {
   const ReducedEvaluator eval(v, spec.sigma_model);
   const stat::NormalRV t = eval.eval(speed);
-  Score s;
-  s.objective = objective_metric(v, spec, speed, t);
-  if (spec.delay_constraint) {
-    const DelayConstraint& dc = *spec.delay_constraint;
-    const double h = t.mu + dc.sigma_weight * t.sigma() - dc.bound;
-    s.violation = dc.equality ? std::abs(h) : std::max(0.0, h);
-  }
-  return s;
+  return {violation(spec, t), objective_metric(v, spec, speed, t)};
 }
 
 /// Seeded multiplicative jitter for multistart retries. mt19937's output
@@ -151,6 +146,47 @@ std::vector<double> perturbed_start(const std::vector<double>& start, double max
 constexpr double kRetryRhoBackoff = 0.1;
 constexpr double kMinRhoScale = 1e-3;
 
+/// The outer loop's settings for one attempt; `rho_scale` backs the initial
+/// penalty off on retries.
+nlp::AugLagOptions outer_options(const SizerOptions& options, double rho_scale) {
+  return {.initial_rho = nlp::AugLagOptions{}.initial_rho * rho_scale,
+          .feasibility_tol = options.feasibility_tol,
+          .optimality_tol = options.optimality_tol,
+          .max_outer_iterations = options.max_outer_iterations,
+          .max_inner_iterations = options.max_inner_iterations,
+          .verbose = options.verbose};
+}
+
+/// The outer loop's warm start from a previous sizing (nullable). Its
+/// multipliers and rho belong to the problem that made them: they carry over
+/// only when that problem had `m` constraints too. Otherwise the resize
+/// starts from the speeds alone, exactly as run() from them does.
+nlp::WarmStart outer_warm(const SizingWarmStart* warm, int m) {
+  nlp::WarmStart w;
+  if (warm != nullptr && static_cast<int>(warm->multipliers.size()) == m) {
+    w.multipliers = warm->multipliers;
+    w.rho = warm->rho;
+  }
+  return w;
+}
+
+/// The sizing an outer-loop solve reports, its speeds per NodeId given.
+SizingResult sizing_from(const nlp::SolveResult& sol, const char* method,
+                         const std::vector<double>& speed) {
+  SizingResult r;
+  r.converged = sol.ok();
+  r.status = method + sol.status_string();
+  r.speed = speed;
+  r.objective_value = sol.objective;
+  r.iterations = sol.inner_iterations;
+  r.outer_iterations = sol.outer_iterations;
+  r.from_checkpoint = sol.from_checkpoint;
+  r.checkpoint_outer = sol.checkpoint_outer;
+  r.breakdown_site = sol.breakdown_site;
+  r.warm = {speed, sol.multipliers, sol.final_rho};
+  return r;
+}
+
 }  // namespace
 
 SizingResult Sizer::run(const SizerOptions& options) const {
@@ -169,9 +205,6 @@ SizingResult Sizer::resize(const SizerOptions& options, const SizingWarmStart& w
                                 std::to_string(warm.speed.size()) + " entries for " +
                                 std::to_string(view_->num_nodes()) +
                                 " nodes (indexed by NodeId, like SizingResult::speed)");
-  }
-  if (!std::isfinite(warm.lambda) || !std::isfinite(warm.rho)) {
-    throw std::invalid_argument("Sizer::resize: warm lambda/rho must be finite");
   }
   return run_impl(options, warm.speed.empty() ? default_start() : warm.speed, &warm);
 }
@@ -229,7 +262,9 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
         // Warm multiplier state only applies to the un-perturbed first
         // attempt: a retry start is a different point, where the old
         // multipliers are no longer meaningful.
-        r = run_attempt(options, start, rho_scale, attempt == 0 ? warm : nullptr);
+        const SizingWarmStart* w = attempt == 0 ? warm : nullptr;
+        r = options.method == Method::kFullSpace ? run_full_space(options, start, rho_scale, w)
+                                                 : run_reduced_space(options, start, rho_scale, w);
       } catch (const runtime::OperationCancelled&) {
         r = degraded(start, "time-limit", "");
       } catch (const nlp::EvalBreakdown& e) {
@@ -275,13 +310,6 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
   return result;
 }
 
-SizingResult Sizer::run_attempt(const SizerOptions& options, const std::vector<double>& start,
-                                double rho_scale, const SizingWarmStart* warm) const {
-  return options.method == Method::kFullSpace
-             ? run_full_space(options, start, rho_scale, warm)
-             : run_reduced_space(options, start, rho_scale, warm);
-}
-
 SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vector<double>& start,
                                    double rho_scale, const SizingWarmStart* warm_in) const {
   std::vector<double> s0 = start;
@@ -290,44 +318,18 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   // solution's sizes already play the feasible-start role.
   if (warm_in == nullptr) {
     SizerOptions pre = options;
-    pre.method = Method::kReducedSpace;
     pre.verbose = false;
     warm = run_reduced_space(pre, start, rho_scale, nullptr);
     s0 = warm.speed;
   }
   FullSpaceFormulation form = build_full_space(*view_, spec_, s0);
+  const nlp::SolveResult sol =
+      nlp::solve_augmented_lagrangian(*form.problem, outer_options(options, rho_scale),
+                                      outer_warm(warm_in, form.problem->num_constraints()));
 
-  nlp::AugLagOptions al;
-  al.initial_rho *= rho_scale;
-  al.feasibility_tol = options.feasibility_tol;
-  al.optimality_tol = options.optimality_tol;
-  al.max_outer_iterations = options.max_outer_iterations;
-  al.max_inner_iterations = options.max_inner_iterations;
-  al.verbose = options.verbose;
-  nlp::WarmStart nlp_warm;  // empty fields = cold defaults
-  if (warm_in != nullptr) {
-    if (static_cast<int>(warm_in->multipliers.size()) == form.problem->num_constraints()) {
-      nlp_warm.multipliers = warm_in->multipliers;
-    }
-    nlp_warm.rho = warm_in->rho;
-  }
-  const nlp::SolveResult sol = nlp::solve_augmented_lagrangian(*form.problem, al, nlp_warm);
-
-  SizingResult result;
-  result.converged = sol.ok();
-  result.status = "full-space/" + sol.status_string();
-  result.speed = form.speeds_from(sol.x);
-  result.objective_value = sol.objective;
-  result.iterations = sol.inner_iterations;
-  result.outer_iterations = sol.outer_iterations;
+  SizingResult result = sizing_from(sol, "full-space/", form.speeds_from(sol.x));
   result.value_evals = warm.value_evals;
   result.gradient_evals = warm.gradient_evals;
-  result.from_checkpoint = sol.from_checkpoint;
-  result.checkpoint_outer = sol.checkpoint_outer;
-  result.breakdown_site = sol.breakdown_site;
-  result.warm.speed = result.speed;
-  result.warm.multipliers = sol.multipliers;
-  result.warm.rho = sol.final_rho;
 
   // A non-converged augmented-Lagrangian run can drift off the warm-start
   // optimum; never return something worse than the point we started from.
@@ -359,78 +361,78 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   const netlist::TimingView& v = *view_;
   const ReducedEvaluator eval(v, spec_.sigma_model);
 
-  // Optimizer variables: speed factor per gate.
+  // Optimizer variables: the speed factor per gate, then, for an inequality
+  // delay constraint, a slack in [0, inf) as Problem::add_inequality makes
+  // one. The one constraint row is c = mu + k sigma - D (+ s), in delay units
+  // like full space's delay row.
   const std::vector<NodeId>& gates = v.gates_in_topo_order();
   const std::size_t ng = gates.size();
-  std::vector<double> x(ng);
-  for (std::size_t i = 0; i < ng; ++i) {
-    x[i] = std::clamp(start[static_cast<std::size_t>(gates[i])], 1.0, spec_.max_speed);
+  const DelayConstraint* dc = spec_.delay_constraint ? &*spec_.delay_constraint : nullptr;
+  const bool has_slack = dc != nullptr && !dc->equality;
+  nlp::OuterProblem problem;
+  problem.num_constraints = dc != nullptr ? 1 : 0;
+  problem.lower.assign(ng, 1.0);
+  problem.upper.assign(ng, spec_.max_speed);
+  for (NodeId id : gates) problem.start.push_back(start[static_cast<std::size_t>(id)]);
+  if (has_slack) {
+    problem.lower.push_back(0.0);
+    problem.upper.push_back(nlp::kInfinity);
+    problem.start.push_back(0.0);
   }
-  const std::vector<double> lo(ng, 1.0);
-  const std::vector<double> hi(ng, spec_.max_speed);
 
   std::vector<double> speed(static_cast<std::size_t>(v.num_nodes()), 1.0);
-  std::vector<double> full_grad;
-  // An ECO warm start resumes the multiplier/penalty schedule where the
-  // previous solve left it; cold solves estimate lambda from zero.
-  double lambda = warm_in != nullptr ? warm_in->lambda : 0.0;
-  double rho = warm_in != nullptr && warm_in->rho > 0.0 ? warm_in->rho : 10.0 * rho_scale;
+  auto set_speed = [&](const std::vector<double>& xs) {
+    for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = xs[i];
+  };
+  problem.eval = [&](const std::vector<double>& xs, std::vector<double>& c) {
+    set_speed(xs);
+    const stat::NormalRV t = eval.eval(speed);
+    c.clear();
+    if (dc != nullptr) {
+      c.push_back(t.mu + dc->sigma_weight * t.sigma() - dc->bound + (has_slack ? xs[ng] : 0.0));
+    }
+    return objective_metric(v, spec_, speed, t);
+  };
 
-  const bool has_constraint = spec_.delay_constraint.has_value();
-  const double obj_k =
-      spec_.objective.kind == ObjectiveKind::kDelay ? spec_.objective.sigma_weight : 0.0;
-
-  // F(S) = objective + augmented-Lagrangian constraint terms. value() runs
-  // one taped forward sweep and derives f and the adjoint seeds from its
-  // Tmax; gradient() runs one adjoint over that tape with those seeds, and
-  // L-BFGS asks for it only at the start point and at accepted steps.
+  // L-BFGS minimizes phi(S) = min over s >= 0 of Psi(S, s) at the inner
+  // solve's (lambda, rho). Psi is a convex quadratic in the slack, so each
+  // value() puts the slack at its minimizer and phi's slack gradient is 0:
+  // L-BFGS moves the speeds alone, and the inner solve stores the slack of
+  // its last accepted point. value() is one taped forward sweep, whose Tmax
+  // gives phi and the adjoint seeds; gradient() is one adjoint over that
+  // tape, asked for only at the start point and at accepted steps.
+  const ObjectiveKind kind = spec_.objective.kind;
+  double lambda = 0.0;
+  double rho = 0.0;
+  double slack = 0.0;
+  double accepted_slack = 0.0;
   double seed_mu = 0.0;
   double seed_var = 0.0;
+  std::vector<double> full_grad;
   int value_evals = 0;
   int gradient_evals = 0;
   auto value = [&](const std::vector<double>& xs) {
     ++value_evals;
-    for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = xs[i];
+    set_speed(xs);
     const stat::NormalRV t = eval.taped_forward(speed);
     const double sigma = t.sigma();
     const double inv2s = sigma > 1e-12 ? 0.5 / sigma : 0.0;
-
-    double f = 0.0;
-    seed_mu = 0.0;
-    seed_var = 0.0;
-    switch (spec_.objective.kind) {
-      case ObjectiveKind::kDelay:
-        f = t.mu + obj_k * sigma;
-        seed_mu = 1.0;
-        seed_var = obj_k * inv2s;
-        break;
-      case ObjectiveKind::kArea:
-        for (std::size_t i = 0; i < ng; ++i) f += xs[i];
-        break;
-      case ObjectiveKind::kSigma:
-        f = spec_.objective.sign * sigma;
-        seed_var = spec_.objective.sign * inv2s;
-        break;
-      case ObjectiveKind::kWeighted:
-        for (std::size_t i = 0; i < ng; ++i) {
-          f += spec_.objective.weights[static_cast<std::size_t>(gates[i])] * xs[i];
-        }
-        break;
-    }
-    if (has_constraint) {
-      const DelayConstraint& dc = *spec_.delay_constraint;
-      const double h = t.mu + dc.sigma_weight * sigma - dc.bound;
-      double dpen_dh;
-      if (dc.equality) {
-        f += lambda * h + 0.5 * rho * h * h;
-        dpen_dh = lambda + rho * h;
-      } else {
-        const double m = std::max(0.0, lambda + rho * h);
-        f += (m * m - lambda * lambda) / (2.0 * rho);
-        dpen_dh = m;
-      }
-      seed_mu += dpen_dh;
-      seed_var += dpen_dh * dc.sigma_weight * inv2s;
+    // The seeds carry the objective's timing part; gradient() adds the
+    // linear speed part of area and weighted objectives.
+    double f = objective_metric(v, spec_, speed, t);
+    seed_mu = kind == ObjectiveKind::kDelay ? 1.0 : 0.0;
+    seed_var = (kind == ObjectiveKind::kDelay   ? spec_.objective.sigma_weight
+                : kind == ObjectiveKind::kSigma ? spec_.objective.sign
+                                                : 0.0) *
+               inv2s;
+    if (dc != nullptr) {
+      const double h = t.mu + dc->sigma_weight * sigma - dc->bound;
+      slack = has_slack ? std::max(0.0, lambda / rho - h) : 0.0;
+      const double c = h + slack;
+      f += -lambda * c + 0.5 * rho * c * c;
+      const double dpsi_dh = rho * c - lambda;
+      seed_mu += dpsi_dh;
+      seed_var += dpsi_dh * dc->sigma_weight * inv2s;
     }
     // Tripwires at the evaluation boundary (DESIGN.md §9): name the gate, not
     // "NaN somewhere".
@@ -448,120 +450,43 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
     } else {
       full_grad.assign(speed.size(), 0.0);
     }
-    grad.resize(ng);
+    grad.resize(problem.lower.size());
     for (std::size_t i = 0; i < ng; ++i) {
       grad[i] = full_grad[static_cast<std::size_t>(gates[i])];
-      if (spec_.objective.kind == ObjectiveKind::kArea) {
+      if (kind == ObjectiveKind::kArea) {
         grad[i] += 1.0;
-      } else if (spec_.objective.kind == ObjectiveKind::kWeighted) {
+      } else if (kind == ObjectiveKind::kWeighted) {
         grad[i] += spec_.objective.weights[static_cast<std::size_t>(gates[i])];
       }
       if (!std::isfinite(grad[i])) {
         throw nlp::EvalBreakdown("reduced-space gradient (gate " + v.name(gates[i]) + ")");
       }
     }
+    if (has_slack) {
+      grad[ng] = 0.0;
+      accepted_slack = slack;
+    }
   };
   const nlp::LbfgsObjective objective{value, gradient};
+  const nlp::InnerMinimizer lbfgs = [&](std::vector<double>& x,
+                                        const std::vector<double>& multipliers, double outer_rho,
+                                        double tol, int max_iterations) {
+    lambda = multipliers.empty() ? 0.0 : multipliers[0];
+    rho = outer_rho;
+    const nlp::LbfgsResult r = nlp::minimize_projected_lbfgs(objective, x, problem.lower,
+                                                             problem.upper, {tol, max_iterations});
+    if (has_slack) x[ng] = accepted_slack;
+    return nlp::InnerResult{r.iterations, r.projected_gradient};
+  };
+  // The delay row is judged relative to the bound, so the same tolerance
+  // fits 7-unit trees and 150-unit netlists.
+  nlp::AugLagOptions al = outer_options(options, rho_scale);
+  if (dc != nullptr) al.feasibility_tol *= 1.0 + std::abs(dc->bound);
+  const nlp::SolveResult sol = nlp::solve_augmented_lagrangian(
+      problem, lbfgs, al, outer_warm(warm_in, problem.num_constraints));
 
-  SizingResult result;
-  nlp::LbfgsOptions lb;
-  lb.tol = options.optimality_tol;
-  lb.max_iterations = options.max_inner_iterations;
-
-  // Best-iterate checkpoint across the constrained outer loop (scored on the
-  // true propagated timing, which the loop computes anyway). Restored only
-  // when the run degrades — normal exits return exactly the pre-resilience
-  // iterate.
-  std::vector<double> ckpt_x;
-  Score ckpt_score;
-  int ckpt_outer = -1;
-  bool have_ckpt = false;
-  int total_it = 0;
-  int outers_run = 0;
-
-  try {
-    if (!has_constraint) {
-      const nlp::LbfgsResult r = minimize_projected_lbfgs(objective, x, lo, hi, lb);
-      result.converged = r.converged;
-      result.iterations = r.iterations;
-      result.status = std::string("reduced/") + (r.converged ? "converged" : "max-iterations");
-    } else {
-      const DelayConstraint& dc = *spec_.delay_constraint;
-      // The delay metric is O(bound); judge feasibility relative to it so the
-      // same tolerance works for 7-unit trees and 150-unit netlists.
-      const double feas = options.feasibility_tol * (1.0 + std::abs(dc.bound));
-      bool done = false;
-      double viol = 0.0;
-      for (int outer = 0; outer < options.max_outer_iterations && !done; ++outer) {
-        // LANCELOT-style omega schedule: early subproblems are solved loosely
-        // (their multipliers are wrong anyway), tightening toward the final
-        // optimality tolerance. A warm-started resize skips the loose rungs —
-        // its multipliers are already near-correct, so the loose subproblem
-        // would just wander off the old optimum and have to walk back.
-        nlp::LbfgsOptions lb_outer = lb;
-        lb_outer.tol = warm_in != nullptr ? lb.tol
-                                          : std::max(lb.tol, 1e-2 / std::pow(4.0, outer));
-        const nlp::LbfgsResult r = minimize_projected_lbfgs(objective, x, lo, hi, lb_outer);
-        total_it += r.iterations;
-        ++outers_run;
-        for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = x[i];
-        const stat::NormalRV probe = eval.eval(speed);
-        const double h = probe.mu + dc.sigma_weight * probe.sigma() - dc.bound;
-        viol = dc.equality ? std::abs(h) : std::max(0.0, h);
-        if (options.verbose) {
-          std::printf("[sizer-reduced] outer=%d viol=%.3e pg=%.3e rho=%.1e\n", outer, viol,
-                      r.projected_gradient, rho);
-        }
-        const double obj_now = objective_metric(v, spec_, speed, probe);
-        if (std::isfinite(viol) && std::isfinite(obj_now) &&
-            (!have_ckpt || Score{viol, obj_now}.better_than(ckpt_score, feas))) {
-          ckpt_x = x;
-          ckpt_score = Score{viol, obj_now};
-          ckpt_outer = outer;
-          have_ckpt = true;
-        }
-        if (viol <= feas && lb_outer.tol <= 2.0 * lb.tol &&
-            r.projected_gradient <= 10.0 * options.optimality_tol) {
-          done = true;
-          break;
-        }
-        // Multiplier / penalty updates (PHR).
-        if (dc.equality) {
-          lambda += rho * h;
-        } else {
-          lambda = std::max(0.0, lambda + rho * h);
-        }
-        if (viol > 0.25 * feas) rho = std::min(rho * 4.0, 1e9);
-      }
-      result.converged = done;
-      result.iterations = total_it;
-      result.status = std::string("reduced/") + (done ? "converged" : "max-iterations");
-    }
-  } catch (const runtime::OperationCancelled&) {
-    result.converged = false;
-    result.status = "reduced/time-limit";
-    result.iterations = total_it;
-    result.from_checkpoint = true;
-    if (have_ckpt) x = ckpt_x;  // else: last accepted L-BFGS iterate, still valid
-    result.checkpoint_outer = ckpt_outer;
-  } catch (const nlp::EvalBreakdown& e) {
-    result.converged = false;
-    result.status = "reduced/numerical-breakdown";
-    result.breakdown_site = e.site();
-    result.iterations = total_it;
-    result.from_checkpoint = true;
-    if (have_ckpt) x = ckpt_x;
-    result.checkpoint_outer = ckpt_outer;
-  }
-
-  result.outer_iterations = has_constraint ? outers_run : 1;
-  result.speed.assign(static_cast<std::size_t>(v.num_nodes()), 1.0);
-  for (std::size_t i = 0; i < ng; ++i) {
-    result.speed[static_cast<std::size_t>(gates[i])] = x[i];
-  }
-  result.warm.speed = result.speed;
-  result.warm.lambda = lambda;
-  result.warm.rho = rho;
+  set_speed(sol.x);
+  SizingResult result = sizing_from(sol, "reduced/", speed);
   result.value_evals = value_evals;
   result.gradient_evals = gradient_evals;
   return result;

@@ -19,8 +19,10 @@
 //    re-propagated, so the start is feasible), which saves most outer
 //    iterations beyond toy circuits.
 //  * kReducedSpace — speed factors only; timing evaluated by forward SSTA
-//    with adjoint gradients, bound-constrained L-BFGS inside a scalar
-//    augmented-Lagrangian loop for the delay constraint.
+//    with adjoint gradients, the delay constraint as the one constraint row.
+//
+// Both run the one outer loop, nlp::solve_augmented_lagrangian; only the
+// inner minimizer differs (TRON vs bound-constrained L-BFGS).
 
 #pragma once
 
@@ -44,6 +46,9 @@ Method auto_method(const netlist::TimingView& view);
 
 struct SizerOptions {
   Method method = Method::kFullSpace;
+  /// Final constraint-violation target of the outer loop. Full space judges
+  /// its rows as built; reduced space judges the delay constraint relative to
+  /// 1 + |D|, so the same tolerance fits 7-unit trees and 150-unit netlists.
   double feasibility_tol = 1e-6;
   double optimality_tol = 2e-4;
   int max_outer_iterations = 40;
@@ -74,11 +79,12 @@ struct SizerOptions {
 /// instance (via TimingView::update_node_params / clone_with_library) and the
 /// solve starts from the old sizes and multiplier/penalty state instead of
 /// re-estimating them from scratch, which is where the outer iterations are
-/// saved. Empty/zero fields fall back to the cold defaults.
+/// saved. Empty/zero fields fall back to the cold defaults. The multipliers
+/// and rho carry over only when the new problem has as many constraints as
+/// there are multipliers; otherwise the resize starts from the speeds alone.
 struct SizingWarmStart {
   std::vector<double> speed;        ///< per NodeId; empty = default start
-  std::vector<double> multipliers;  ///< full-space AugLag multipliers
-  double lambda = 0.0;              ///< reduced-space scalar delay multiplier
+  std::vector<double> multipliers;  ///< the outer loop's multipliers
   double rho = 0.0;                 ///< penalty parameter; <= 0 = cold default
 };
 
@@ -130,8 +136,8 @@ class Sizer {
 
   /// Re-solves after an ECO perturbation, warm-starting from a previous
   /// result's `warm` state (DESIGN.md §12): the old sizes become the start
-  /// point and the multiplier/penalty loop resumes from the old lambda/rho
-  /// instead of the cold schedule. On a nearby instance this converges in
+  /// point and the outer loop resumes from the old multipliers and rho when
+  /// they fit (see SizingWarmStart). On a nearby instance this converges in
   /// fewer outer iterations than `run` (pinned by tests). Full-space resizes
   /// additionally skip the reduced-space pre-solve — the warm sizes already
   /// play that role.
@@ -145,8 +151,6 @@ class Sizer {
   /// One solve from `start`. `rho_scale` backs the initial penalty off on
   /// retries after a penalty explosion (1.0 on the first attempt). `warm`
   /// (nullable) carries multiplier/penalty state into the outer loop.
-  SizingResult run_attempt(const SizerOptions& options, const std::vector<double>& start,
-                           double rho_scale, const SizingWarmStart* warm) const;
   SizingResult run_full_space(const SizerOptions& options, const std::vector<double>& start,
                               double rho_scale, const SizingWarmStart* warm) const;
   SizingResult run_reduced_space(const SizerOptions& options, const std::vector<double>& start,

@@ -282,18 +282,37 @@ struct Checkpoint {
 
 }  // namespace
 
-SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options) {
-  return solve_augmented_lagrangian(problem, options, WarmStart{});
-}
-
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options,
                                        const WarmStart& warm) {
   problem.validate();
   const int m = problem.num_constraints();
-  if (!warm.x.empty() && static_cast<int>(warm.x.size()) != problem.num_vars()) {
+  OuterProblem outer{problem.lower(), problem.upper(), problem.start(), m,
+                     [&problem](const std::vector<double>& x, std::vector<double>& c) {
+                       problem.eval_constraints(x, c);
+                       return problem.eval_objective(x);
+                     }};
+  AugLagModel model(problem, std::vector<double>(static_cast<std::size_t>(m), 0.0),
+                    options.initial_rho);
+  const InnerMinimizer tron = [&model, &problem](std::vector<double>& x,
+                                                 const std::vector<double>& multipliers,
+                                                 double rho, double tol, int max_iterations) {
+    model.set_rho(rho);
+    model.set_multipliers(multipliers);
+    const TrustRegionResult r = minimize_bound_constrained(model, x, problem.lower(),
+                                                           problem.upper(), {tol, max_iterations});
+    return InnerResult{r.iterations, r.projected_gradient};
+  };
+  return solve_augmented_lagrangian(outer, tron, options, warm);
+}
+
+SolveResult solve_augmented_lagrangian(const OuterProblem& problem, const InnerMinimizer& minimize,
+                                       const AugLagOptions& options, const WarmStart& warm) {
+  const int m = problem.num_constraints;
+  const std::size_t n = problem.lower.size();
+  if (!warm.x.empty() && warm.x.size() != n) {
     throw std::invalid_argument("solve_augmented_lagrangian: warm start x has " +
                                 std::to_string(warm.x.size()) + " entries but the problem has " +
-                                std::to_string(problem.num_vars()) + " variables");
+                                std::to_string(n) + " variables");
   }
   if (!warm.multipliers.empty() && static_cast<int>(warm.multipliers.size()) != m) {
     throw std::invalid_argument("solve_augmented_lagrangian: warm start carries " +
@@ -301,16 +320,20 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
                                 " multipliers but the problem has " + std::to_string(m) +
                                 " constraints");
   }
+  for (std::size_t j = 0; j < warm.multipliers.size(); ++j) {
+    if (!std::isfinite(warm.multipliers[j])) {
+      throw std::invalid_argument("solve_augmented_lagrangian: warm start multiplier #" +
+                                  std::to_string(j) + " is not finite");
+    }
+  }
   if (!std::isfinite(warm.rho)) {
     throw std::invalid_argument("solve_augmented_lagrangian: warm start rho is not finite");
   }
 
   SolveResult result;
-  result.x = warm.x.empty() ? problem.start() : warm.x;
-  for (int i = 0; i < problem.num_vars(); ++i) {
-    result.x[static_cast<std::size_t>(i)] =
-        std::clamp(result.x[static_cast<std::size_t>(i)], problem.lower()[static_cast<std::size_t>(i)],
-                   problem.upper()[static_cast<std::size_t>(i)]);
+  result.x = warm.x.empty() ? problem.start : warm.x;
+  for (std::size_t i = 0; i < n; ++i) {
+    result.x[i] = std::clamp(result.x[i], problem.lower[i], problem.upper[i]);
   }
   if (warm.multipliers.empty()) {
     result.multipliers.assign(static_cast<std::size_t>(m), 0.0);
@@ -321,9 +344,22 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
 
   double rho = warm.rho > 0.0 ? std::min(warm.rho, kMaxRho) : options.initial_rho;
   double eta = 1.0 / std::pow(rho, 0.1);
-  double omega = 1.0 / rho;
+  // Inner tolerance. With no constraint the one inner solve runs at the final
+  // tolerance. Warm multipliers come from a converged solve of a nearby
+  // problem, so the inner solves start at the floor: a loose first solve
+  // would only wander off the old optimum and have to walk back.
+  double omega = m == 0                      ? options.optimality_tol
+                 : warm.multipliers.empty() ? 1.0 / rho
+                                            : 0.1 * options.optimality_tol;
 
-  AugLagModel model(problem, result.multipliers, rho);
+  // f and ||c||_inf at x, into result.objective and the return value.
+  std::vector<double> c;
+  auto score = [&](const std::vector<double>& x) {
+    result.objective = problem.eval(x, c);
+    double worst = 0.0;
+    for (double cj : c) worst = std::max(worst, std::abs(cj));
+    return worst;
+  };
   Checkpoint ckpt;
 
   // Graceful degradation: map a deadline/cancel or a numerical tripwire to a
@@ -341,14 +377,15 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
       result.constraint_violation = ckpt.cnorm;
       result.projected_gradient = ckpt.projected_gradient;
     } else {
-      // Nothing completed an outer iteration: fall back to the clamped start
-      // point. Scoring it may itself trip the deadline or a tripwire — in
-      // that case keep the zeros rather than propagate.
-      result.x = x_start;
+      // Nothing completed an outer iteration. Without constraints every
+      // iterate is feasible and the inner minimizer left its last accepted
+      // one in x; otherwise fall back to the clamped start point. Scoring it
+      // may itself trip the deadline or a tripwire — in that case keep the
+      // zeros rather than propagate.
+      if (m > 0) result.x = x_start;
       result.multipliers.assign(static_cast<std::size_t>(m), 0.0);
       try {
-        result.objective = problem.eval_objective(result.x);
-        result.constraint_violation = problem.max_constraint_violation(result.x);
+        result.constraint_violation = score(result.x);
       } catch (...) {  // NOLINT(bugprone-empty-catch)
       }
     }
@@ -366,20 +403,17 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
                                         "injected fault: auglag.outer");
     }
     result.outer_iterations = outer + 1;
-    model.set_rho(rho);
-    model.set_multipliers(result.multipliers);
 
-    TrustRegionOptions tr;
-    tr.tol = std::max(omega, 0.1 * options.optimality_tol);
-    tr.max_iterations = options.max_inner_iterations;
-    const TrustRegionResult inner =
-        minimize_bound_constrained(model, result.x, problem.lower(), problem.upper(), tr);
+    const InnerResult inner =
+        minimize(result.x, result.multipliers, rho, std::max(omega, 0.1 * options.optimality_tol),
+                 options.max_inner_iterations);
     result.inner_iterations += inner.iterations;
     result.projected_gradient = inner.projected_gradient;
 
-    const double cnorm = problem.max_constraint_violation(result.x);
+    // Re-evaluate at the final iterate: an inner minimizer's cached values
+    // can predate its final trial-point acceptance.
+    const double cnorm = score(result.x);
     result.constraint_violation = cnorm;
-    result.objective = problem.eval_objective(result.x);
     result.final_rho = rho;
     if (options.verbose) {
       std::printf("[auglag] outer=%d rho=%.1e f=%.6g ||c||=%.3e pg=%.3e inner_it=%d\n", outer,
@@ -397,6 +431,12 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
       ckpt.valid = true;
     }
 
+    if (m == 0) {
+      result.status = inner.projected_gradient <= options.optimality_tol
+                          ? SolveStatus::kConverged
+                          : SolveStatus::kMaxIterations;
+      return result;
+    }
     if (cnorm <= std::max(eta, options.feasibility_tol)) {
       if (cnorm <= options.feasibility_tol &&
           inner.projected_gradient <= options.optimality_tol) {
@@ -417,12 +457,7 @@ SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptio
         stagnant_outers = 0;
       }
       prev_objective = result.objective;
-      // First-order multiplier update; tighten both tolerances. (Re-evaluate
-      // the constraints at the final iterate: the model's cached values stem
-      // from the last gradient evaluation, which can predate a final
-      // trial-point acceptance.)
-      std::vector<double> c;
-      problem.eval_constraints(result.x, c);
+      // First-order multiplier update; tighten both tolerances.
       for (int j = 0; j < m; ++j) {
         result.multipliers[static_cast<std::size_t>(j)] -= rho * c[static_cast<std::size_t>(j)];
       }

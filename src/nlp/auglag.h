@@ -1,6 +1,6 @@
-// Augmented Lagrangian method for the Problem class — the same algorithm
-// family as LANCELOT (Conn–Gould–Toint): bound constraints are handled by the
-// inner solver, equality constraints by the multiplier/penalty outer loop
+// Augmented Lagrangian method — the same algorithm family as LANCELOT
+// (Conn–Gould–Toint): bound constraints are handled by an inner minimizer,
+// equality constraints by the multiplier/penalty outer loop
 //
 //   Psi(x; lambda, rho) = f(x) - sum_j lambda_j c_j(x) + (rho/2) sum_j c_j(x)^2
 //
@@ -8,7 +8,12 @@
 // inner solve ends sufficiently feasible, first-order multiplier update
 // lambda <- lambda - rho c and tightened tolerances; otherwise rho increases.
 //
-// Hessian information is assembled from the per-element analytic Hessians:
+// This outer loop is the one place multipliers and penalties change; the
+// inner minimizer is its parameter: TRON over AugLagModel for element
+// Problems, projected L-BFGS for the reduced-space sizer (DESIGN.md §5).
+//
+// For element Problems the Hessian information is assembled from the
+// per-element analytic Hessians:
 //
 //   H_Psi v = H_f v + sum_j (rho c_j - lambda_j) H_{c_j} v
 //             + rho sum_j (grad c_j . v) grad c_j
@@ -18,6 +23,7 @@
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,29 +83,58 @@ struct SolveResult {
 /// Carry-over state from a previous solve of a *nearby* problem (an ECO
 /// perturbation of the instance) — the multiplier/penalty warm start the
 /// sizing layer threads through Sizer::resize (DESIGN.md §12). Empty fields
-/// fall back to the cold defaults: empty `x` → problem.start() (then clamped
-/// to bounds, as always), empty `multipliers` → zeros, `rho` <= 0 →
+/// fall back to the cold defaults: empty `x` → the problem's start (then
+/// clamped to bounds, as always), empty `multipliers` → zeros, `rho` <= 0 →
 /// options.initial_rho. Non-empty fields must match the problem's dimensions
-/// (std::invalid_argument otherwise). Reusing converged multipliers near the
-/// old solution lets the outer loop start at (or near) the correct
-/// first-order point instead of re-estimating lambda from zero, which is
-/// where the ECO resize saves its outer iterations.
+/// and every value must be finite (std::invalid_argument otherwise). Reusing
+/// converged multipliers near the old solution lets the outer loop start at
+/// (or near) the correct first-order point instead of re-estimating lambda
+/// from zero, which is where the ECO resize saves its outer iterations.
 struct WarmStart {
   std::vector<double> x;
   std::vector<double> multipliers;
   double rho = 0.0;  ///< <= 0 means options.initial_rho
 };
 
-/// Solves `problem` starting from problem.start().
-SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options = {});
+/// The outer loop's view of a problem in LANCELOT's canonical shape:
+/// minimize f(x) subject to c(x) = 0 and lower <= x <= upper. An inequality
+/// enters as an equality with a slack coordinate in [0, inf).
+struct OuterProblem {
+  std::vector<double> lower;
+  std::vector<double> upper;
+  std::vector<double> start;
+  int num_constraints = 0;
+  /// Returns f(x) and fills c (resized to num_constraints) with c(x).
+  std::function<double(const std::vector<double>& x, std::vector<double>& c)> eval;
+};
 
-/// Solves `problem` from the warm start (see WarmStart; the plain overload
-/// is exactly this with an empty warm start).
-SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options,
-                                       const WarmStart& warm);
+/// What an inner solve reports of the point it leaves in x.
+struct InnerResult {
+  int iterations = 0;
+  double projected_gradient = 0.0;
+};
 
-/// The Psi model itself — exposed for tests and for reuse by the
-/// reduced-space sizer's constraint handling.
+/// The bound-constrained inner minimizer: minimizes Psi(x; multipliers, rho)
+/// over the box from and into `x`, only ever storing accepted steps there,
+/// until its projected gradient is at most `tol` or `max_iterations` pass.
+using InnerMinimizer =
+    std::function<InnerResult(std::vector<double>& x, const std::vector<double>& multipliers,
+                              double rho, double tol, int max_iterations)>;
+
+/// Solves an element `problem` from the warm start (see WarmStart; the
+/// default is a cold start from problem.start()). The inner minimizer is
+/// TRON over AugLagModel.
+SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options = {},
+                                       const WarmStart& warm = {});
+
+/// The outer loop itself, over any problem and inner minimizer. With no
+/// constraint there is no multiplier to estimate, so it runs one inner solve
+/// at the final optimality tolerance.
+SolveResult solve_augmented_lagrangian(const OuterProblem& problem, const InnerMinimizer& minimize,
+                                       const AugLagOptions& options, const WarmStart& warm);
+
+/// The Psi model of an element Problem — TRON's objective inside the outer
+/// loop, exposed for the audit, tests and benchmarks.
 class AugLagModel final : public SmoothModel {
  public:
   AugLagModel(const Problem& problem, std::vector<double> multipliers, double rho);
@@ -118,7 +153,6 @@ class AugLagModel final : public SmoothModel {
   void set_rho(double rho) { rho_ = rho; }
   void set_multipliers(std::vector<double> m) { multipliers_ = std::move(m); }
   double rho() const { return rho_; }
-  const Problem& problem() const { return *problem_; }
   const std::vector<double>& multipliers() const { return multipliers_; }
   const std::vector<double>& constraint_values() const { return c_; }
 

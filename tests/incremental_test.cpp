@@ -629,6 +629,55 @@ TEST(SizerWarmStart, ResizeValidatesWarmStart) {
   EXPECT_THROW(sizer.resize(reduced_opts(), warm), std::invalid_argument);
 }
 
+/// Min area s.t. mean delay <= 40% of the way from the fastest to the
+/// slowest uniform sizing's mean.
+core::SizingSpec mid_deadline_area_spec(const Circuit& c) {
+  core::SizingSpec spec;
+  spec.objective = core::Objective::min_area();
+  const ssta::DelayCalculator calc(c, spec.sigma_model);
+  std::vector<double> s(static_cast<std::size_t>(c.num_nodes()), spec.max_speed);
+  const double mu_min = ssta::run_ssta(calc, s).circuit_delay.mu;
+  std::fill(s.begin(), s.end(), 1.0);
+  const double mu_max = ssta::run_ssta(calc, s).circuit_delay.mu;
+  spec.delay_constraint = core::DelayConstraint::at_most(mu_min + 0.4 * (mu_max - mu_min));
+  return spec;
+}
+
+TEST(SizerWarmStart, ResizeRejectsNonFiniteMultiplier) {
+  const Circuit c = small_dag(40, 47);
+  const core::Sizer sizer(c, mid_deadline_area_spec(c));
+  core::SizingWarmStart warm;
+  warm.multipliers = {std::nan("")};  // one multiplier for the one delay row
+  EXPECT_THROW(sizer.resize(reduced_opts(), warm), std::invalid_argument);
+}
+
+TEST(SizerWarmStart, ResizeUsesMultipliersOnlyWhenTheyFit) {
+  // Multipliers and rho belong to the problem that made them. A full-space
+  // result carries one per NLP row and an unconstrained reduced result none,
+  // so a constrained reduced resize from either has nothing to resume: it
+  // starts from the speeds alone, bit for bit as run() from them.
+  const Circuit c = small_dag(40, 61);
+  const core::SizingSpec spec = mid_deadline_area_spec(c);
+  core::SizerOptions full;
+  full.method = core::Method::kFullSpace;
+  const core::SizingResult from_full = core::Sizer(c, spec).run(full);
+  core::SizingSpec free_spec;
+  free_spec.objective = core::Objective::min_delay(3.0);
+  const core::SizingResult from_free = core::Sizer(c, free_spec).run(reduced_opts());
+
+  const core::Sizer sizer(c, spec);
+  for (const core::SizingResult* prev : {&from_full, &from_free}) {
+    const core::SizingResult resized = sizer.resize(reduced_opts(), prev->warm);
+    const core::SizingResult ref = sizer.run(reduced_opts(), prev->warm.speed);
+    ASSERT_TRUE(ref.converged) << ref.status;
+    ASSERT_GT(ref.outer_iterations, 1);
+    EXPECT_EQ(resized.status, ref.status);
+    EXPECT_EQ(resized.speed, ref.speed);
+    EXPECT_EQ(resized.iterations, ref.iterations);
+    EXPECT_EQ(resized.outer_iterations, ref.outer_iterations);
+  }
+}
+
 TEST(SizerWarmStart, ViewConstructedSizerRunsFullSpace) {
   // Full space on a copy of the circuit's view is bit-identical to sizing
   // the Circuit itself, and it converges on an edited copy too.

@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -457,6 +460,20 @@ TEST(AugLagWarmStart, RejectsSizeMismatchesAndNonFiniteRho) {
   WarmStart bad_rho;
   bad_rho.rho = std::nan("");
   EXPECT_THROW(solve_augmented_lagrangian(*p, {}, bad_rho), std::invalid_argument);
+}
+
+TEST(AugLagWarmStart, RejectsNonFiniteMultiplierNamingItsIndex) {
+  auto p = make_hs6();
+  WarmStart bad;
+  bad.multipliers = {std::nan("")};
+  try {
+    solve_augmented_lagrangian(*p, {}, bad);
+    ADD_FAILURE() << "a NaN multiplier was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("multiplier #0"), std::string::npos) << e.what();
+  }
+  bad.multipliers = {std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(solve_augmented_lagrangian(*p, {}, bad), std::invalid_argument);
 }
 
 TEST(AugLagWarmStart, ResolveFromConvergedStateTakesFewerOuterIterations) {

@@ -508,6 +508,34 @@ TEST(SizerResilience, ReducedSpaceNaNNamesTheSite) {
   EXPECT_TRUE(std::isfinite(broken.circuit_delay.mu));
 }
 
+TEST(SizerResilience, ReducedSpaceOuterDeadlineReturnsTheOuterCheckpoint) {
+  // Reduced space runs the one augmented-Lagrangian outer loop, so its
+  // auglag.outer site and best-iterate checkpoint are full space's: a
+  // deadline at the head of outer 1 returns the sizing outer 0 ended at.
+  DisarmGuard cleanup;
+  const Circuit c = netlist::make_tree_circuit();
+  SizingSpec spec;
+  spec.objective = Objective::min_area();
+  spec.delay_constraint = core::DelayConstraint::at_most(8.0);  // the fastest sizing has mean 6.96
+  const Sizer sizer(c, spec);
+  SizerOptions o;
+  o.method = Method::kReducedSpace;
+
+  const SizingResult ref = sizer.run(o);
+  ASSERT_TRUE(ref.converged) << ref.status;
+  ASSERT_GE(ref.outer_iterations, 2);
+
+  fault::ScopedFault f("auglag.outer:2");
+  const SizingResult r = sizer.run(o);
+  EXPECT_EQ(r.status, "reduced/time-limit");
+  EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(r.from_checkpoint);
+  EXPECT_EQ(r.checkpoint_outer, 0);
+  EXPECT_TRUE(r.breakdown_site.empty());
+  expect_speeds_in_bounds(r, spec.max_speed);
+  EXPECT_TRUE(std::isfinite(r.circuit_delay.mu));
+}
+
 TEST(SizerResilience, RetryAfterInjectedFirstStartFailureConverges) {
   DisarmGuard cleanup;
   const Circuit c = netlist::make_tree_circuit();
