@@ -2,8 +2,11 @@
 # Self-check for the `statsize lint` subcommand, run as a ctest:
 #   1. every built-in and shipped example circuit must lint without errors
 #      (exit < 3; warnings and notes are tolerated),
-#   2. the --demo-defects circuit must produce errors (exit 3) whose JSON
-#      names one rule from each analysis family.
+#   2. the lint JSON on a real circuit must carry its analytics sections
+#      (graph_stats with the level-width histogram, nlp_instance),
+#   3. the --demo-defects inputs must produce errors (exit 3) whose JSON
+#      names one rule from each analysis family: CIR001, CIR006, LIB001,
+#      NLP001, NLP005 and GRF002.
 #
 # Usage: lint_selfcheck.sh <path-to-statsize-binary> <repo-root>
 set -u
@@ -38,20 +41,36 @@ for f in "$REPO_ROOT"/examples/circuits/*.blif; do
   check_clean "$f"
 done
 
-# The deliberately broken demo must fire: exit 3 and one rule per family.
+# Analytics sections present on a k2-scale lint.
+json="$("$STATSIZE" lint --circuit k2 --json - 2>/dev/null)"
+code=$?
+if [ "$code" -ge 3 ] || [ "$code" -eq 1 ]; then
+  echo "FAIL: k2 JSON lint exited $code"
+  failures=$((failures + 1))
+fi
+for section in graph_stats level_widths nlp_instance; do
+  if ! printf '%s' "$json" | grep -q "\"$section\""; then
+    echo "FAIL: k2 lint JSON is missing section '$section'"
+    failures=$((failures + 1))
+  fi
+done
+[ "$failures" -eq 0 ] && echo "ok: k2 lint JSON carries the analytics sections"
+
+# The deliberately broken demo inputs must fire: exit 3 and one rule per family.
 json="$("$STATSIZE" lint --demo-defects --json - 2>/dev/null)"
 code=$?
 if [ "$code" -ne 3 ]; then
   echo "FAIL: --demo-defects exited $code (expected 3)"
   failures=$((failures + 1))
 fi
-for rule in CIR001 CIR006 LIB001; do
+for rule in CIR001 CIR006 LIB001 NLP001 NLP005 GRF002; do
   if ! printf '%s' "$json" | grep -q "\"id\": \"$rule\""; then
     echo "FAIL: --demo-defects JSON is missing rule $rule"
     failures=$((failures + 1))
   fi
 done
-[ "$failures" -eq 0 ] && echo "ok: demo-defects fires (exit 3, CIR001+CIR006+LIB001)"
+[ "$failures" -eq 0 ] &&
+  echo "ok: demo-defects fires (exit 3, CIR001+CIR006+LIB001+NLP001+NLP005+GRF002)"
 
 rm -f /tmp/lint_out.$$
 if [ "$failures" -ne 0 ]; then

@@ -51,7 +51,7 @@ class Report {
            std::string hint = {});
 
   /// Appends `other`'s diagnostics, dropping any whose (id, locus, message)
-  /// triple this report already holds. Composed drivers (lint + audit, or the
+  /// triple this report already holds. Composed reports (several inputs, or the
   /// same rule reached through two analysis paths) would otherwise double-count
   /// one defect in the summary and the CI gate.
   void merge(Report other);
@@ -82,7 +82,7 @@ class Report {
   void write_json(std::ostream& out, std::string_view target) const;
 
   /// Emits the summary + diagnostics members into an object `w` has already
-  /// opened — the shared body of write_json and the audit document (audit.h),
+  /// opened — the shared body of write_json and the lint document (lint.h),
   /// which appends its analytics sections alongside.
   void write_json_members(util::JsonWriter& w) const;
 

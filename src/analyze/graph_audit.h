@@ -1,5 +1,5 @@
 // TimingView graph analytics (rules GRF001, GRF002, GRF004..GRF006) — the
-// structural half of the pre-solve static audit (`statsize audit`).
+// step the lint driver (lint.h, `statsize lint`) runs right after finalize().
 //
 // The raw numbers come from netlist::compute_view_stats / check_view_-
 // invariants; this module judges them: CSR soundness (GRF001/002), fanout
@@ -36,7 +36,7 @@ Report audit_level_widths(const std::vector<std::size_t>& level_widths);
 
 /// Full GRF audit over a compiled view: invariant self-check, then the
 /// histogram/skew/reconvergence/depth judgments on compute_view_stats.
-/// `stats_out` (optional) receives the analytics so callers (the audit CLI)
+/// `stats_out` (optional) receives the analytics so callers (the lint driver)
 /// can report them without recomputing.
 Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& options = {},
                    netlist::TimingViewStats* stats_out = nullptr);

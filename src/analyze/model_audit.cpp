@@ -5,11 +5,9 @@
 #include <cstdio>
 #include <string>
 
-#include "core/full_space.h"
 #include "nlp/derivative_check.h"
 #include "ssta/delay_model.h"
 #include "ssta/propagate.h"
-#include "ssta/ssta.h"
 #include "stat/clark.h"
 
 namespace statsize::analyze {
@@ -48,25 +46,22 @@ class Rng {
 
 Report audit_problem_bounds(const nlp::Problem& problem, std::string_view what) {
   Report report;
-  const std::string suffix = " [" + std::string(what) + "]";
+  auto locus = [&](int i) {
+    return "variable '" + problem.var_name(i) + "' [" + std::string(what) + "]";
+  };
   for (int i = 0; i < problem.num_vars(); ++i) {
     const std::size_t k = static_cast<std::size_t>(i);
     const double lo = problem.lower()[k];
     const double hi = problem.upper()[k];
     const double s0 = problem.start()[k];
-    const std::string locus = "variable '" + problem.var_name(i) + "'" + suffix;
-    if (!(lo <= hi)) {
-      report.add("MOD001", locus,
-                 "empty bound box: lower " + fmt(lo) + " exceeds upper " + fmt(hi));
-      continue;
-    }
-    if (std::isnan(s0) || std::isinf(s0)) {
-      report.add("MOD001", locus, "start value is not finite");
+    if (!(lo <= hi)) continue;  // an empty box, NaN included, is NLP001's finding
+    if (!std::isfinite(s0)) {
+      report.add("MOD001", locus(i), "start value is not finite");
       continue;
     }
     const double slack = 1e-9 * (1.0 + std::abs(s0));
     if (s0 < lo - slack || s0 > hi + slack) {
-      report.add("MOD001", locus,
+      report.add("MOD001", locus(i),
                  "start " + fmt(s0) + " lies outside bounds [" + fmt(lo) + ", " + fmt(hi) + "]",
                  "the optimizer projects onto the box, silently moving the start point");
     }
@@ -216,45 +211,6 @@ Report audit_view_compilability(const netlist::Circuit& circuit) {
                      "and per-fanout-edge capacitances, poisoning every timing sweep",
                  "Circuit::finalize() would reject the circuit when compiling its TimingView");
       break;
-    }
-  }
-  return report;
-}
-
-Report audit_model(const netlist::Circuit& circuit, const ModelAuditOptions& options) {
-  Report report;
-  core::SizingSpec base;
-  base.sigma_model = options.sigma_model;
-  base.max_speed = options.max_speed;
-  report.merge(audit_spec(base, circuit));
-  if (report.has_errors()) return report;  // a broken spec makes the builds meaningless
-
-  const std::vector<double> unit(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
-  report.merge(
-      audit_clark_degeneracy(circuit, options.sigma_model, unit, options.theta_threshold));
-
-  // Cheap bound for the constraint: SSTA at S = 1 (the slowest sizing).
-  const NormalRV total =
-      ssta::run_ssta(ssta::DelayCalculator(circuit, options.sigma_model), unit).circuit_delay;
-
-  // Audit spec: mu + 3 sigma objective plus a just-tight delay constraint so
-  // the formulation materializes every element family (Product, Square,
-  // Clark, Sqrt) and the inequality slack.
-  core::SizingSpec audit_spec_ = base;
-  audit_spec_.objective = core::Objective::min_delay(3.0);
-  audit_spec_.delay_constraint =
-      core::DelayConstraint::at_most(0.98 * total.quantile_offset(3.0), 3.0);
-
-  const int num_formulations = options.audit_nary ? 2 : 1;
-  for (int variant = 0; variant < num_formulations; ++variant) {
-    audit_spec_.nary_fanin_max = variant == 1;
-    const char* what = variant == 1 ? "full-space, n-ary max" : "full-space, pairwise max";
-    const core::FullSpaceFormulation form = core::build_full_space(circuit, audit_spec_, 1.0);
-    report.merge(audit_problem_bounds(*form.problem, what));
-    if (options.derivative_audit && options.derivative_points >= 0) {
-      report.merge(audit_problem_derivatives(*form.problem, what, options.derivative_points,
-                                             options.rng_seed + static_cast<unsigned>(variant),
-                                             options.derivative_tol));
     }
   }
   return report;

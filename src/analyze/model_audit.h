@@ -1,10 +1,10 @@
-// NLP model audits (rules MOD001..MOD004).
+// NLP model audits (rules MOD001..MOD005): the evaluating checks the lint
+// driver (lint.h) runs before optimization.
 //
-// Three families of formulation-level checks, run before optimization:
-//
-//  * bound consistency — every NLP variable must satisfy lower <= start <=
-//    upper with a non-empty box (the paper's S_min <= S_0 <= S_max, extended
-//    to every timing variable the full-space formulation materializes);
+//  * bound consistency — every NLP variable must start inside its box with a
+//    finite value (the paper's S_min <= S_0 <= S_max, extended to every
+//    timing variable the full-space formulation materializes). An empty box
+//    is NLP001's finding (nlp_audit.h), not this rule's;
 //
 //  * Clark degeneracy — at every statistical-max merge point, theta =
 //    sqrt(varA + varB) is the denominator of alpha in eqs. 10-13; when it
@@ -13,12 +13,13 @@
 //    ill-conditioned and the NLP's curvature explodes. Merge points whose
 //    theta falls below a threshold are flagged per gate;
 //
-//  * derivative audit — rebuilds the full-space formulations (pairwise and
-//    n-ary max, delay constraint with slack + sqrt element) and sweeps every
-//    element through nlp::check_problem_derivatives at the feasible start and
-//    at deterministic pseudo-random interior points, reporting any
+//  * derivative audit — sweeps every element of a built formulation through
+//    nlp::check_problem_derivatives at the feasible start and at
+//    deterministic pseudo-random interior points, reporting any
 //    gradient/Hessian vs finite-difference mismatch as a diagnostic instead
-//    of a test-only assertion.
+//    of a test-only assertion;
+//
+//  * spec and TimingView compilability checks (MOD004, MOD005).
 
 #pragma once
 
@@ -38,15 +39,16 @@ struct ModelAuditOptions {
   /// Merge points with theta = sqrt(varA + varB) below this are flagged.
   double theta_threshold = 1e-3;
   /// Randomized interior points per formulation (the feasible start is always
-  /// checked in addition); 0 disables the sweep.
+  /// checked in addition); a negative value disables the sweep.
   int derivative_points = 3;
   double derivative_tol = 1e-4;
   unsigned rng_seed = 2000u;  ///< deterministic point generation
   bool derivative_audit = true;
-  bool audit_nary = true;  ///< also sweep the n-ary max formulation
+  bool audit_nary = true;  ///< also build and audit the n-ary max formulation
 };
 
-/// MOD001: lower <= start <= upper and finite start for every variable.
+/// MOD001: finite start inside the box for every variable whose box is
+/// non-empty (an empty box, NaN bounds included, is left to NLP001).
 Report audit_problem_bounds(const nlp::Problem& problem, std::string_view what);
 
 /// MOD002: forward SSTA at `speed`, flagging every Clark merge point whose
@@ -73,12 +75,5 @@ Report audit_spec(const core::SizingSpec& spec, const netlist::Circuit& circuit)
 /// non-finalized circuits; gates whose cell id is invalid are skipped (that is
 /// CIR003's finding).
 Report audit_view_compilability(const netlist::Circuit& circuit);
-
-/// Full model audit on a finalized circuit: spec checks, Clark degeneracy at
-/// S = 1, then bound + derivative audits over full-space formulations built
-/// with a mu + 3 sigma objective and an active delay constraint (so every
-/// element family — Product, Square, Clark, n-ary Clark, Sqrt, slack — is
-/// exercised regardless of what objective the user will optimize).
-Report audit_model(const netlist::Circuit& circuit, const ModelAuditOptions& options = {});
 
 }  // namespace statsize::analyze

@@ -1,5 +1,5 @@
-// NLP instance audits (rules NLP001..NLP008) — the no-evaluation half of the
-// pre-solve static audit (`statsize audit`).
+// NLP instance audits (rules NLP001..NLP008) — the no-evaluation checks the
+// lint driver (lint.h, `statsize lint`) runs on every formulation it builds.
 //
 // Where the MOD0xx model audits *evaluate* the formulation (finite-difference
 // derivative sweeps, SSTA propagation), these rules inspect an nlp::Problem /
@@ -35,7 +35,8 @@ struct NlpAuditOptions {
 /// (falling back to the start value, then 1). Exposed for tests.
 double estimate_group_scale(const nlp::Problem& problem, const nlp::FunctionGroup& group);
 
-/// Runs NLP001..NLP007 over `problem`. `what` names the instance in loci
+/// Runs NLP001..NLP007 over `problem`. NLP001 owns the empty box (lower > upper
+/// or a NaN bound); MOD001 stays silent on it. `what` names the instance in loci
 /// (e.g. "full-space, pairwise max"). Never evaluates any element function.
 Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what,
                          const NlpAuditOptions& options = {});

@@ -39,7 +39,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"DET004", "determinism", Severity::kError, "missing-poll-cancel",
        "a solver iteration loop has no runtime::poll_cancel() checkpoint, so deadlines and "
        "cancellation cannot stop it (DESIGN.md §9)"},
-      // -- TimingView graph analytics (statsize audit) -----------------------
+      // -- TimingView graph analytics ---------------------------------------
       {"GRF001", "graph", Severity::kError, "csr-invariant-violation",
        "the compiled TimingView violates a CSR invariant (edge symmetry, topo order, level "
        "partition) the sweeps, the cone walk and the adjoint's level walk rely on"},
@@ -78,7 +78,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "a discrete size table is empty, non-ascending, or contains sizes below 1"},
       // -- NLP model audits -------------------------------------------------
       {"MOD001", "model", Severity::kError, "bound-inconsistency",
-       "an NLP variable violates S_min <= S_0 <= S_max (empty box or start outside bounds)"},
+       "an NLP variable's start S_0 lies outside its box [S_min, S_max] or is not finite"},
       {"MOD002", "model", Severity::kWarning, "clark-degeneracy",
        "a statistical-max merge point has theta = sqrt(varA+varB) below threshold, where the "
        "Clark derivatives (eqs. 10-13) become ill-conditioned"},
@@ -89,9 +89,10 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"MOD005", "model", Severity::kError, "non-compilable-timing-view",
        "a cell parameter (t_int, c, c_in, area) or node load is non-finite, so the flat "
        "TimingView's precomputed delay-model constants would propagate NaN/Inf into every sweep"},
-      // -- NLP instance audits (statsize audit; no evaluation involved) ------
+      // -- NLP instance audits (no evaluation involved) ---------------------
       {"NLP001", "nlp", Severity::kError, "inverted-bound",
-       "an NLP variable's bound box is empty (lower > upper), so no feasible point exists"},
+       "an NLP variable's bound box is empty (lower > upper, or a NaN bound), so no feasible "
+       "point exists"},
       {"NLP002", "nlp", Severity::kNote, "collapsed-bound",
        "a variable's bounds coincide (lower == upper): it is a constant wearing a variable's "
        "cost (inflates the NLP and every multiplier/Hessian structure for nothing)"},

@@ -218,7 +218,7 @@ class TimingView {
 };
 
 /// Structural analytics over a compiled TimingView — the raw numbers the
-/// pre-solve audit (`statsize audit`, rules GRF0xx) judges. Everything here
+/// lint driver's graph step (`statsize lint`, rules GRF0xx) judges. Everything here
 /// is a pure function of the CSR arrays: no timing model is evaluated.
 struct TimingViewStats {
   int num_nodes = 0;

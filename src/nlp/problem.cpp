@@ -148,18 +148,4 @@ double SqrtElement::eval(const double* x, double* grad, double* hess) const {
   return s;
 }
 
-double RatioElement::eval(const double* x, double* grad, double* hess) const {
-  const double inv = 1.0 / x[1];
-  if (grad != nullptr) {
-    grad[0] = inv;
-    grad[1] = -x[0] * inv * inv;
-  }
-  if (hess != nullptr) {
-    hess[packed_index(2, 0, 0)] = 0.0;
-    hess[packed_index(2, 0, 1)] = -inv * inv;
-    hess[packed_index(2, 1, 1)] = 2.0 * x[0] * inv * inv * inv;
-  }
-  return x[0] * inv;
-}
-
 }  // namespace statsize::nlp

@@ -95,13 +95,6 @@ class SquareElement final : public ElementFunction {
   double eval(const double* x, double* grad, double* hess) const override;
 };
 
-/// f(x, y) = x / y (y must stay away from 0 via bounds).
-class RatioElement final : public ElementFunction {
- public:
-  int arity() const override { return 2; }
-  double eval(const double* x, double* grad, double* hess) const override;
-};
-
 /// f(x) = sqrt(x) for x >= floor, extended linearly (C^1) below the floor.
 ///
 /// Used to express mu + k * sigma as mu + k * sqrt(var) without a separate

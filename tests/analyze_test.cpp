@@ -385,7 +385,7 @@ TEST(ModelAudit, HealthySigmaModelHasNoDegeneracy) {
 
 TEST(ModelAudit, TreeModelAuditIsCleanUnderDefaults) {
   Circuit tree = netlist::make_tree_circuit();
-  const Report report = analyze::audit_model(tree, {});
+  const Report report = analyze::lint_circuit(tree).report;
   EXPECT_TRUE(report.empty()) << report.errors_text();
 }
 
@@ -483,7 +483,7 @@ analyze::LintOptions fast_options() {
 
 TEST(LintDriver, TreeIsClean) {
   Circuit tree = netlist::make_tree_circuit();
-  const Report report = analyze::lint_circuit(tree, fast_options());
+  const Report report = analyze::lint_circuit(tree, fast_options()).report;
   EXPECT_EQ(report.exit_code(), 0) << report.errors_text();
 }
 
@@ -491,7 +491,7 @@ TEST(LintDriver, StructuralErrorsSuppressModelAudit) {
   NodeId a;
   Circuit c = small_base(&a);
   c.add_gate(c.library().cell_for_inputs(1), {a}, "dangle");
-  const Report report = analyze::lint_circuit(c, fast_options());
+  const Report report = analyze::lint_circuit(c, fast_options()).report;
   EXPECT_TRUE(has_rule(report, "CIR006"));
   EXPECT_FALSE(c.finalized());  // driver must not try to finalize broken input
   for (const auto& d : report.diagnostics()) {
@@ -504,7 +504,7 @@ TEST(LintDriver, NonCompilableViewIsReportedNotThrown) {
   // compiles the TimingView) would throw on the non-finite parameter — so the
   // audit has to run before the driver's finalize step.
   Circuit c = nan_cell_circuit();
-  const Report report = analyze::lint_circuit(c, fast_options());
+  const Report report = analyze::lint_circuit(c, fast_options()).report;
   EXPECT_TRUE(has_rule(report, "MOD005"));
   EXPECT_TRUE(report.has_errors());
   EXPECT_FALSE(c.finalized());
@@ -518,7 +518,7 @@ TEST(BlifErrors, UndefinedSignalThrowsAndLints) {
     EXPECT_THROW(netlist::read_blif(in), std::runtime_error);
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options()).report;
   ASSERT_TRUE(has_rule(report, "PAR001"));
   EXPECT_NE(message_of(report, "PAR001").find("phantom"), std::string::npos);
   EXPECT_NE(message_of(report, "PAR001").find("never defined"), std::string::npos);
@@ -533,7 +533,7 @@ TEST(BlifErrors, DuplicateDefinitionThrowsAndLints) {
     EXPECT_THROW(netlist::read_blif(in), std::runtime_error);
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options()).report;
   ASSERT_TRUE(has_rule(report, "PAR001"));
   EXPECT_NE(message_of(report, "PAR001").find("defined twice"), std::string::npos);
 }
@@ -546,7 +546,7 @@ TEST(BlifErrors, MissingArityCellThrowsAndLints) {
     EXPECT_THROW(netlist::read_blif(in), std::runtime_error);  // standard() tops out at 4 pins
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options()).report;
   ASSERT_TRUE(has_rule(report, "PAR001"));
   EXPECT_NE(message_of(report, "PAR001").find("no library cell with 5 inputs"),
             std::string::npos);
@@ -560,7 +560,7 @@ TEST(BlifErrors, DuplicateOutputThrowsAndLints) {
     EXPECT_THROW(netlist::read_blif(in), std::invalid_argument);
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options()).report;
   ASSERT_TRUE(has_rule(report, "PAR001"));
   EXPECT_NE(message_of(report, "PAR001").find("'y' is already a primary output"),
             std::string::npos);
@@ -579,7 +579,7 @@ TEST(BlifErrors, CycleSurfacesAsStructuralDiagnosticNotParseError) {
     EXPECT_THROW(netlist::read_blif(in), std::runtime_error);
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_blif(in, CellLibrary::standard(), fast_options()).report;
   EXPECT_FALSE(has_rule(report, "PAR001"));
   ASSERT_TRUE(has_rule(report, "CIR001"));
   EXPECT_NE(message_of(report, "CIR001").find("->"), std::string::npos);
@@ -640,7 +640,8 @@ TEST(VerilogErrors, BadInputsThrowAndLint) {
       EXPECT_THROW(netlist::read_verilog(in), std::runtime_error) << tc.expect;
     }
     std::istringstream in(*tc.text);
-    const Report report = analyze::lint_verilog(in, CellLibrary::standard(), fast_options());
+    const Report report =
+        analyze::lint_verilog(in, CellLibrary::standard(), fast_options()).report;
     ASSERT_TRUE(has_rule(report, "PAR002")) << tc.expect;
     EXPECT_NE(message_of(report, "PAR002").find(tc.expect), std::string::npos);
     EXPECT_EQ(report.exit_code(), 3);
@@ -655,7 +656,7 @@ TEST(VerilogErrors, DuplicateOutputThrowsAndLints) {
     EXPECT_THROW(netlist::read_verilog(in), std::invalid_argument);
   }
   std::istringstream in(text);
-  const Report report = analyze::lint_verilog(in, CellLibrary::standard(), fast_options());
+  const Report report = analyze::lint_verilog(in, CellLibrary::standard(), fast_options()).report;
   ASSERT_TRUE(has_rule(report, "PAR002"));
   // A gate node carries its instance name.
   EXPECT_NE(message_of(report, "PAR002").find("'g1' is already a primary output"),
@@ -664,9 +665,9 @@ TEST(VerilogErrors, DuplicateOutputThrowsAndLints) {
 }
 
 TEST(LintDriver, MissingFileIsAParseDiagnosticNotACrash) {
-  const Report blif = analyze::lint_file("/nonexistent/x.blif", CellLibrary::standard());
+  const Report blif = analyze::lint_file("/nonexistent/x.blif", CellLibrary::standard()).report;
   EXPECT_TRUE(has_rule(blif, "PAR001"));
-  const Report verilog = analyze::lint_file("/nonexistent/x.v", CellLibrary::standard());
+  const Report verilog = analyze::lint_file("/nonexistent/x.v", CellLibrary::standard()).report;
   EXPECT_TRUE(has_rule(verilog, "PAR002"));
 }
 

@@ -1,6 +1,7 @@
-// Tests for the pre-solve static audit (src/analyze/{nlp_audit, graph_audit,
-// audit}): one positive and one clean-instance case per NLP0xx/GRF0xx rule,
-// the Report::merge deduplication contract, and the audit driver end to end.
+// Tests for the pre-solve static audits (src/analyze/{nlp_audit, graph_audit}):
+// one positive and one clean-instance case per NLP0xx/GRF0xx rule, the
+// Report::merge deduplication contract, and the lint driver's graph and NLP
+// steps end to end.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,10 @@
 #include <string_view>
 #include <vector>
 
-#include "analyze/audit.h"
 #include "analyze/diagnostic.h"
 #include "analyze/graph_audit.h"
+#include "analyze/lint.h"
+#include "analyze/model_audit.h"
 #include "analyze/nlp_audit.h"
 #include "analyze/registry.h"
 #include "netlist/generators.h"
@@ -95,6 +97,18 @@ TEST(NlpAudit, Nlp001FiresOnNanBound) {
   const Report r = analyze::audit_nlp_problem(p, "test");
   EXPECT_TRUE(has_rule(r, "NLP001"));
   EXPECT_EQ(r.exit_code(), 3);
+}
+
+TEST(NlpAudit, EmptyBoxIsNlp001AloneNotMod001) {
+  // One defect, one rule: an empty box (a NaN bound on either side) is
+  // NLP001's finding once per variable; MOD001 keeps only the start checks.
+  for (const bool nan_lower : {true, false}) {
+    nlp::Problem p = clean_problem();
+    p.add_variable(nan_lower ? kNaN : 1.0, nan_lower ? 1.0 : kNaN, 1.0, "S_broken");
+    EXPECT_TRUE(analyze::audit_problem_bounds(p, "test").empty());
+    const Report r = analyze::audit_nlp_problem(p, "test");
+    EXPECT_EQ(count_rule(r, "NLP001"), 1);
+  }
 }
 
 TEST(NlpAudit, Nlp002FiresOnCollapsedBound) {
@@ -344,12 +358,12 @@ TEST(ReportMerge, PrefixLociNamesTheInputFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Audit driver end to end
+// The lint driver's graph and NLP steps end to end
 // ---------------------------------------------------------------------------
 
 TEST(AuditDriver, TreeAuditCarriesAnalyticsAndIsErrorFree) {
   Circuit c = netlist::make_tree_circuit();
-  const analyze::AuditResult result = analyze::audit_circuit(c);
+  const analyze::LintResult result = analyze::lint_circuit(c);
   EXPECT_TRUE(result.has_view);
   EXPECT_TRUE(result.has_nlp);
   EXPECT_FALSE(result.report.has_errors());
@@ -358,30 +372,30 @@ TEST(AuditDriver, TreeAuditCarriesAnalyticsAndIsErrorFree) {
   EXPECT_EQ(static_cast<int>(result.stats.level_widths.size()), c.depth());
 
   std::ostringstream json;
-  analyze::write_audit_json(json, result, "tree");
+  result.write_json(json, "tree");
   EXPECT_NE(json.str().find("\"graph_stats\""), std::string::npos);
   EXPECT_NE(json.str().find("\"nlp_instance\""), std::string::npos);
 }
 
 TEST(AuditDriver, ReportsLevelWidthsWithoutGranularityAdvice) {
-  // The audit describes the level histogram; it no longer turns it into a
+  // The driver describes the level histogram; it no longer turns it into a
   // serial cutoff, since the runtime's only granularity rule is
   // parallel_for's own one-grain inline path.
   Circuit c = netlist::make_mcnc_like("apex2");
-  const analyze::AuditResult result = analyze::audit_circuit(c);
+  const analyze::LintResult result = analyze::lint_circuit(c);
   ASSERT_TRUE(result.has_view);
   std::size_t gates = 0;
   for (std::size_t width : result.stats.level_widths) gates += width;
   EXPECT_EQ(static_cast<int>(gates), c.num_gates());
 
   std::ostringstream json;
-  analyze::write_audit_json(json, result, "apex2");
+  result.write_json(json, "apex2");
   EXPECT_NE(json.str().find("\"level_widths\""), std::string::npos);
   EXPECT_EQ(json.str().find("granularity"), std::string::npos);
   EXPECT_EQ(json.str().find("cutoff"), std::string::npos);
 
   std::ostringstream text;
-  analyze::print_audit(text, result);
+  result.print(text);
   EXPECT_EQ(text.str().find("cutoff"), std::string::npos);
   EXPECT_EQ(count_rule(result.report, "GRF003"), 0);
 }
@@ -397,16 +411,36 @@ TEST(AuditDriver, StructurallyBrokenCircuitStopsAtTheStructuralGate) {
   c.set_fanin(y, 0, x);
   c.set_fanin(y, 1, a);
   c.mark_output(x, 1.0);
-  const analyze::AuditResult result = analyze::audit_circuit(c);
+  const analyze::LintResult result = analyze::lint_circuit(c);
   EXPECT_TRUE(result.report.has_errors());
   EXPECT_FALSE(result.has_view);  // never finalized, no graph analytics
   EXPECT_FALSE(result.has_nlp);
 }
 
 TEST(AuditDriver, MissingFileBecomesParseDiagnostic) {
-  const analyze::AuditResult result =
-      analyze::audit_file("/nonexistent/x.blif", CellLibrary::standard());
+  const analyze::LintResult result =
+      analyze::lint_file("/nonexistent/x.blif", CellLibrary::standard());
   EXPECT_TRUE(has_rule(result.report, "PAR001"));
+}
+
+TEST(AuditDriver, OneLintRunReportsModelGraphAndNlpFindings) {
+  // One driver, one report: a zero sigma model makes every live Clark merge
+  // degenerate (MOD002), apex2's reconvergence trips GRF005, and a tight
+  // scale threshold makes the instance rules speak (NLP006).
+  Circuit c = netlist::make_mcnc_like("apex2");
+  analyze::LintOptions options;
+  options.model.sigma_model = {0.0, 0.0};
+  options.nlp.scale_ratio_threshold = 1.0;
+  const analyze::LintResult result = analyze::lint_circuit(c, options);
+  EXPECT_TRUE(has_rule(result.report, "MOD002"));
+  EXPECT_TRUE(has_rule(result.report, "GRF005"));
+  EXPECT_TRUE(has_rule(result.report, "NLP006"));
+
+  std::ostringstream json;
+  result.write_json(json, "apex2");
+  EXPECT_NE(json.str().find("\"graph_stats\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"level_widths\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"nlp_instance\""), std::string::npos);
 }
 
 TEST(AuditRegistry, NewRuleFamiliesAreCataloged) {

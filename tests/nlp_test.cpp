@@ -26,10 +26,9 @@ namespace {
 // Elements and groups.
 // ---------------------------------------------------------------------------
 
-TEST(Elements, ProductSquareRatioValuesAndDerivatives) {
+TEST(Elements, ProductSquareValuesAndDerivatives) {
   ProductElement prod;
   SquareElement sq;
-  RatioElement ratio;
   double x[2] = {3.0, 4.0};
   double g[2];
   double h[3];
@@ -42,11 +41,6 @@ TEST(Elements, ProductSquareRatioValuesAndDerivatives) {
   EXPECT_DOUBLE_EQ(sq.eval(x, g, h), 9.0);
   EXPECT_DOUBLE_EQ(g[0], 6.0);
   EXPECT_DOUBLE_EQ(h[0], 2.0);
-
-  EXPECT_DOUBLE_EQ(ratio.eval(x, g, h), 0.75);
-  EXPECT_DOUBLE_EQ(g[0], 0.25);
-  EXPECT_DOUBLE_EQ(g[1], -3.0 / 16.0);
-  EXPECT_DOUBLE_EQ(h[packed_index(2, 1, 1)], 6.0 / 64.0);
 }
 
 TEST(Elements, PackedIndexLayout) {

@@ -14,11 +14,10 @@
 //   * writes the per-gate speed factors to a TSV file.
 //
 // `statsize lint` is a separate subcommand: it runs the static-analysis
-// subsystem (circuit structure, cell library, sigma model, NLP model audits)
-// over one or more circuits and reports diagnostics instead of sizing.
-// `statsize audit` is its evaluation-free sibling: NLP instance rules and
-// TimingView graph analytics. Both use
-// exit codes 0 = clean/notes, 2 = warnings, 3 = errors, 1 = tool failure.
+// subsystem (circuit structure, cell library, sigma model, TimingView graph
+// analytics, NLP model and instance audits) over one or more circuits and
+// reports diagnostics instead of sizing, with exit codes 0 = clean/notes,
+// 2 = warnings, 3 = errors, 1 = tool failure.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,9 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "analyze/audit.h"
+#include "analyze/graph_audit.h"
 #include "analyze/library_lint.h"
 #include "analyze/lint.h"
+#include "analyze/nlp_audit.h"
 #include "analyze/registry.h"
 #include "core/sizer.h"
 #include "netlist/blif.h"
@@ -96,10 +96,15 @@ void print_report(const netlist::Circuit& c, const core::SizingSpec& spec,
   }
 }
 
-/// A deliberately broken circuit + candidate cells, exercising one rule from
-/// every analysis family: a combinational cycle (CIR001), a dangling gate
-/// (CIR006), and non-physical cells (LIB001, LIB003). Used by CI to prove the
-/// linter actually fires.
+/// Deliberately defective inputs, exercising one rule from every analysis
+/// family: a combinational cycle (CIR001) and a dangling gate (CIR006) in a
+/// circuit, non-physical candidate cells (LIB001, LIB003), an NLP instance
+/// with an empty bound box (NLP001), an orphan variable (NLP003) and a
+/// constant constraint (NLP005), and a level histogram spammed with
+/// zero-width levels (GRF002). Used by CI to prove every family's error rules
+/// actually flip the exit code. The empty box enters as a NaN bound:
+/// Problem::add_variable rejects lower > upper eagerly, but NaN slips through
+/// every `>` comparison — exactly the silent corruption NLP001 exists for.
 analyze::Report demo_defects_report(const analyze::LintOptions& options) {
   const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
   const int nand2 = lib.cell_for_inputs(2);
@@ -122,19 +127,37 @@ analyze::Report demo_defects_report(const analyze::LintOptions& options) {
   c.set_fanin(ly, 0, lx);
   c.set_fanin(ly, 1, b);
 
-  analyze::Report report = analyze::lint_circuit(c, options);
+  analyze::Report report = analyze::lint_circuit(c, options).report;
 
   std::vector<netlist::CellType> candidates;
   candidates.push_back({"NEGDELAY", 2, -0.5, 1.0, 1.0, 1.0, netlist::CellFunction::kNand});
   candidates.push_back({"ZEROCIN", 1, 1.0, 1.0, 0.0, 1.0, netlist::CellFunction::kInv});
   report.merge(analyze::lint_cells(candidates));
+
+  nlp::Problem p;
+  p.add_variable(std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0,
+                 "S_inverted");  // NLP001: empty box
+  p.add_variable(1.0, 3.0, 1.0, "S_orphan");  // NLP003: referenced nowhere
+  const int used = p.add_variable(1.0, 3.0, 1.0, "S_used");
+  nlp::FunctionGroup objective;
+  objective.linear.push_back({used, 1.0});
+  p.set_objective(std::move(objective));
+  nlp::FunctionGroup dead;
+  dead.constant = 4.2;  // NLP005: "4.2 = 0", infeasible by construction
+  p.add_equality(std::move(dead));
+  report.merge(analyze::audit_nlp_problem(p, "demo instance", options.nlp));
+
+  const std::vector<std::size_t> widths = {4, 0, 9, 0, 0, 2};  // GRF002 x3
+  report.merge(analyze::audit_level_widths(widths));
+
   report.sort();
   return report;
 }
 
 int run_lint(int argc, char** argv) {
   util::ArgParser args(
-      "statsize lint — static analysis of circuits, cell libraries and the sizing model");
+      "statsize lint — static analysis of circuits, cell libraries, the timing graph and the "
+      "sizing model's NLP instance");
   args.allow_positionals(
       "circuit inputs (BLIF/Verilog paths or builtin names); several are linted "
       "into one merged report with per-file loci");
@@ -142,14 +165,17 @@ int run_lint(int argc, char** argv) {
   args.add_string("json", "write the JSON report to this file ('-' for stdout)");
   args.add_double("kappa", "gate sigma model: sigma = kappa * mu + offset", 0.25);
   args.add_double("sigma-offset", "additive term of the gate sigma model", 0.0);
-  args.add_double("max-speed", "upper sizing limit audited for consistency", 3.0);
+  args.add_double("max-speed", "upper sizing limit of the audited NLP instance", 3.0);
   args.add_double("theta-threshold", "flag Clark merges with theta below this", 1e-3);
   args.add_int("derivative-points", "random interior points per derivative sweep", 3);
   args.add_int("derivative-cap", "skip the derivative sweep above this many gates", 200);
-  args.add_flag("no-model-audit", "structural and library checks only");
+  args.add_flag("no-model-audit",
+                "structure, library and graph checks only; build no NLP instance");
   args.add_flag("force-derivative-audit", "run the derivative sweep regardless of size");
   args.add_flag("list-rules", "print the rule catalog and exit");
-  args.add_flag("demo-defects", "lint a deliberately broken demo circuit and library");
+  args.add_flag("demo-defects",
+                "lint deliberately broken inputs (circuit, cells, NLP instance, level "
+                "histogram) to prove the gate fires");
   args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
 
   try {
@@ -157,9 +183,9 @@ int run_lint(int argc, char** argv) {
     if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
 
     if (args.get_flag("list-rules")) {
-      std::printf("%-8s %-8s %-8s %-28s %s\n", "id", "family", "severity", "title", "detail");
+      std::printf("%-8s %-12s %-8s %-28s %s\n", "id", "family", "severity", "title", "detail");
       for (const analyze::RuleInfo& rule : analyze::rule_catalog()) {
-        std::printf("%-8.*s %-8.*s %-8.*s %-28.*s %.*s\n",
+        std::printf("%-8.*s %-12.*s %-8.*s %-28.*s %.*s\n",
                     static_cast<int>(rule.id.size()), rule.id.data(),
                     static_cast<int>(rule.category.size()), rule.category.data(),
                     static_cast<int>(severity_name(rule.severity).size()),
@@ -183,23 +209,29 @@ int run_lint(int argc, char** argv) {
     if (inputs.empty()) inputs.push_back(args.get_string("circuit"));
     std::string target = inputs.size() == 1 ? inputs[0]
                                             : std::to_string(inputs.size()) + " inputs";
-    analyze::Report report;
+    // One input reports its graph and NLP analytics alongside the findings;
+    // several merge into one report with per-file loci and nothing else.
+    analyze::LintResult result;
     if (args.get_flag("demo-defects")) {
       target = "demo-defects";
-      report = demo_defects_report(options);
+      result.report = demo_defects_report(options);
     } else {
       for (const std::string& name : inputs) {
-        analyze::Report one;
+        analyze::LintResult one;
         if (name == "tree" || name == "apex1" || name == "apex2" || name == "k2") {
           netlist::Circuit circuit = load_circuit(name);
           one = analyze::lint_circuit(circuit, options);
         } else {
           one = analyze::lint_file(name, netlist::CellLibrary::standard(), options);
         }
-        if (inputs.size() > 1) one.prefix_loci(name);
-        report.merge(std::move(one));
+        if (inputs.size() == 1) {
+          result = std::move(one);
+          break;
+        }
+        one.report.prefix_loci(name);
+        result.report.merge(std::move(one.report));
       }
-      report.sort();
+      result.report.sort();
     }
 
     // With --json - the machine-readable report owns stdout; the human
@@ -207,122 +239,22 @@ int run_lint(int argc, char** argv) {
     const bool json_on_stdout = args.has("json") && args.get_string("json") == "-";
     std::ostream& human = json_on_stdout ? std::cerr : std::cout;
     human << "lint: " << target << "\n";
-    report.print(human);
+    result.print(human);
 
     if (args.has("json")) {
       const std::string path = args.get_string("json");
       if (path == "-") {
-        report.write_json(std::cout, target);
+        result.write_json(std::cout, target);
       } else {
         std::ofstream out(path);
         if (!out) throw std::runtime_error("cannot write " + path);
-        report.write_json(out, target);
-        std::printf("wrote %s\n", path.c_str());
-      }
-    }
-    return report.exit_code();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n(use statsize lint --help for usage)\n", e.what());
-    return 1;
-  }
-}
-
-/// Deliberately defective audit inputs — an NLP instance with an empty bound
-/// box, an orphan variable and a constant constraint, plus a level histogram
-/// spammed with zero-width levels. Used by CI to prove the audit's error
-/// rules actually flip the exit code. The empty box enters as a NaN bound:
-/// Problem::add_variable rejects lower > upper eagerly, but NaN slips through
-/// every `>` comparison — exactly the silent corruption NLP001 exists for.
-analyze::AuditResult demo_audit_defects(const analyze::AuditOptions& options) {
-  analyze::AuditResult result;
-
-  nlp::Problem p;
-  p.add_variable(std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0,
-                 "S_inverted");             // NLP001: empty box
-  p.add_variable(1.0, 3.0, 1.0, "S_orphan");    // NLP003: referenced nowhere
-  const int used = p.add_variable(1.0, 3.0, 1.0, "S_used");
-  nlp::FunctionGroup objective;
-  objective.linear.push_back({used, 1.0});
-  p.set_objective(std::move(objective));
-  nlp::FunctionGroup dead;
-  dead.constant = 4.2;  // NLP005: "4.2 = 0", infeasible by construction
-  p.add_equality(std::move(dead));
-  result.report.merge(analyze::audit_nlp_problem(p, "demo instance", options.nlp));
-
-  const std::vector<std::size_t> widths = {4, 0, 9, 0, 0, 2};  // GRF002 x3
-  result.report.merge(analyze::audit_level_widths(widths));
-
-  result.report.sort();
-  return result;
-}
-
-int run_audit(int argc, char** argv) {
-  util::ArgParser args(
-      "statsize audit — pre-solve static audit: NLP instance rules (NLP0xx), TimingView "
-      "graph analytics (GRF0xx), no evaluation anywhere");
-  args.add_string("circuit", "tree|apex1|apex2|k2 or a BLIF/Verilog file path", "tree");
-  args.add_string("json", "write the JSON audit document to this file ('-' for stdout)");
-  args.add_double("kappa", "gate sigma model: sigma = kappa * mu + offset", 0.25);
-  args.add_double("sigma-offset", "additive term of the gate sigma model", 0.0);
-  args.add_double("max-speed", "upper sizing limit of the audited NLP instance", 3.0);
-  args.add_flag("no-nlp", "graph analytics only; skip building the NLP instance");
-  args.add_flag("list-rules", "print the rule catalog and exit");
-  args.add_flag("demo-defects", "audit deliberately broken instances (inverted bound, "
-                                "zero-width level spam) to prove the gate fires");
-
-  try {
-    if (!args.parse(argc, argv)) return 0;
-
-    if (args.get_flag("list-rules")) {
-      for (const analyze::RuleInfo& rule : analyze::rule_catalog()) {
-        std::printf("%-8.*s %-12.*s %-8.*s %-28.*s %.*s\n",
-                    static_cast<int>(rule.id.size()), rule.id.data(),
-                    static_cast<int>(rule.category.size()), rule.category.data(),
-                    static_cast<int>(severity_name(rule.severity).size()),
-                    severity_name(rule.severity).data(),
-                    static_cast<int>(rule.title.size()), rule.title.data(),
-                    static_cast<int>(rule.detail.size()), rule.detail.data());
-      }
-      return 0;
-    }
-
-    analyze::AuditOptions options;
-    options.sigma_model = {args.get_double("kappa"), args.get_double("sigma-offset")};
-    options.max_speed = args.get_double("max-speed");
-    options.nlp_audit = !args.get_flag("no-nlp");
-
-    const std::string name = args.get_string("circuit");
-    std::string target = name;
-    analyze::AuditResult result;
-    if (args.get_flag("demo-defects")) {
-      target = "demo-defects";
-      result = demo_audit_defects(options);
-    } else if (name == "tree" || name == "apex1" || name == "apex2" || name == "k2") {
-      netlist::Circuit circuit = load_circuit(name);
-      result = analyze::audit_circuit(circuit, options);
-    } else {
-      result = analyze::audit_file(name, netlist::CellLibrary::standard(), options);
-    }
-
-    const bool json_on_stdout = args.has("json") && args.get_string("json") == "-";
-    std::ostream& human = json_on_stdout ? std::cerr : std::cout;
-    human << "audit: " << target << "\n";
-    analyze::print_audit(human, result);
-
-    if (args.has("json")) {
-      const std::string path = args.get_string("json");
-      if (path == "-") {
-        analyze::write_audit_json(std::cout, result, target);
-      } else {
-        std::ofstream out(path);
-        if (!out) throw std::runtime_error("cannot write " + path);
-        analyze::write_audit_json(out, result, target);
+        result.write_json(out, target);
         std::printf("wrote %s\n", path.c_str());
       }
     }
     return result.report.exit_code();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n(use statsize audit --help for usage)\n", e.what());
+    std::fprintf(stderr, "error: %s\n(use statsize lint --help for usage)\n", e.what());
     return 1;
   }
 }
@@ -333,9 +265,6 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "lint") {
     // Shift argv so the subcommand's parser sees its own flags at index 1.
     return run_lint(argc - 1, argv + 1);
-  }
-  if (argc >= 2 && std::string(argv[1]) == "audit") {
-    return run_audit(argc - 1, argv + 1);
   }
   if (argc >= 2) {
     // serve | ssta | submit | patch | poll | cancel (tools/statsize_serve_cli.cpp).
