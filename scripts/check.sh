@@ -115,6 +115,18 @@ if grep -rn 'erfc' "$REPO_ROOT/src"; then
 fi
 echo "Phi-kernel gate passed"
 
+# One Clark kernel (DESIGN.md §5 item 4): every Clark max passes the theta
+# floor and the dominance exit of stat/clark.h. The bare moment template
+# stat::clark_moments applies neither, so nothing under src/ outside
+# src/stat may call it; folds go through clark_max, clark_max_grad,
+# clark_max_full or clark_max_dual. Needs no build.
+echo "== one Clark kernel (clark_moments only under src/stat) =="
+if grep -rn 'clark_moments' "$REPO_ROOT/src" | grep -v '/src/stat/'; then
+  echo "Clark-kernel gate FAILED: the src/ lines above name clark_moments; call a stat::clark_max* evaluator"
+  exit 1
+fi
+echo "Clark-kernel gate passed"
+
 # One parallel customer (DESIGN.md §7): Monte Carlo's trial chunks are the
 # only parallel_for outside the runtime; every sweep is a serial walk. A
 # parallel_for call anywhere else under src/ fails. Needs no build.

@@ -91,7 +91,7 @@ double NaryClarkElement::eval_impl(const double* x, double* grad, double* hess) 
     const D var_b = D::variable(x[M + i], M + i);
     D mu_out;
     D var_out;
-    stat::clark_moments(mu_acc, mu_b, var_acc, var_b, mu_out, var_out);
+    stat::clark_max_dual(mu_acc, mu_b, var_acc, var_b, mu_out, var_out);
     mu_acc = mu_out;
     var_acc = var_out;
   }

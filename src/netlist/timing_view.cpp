@@ -11,12 +11,16 @@ namespace statsize::netlist {
 
 namespace {
 
-void require_finite(double v, const std::string& what) {
+/// Throws unless v is finite. The message names `owner` (a node or cell)
+/// and `what`, and is built only on the throwing path: finalize() checks
+/// every node and cell, and every edit checks its parameters.
+void require_finite(double v, const char* owner_kind, const std::string& owner,
+                    const char* what) {
   if (std::isfinite(v)) return;
   throw std::invalid_argument(
-      "TimingView: " + what + " is not finite, so the compiled timing graph would " +
-      "propagate NaN/Inf into every sweep; `statsize lint` (rule MOD005) diagnoses " +
-      "this before finalize()");
+      "TimingView: " + std::string(owner_kind) + " '" + owner + "' " + what +
+      " is not finite, so the compiled timing graph would propagate NaN/Inf into every " +
+      "sweep; `statsize lint` (rule MOD005) diagnoses this before finalize()");
 }
 
 }  // namespace
@@ -49,7 +53,7 @@ TimingView::TimingView(const Circuit& circuit, std::vector<NodeId> topo)
     kind_[i] = node.kind;
     is_output_[i] = node.is_output ? 1 : 0;
     static_load_[i] = node.wire_load + (node.is_output ? node.pad_load : 0.0);
-    require_finite(static_load_[i], "node '" + node.name + "' wire/pad load");
+    require_finite(static_load_[i], "node", node.name, "wire/pad load");
     if (node.kind == NodeKind::kGate) {
       const CellType& cell = circuit.library().cell(node.cell);
       cell_[i] = node.cell;
@@ -58,10 +62,10 @@ TimingView::TimingView(const Circuit& circuit, std::vector<NodeId> topo)
       drive_c_[i] = cell.c;
       c_in_[i] = cell.c_in;
       area_[i] = cell.area;
-      require_finite(cell.t_int, "cell '" + cell.name + "' intrinsic delay t_int");
-      require_finite(cell.c, "cell '" + cell.name + "' drive coefficient c");
-      require_finite(cell.c_in, "cell '" + cell.name + "' input capacitance c_in");
-      require_finite(cell.area, "cell '" + cell.name + "' area");
+      require_finite(cell.t_int, "cell", cell.name, "intrinsic delay t_int");
+      require_finite(cell.c, "cell", cell.name, "drive coefficient c");
+      require_finite(cell.c_in, "cell", cell.name, "input capacitance c_in");
+      require_finite(cell.area, "cell", cell.name, "area");
     }
     fanin_offset_[i + 1] = fanin_offset_[i] + node.fanins.size();
     for (NodeId f : node.fanins) ++fanout_offset_[static_cast<std::size_t>(f) + 1];
@@ -117,11 +121,10 @@ void TimingView::update_node_params(NodeId id, const NodeParams& params) {
     throw std::invalid_argument("TimingView::update_node_params: node " + std::to_string(id) +
                                 " is not a gate of this view");
   }
-  const std::string tag = "edited node " + std::to_string(id) + " ";
-  require_finite(params.t_int, tag + "intrinsic delay t_int");
-  require_finite(params.c, tag + "drive coefficient c");
-  require_finite(params.c_in, tag + "input capacitance c_in");
-  require_finite(params.area, tag + "area");
+  require_finite(params.t_int, "edited node", name(id), "intrinsic delay t_int");
+  require_finite(params.c, "edited node", name(id), "drive coefficient c");
+  require_finite(params.c_in, "edited node", name(id), "input capacitance c_in");
+  require_finite(params.area, "edited node", name(id), "area");
 
   t_int_[i] = params.t_int;
   drive_c_[i] = params.c;

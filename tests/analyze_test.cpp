@@ -458,6 +458,31 @@ TEST(ModelAudit, NonFiniteCellParameterIsMOD005) {
   EXPECT_NE(msg.find("c_in"), std::string::npos) << msg;
 }
 
+TEST(ModelAudit, FinalizeNamesTheNonFiniteCellAndNode) {
+  // finalize() compiles the TimingView, which refuses a non-finite parameter
+  // and names the cell (or node) that carries it.
+  Circuit c = nan_cell_circuit();
+  try {
+    c.finalize();
+    ADD_FAILURE() << "finalize() accepted a NaN c_in";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 'INV_NAN' input capacitance c_in is not finite"),
+              std::string::npos)
+        << e.what();
+  }
+  NodeId g;
+  Circuit w = small_base(nullptr, nullptr, &g);
+  w.set_wire_load(g, std::numeric_limits<double>::infinity());
+  try {
+    w.finalize();
+    ADD_FAILURE() << "finalize() accepted an infinite wire load";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 'C' wire/pad load is not finite"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ModelAudit, NonFiniteWireLoadIsMOD005) {
   NodeId g;
   Circuit c = small_base(nullptr, nullptr, &g);

@@ -10,7 +10,9 @@
 
 #include <array>
 #include <cmath>
+#include <numbers>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -299,9 +301,9 @@ TEST(ClarkDegenerate, ZeroVarianceOperandsAreFinite) {
 
 TEST(ClarkKernel, EvaluatorsAgreeBitwise) {
   // theta = 1 for the alpha sweep (var 0.36 + 0.64), so mu_a is alpha; the
-  // sweep crosses the saturation of Phi near |alpha| = 8.3 and the underflow
-  // of the tail and phi near |alpha| = 38.6. The last points sit at and
-  // below the degenerate-theta floor.
+  // sweep crosses the saturation of Phi near |alpha| = 8.3 and the dominance
+  // exit at |alpha| = 9, past which the bare formula is not the evaluators'
+  // answer. The last points sit at and below the degenerate-theta floor.
   std::vector<Point> grid;
   for (double alpha : {-40.0, -38.0, -8.3, -3.0, -0.4, 0.0, 0.4, 3.0, 8.3, 38.0, 40.0}) {
     grid.push_back({alpha, 0.0, 0.36, 0.64});
@@ -324,7 +326,7 @@ TEST(ClarkKernel, EvaluatorsAgreeBitwise) {
     EXPECT_EQ(plain.var, with_grad.var) << p.mu_a << " " << p.mu_b;
     EXPECT_EQ(plain.mu, full.mu) << p.mu_a << " " << p.mu_b;
     EXPECT_EQ(plain.var, full.var) << p.mu_a << " " << p.mu_b;
-    if (p.var_a + p.var_b > kThetaFloorSq) {
+    if (p.var_a + p.var_b > kThetaFloorSq && !dominated(p.mu_a - p.mu_b, p.var_a + p.var_b)) {
       double mu = 0.0;
       double var = 0.0;
       clark_moments(p.mu_a, p.mu_b, p.var_a, p.var_b, mu, var);
@@ -332,6 +334,162 @@ TEST(ClarkKernel, EvaluatorsAgreeBitwise) {
       EXPECT_EQ(plain.var, var) << p.mu_a << " " << p.mu_b;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dominance exit: once |alpha| >= 9 every evaluator returns the dominant
+// operand itself, and that answer is never less accurate than the formula.
+// ---------------------------------------------------------------------------
+
+/// The exit's test grid: |alpha| in [9, 40], varB / varA in [1e-3, 1e3],
+/// theta^2 from 1e-6 to 400, dominant means from -25 to 140.3 (zero
+/// included), and either operand dominant.
+std::vector<std::pair<NormalRV, NormalRV>> dominated_pairs() {
+  std::vector<std::pair<NormalRV, NormalRV>> pairs;
+  for (double alpha : {9.0, 9.01, 9.5, 10.0, 11.0, 13.0, 16.0, 20.0, 25.0, 30.0, 35.0, 40.0}) {
+    for (double ratio : {1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3}) {
+      for (double theta2 : {1e-6, 1.0, 400.0}) {
+        for (double mu_win : {0.0, 1.0, 3.7, 140.3, -25.0}) {
+          const double var_a = theta2 / (1.0 + ratio);
+          const double var_b = theta2 - var_a;
+          const double mu_lose = mu_win - alpha * std::sqrt(theta2);
+          pairs.push_back({{mu_win, var_a}, {mu_lose, var_b}});  // A dominates
+          pairs.push_back({{mu_lose, var_a}, {mu_win, var_b}});  // B dominates
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
+void expect_same_bits(const NormalRV& got, const NormalRV& want, const char* who) {
+  EXPECT_EQ(got.mu, want.mu) << who << " at (" << want.mu << ", " << want.var << ")";
+  EXPECT_EQ(got.var, want.var) << who << " at (" << want.mu << ", " << want.var << ")";
+}
+
+TEST(ClarkDominance, EveryEvaluatorReturnsTheDominantOperand) {
+  using D4 = autodiff::Dual2<4>;
+  int exits = 0;
+  for (const auto& [a, b] : dominated_pairs()) {
+    if (!dominated(a.mu - b.mu, a.var + b.var)) continue;  // nominal 9 may round below
+    ++exits;
+    const bool a_wins = a.mu > b.mu;
+    const NormalRV& win = a_wins ? a : b;
+    expect_same_bits(clark_max(a, b), win, "clark_max");
+
+    ClarkGrad grad;
+    grad.dmu.fill(-1.0);  // must be overwritten
+    expect_same_bits(clark_max_grad(a, b, grad), win, "clark_max_grad");
+    ClarkGrad grad_full;
+    ClarkHess hess;
+    hess.mu.fill(-1.0);
+    expect_same_bits(clark_max_full(a, b, grad_full, hess), win, "clark_max_full");
+    const std::array<double, 4> unit_mu = a_wins ? std::array<double, 4>{1, 0, 0, 0}
+                                                 : std::array<double, 4>{0, 1, 0, 0};
+    const std::array<double, 4> unit_var = a_wins ? std::array<double, 4>{0, 0, 1, 0}
+                                                   : std::array<double, 4>{0, 0, 0, 1};
+    for (const ClarkGrad* g : {&grad, &grad_full}) {
+      EXPECT_EQ(g->dmu, unit_mu);
+      EXPECT_EQ(g->dvar, unit_var);
+    }
+    for (double v : hess.mu) EXPECT_EQ(v, 0.0);
+    for (double v : hess.var) EXPECT_EQ(v, 0.0);
+
+    // Independent operands are the zero-covariance case; a positive
+    // covariance shrinks theta, so the same pair stays past the exit.
+    for (double cov : {0.0, 0.25 * std::sqrt(a.var * b.var)}) {
+      double tightness = 0.5;
+      expect_same_bits(clark_max_correlated(a, b, cov, &tightness), win, "clark_max_correlated");
+      EXPECT_EQ(tightness, a_wins ? 1.0 : 0.0);
+    }
+
+    // min(A, B) = -max(-A, -B): the lower operand dominates the minimum.
+    const NormalRV low = a_wins ? b : a;
+    expect_same_bits(clark_min(a, b), low, "clark_min");
+
+    // A Dual2 fold step passes the winner's dual through whole: value,
+    // gradient and the Hessian it carries from earlier steps.
+    D4 mu_a = D4::variable(a.mu, 0) * D4::variable(1.0, 2);
+    D4 mu_b = D4::variable(b.mu, 1) * D4::variable(1.0, 3);
+    const D4 var_a = D4::variable(a.var, 2);
+    const D4 var_b = D4::variable(b.var, 3);
+    D4 mu_out;
+    D4 var_out;
+    clark_max_dual(mu_a, mu_b, var_a, var_b, mu_out, var_out);
+    const D4& mu_win = a_wins ? mu_a : mu_b;
+    const D4& var_win = a_wins ? var_a : var_b;
+    EXPECT_EQ(mu_out.value(), mu_win.value());
+    EXPECT_EQ(mu_out.grad_array(), mu_win.grad_array());
+    EXPECT_EQ(mu_out.hess_array(), mu_win.hess_array());
+    EXPECT_EQ(var_out.value(), var_win.value());
+    EXPECT_EQ(var_out.grad_array(), var_win.grad_array());
+  }
+  EXPECT_GT(exits, 1000);
+}
+
+/// Mean and variance of max(A, B) in long double, written in the frame of
+/// the dominant operand D (mean shifted to 0; the variance is
+/// shift-invariant): eqs. 10, 12 and 13 with A = D. In that frame every term
+/// is small, so the deviations from D's own moments come out without
+/// cancellation against them.
+struct Reference {
+  long double dmu;   ///< mu_C - mu_D
+  long double dvar;  ///< var_C - var_D
+};
+
+Reference long_double_clark(const NormalRV& dom, const NormalRV& other) {
+  const long double var_d = dom.var;
+  const long double var_e = other.var;
+  const long double theta = std::sqrt(var_d + var_e);
+  const long double shift = static_cast<long double>(other.mu) - dom.mu;  // < 0
+  const long double alpha = -shift / theta;
+  const long double pdf =
+      std::exp(-0.5L * alpha * alpha) / std::sqrt(2.0L * std::numbers::pi_v<long double>);
+  const long double tail = 0.5L * std::erfc(alpha / std::sqrt(2.0L));  // Phi(-alpha)
+  const long double mu = shift * tail + theta * pdf;                      // eq. 10
+  // eq. 12 minus var_D: (var_D + 0) Phi(alpha) + (var_E + shift^2) Phi(-alpha)
+  // + (0 + shift) theta phi(alpha), with Phi(alpha) = 1 - tail.
+  const long double second = -var_d * tail + (var_e + shift * shift) * tail + shift * theta * pdf;
+  return {mu, second - mu * mu};  // eq. 13
+}
+
+TEST(ClarkDominance, ExitIsNeverLessAccurateThanTheFormula) {
+  // Against the long double reference, compare the exit's answer (the
+  // dominant operand) with the formula the exit skips (clark_moments, with
+  // clark_max's clamp of a negative variance). Relative errors, each error
+  // taken as (result - D's moment) - deviation so that it is exact.
+  int points = 0;
+  int var_strictly_better = 0;
+  for (const auto& [a, b] : dominated_pairs()) {
+    const bool a_wins = a.mu > b.mu;
+    const NormalRV& dom = a_wins ? a : b;
+    const Reference ref = long_double_clark(dom, a_wins ? b : a);
+    double mu_f = 0.0;
+    double var_f = 0.0;
+    clark_moments(a.mu, b.mu, a.var, b.var, mu_f, var_f);
+    if (var_f < 0.0) var_f = 0.0;
+
+    const long double mu_ref = static_cast<long double>(dom.mu) + ref.dmu;
+    const long double var_ref = static_cast<long double>(dom.var) + ref.dvar;
+    const auto mu_err = [&](double x) {
+      return std::abs((static_cast<long double>(x) - dom.mu) - ref.dmu) / std::abs(mu_ref);
+    };
+    const auto var_err = [&](double x) {
+      return std::abs((static_cast<long double>(x) - dom.var) - ref.dvar) / var_ref;
+    };
+    EXPECT_LE(mu_err(dom.mu), mu_err(mu_f))
+        << "mu at a = (" << a.mu << ", " << a.var << "), b = (" << b.mu << ", " << b.var << ")";
+    EXPECT_LE(var_err(dom.var), var_err(var_f))
+        << "var at a = (" << a.mu << ", " << a.var << "), b = (" << b.mu << ", " << b.var << ")";
+    // The exit's variance is within a relative 2.5e-18 of the true one, far
+    // inside half an ulp (>= 2^-54 relative): it is the correctly rounded
+    // answer.
+    EXPECT_LT(var_err(dom.var), 2.5e-18L);
+    var_strictly_better += var_err(dom.var) < var_err(var_f) ? 1 : 0;
+    ++points;
+  }
+  // The formula's cancellation shows: on most points it is strictly worse.
+  EXPECT_GT(var_strictly_better, points / 2);
 }
 
 TEST(ClarkKernel, Dual2TermsMatchFiniteDifferences) {

@@ -232,6 +232,31 @@ TEST(NaryClarkElementTest, GradientAndHessianMatchFiniteDifferences) {
   }
 }
 
+TEST(NaryClarkElementTest, DominantOperandPassesThroughBothPaths) {
+  // Past the dominance exit (|alpha| >= 9) the Dual2 fold returns the winner
+  // itself, as the value path's clark_max does: the same bits, gradient 1 on
+  // the winner's slots, and a zero Hessian. In the second case the first two
+  // operands blend, then the third dominates their accumulator.
+  const double cases[2][6] = {{10.0, 1.0, 2.0, 0.04, 0.09, 0.01},
+                              {1.0, 1.3, 20.0, 0.4, 0.2, 0.3}};
+  const int winner[2] = {0, 2};
+  for (int c = 0; c < 2; ++c) {
+    const double* x = cases[c];
+    const int w = winner[c];
+    for (const ClarkElement::Output out : {ClarkElement::Output::kMu, ClarkElement::Output::kVar}) {
+      const NaryClarkElement el(out, 3, false, {});
+      const int slot = out == ClarkElement::Output::kMu ? w : 3 + w;
+      double g[6];
+      double h[21];
+      const double value = el.eval(x, nullptr, nullptr);
+      EXPECT_EQ(value, x[slot]) << "case " << c;
+      EXPECT_EQ(el.eval(x, g, h), value) << "case " << c;
+      for (int i = 0; i < 6; ++i) EXPECT_EQ(g[i], i == slot ? 1.0 : 0.0) << "case " << c;
+      for (double v : h) EXPECT_EQ(v, 0.0) << "case " << c;
+    }
+  }
+}
+
 TEST(NaryClarkElementTest, RejectsTooManyOperands) {
   EXPECT_THROW(NaryClarkElement(ClarkElement::Output::kMu, 5, false, {}),
                std::invalid_argument);

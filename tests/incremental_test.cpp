@@ -187,7 +187,13 @@ TEST(TimingViewEdit, InvalidEditsThrowAndLeaveViewUnchanged) {
   EXPECT_THROW(view.update_node_params(input, NodeParams{1, 1, 1, 1}), std::invalid_argument);
   NodeParams bad = before;
   bad.t_int = std::nan("");
-  EXPECT_THROW(view.update_node_params(g, bad), std::invalid_argument);
+  try {
+    view.update_node_params(g, bad);
+    ADD_FAILURE() << "update_node_params accepted a NaN t_int";
+  } catch (const std::invalid_argument& e) {
+    const std::string expected = "edited node '" + view.name(g) + "' intrinsic delay t_int";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
 
   EXPECT_EQ(view.epoch(), 0u);
   EXPECT_EQ(view.t_int(g), before.t_int);

@@ -337,7 +337,8 @@ TEST(SizerReducedSpace, Apex2MinMuPlus3SigmaIsPinned) {
   // iteration count and result doubles: which trials get an adjoint is a
   // cost decision and must not move a single iterate. The pins are those of
   // the active-set L-BFGS direction (quasi-Newton steps on the free speeds
-  // only) with every Clark max taking Phi and phi from stat::normal_terms.
+  // only) with every Clark max taking Phi and phi from stat::normal_terms and
+  // returning the dominant operand itself once |alpha| >= 9.
   const Circuit c = netlist::make_mcnc_like("apex2");
   SizingSpec spec;
   spec.objective = Objective::min_delay(3.0);
@@ -345,8 +346,8 @@ TEST(SizerReducedSpace, Apex2MinMuPlus3SigmaIsPinned) {
   ASSERT_TRUE(r.converged) << r.status;
   EXPECT_EQ(r.iterations, 55);
   EXPECT_EQ(r.circuit_delay.mu, 53.533529194673605);
-  EXPECT_EQ(r.circuit_delay.sigma(), 0.960497659234643);
-  EXPECT_EQ(r.sum_speed, 210.9604817596785);
+  EXPECT_EQ(r.circuit_delay.sigma(), 0.9604976592346435);
+  EXPECT_EQ(r.sum_speed, 210.96048175967812);
   EXPECT_EQ(r.objective_value, 56.41502217237753);
   // Converged inner solve: one gradient at the start, one per accepted step.
   EXPECT_EQ(r.gradient_evals, r.iterations);

@@ -176,11 +176,9 @@ int run_lint(int argc, char** argv) {
   args.add_flag("demo-defects",
                 "lint deliberately broken inputs (circuit, cells, NLP instance, level "
                 "histogram) to prove the gate fires");
-  args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
 
   try {
     if (!args.parse(argc, argv)) return 0;
-    if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
 
     if (args.get_flag("list-rules")) {
       std::printf("%-8s %-12s %-8s %-28s %s\n", "id", "family", "severity", "title", "detail");
