@@ -152,6 +152,19 @@ if grep -rnE '\b(lambda|rho|multipliers)\b(\[[^]]*\])?[[:space:]]*([-+*/]=|=[^=;
 fi
 echo "outer-loop gate passed"
 
+# The library prints nothing to stdout: stdout belongs to the tools (reports,
+# `--json -`). A printf (snprintf is fine), an fprintf to anything but
+# stderr, std::cout or puts under src/ fails. Comment lines are exempt.
+# Needs no build.
+echo "== quiet library (no stdout writes under src/) =="
+if { grep -rnE '\bprintf\(|std::cout|\bputs\(' "$REPO_ROOT/src"
+     grep -rnE '\bfprintf\(' "$REPO_ROOT/src" | grep -v 'fprintf(stderr'; } |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "quiet-library gate FAILED: the src/ lines above write to stdout; return the data and let the tool print it"
+  exit 1
+fi
+echo "quiet-library gate passed"
+
 echo "== configure ($SANITIZE) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DSTATSIZE_SANITIZE="$SANITIZE" \

@@ -7,6 +7,15 @@ namespace statsize::analyze {
 
 namespace {
 
+/// GRF004 fires when max fanout exceeds both this absolute floor and
+/// kFanoutSkewFactor * mean gate fanout.
+constexpr std::size_t kFanoutSkewMin = 32;
+constexpr double kFanoutSkewFactor = 16.0;
+/// GRF005 fires above this reconvergence ratio (Betti edges / all edges).
+constexpr double kReconvergenceRatioThreshold = 0.25;
+/// GRF006 fires when num_levels > kDeepNarrowFactor * mean level width.
+constexpr double kDeepNarrowFactor = 4.0;
+
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -29,25 +38,21 @@ Report audit_level_widths(const std::vector<std::size_t>& level_widths) {
   return report;
 }
 
-Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& options,
-                   netlist::TimingViewStats* stats_out) {
+Report audit_graph(const netlist::TimingView& view, netlist::TimingViewStats* stats_out) {
   Report report;
 
-  if (options.invariant_check) {
-    for (const std::string& violation : check_view_invariants(view)) {
-      report.add("GRF001", "timing view", violation,
-                 "the CSR arrays disagree with themselves; this is a compiler bug in "
-                 "Circuit::finalize()/TimingView, not a netlist defect");
-    }
+  for (const std::string& violation : check_view_invariants(view)) {
+    report.add("GRF001", "timing view", violation,
+               "the CSR arrays disagree with themselves; this is a compiler bug in "
+               "Circuit::finalize()/TimingView, not a netlist defect");
   }
 
-  const netlist::TimingViewStats stats = netlist::compute_view_stats(view, options.max_cone_samples);
+  const netlist::TimingViewStats stats = netlist::compute_view_stats(view);
   report.merge(audit_level_widths(stats.level_widths));
 
   // GRF004: fanout skew.
-  if (stats.max_fanout >= options.fanout_skew_min && stats.mean_gate_fanout > 0.0 &&
-      static_cast<double>(stats.max_fanout) >
-          options.fanout_skew_factor * stats.mean_gate_fanout) {
+  if (stats.max_fanout >= kFanoutSkewMin && stats.mean_gate_fanout > 0.0 &&
+      static_cast<double>(stats.max_fanout) > kFanoutSkewFactor * stats.mean_gate_fanout) {
     report.add("GRF004", "node #" + std::to_string(stats.max_fanout_node),
                "fanout " + std::to_string(stats.max_fanout) + " vs mean gate fanout " +
                    fmt(stats.mean_gate_fanout) + " (" +
@@ -58,7 +63,7 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
   }
 
   // GRF005: reconvergence.
-  if (stats.reconvergence_ratio > options.reconvergence_ratio_threshold) {
+  if (stats.reconvergence_ratio > kReconvergenceRatioThreshold) {
     report.add("GRF005", "timing graph",
                std::to_string(stats.reconvergence_count) + " reconvergent path pairs over " +
                    std::to_string(stats.num_edges) + " edges (ratio " +
@@ -70,7 +75,7 @@ Report audit_graph(const netlist::TimingView& view, const GraphAuditOptions& opt
   // GRF006: deep-and-narrow shape.
   if (!stats.level_widths.empty() && stats.mean_level_width > 0.0 &&
       static_cast<double>(stats.level_widths.size()) >
-          options.deep_narrow_factor * stats.mean_level_width) {
+          kDeepNarrowFactor * stats.mean_level_width) {
     report.add("GRF006", "timing graph",
                std::to_string(stats.level_widths.size()) + " levels at mean width " +
                    fmt(stats.mean_level_width) +

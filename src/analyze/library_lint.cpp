@@ -99,27 +99,4 @@ Report lint_sigma_model(const ssta::SigmaModel& model, double min_intrinsic_dela
   return report;
 }
 
-Report lint_size_table(const std::vector<double>& sizes) {
-  Report report;
-  if (sizes.empty()) {
-    report.add("LIB010", "size table", "table is empty");
-    return report;
-  }
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (sizes[i] < 1.0) {
-      report.add("LIB010", "size table",
-                 "entry " + std::to_string(i) + " = " + std::to_string(sizes[i]) +
-                     " is below 1 (speed factors live in [1, limit])");
-    }
-    if (i > 0 && sizes[i] <= sizes[i - 1]) {
-      report.add("LIB010", "size table",
-                 "entry " + std::to_string(i) + " = " + std::to_string(sizes[i]) +
-                     " does not ascend past entry " + std::to_string(i - 1) + " = " +
-                     std::to_string(sizes[i - 1]),
-                 "legalization snaps by binary search and requires a strictly ascending grid");
-    }
-  }
-  return report;
-}
-
 }  // namespace statsize::analyze

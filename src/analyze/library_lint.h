@@ -1,11 +1,11 @@
-// Cell-library, sigma-model and size-table lint (rules LIB001..LIB010).
+// Cell-library and sigma-model lint (rules LIB001..LIB009).
 //
 // The delay model (eq. 14) and the sigma model (eq. 16) are only physical for
 // positive electrical constants and non-negative sigma; a single negative
 // t_int silently flips the sizing trade-off instead of crashing. These rules
 // audit raw CellType records (so defective candidate libraries can be linted
-// before CellLibrary::add would reject them), an assembled CellLibrary, the
-// sigma(mu) model, and discrete size tables.
+// before CellLibrary::add would reject them), an assembled CellLibrary and the
+// sigma(mu) model.
 //
 // Layering note: like circuit_lint, this file must stay link-independent of
 // statsize_netlist / statsize_ssta — it only uses inline accessors and the
@@ -33,9 +33,5 @@ Report lint_library(const netlist::CellLibrary& library);
 /// would take sqrt of a negative variance target), kappa < 0 inverts the
 /// variability-vs-delay trade-off.
 Report lint_sigma_model(const ssta::SigmaModel& model, double min_intrinsic_delay);
-
-/// Audits a discrete size table: non-empty, strictly ascending, all >= 1
-/// (speed factors below 1 are outside the paper's sizing box).
-Report lint_size_table(const std::vector<double>& sizes);
 
 }  // namespace statsize::analyze

@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "analyze/circuit_lint.h"
+#include "analyze/graph_audit.h"
 #include "analyze/library_lint.h"
+#include "analyze/model_audit.h"
+#include "analyze/nlp_audit.h"
 #include "core/full_space.h"
 #include "netlist/blif.h"
 #include "netlist/verilog.h"
@@ -25,10 +28,9 @@ namespace {
 /// Step 4 of the driver (lint.h) on a finalized circuit with gates.
 void audit_formulations(const netlist::Circuit& circuit, const LintOptions& options,
                         LintResult& result) {
-  const ModelAuditOptions& model = options.model;
   core::SizingSpec spec;
-  spec.sigma_model = model.sigma_model;
-  spec.max_speed = model.max_speed;
+  spec.sigma_model = options.sigma_model;
+  spec.max_speed = options.max_speed;
   Report spec_report = audit_spec(spec, circuit);
   const bool broken_spec = spec_report.has_errors();
   result.report.merge(std::move(spec_report));
@@ -36,34 +38,33 @@ void audit_formulations(const netlist::Circuit& circuit, const LintOptions& opti
 
   const std::vector<double> unit(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
   result.report.merge(
-      audit_clark_degeneracy(circuit, model.sigma_model, unit, model.theta_threshold));
+      audit_clark_degeneracy(circuit, options.sigma_model, unit, options.theta_threshold));
 
   // A mu + 3 sigma objective plus a just-tight delay constraint (bound from
   // the SSTA at S = 1, the slowest sizing), so the formulation materializes
   // every element family (Product, Square, Clark, n-ary Clark, Sqrt) and the
   // inequality slack, whatever objective the user will optimize.
   const stat::NormalRV total =
-      ssta::run_ssta(ssta::DelayCalculator(circuit, model.sigma_model), unit).circuit_delay;
+      ssta::run_ssta(ssta::DelayCalculator(circuit, options.sigma_model), unit).circuit_delay;
   spec.objective = core::Objective::min_delay(3.0);
   spec.delay_constraint = core::DelayConstraint::at_most(0.98 * total.quantile_offset(3.0), 3.0);
 
   // The derivative sweep is quadratic-ish; cap it.
   const bool derivatives =
-      model.derivative_audit && model.derivative_points >= 0 &&
-      (circuit.num_gates() <= options.derivative_gate_cap || options.force_derivative_audit);
-  const int num_formulations = model.audit_nary ? 2 : 1;
-  for (int variant = 0; variant < num_formulations; ++variant) {
+      options.derivative_points >= 0 && circuit.num_gates() <= options.derivative_gate_cap;
+  constexpr unsigned kDerivativeSeed = 2000u;  ///< deterministic point generation
+  for (int variant = 0; variant < 2; ++variant) {
     spec.nary_fanin_max = variant == 1;
     const char* what = variant == 1 ? "full-space, n-ary max" : "full-space, pairwise max";
     const core::FullSpaceFormulation form = core::build_full_space(circuit, spec, 1.0);
     const nlp::Problem& problem = *form.problem;
     result.report.merge(audit_problem_bounds(problem, what));
     if (derivatives) {
-      const unsigned seed = model.rng_seed + static_cast<unsigned>(variant);
-      result.report.merge(audit_problem_derivatives(problem, what, model.derivative_points, seed,
-                                                    model.derivative_tol));
+      const unsigned seed = kDerivativeSeed + static_cast<unsigned>(variant);
+      result.report.merge(
+          audit_problem_derivatives(problem, what, options.derivative_points, seed));
     }
-    result.report.merge(audit_nlp_problem(problem, what, options.nlp));
+    result.report.merge(audit_nlp_problem(problem, what));
     if (variant == 0) {
       result.has_nlp = true;
       result.nlp_vars = problem.num_vars();
@@ -96,7 +97,7 @@ LintResult lint_circuit(netlist::Circuit& circuit, const LintOptions& options) {
     for (int i = 0; i < circuit.library().size(); ++i) {
       min_t_int = std::min(min_t_int, circuit.library().cell(i).t_int);
     }
-    report.merge(lint_sigma_model(options.model.sigma_model, min_t_int));
+    report.merge(lint_sigma_model(options.sigma_model, min_t_int));
   }
   // MOD005 must run before finalize(): a non-finite cell parameter or load
   // makes finalize() throw while compiling the TimingView, and lint should
@@ -109,7 +110,7 @@ LintResult lint_circuit(netlist::Circuit& circuit, const LintOptions& options) {
   // Clean gate: safe to finalize (finalize re-runs the structural analysis
   // internally, so this cannot throw here) and run the graph and model steps.
   if (!circuit.finalized()) circuit.finalize();
-  report.merge(audit_graph(circuit.view(), options.graph, &result.stats));
+  report.merge(audit_graph(circuit.view(), &result.stats));
   result.has_view = true;
   if (options.model_audit && circuit.num_gates() > 0) {
     audit_formulations(circuit, options, result);

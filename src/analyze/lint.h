@@ -8,13 +8,15 @@
 //   3. TimingView graph analytics (GRF0xx, graph_audit.h);
 //   4. unless `model_audit` is off: spec checks (MOD004) and Clark degeneracy
 //      at S = 1 (MOD002), then one full-space build per formulation variant
-//      (pairwise max, plus n-ary max when `model.audit_nary`). Each build
-//      feeds the bound check (MOD001), the capped derivative sweep (MOD003)
-//      and the evaluation-free instance rules (NLP001..NLP007, nlp_audit.h);
-//      NLP008 judges the solver's first AugLagModel state on the pairwise
-//      build.
+//      (pairwise max and n-ary max). Each build feeds the bound check
+//      (MOD001), the capped derivative sweep (MOD003) and the
+//      evaluation-free instance rules (NLP001..NLP007, nlp_audit.h); NLP008
+//      judges the solver's first AugLagModel state on the pairwise build.
 // Parser failures fold into PAR001/PAR002 diagnostics, so a malformed input
 // produces a report (and a CI-gating exit code) instead of a crash.
+//
+// LintOptions holds exactly what `statsize lint` sets; every other threshold
+// is a named constant next to the rule it judges.
 
 #pragma once
 
@@ -23,24 +25,25 @@
 #include <string_view>
 
 #include "analyze/diagnostic.h"
-#include "analyze/graph_audit.h"
-#include "analyze/model_audit.h"
-#include "analyze/nlp_audit.h"
 #include "netlist/circuit.h"
 #include "netlist/timing_view.h"
+#include "ssta/delay_model.h"
 
 namespace statsize::analyze {
 
 struct LintOptions {
-  ModelAuditOptions model;
-  GraphAuditOptions graph;
-  NlpAuditOptions nlp;
+  ssta::SigmaModel sigma_model{0.25, 0.0};
+  double max_speed = 3.0;  ///< upper sizing limit of the audited NLP instance
+  /// MOD002 flags merge points with theta = sqrt(varA + varB) below this.
+  double theta_threshold = 1e-3;
+  /// Randomized interior points per derivative sweep (the feasible start is
+  /// always checked in addition); a negative value disables the sweep.
+  int derivative_points = 3;
+  /// The sweep finite-differences every constraint group; above this gate
+  /// count it is skipped.
+  int derivative_gate_cap = 200;
   /// Step 4: the spec and Clark checks and the formulation builds.
   bool model_audit = true;
-  /// The randomized derivative sweep finite-differences every constraint
-  /// group; above this gate count it is skipped unless forced.
-  int derivative_gate_cap = 200;
-  bool force_derivative_audit = false;
 };
 
 /// One lint run: the report plus the analytics a single-input run reports

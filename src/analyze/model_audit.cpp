@@ -123,7 +123,8 @@ Report audit_clark_degeneracy(const netlist::Circuit& circuit, const ssta::Sigma
 }
 
 Report audit_problem_derivatives(const nlp::Problem& problem, std::string_view what, int points,
-                                 unsigned seed, double tol) {
+                                 unsigned seed) {
+  constexpr double kTol = 1e-4;
   Report report;
   Rng rng(seed);
   const std::string locus = "formulation [" + std::string(what) + "]";
@@ -144,13 +145,13 @@ Report audit_problem_derivatives(const nlp::Problem& problem, std::string_view w
       }
     }
     const nlp::DerivativeReport dr = nlp::check_problem_derivatives(problem, x);
-    if (!dr.ok(tol)) {
+    if (!dr.ok(kTol)) {
       report.add("MOD003", locus,
                  std::string(sample == 0 ? "at the feasible start point"
                                          : "at randomized point " + std::to_string(sample)) +
                      ": max gradient error " + fmt(dr.max_gradient_error) +
                      ", max Hessian error " + fmt(dr.max_hessian_error) + " (tolerance " +
-                     fmt(tol) + ")",
+                     fmt(kTol) + ")",
                  "an analytic derivative disagrees with central differences; the optimizer "
                  "would converge to a wrong sizing or stall");
     }

@@ -11,13 +11,13 @@
 //    approaches zero (near-deterministic operands, e.g. a degenerate sigma
 //    model or high-correlation reconvergence) the Clark derivatives become
 //    ill-conditioned and the NLP's curvature explodes. Merge points whose
-//    theta falls below a threshold are flagged per gate;
+//    theta falls below the lint's `theta_threshold` are flagged per gate;
 //
 //  * derivative audit — sweeps every element of a built formulation through
 //    nlp::check_problem_derivatives at the feasible start and at
 //    deterministic pseudo-random interior points, reporting any
-//    gradient/Hessian vs finite-difference mismatch as a diagnostic instead
-//    of a test-only assertion;
+//    gradient/Hessian vs finite-difference mismatch beyond a fixed 1e-4
+//    tolerance as a diagnostic instead of a test-only assertion;
 //
 //  * spec and TimingView compilability checks (MOD004, MOD005).
 
@@ -33,20 +33,6 @@
 
 namespace statsize::analyze {
 
-struct ModelAuditOptions {
-  ssta::SigmaModel sigma_model{0.25, 0.0};
-  double max_speed = 3.0;
-  /// Merge points with theta = sqrt(varA + varB) below this are flagged.
-  double theta_threshold = 1e-3;
-  /// Randomized interior points per formulation (the feasible start is always
-  /// checked in addition); a negative value disables the sweep.
-  int derivative_points = 3;
-  double derivative_tol = 1e-4;
-  unsigned rng_seed = 2000u;  ///< deterministic point generation
-  bool derivative_audit = true;
-  bool audit_nary = true;  ///< also build and audit the n-ary max formulation
-};
-
 /// MOD001: finite start inside the box for every variable whose box is
 /// non-empty (an empty box, NaN bounds included, is left to NLP001).
 Report audit_problem_bounds(const nlp::Problem& problem, std::string_view what);
@@ -59,9 +45,10 @@ Report audit_clark_degeneracy(const netlist::Circuit& circuit, const ssta::Sigma
                               const std::vector<double>& speed, double theta_threshold);
 
 /// MOD003: check_problem_derivatives at the start point and `points`
-/// deterministic pseudo-random interior points.
+/// deterministic pseudo-random interior points drawn from `seed`, against a
+/// fixed 1e-4 tolerance.
 Report audit_problem_derivatives(const nlp::Problem& problem, std::string_view what, int points,
-                                 unsigned seed, double tol);
+                                 unsigned seed);
 
 /// MOD004: spec-level consistency (max_speed >= 1, weight vector shape,
 /// satisfiable delay bound sign).

@@ -13,6 +13,13 @@ namespace statsize::analyze {
 
 namespace {
 
+/// NLP006 fires when the estimated objective scale and the median constraint
+/// scale differ by more than this factor (either direction).
+constexpr double kScaleRatioThreshold = 1e6;
+/// NLP006 also fires when the constraint scales themselves spread wider than
+/// this factor (best- vs worst-scaled constraint).
+constexpr double kConstraintSpreadThreshold = 1e8;
+
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -67,8 +74,7 @@ double estimate_group_scale(const nlp::Problem& problem, const nlp::FunctionGrou
   return scale;
 }
 
-Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what,
-                         const NlpAuditOptions& options) {
+Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what) {
   Report report;
   const int n = problem.num_vars();
 
@@ -149,14 +155,14 @@ Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what,
     std::sort(sorted.begin(), sorted.end());
     const double median = sorted[sorted.size() / 2];
     const double ratio = obj_scale > median ? obj_scale / median : median / obj_scale;
-    if (ratio > options.scale_ratio_threshold) {
+    if (ratio > kScaleRatioThreshold) {
       report.add("NLP006", std::string(what) + ": objective vs constraints",
                  "estimated objective scale " + fmt(obj_scale) +
                      " vs median constraint scale " + fmt(median) + " (ratio " + fmt(ratio) + ")",
                  "rescale the objective or constraints toward a common magnitude");
     }
     const double spread = sorted.back() / sorted.front();
-    if (spread > options.constraint_spread_threshold) {
+    if (spread > kConstraintSpreadThreshold) {
       const auto worst = std::max_element(cons_scales.begin(), cons_scales.end());
       const auto best = std::min_element(cons_scales.begin(), cons_scales.end());
       report.add("NLP006",

@@ -8,7 +8,8 @@
 // coefficients the builder baked in (for the sizing formulation those are the
 // library constants t_int / c / c_in and the sigma-model terms). A mis-posed
 // instance caught here costs microseconds; the same defect inside the solver
-// costs a plausible-but-wrong size vector.
+// costs a plausible-but-wrong size vector. The scale rule (NLP006) judges
+// against fixed thresholds; nothing here takes a setting.
 
 #pragma once
 
@@ -20,15 +21,6 @@
 
 namespace statsize::analyze {
 
-struct NlpAuditOptions {
-  /// NLP006 fires when the estimated objective scale and the median
-  /// constraint scale differ by more than this factor (either direction).
-  double scale_ratio_threshold = 1e6;
-  /// NLP006 also fires when the constraint scales themselves spread wider
-  /// than this factor (best- vs worst-scaled constraint).
-  double constraint_spread_threshold = 1e8;
-};
-
 /// Characteristic magnitude of a FunctionGroup, estimated without evaluating
 /// it: max over |constant|, |linear coef| * typical variable magnitude, and
 /// element |weight|. Typical variable magnitude comes from the bound box
@@ -38,8 +30,7 @@ double estimate_group_scale(const nlp::Problem& problem, const nlp::FunctionGrou
 /// Runs NLP001..NLP007 over `problem`. NLP001 owns the empty box (lower > upper
 /// or a NaN bound); MOD001 stays silent on it. `what` names the instance in loci
 /// (e.g. "full-space, pairwise max"). Never evaluates any element function.
-Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what,
-                         const NlpAuditOptions& options = {});
+Report audit_nlp_problem(const nlp::Problem& problem, std::string_view what);
 
 /// NLP008 over a constructed AugLagModel: multipliers must be finite and the
 /// penalty rho positive and finite. Never evaluates the model.

@@ -74,8 +74,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "sigma(mu) = kappa*mu + offset is negative at an attainable mean delay"},
       {"LIB009", "library", Severity::kWarning, "non-monotone-sigma-model",
        "kappa < 0 makes sigma shrink as mu grows, inverting the variability-vs-delay trade-off"},
-      {"LIB010", "library", Severity::kError, "invalid-size-table",
-       "a discrete size table is empty, non-ascending, or contains sizes below 1"},
       // -- NLP model audits -------------------------------------------------
       {"MOD001", "model", Severity::kError, "bound-inconsistency",
        "an NLP variable's start S_0 lies outside its box [S_min, S_max] or is not finite"},

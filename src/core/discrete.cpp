@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/reduced_space.h"
 
@@ -36,6 +37,27 @@ double SizeGrid::snap(double s, bool round_up) const {
 
 namespace {
 
+/// The grid contract snap() relies on: non-empty, every entry >= 1 and
+/// strictly ascending. Throws std::invalid_argument naming the bad entry.
+void check_size_grid(const SizeGrid& grid) {
+  const std::vector<double>& sizes = grid.sizes;
+  if (sizes.empty()) throw std::invalid_argument("size table: table is empty");
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    if (sizes[i] < 1.0) {
+      throw std::invalid_argument("size table: entry " + std::to_string(i) + " = " +
+                                  std::to_string(sizes[i]) +
+                                  " is below 1 (speed factors live in [1, limit])");
+    }
+    if (i > 0 && sizes[i] <= sizes[i - 1]) {
+      throw std::invalid_argument(
+          "size table: entry " + std::to_string(i) + " = " + std::to_string(sizes[i]) +
+          " does not ascend past entry " + std::to_string(i - 1) + " = " +
+          std::to_string(sizes[i - 1]) +
+          " (legalization snaps by binary search and requires a strictly ascending grid)");
+    }
+  }
+}
+
 /// Index of `s` in the grid (it must be a grid point).
 int grid_index(const SizeGrid& grid, double s) {
   const auto it =
@@ -49,7 +71,7 @@ int grid_index(const SizeGrid& grid, double s) {
 DiscreteResult legalize_sizing(const netlist::TimingView& view, const SizingSpec& spec,
                                const std::vector<double>& continuous_speed,
                                const SizeGrid& grid, double target, double sigma_weight) {
-  if (grid.sizes.empty()) throw std::invalid_argument("empty size grid");
+  check_size_grid(grid);
   const bool constrained = target < std::numeric_limits<double>::infinity();
   const ReducedEvaluator eval(view, spec.sigma_model);
   const std::vector<NodeId>& gates = view.gates_in_topo_order();

@@ -45,6 +45,8 @@ struct DiscreteResult {
 
 /// Legalizes a continuous sizing onto `grid` under the constraint
 /// mu + sigma_weight * sigma <= target (pass infinity for unconstrained).
+/// Throws std::invalid_argument when the grid is empty, not strictly
+/// ascending, or has an entry below 1.
 DiscreteResult legalize_sizing(const netlist::TimingView& view, const SizingSpec& spec,
                                const std::vector<double>& continuous_speed,
                                const SizeGrid& grid, double target, double sigma_weight);

@@ -10,8 +10,16 @@ namespace statsize::core {
 
 using netlist::NodeId;
 
+namespace {
+
+constexpr double kStep = 0.05;          ///< multiplicative size bump per accepted move
+constexpr int kMaxRounds = 100000;      ///< total accepted moves budget
+constexpr int kCandidatesPerRound = 4;  ///< try the top-k sensitivity gates per round
+
+}  // namespace
+
 GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec,
-                         double target, double sigma_weight, const GreedyOptions& options) {
+                         double target, double sigma_weight) {
   const auto t0 = std::chrono::steady_clock::now();
   const ReducedEvaluator eval(view, spec.sigma_model);
 
@@ -23,7 +31,7 @@ GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec
   std::vector<double> grad;
   double metric = eval.eval_metric(result.speed, sigma_weight, &grad);
 
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     if (metric <= target) {
       result.met_target = true;
       break;
@@ -39,7 +47,7 @@ GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec
       }
     }
     if (order.empty()) break;  // every helpful gate is maxed out
-    const int k = std::min<int>(options.candidates_per_round, static_cast<int>(order.size()));
+    const int k = std::min<int>(kCandidatesPerRound, static_cast<int>(order.size()));
     std::partial_sort(order.begin(), order.begin() + k, order.end(),
                       [&](NodeId a, NodeId b) {
                         return grad[static_cast<std::size_t>(a)] <
@@ -54,7 +62,7 @@ GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec
       const NodeId g = order[static_cast<std::size_t>(i)];
       const std::size_t gi = static_cast<std::size_t>(g);
       const double saved = result.speed[gi];
-      result.speed[gi] = std::min(spec.max_speed, saved * (1.0 + options.step));
+      result.speed[gi] = std::min(spec.max_speed, saved * (1.0 + kStep));
       const double trial = eval.eval_metric(result.speed, sigma_weight, nullptr);
       result.speed[gi] = saved;
       if (trial < best_metric - 1e-12) {
@@ -64,7 +72,7 @@ GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec
     }
     if (best == netlist::kInvalidNode) break;  // no candidate improves: stuck
     const std::size_t bi = static_cast<std::size_t>(best);
-    result.speed[bi] = std::min(spec.max_speed, result.speed[bi] * (1.0 + options.step));
+    result.speed[bi] = std::min(spec.max_speed, result.speed[bi] * (1.0 + kStep));
     metric = eval.eval_metric(result.speed, sigma_weight, &grad);
     result.rounds = round + 1;
   }

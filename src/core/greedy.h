@@ -17,12 +17,6 @@
 
 namespace statsize::core {
 
-struct GreedyOptions {
-  double step = 0.05;          ///< multiplicative size bump per accepted move
-  int max_rounds = 100000;     ///< total accepted moves budget
-  int candidates_per_round = 4;  ///< try the top-k sensitivity gates per round
-};
-
 struct GreedyResult {
   bool met_target = false;
   std::vector<double> speed;  ///< per NodeId
@@ -35,7 +29,6 @@ struct GreedyResult {
 /// Greedily sizes `view` until mu + sigma_weight * sigma <= target (or no
 /// move improves the metric). Starts from S = 1 everywhere.
 GreedyResult greedy_size(const netlist::TimingView& view, const SizingSpec& spec,
-                         double target, double sigma_weight,
-                         const GreedyOptions& options = {});
+                         double target, double sigma_weight);
 
 }  // namespace statsize::core

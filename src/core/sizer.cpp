@@ -153,8 +153,7 @@ nlp::AugLagOptions outer_options(const SizerOptions& options, double rho_scale) 
           .feasibility_tol = options.feasibility_tol,
           .optimality_tol = options.optimality_tol,
           .max_outer_iterations = options.max_outer_iterations,
-          .max_inner_iterations = options.max_inner_iterations,
-          .verbose = options.verbose};
+          .max_inner_iterations = options.max_inner_iterations};
 }
 
 /// The outer loop's warm start from a previous sizing (nullable). Its
@@ -317,9 +316,7 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   // An ECO warm start replaces the reduced-space pre-solve: the previous
   // solution's sizes already play the feasible-start role.
   if (warm_in == nullptr) {
-    SizerOptions pre = options;
-    pre.verbose = false;
-    warm = run_reduced_space(pre, start, rho_scale, nullptr);
+    warm = run_reduced_space(options, start, rho_scale, nullptr);
     s0 = warm.speed;
   }
   FullSpaceFormulation form = build_full_space(*view_, spec_, s0);

@@ -53,7 +53,6 @@ struct SizerOptions {
   double optimality_tol = 2e-4;
   int max_outer_iterations = 40;
   int max_inner_iterations = 3000;
-  bool verbose = false;
 
   // ---- Resilience (DESIGN.md §9) ----
   /// Wall-clock budget for the whole run (0 = unlimited). The sizer installs

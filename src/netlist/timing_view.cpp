@@ -180,7 +180,7 @@ std::size_t uf_find(std::vector<std::size_t>& parent, std::size_t x) {
 
 }  // namespace
 
-TimingViewStats compute_view_stats(const TimingView& view, int max_cone_samples) {
+TimingViewStats compute_view_stats(const TimingView& view) {
   TimingViewStats s;
   const std::size_t n = static_cast<std::size_t>(view.num_nodes());
   s.num_nodes = view.num_nodes();
@@ -237,10 +237,11 @@ TimingViewStats compute_view_stats(const TimingView& view, int max_cone_samples)
 
   // Transitive-fanin cones of (a sample of) the primary outputs, via an
   // epoch-stamped visited array so repeated traversals cost no clearing.
+  // Sampling caps the cost on wide circuits.
+  constexpr std::size_t kMaxConeSamples = 64;
   const std::vector<NodeId>& outs = view.outputs();
-  if (max_cone_samples > 0 && !outs.empty()) {
-    const std::size_t stride =
-        std::max<std::size_t>(1, outs.size() / static_cast<std::size_t>(max_cone_samples));
+  if (!outs.empty()) {
+    const std::size_t stride = std::max<std::size_t>(1, outs.size() / kMaxConeSamples);
     std::vector<int> stamp(n, -1);
     std::vector<NodeId> stack;
     std::size_t total_cone = 0;

@@ -255,9 +255,9 @@ struct TimingViewStats {
 };
 
 /// Computes structural statistics in O(edges + sampled_outputs * cone size).
-/// At most `max_cone_samples` output cones are traversed (evenly strided when
-/// the circuit has more outputs); 0 skips cone statistics entirely.
-TimingViewStats compute_view_stats(const TimingView& view, int max_cone_samples = 64);
+/// Output cones are traversed at a stride of max(1, outputs / 64), so a wide
+/// circuit samples about 64 of them.
+TimingViewStats compute_view_stats(const TimingView& view);
 
 /// Self-check of the CSR invariants the sweeps rely on (offsets
 /// monotone and exactly tiling, edge targets in range, fanin/fanout symmetry,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -415,10 +414,6 @@ SolveResult solve_augmented_lagrangian(const OuterProblem& problem, const InnerM
     const double cnorm = score(result.x);
     result.constraint_violation = cnorm;
     result.final_rho = rho;
-    if (options.verbose) {
-      std::printf("[auglag] outer=%d rho=%.1e f=%.6g ||c||=%.3e pg=%.3e inner_it=%d\n", outer,
-                  rho, result.objective, cnorm, inner.projected_gradient, inner.iterations);
-    }
 
     if (std::isfinite(result.objective) && std::isfinite(cnorm) &&
         ckpt.improves(cnorm, result.objective, options.feasibility_tol)) {

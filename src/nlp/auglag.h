@@ -38,7 +38,6 @@ struct AugLagOptions {
   double optimality_tol = 1e-6;    ///< final projected-gradient target
   int max_outer_iterations = 40;
   int max_inner_iterations = 400;  ///< trust-region iterations per subproblem
-  bool verbose = false;
 };
 
 enum class SolveStatus {

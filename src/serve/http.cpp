@@ -21,6 +21,9 @@ namespace statsize::serve {
 
 namespace {
 
+constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
+constexpr std::size_t kMaxBodyBytes = 32u * 1024 * 1024;
+
 std::string lowercase(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -73,7 +76,7 @@ bool parse_head(std::string_view head, std::string* first_line,
   return !first;
 }
 
-bool parse_content_length(const std::map<std::string, std::string>& headers, std::size_t max_body,
+bool parse_content_length(const std::map<std::string, std::string>& headers,
                           std::size_t* length, std::string* error) {
   *length = 0;
   const auto it = headers.find("content-length");
@@ -90,7 +93,7 @@ bool parse_content_length(const std::map<std::string, std::string>& headers, std
       return false;
     }
     value = value * 10 + static_cast<std::size_t>(c - '0');
-    if (value > max_body) {
+    if (value > kMaxBodyBytes) {
       *error = "Content-Length exceeds limit";
       return false;  // caller maps the error text to kTooLarge
     }
@@ -207,7 +210,7 @@ ReadOutcome HttpConnection::fill() {
 
 ReadOutcome HttpConnection::try_parse(bool is_request, HttpRequest* request,
                                       HttpResponse* response, std::string* error,
-                                      const HttpLimits& limits, bool* complete) {
+                                      bool* complete) {
   *complete = false;
   // Locate the end of the header block: CRLFCRLF or bare LFLF.
   std::size_t head_end = std::string::npos;
@@ -222,10 +225,10 @@ ReadOutcome HttpConnection::try_parse(bool is_request, HttpRequest* request,
     body_start = lflf + 2;
   }
   if (head_end == std::string::npos) {
-    if (buf_.size() > limits.max_header_bytes) return ReadOutcome::kTooLarge;
+    if (buf_.size() > kMaxHeaderBytes) return ReadOutcome::kTooLarge;
     return ReadOutcome::kOk;  // need more bytes
   }
-  if (head_end > limits.max_header_bytes) return ReadOutcome::kTooLarge;
+  if (head_end > kMaxHeaderBytes) return ReadOutcome::kTooLarge;
 
   std::string first_line;
   std::map<std::string, std::string> headers;
@@ -240,7 +243,7 @@ ReadOutcome HttpConnection::try_parse(bool is_request, HttpRequest* request,
     return ReadOutcome::kMalformed;
   }
   std::size_t content_length = 0;
-  if (!parse_content_length(headers, limits.max_body_bytes, &content_length, &parse_error)) {
+  if (!parse_content_length(headers, &content_length, &parse_error)) {
     if (parse_error == "Content-Length exceeds limit") return ReadOutcome::kTooLarge;
     if (error != nullptr) *error = parse_error;
     return ReadOutcome::kMalformed;
@@ -285,11 +288,10 @@ ReadOutcome HttpConnection::try_parse(bool is_request, HttpRequest* request,
 }
 
 ReadOutcome HttpConnection::read_message(bool is_request, HttpRequest* request,
-                                         HttpResponse* response, std::string* error,
-                                         const HttpLimits& limits) {
+                                         HttpResponse* response, std::string* error) {
   while (true) {
     bool complete = false;
-    const ReadOutcome parsed = try_parse(is_request, request, response, error, limits, &complete);
+    const ReadOutcome parsed = try_parse(is_request, request, response, error, &complete);
     if (parsed != ReadOutcome::kOk) return parsed;
     if (complete) return ReadOutcome::kOk;
     const ReadOutcome filled = fill();
@@ -303,16 +305,14 @@ ReadOutcome HttpConnection::read_message(bool is_request, HttpRequest* request,
   }
 }
 
-ReadOutcome HttpConnection::read_request(HttpRequest* out, std::string* error,
-                                         const HttpLimits& limits) {
+ReadOutcome HttpConnection::read_request(HttpRequest* out, std::string* error) {
   *out = HttpRequest();
-  return read_message(true, out, nullptr, error, limits);
+  return read_message(true, out, nullptr, error);
 }
 
-ReadOutcome HttpConnection::read_response(HttpResponse* out, std::string* error,
-                                          const HttpLimits& limits) {
+ReadOutcome HttpConnection::read_response(HttpResponse* out, std::string* error) {
   *out = HttpResponse();
-  return read_message(false, nullptr, out, error, limits);
+  return read_message(false, nullptr, out, error);
 }
 
 bool HttpConnection::write_response(const HttpResponse& response, bool keep_alive) {

@@ -17,11 +17,6 @@
 
 namespace statsize::serve {
 
-struct HttpLimits {
-  std::size_t max_header_bytes = 64 * 1024;
-  std::size_t max_body_bytes = 32u * 1024 * 1024;
-};
-
 struct HttpRequest {
   std::string method;   ///< uppercase, e.g. "POST"
   std::string target;   ///< origin-form, e.g. "/v1/jobs/job-000001"
@@ -49,7 +44,7 @@ enum class ReadOutcome {
   kOk,        ///< one complete message parsed
   kClosed,    ///< orderly EOF before any bytes of a new message
   kTimeout,   ///< recv timed out (SO_RCVTIMEO) with no complete message yet
-  kTooLarge,  ///< header or body limit exceeded
+  kTooLarge,  ///< header (64 KiB) or body (32 MiB) limit exceeded
   kMalformed, ///< unparseable message (error string has details)
   kError,     ///< socket error
 };
@@ -77,10 +72,10 @@ class HttpConnection {
 
   /// Reads one full request (server side). On kMalformed, `error` (if
   /// non-null) carries a human-readable reason for the 400.
-  ReadOutcome read_request(HttpRequest* out, std::string* error, const HttpLimits& limits = {});
+  ReadOutcome read_request(HttpRequest* out, std::string* error);
 
   /// Reads one full response (client side).
-  ReadOutcome read_response(HttpResponse* out, std::string* error, const HttpLimits& limits = {});
+  ReadOutcome read_response(HttpResponse* out, std::string* error);
 
   /// Serializes and sends a response; adds Content-Length and Connection
   /// headers. Head and body leave in one sendmsg, so the peer is woken once
@@ -102,9 +97,9 @@ class HttpConnection {
   ReadOutcome fill();
   /// Parses a complete head+body message out of buf_ if present.
   ReadOutcome try_parse(bool is_request, HttpRequest* request, HttpResponse* response,
-                        std::string* error, const HttpLimits& limits, bool* complete);
+                        std::string* error, bool* complete);
   ReadOutcome read_message(bool is_request, HttpRequest* request, HttpResponse* response,
-                           std::string* error, const HttpLimits& limits);
+                           std::string* error);
 
   int fd_ = -1;
   std::string buf_;  ///< received, not-yet-consumed bytes

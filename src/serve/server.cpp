@@ -196,7 +196,10 @@ void Server::accept_loop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    set_recv_timeout(fd, options_.io_recv_timeout_seconds);
+    // Per-recv timeout on accepted sockets; bounds how long stop() waits for
+    // an idle keep-alive connection to notice shutdown.
+    constexpr double kIoRecvTimeoutSeconds = 0.2;
+    set_recv_timeout(fd, kIoRecvTimeoutSeconds);
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
       conn_queue_.push_back(fd);
@@ -227,8 +230,7 @@ void Server::serve_connection(int fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
     HttpRequest request;
     std::string parse_error;
-    const ReadOutcome outcome =
-        conn.read_request(&request, &parse_error, options_.limits);
+    const ReadOutcome outcome = conn.read_request(&request, &parse_error);
     if (outcome == ReadOutcome::kTimeout) continue;  // idle keep-alive; recheck stop
     if (outcome == ReadOutcome::kClosed || outcome == ReadOutcome::kError) return;
     if (outcome == ReadOutcome::kTooLarge) {

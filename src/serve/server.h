@@ -62,10 +62,6 @@ struct ServerOptions {
   int io_threads = 8;    ///< concurrent keep-alive connections served
   std::size_t cache_capacity = 16;
   SchedulerOptions scheduler;
-  HttpLimits limits;
-  /// Per-recv timeout on accepted sockets; bounds how long stop() waits for
-  /// an idle keep-alive connection to notice shutdown.
-  double io_recv_timeout_seconds = 0.2;
   /// Non-empty enables the durable job journal (created under this dir) and
   /// startup recovery replay from any journal already there.
   std::string journal_dir;

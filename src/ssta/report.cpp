@@ -76,24 +76,22 @@ void write_json_report(std::ostream& out, const netlist::Circuit& circuit,
   }
   w.end_array();
 
-  if (options.include_per_node) {
-    w.key("gates").begin_array();
-    for (NodeId id : circuit.topo_order()) {
-      const netlist::Node& n = circuit.node(id);
-      if (n.kind != NodeKind::kGate) continue;
-      const std::size_t i = static_cast<std::size_t>(id);
-      w.begin_object();
-      w.key("name").value(n.name);
-      w.key("cell").value(circuit.cell_of(id).name);
-      w.key("speed").value(speed[i]);
-      w.key("arrival_mu").value(timing.arrival[i].mu);
-      w.key("arrival_sigma").value(timing.arrival[i].sigma());
-      w.key("slack_mu").value(slacks.slack[i].mu);
-      w.key("meet_probability").value(slacks.meet_probability(id));
-      w.end_object();
-    }
-    w.end_array();
+  w.key("gates").begin_array();
+  for (NodeId id : circuit.topo_order()) {
+    const netlist::Node& n = circuit.node(id);
+    if (n.kind != NodeKind::kGate) continue;
+    const std::size_t i = static_cast<std::size_t>(id);
+    w.begin_object();
+    w.key("name").value(n.name);
+    w.key("cell").value(circuit.cell_of(id).name);
+    w.key("speed").value(speed[i]);
+    w.key("arrival_mu").value(timing.arrival[i].mu);
+    w.key("arrival_sigma").value(timing.arrival[i].sigma());
+    w.key("slack_mu").value(slacks.slack[i].mu);
+    w.key("meet_probability").value(slacks.meet_probability(id));
+    w.end_object();
   }
+  w.end_array();
 
   w.end_object();
 }

@@ -31,7 +31,6 @@ struct SolveReport {
 };
 
 struct JsonReportOptions {
-  bool include_per_node = true;    ///< arrival/slack/speed for every gate
   bool include_canonical = false;  ///< add the correlation-aware circuit delay
   double deadline = 0.0;           ///< for slacks; <= 0 -> mu + 3 sigma
   std::optional<SolveReport> solve;  ///< solver/resilience section, if a solve ran

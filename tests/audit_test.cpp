@@ -27,7 +27,6 @@
 namespace {
 
 using namespace statsize;
-using analyze::GraphAuditOptions;
 using analyze::Report;
 using analyze::Severity;
 using netlist::CellLibrary;
@@ -234,7 +233,7 @@ TEST(NlpAudit, Nlp008FiresOnBrokenAugLagState) {
 TEST(GraphAudit, CleanTreeHasNoStructuralFindings) {
   Circuit c = netlist::make_tree_circuit();  // generators finalize
   netlist::TimingViewStats stats;
-  const Report r = analyze::audit_graph(c.view(), {}, &stats);
+  const Report r = analyze::audit_graph(c.view(), &stats);
   EXPECT_FALSE(has_rule(r, "GRF001"));
   EXPECT_FALSE(has_rule(r, "GRF002"));
   EXPECT_FALSE(has_rule(r, "GRF004"));
@@ -286,7 +285,7 @@ TEST(GraphAudit, Grf004FiresOnFanoutSkew) {
   }
   c.finalize();
   netlist::TimingViewStats stats;
-  const Report r = analyze::audit_graph(c.view(), {}, &stats);
+  const Report r = analyze::audit_graph(c.view(), &stats);
   EXPECT_EQ(stats.max_fanout, 40u);
   EXPECT_EQ(stats.max_fanout_node, root);
   EXPECT_TRUE(has_rule(r, "GRF004"));
@@ -294,8 +293,8 @@ TEST(GraphAudit, Grf004FiresOnFanoutSkew) {
 
 TEST(GraphAudit, Grf005FiresOnReconvergence) {
   // Two stacked diamonds: every gate pair reconverges, Betti number 2 over 8
-  // edges. The default 0.25 threshold needs a nudge — the rule is judged at
-  // the option surface, which is exactly what the test pins down.
+  // edges — a ratio at the 0.25 threshold, not above it. apex2 reconverges
+  // enough to cross it; a chain never reconverges.
   const CellLibrary& lib = CellLibrary::standard();
   const int inv = lib.cell_for_inputs(1);
   const int nand2 = lib.cell_for_inputs(2);
@@ -310,16 +309,15 @@ TEST(GraphAudit, Grf005FiresOnReconvergence) {
   c.mark_output(out, 1.0);
   c.finalize();
 
-  GraphAuditOptions sensitive;
-  sensitive.reconvergence_ratio_threshold = 0.2;
   netlist::TimingViewStats stats;
-  const Report r = analyze::audit_graph(c.view(), sensitive, &stats);
+  analyze::audit_graph(c.view(), &stats);
   EXPECT_EQ(stats.reconvergence_count, 2u);
-  EXPECT_TRUE(has_rule(r, "GRF005"));
+
+  Circuit apex2 = netlist::make_mcnc_like("apex2");
+  EXPECT_TRUE(has_rule(analyze::audit_graph(apex2.view()), "GRF005"));
 
   Circuit chain = netlist::make_chain(6);
-  const Report clean = analyze::audit_graph(chain.view(), sensitive);
-  EXPECT_FALSE(has_rule(clean, "GRF005"));
+  EXPECT_FALSE(has_rule(analyze::audit_graph(chain.view()), "GRF005"));
 }
 
 TEST(GraphAudit, Grf006FiresOnDeepNarrowGraphs) {
@@ -425,16 +423,16 @@ TEST(AuditDriver, MissingFileBecomesParseDiagnostic) {
 
 TEST(AuditDriver, OneLintRunReportsModelGraphAndNlpFindings) {
   // One driver, one report: a zero sigma model makes every live Clark merge
-  // degenerate (MOD002), apex2's reconvergence trips GRF005, and a tight
-  // scale threshold makes the instance rules speak (NLP006).
+  // degenerate (MOD002), apex2's reconvergence trips GRF005, and a unit
+  // sizing limit collapses every speed box to a point (NLP002).
   Circuit c = netlist::make_mcnc_like("apex2");
   analyze::LintOptions options;
-  options.model.sigma_model = {0.0, 0.0};
-  options.nlp.scale_ratio_threshold = 1.0;
+  options.sigma_model = {0.0, 0.0};
+  options.max_speed = 1.0;
   const analyze::LintResult result = analyze::lint_circuit(c, options);
   EXPECT_TRUE(has_rule(result.report, "MOD002"));
   EXPECT_TRUE(has_rule(result.report, "GRF005"));
-  EXPECT_TRUE(has_rule(result.report, "NLP006"));
+  EXPECT_TRUE(has_rule(result.report, "NLP002"));
 
   std::ostringstream json;
   result.write_json(json, "apex2");

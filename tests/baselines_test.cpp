@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +137,25 @@ TEST(Legalize, UnconstrainedSnapsAndTrims) {
     bool on_grid = false;
     for (double g : grid.sizes) on_grid = on_grid || std::abs(g - s) < 1e-12;
     EXPECT_TRUE(on_grid) << s;
+  }
+}
+
+TEST(Legalize, RejectsInvalidSizeTables) {
+  const Circuit c = netlist::make_tree_circuit();
+  const SizingSpec spec;
+  const std::vector<double> cont(static_cast<std::size_t>(c.num_nodes()), 1.37);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(legalize_sizing(c, spec, cont, SizeGrid{{1.0, 1.5, 2.0, 3.0}}, inf, 0.0));
+  for (const std::vector<double>& bad :
+       {std::vector<double>{}, {0.5, 2.0}, {1.0, 2.0, 2.0}, {2.0, 1.0}}) {
+    EXPECT_THROW(legalize_sizing(c, spec, cont, SizeGrid{bad}, inf, 0.0), std::invalid_argument)
+        << bad.size() << " entries";
+  }
+  try {
+    legalize_sizing(c, spec, cont, SizeGrid{{0.5, 2.0}}, inf, 0.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("entry 0 = 0.500000 is below 1"), std::string::npos)
+        << e.what();
   }
 }
 

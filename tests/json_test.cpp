@@ -88,17 +88,6 @@ TEST(JsonReport, ContainsAllSections) {
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'), std::count(s.begin(), s.end(), '}'));
 }
 
-TEST(JsonReport, PerNodeSectionIsOptional) {
-  const netlist::Circuit c = netlist::make_tree_circuit();
-  const ssta::DelayCalculator calc(c, {0.25, 0.0});
-  const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.0);
-  std::ostringstream out;
-  ssta::JsonReportOptions opt;
-  opt.include_per_node = false;
-  ssta::write_json_report(out, c, calc, speed, opt);
-  EXPECT_EQ(out.str().find("\"arrival_mu\""), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------

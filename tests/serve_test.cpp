@@ -3,9 +3,10 @@
 // deadline'd jobs (checkpoint for sizing, cancel for analysis), DELETE on a
 // running job, ssta/sta jobs answered at admission with their whole job
 // document (kept by the client, so one exchange), mistyped fields as 400s,
-// one send per HTTP message over a SOCK_SEQPACKET pair, jobs side by side on
-// several executors (isolation, per-job thread budgets), LRU eviction under
-// concurrent readers, stats, and the SIGINT interrupt token. The suite runs
+// oversized headers and bodies as 413s, one send per HTTP message over a
+// SOCK_SEQPACKET pair, jobs side by side on several executors (isolation,
+// per-job thread budgets), LRU eviction under concurrent readers, stats, and
+// the SIGINT interrupt token. The suite runs
 // in the ThreadSanitizer configuration of scripts/check.sh, so the
 // scheduler/cache/IO synchronization is part of the repo's concurrency
 // surface.
@@ -195,6 +196,38 @@ TEST_F(ServeTest, MalformedJsonBodyGets400WithParseLocus) {
   EXPECT_EQ(trailing.status, 400);
   EXPECT_NE(trailing.body.find("trailing"), std::string::npos) << trailing.body;
   EXPECT_GE(server_->metrics().http_bad_requests.value(), 2);
+}
+
+/// Sends `raw` as-is on a fresh connection and reads the one answer.
+serve::HttpResponse raw_exchange(int port, const std::string& raw) {
+  serve::HttpConnection conn = serve::connect_tcp("127.0.0.1", port, 5.0);
+  for (std::size_t sent = 0; sent < raw.size();) {
+    const ssize_t n = ::send(conn.fd(), raw.data() + sent, raw.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  serve::HttpResponse response;
+  std::string error;
+  EXPECT_EQ(conn.read_response(&response, &error), serve::ReadOutcome::kOk) << error;
+  return response;
+}
+
+TEST_F(ServeTest, BodyOver32MiBAnswers413) {
+  StartServer();
+  const serve::HttpResponse response = raw_exchange(
+      server_->port(), "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                           std::to_string(32u * 1024 * 1024 + 1) + "\r\n\r\n");
+  EXPECT_EQ(response.status, 413) << response.body;
+}
+
+TEST_F(ServeTest, HeaderBlockOver64KiBAnswers413) {
+  StartServer();
+  // Exactly one byte over the limit and no blank line, so the daemon reads
+  // every byte before it answers and closes.
+  std::string raw = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  raw.append(64 * 1024 + 1 - raw.size(), 'a');
+  const serve::HttpResponse response = raw_exchange(server_->port(), raw);
+  EXPECT_EQ(response.status, 413) << response.body;
 }
 
 TEST_F(ServeTest, UnknownTargetsAndParamsAreRejected) {

@@ -145,7 +145,7 @@ analyze::Report demo_defects_report(const analyze::LintOptions& options) {
   nlp::FunctionGroup dead;
   dead.constant = 4.2;  // NLP005: "4.2 = 0", infeasible by construction
   p.add_equality(std::move(dead));
-  report.merge(analyze::audit_nlp_problem(p, "demo instance", options.nlp));
+  report.merge(analyze::audit_nlp_problem(p, "demo instance"));
 
   const std::vector<std::size_t> widths = {4, 0, 9, 0, 0, 2};  // GRF002 x3
   report.merge(analyze::audit_level_widths(widths));
@@ -168,10 +168,11 @@ int run_lint(int argc, char** argv) {
   args.add_double("max-speed", "upper sizing limit of the audited NLP instance", 3.0);
   args.add_double("theta-threshold", "flag Clark merges with theta below this", 1e-3);
   args.add_int("derivative-points", "random interior points per derivative sweep", 3);
-  args.add_int("derivative-cap", "skip the derivative sweep above this many gates", 200);
+  args.add_int("derivative-cap",
+               "skip the derivative sweep above this many gates (raise it to force the sweep)",
+               200);
   args.add_flag("no-model-audit",
                 "structure, library and graph checks only; build no NLP instance");
-  args.add_flag("force-derivative-audit", "run the derivative sweep regardless of size");
   args.add_flag("list-rules", "print the rule catalog and exit");
   args.add_flag("demo-defects",
                 "lint deliberately broken inputs (circuit, cells, NLP instance, level "
@@ -195,13 +196,12 @@ int run_lint(int argc, char** argv) {
     }
 
     analyze::LintOptions options;
-    options.model.sigma_model = {args.get_double("kappa"), args.get_double("sigma-offset")};
-    options.model.max_speed = args.get_double("max-speed");
-    options.model.theta_threshold = args.get_double("theta-threshold");
-    options.model.derivative_points = args.get_int("derivative-points");
+    options.sigma_model = {args.get_double("kappa"), args.get_double("sigma-offset")};
+    options.max_speed = args.get_double("max-speed");
+    options.theta_threshold = args.get_double("theta-threshold");
+    options.derivative_points = args.get_int("derivative-points");
     options.derivative_gate_cap = args.get_int("derivative-cap");
     options.model_audit = !args.get_flag("no-model-audit");
-    options.force_derivative_audit = args.get_flag("force-derivative-audit");
 
     std::vector<std::string> inputs = args.positionals();
     if (inputs.empty()) inputs.push_back(args.get_string("circuit"));
@@ -287,7 +287,6 @@ int main(int argc, char** argv) {
   args.add_int("mc", "verify with this many Monte Carlo samples", 0);
   args.add_string("sizes-out", "write per-gate speed factors to this TSV file");
   args.add_string("json-out", "write the full analysis as JSON to this file");
-  args.add_flag("verbose", "solver progress output");
   args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
   args.add_double("time-limit", "wall-clock solve budget in seconds (0 = unlimited)", 0.0);
   args.add_int("retries", "deterministic multistart retries after a breakdown/stall", 0);
@@ -340,7 +339,6 @@ int main(int argc, char** argv) {
     } else {
       throw std::invalid_argument("unknown method '" + method + "'");
     }
-    opt.verbose = args.get_flag("verbose");
     opt.time_limit_seconds = args.get_double("time-limit");
     opt.max_retries = args.get_int("retries");
     // Ctrl-C degrades gracefully: the solver polls this token and returns its
